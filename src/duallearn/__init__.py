@@ -71,7 +71,6 @@ from .primaldual import (
     recommend_hyperparams,
     save_trace,
     train,
-    train_alternating,
 )
 from .rate import (
     MarginReport,

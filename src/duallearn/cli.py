@@ -3,8 +3,9 @@
 Four commands over a single JSON config tree:
 
 - ``train``: build the configured problem and run projected dual ascent
-  (full inner solves or the alternating variant), writing a trace, theta
-  snapshots, the final model, and a summary into the run directory.
+  (full inner solves, or one warm-started epoch per dual update with
+  ``inner.epochs: 1``), writing a trace, theta snapshots, the final model,
+  and a summary into the run directory.
 - ``eval``: nominal / adversarial / group-rate metrics for a saved model or
   for the randomized solution of a saved trace.
 - ``example1``: pathology trials of the built-in hard instance, with the
@@ -45,16 +46,16 @@ from .models import (
 )
 from .oracle import example1_trial
 from .primaldual import (
+    RandomizedSolution,
     TrainConfig,
+    evaluate_randomized,
     load_trace,
     randomized_solution,
     save_trace,
     train,
-    train_alternating,
 )
 from .rate import SurrogateConfig, build_surrogate_lagrangian
 from .robust import AdversarialDataset, AttackConfig
-from .core import empirical_risk
 
 ENV_OUT = "DUALLEARN_OUT"
 
@@ -96,13 +97,10 @@ _SCHEMA = {
     },
     "inner": {
         "method": str, "epochs": int, "batch_size": int, "optimizer": str,
-        "step_size": _NUM, "warm_start": bool, "target_rho": _NUM,
+        "step_size": _NUM, "warm_start": bool,
         "grid_lo": list, "grid_hi": list, "grid_points": int,
     },
-    "dual": {
-        "variant": str, "iterations_T": int, "step_eta": _NUM, "method": str,
-        "adam_step": _NUM, "snapshot_stride": int,
-    },
+    "dual": {"iterations_T": int, "step_eta": _NUM, "method": str, "snapshot_stride": int},
     "attack": _ATTACK_KEYS,
     "surrogate": _SURROGATE_KEYS,
     "bounds": {
@@ -271,7 +269,7 @@ def _build_datasets(problem_cfg: dict, base_dir: Path):
     return out, echo
 
 
-def _resolve_dataset_ref(datasets, name: str, group: str | None, context: str) -> Dataset:
+def _dataset_ref(datasets, name: str, group: str | None, context: str) -> Dataset:
     if name not in datasets:
         raise ConfigurationError(f"{context}: unknown dataset {name!r}")
     ds, groups = datasets[name]
@@ -296,8 +294,8 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
     obj_cfg = _require(problem_cfg, "objective", "problem.")
     obj_loss, obj_loss_echo = _build_loss(_require(obj_cfg, "loss", "problem.objective."),
                                           "problem.objective.loss.")
-    obj_ds = _resolve_dataset_ref(datasets, _require(obj_cfg, "dataset", "problem.objective."),
-                                  None, "problem.objective.dataset")
+    obj_ds = _dataset_ref(datasets, _require(obj_cfg, "dataset", "problem.objective."),
+                          None, "problem.objective.dataset")
     obj_adv = obj_cfg.get("adversarial", False)
     if obj_adv:
         if attack_cfg is None:
@@ -311,8 +309,8 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
     for i, c in enumerate(problem_cfg.get("constraints", []) or []):
         ctx = f"problem.constraints[{i}]"
         loss, loss_echo = _build_loss(_require(c, "loss", ctx + "."), ctx + ".loss.")
-        ds = _resolve_dataset_ref(datasets, _require(c, "dataset", ctx + "."),
-                                  c.get("group"), ctx + ".dataset")
+        ds = _dataset_ref(datasets, _require(c, "dataset", ctx + "."),
+                          c.get("group"), ctx + ".dataset")
         dataset = ds
         if c.get("adversarial", False):
             if attack_cfg is None:
@@ -324,8 +322,8 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
             rspec = c["reference"]
             rloss, rloss_echo = (_build_loss(rspec["loss"], ctx + ".reference.loss.")
                                  if rspec.get("loss") is not None else (loss, loss_echo))
-            rds = _resolve_dataset_ref(datasets, _require(rspec, "dataset", ctx + ".reference."),
-                                       rspec.get("group"), ctx + ".reference.dataset")
+            rds = _dataset_ref(datasets, _require(rspec, "dataset", ctx + ".reference."),
+                               rspec.get("group"), ctx + ".reference.dataset")
             reference = ReferenceTerm(loss=rloss, dataset=rds)
             ref_echo = {"dataset": rspec["dataset"], "group": rspec.get("group"),
                         "loss": rloss_echo}
@@ -394,11 +392,9 @@ def _build_inner(cfg: dict, arch) -> tuple[InnerSolverConfig, dict]:
         points = inner_cfg.get("grid_points", 200)
         cands = _grid_candidates(arch, _require(inner_cfg, "grid_lo", "inner."),
                                  _require(inner_cfg, "grid_hi", "inner."), points)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands,
-                                  target_rho=inner_cfg.get("target_rho", 0.0))
+        inner = InnerSolverConfig(method="enumeration", candidates=cands)
         echo = {"method": "enumeration", "grid_lo": inner_cfg["grid_lo"],
-                "grid_hi": inner_cfg["grid_hi"], "grid_points": points,
-                "target_rho": inner.target_rho}
+                "grid_hi": inner_cfg["grid_hi"], "grid_points": points}
         return inner, echo
     inner = InnerSolverConfig(
         method="gradient", epochs=inner_cfg.get("epochs", 1),
@@ -406,11 +402,10 @@ def _build_inner(cfg: dict, arch) -> tuple[InnerSolverConfig, dict]:
         optimizer=inner_cfg.get("optimizer", "adam"),
         step_size=inner_cfg.get("step_size", 1e-2),
         warm_start=inner_cfg.get("warm_start", True),
-        target_rho=inner_cfg.get("target_rho", 0.0),
     )
     echo = {"method": "gradient", "epochs": inner.epochs, "batch_size": inner.batch_size,
             "optimizer": inner.optimizer, "step_size": inner.step_size,
-            "warm_start": inner.warm_start, "target_rho": inner.target_rho}
+            "warm_start": inner.warm_start}
     return inner, echo
 
 
@@ -452,21 +447,16 @@ def cmd_train(args) -> int:
     inner, inner_echo = _build_inner(cfg, model.arch)
 
     dual_cfg = _require(cfg, "dual", "")
-    variant = dual_cfg.get("variant", "alternating")
-    if variant not in ("alternating", "full"):
-        raise ConfigurationError(f"dual.variant must be 'alternating' or 'full', got {variant!r}")
     tcfg = TrainConfig(
         iterations_T=_require(dual_cfg, "iterations_T", "dual."),
         dual_step_eta=_require(dual_cfg, "step_eta", "dual."),
         inner=inner,
         dual_method=dual_cfg.get("method", "projected-ascent"),
-        dual_adam_step=dual_cfg.get("adam_step"),
         seed=seed,
         snapshot_stride=dual_cfg.get("snapshot_stride", 1),
     )
-    dual_echo = {"variant": variant, "iterations_T": tcfg.iterations_T,
-                 "step_eta": tcfg.dual_step_eta, "method": tcfg.dual_method,
-                 "adam_step": tcfg.dual_adam_step, "snapshot_stride": tcfg.snapshot_stride}
+    dual_echo = {"iterations_T": tcfg.iterations_T, "step_eta": tcfg.dual_step_eta,
+                 "method": tcfg.dual_method, "snapshot_stride": tcfg.snapshot_stride}
 
     primal_problem = build_surrogate_lagrangian(problem)
     save_theta = (cfg.get("output") or {}).get("save_theta", True)
@@ -477,8 +467,7 @@ def cmd_train(args) -> int:
             "output": {"save_theta": save_theta}}
     _write_json(out / "config_echo.json", echo)
 
-    runner = train_alternating if variant == "alternating" else train
-    trace, final_model, final_mu = runner(
+    trace, final_model, final_mu = train(
         problem, tcfg, model,
         primal_problem=None if primal_problem is problem else primal_problem,
     )
@@ -504,18 +493,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_metrics(models: list[ModelState], problem: Problem) -> dict:
-    def avg(loss, dataset):
-        vals = [empirical_risk(m, loss, dataset) for m in models]
-        return float(np.asarray(vals).sum()) / len(vals)
-
-    metrics = {"objective_risk": avg(problem.objective_loss, problem.objective_dataset)}
+def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
+    metrics = {"objective_risk": evaluate_randomized(sol, problem.objective_loss,
+                                                     problem.objective_dataset)}
     cons = []
     for c in problem.constraints:
-        risk = avg(c.loss, c.dataset)
+        risk = evaluate_randomized(sol, c.loss, c.dataset)
         entry = {"name": c.name, "risk": risk, "threshold_c": c.threshold_c}
         if c.reference is not None:
-            ref = avg(c.reference.loss, c.reference.dataset)
+            ref = evaluate_randomized(sol, c.reference.loss, c.reference.dataset)
             entry["reference_risk"] = ref
             entry["slack"] = risk - ref - c.threshold_c
         else:
@@ -535,17 +521,16 @@ def cmd_eval(args) -> int:
     if (args.model is None) == (args.trace is None):
         raise ConfigurationError("eval needs exactly one of --model or --trace")
     if args.model is not None:
-        models = [load_model(args.model)]
+        sol = RandomizedSolution(models=(load_model(args.model),))
         source = {"model": str(args.model)}
     else:
         sol = randomized_solution(load_trace(args.trace))
-        models = list(sol.models)
-        source = {"trace": str(args.trace), "support": len(models)}
+        source = {"trace": str(args.trace), "support": len(sol.models)}
 
     _write_json(out / "config_echo.json",
                 {"seed": seed, "problem": problem_echo, "attack": attack_echo,
                  "source": source})
-    metrics = _eval_metrics(models, problem)
+    metrics = _eval_metrics(sol, problem)
     summary = {"command": "eval", "seed": seed, "source": source, **metrics}
     _write_json(out / "summary.json", summary)
     print(f"eval: objective risk {metrics['objective_risk']:.6g}; "
@@ -632,6 +617,10 @@ def cmd_bounds(args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 def _failing_module(err: BaseException) -> str:
+    """Innermost duallearn module in the traceback of the original error,
+    past any re-raise that only adds context (such as the iteration index)."""
+    while err.__cause__ is not None:
+        err = err.__cause__
     tb = err.__traceback__
     module = "duallearn"
     while tb is not None:

@@ -155,6 +155,10 @@ class Dataset:
             name=name if name is not None else self.name,
         )
 
+    def realize(self, model, indices: np.ndarray | None = None) -> Dataset:
+        """This dataset, or its `indices` rows; a static set ignores the model."""
+        return self if indices is None else self.subset(indices)
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -240,8 +244,10 @@ class LossSpec:
 class DatasetProvider:
     """A dataset that must be realised against the current model.
 
-    Subclasses implement `realize`, regenerating the sample set every call;
-    the adversarial-constraint provider lives in the robust module.
+    Subclasses implement `realize(model, indices=None)`, regenerating the
+    sample set (or its `indices` rows of `base`) on every call; the
+    adversarial-constraint provider lives in the robust module. Its length
+    is that of `base`, so batches can be drawn before realising.
     """
 
     base: Dataset
@@ -254,22 +260,14 @@ class DatasetProvider:
     def n_features(self) -> int:
         return self.base.n_features
 
-    def realize(self, model) -> Dataset:  # pragma: no cover - interface
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def realize(self, model, indices: np.ndarray | None = None) -> Dataset:  # pragma: no cover
         raise NotImplementedError
 
 
 DatasetLike = Union[Dataset, DatasetProvider]
-
-
-def resolve_dataset(dataset: DatasetLike, model=None) -> Dataset:
-    """Return the concrete Dataset, realising model-dependent providers."""
-    if isinstance(dataset, Dataset):
-        return dataset
-    if model is None:
-        raise InputError(
-            f"dataset {dataset.name!r} depends on the model; a model is required to realise it"
-        )
-    return dataset.realize(model)
 
 
 @dataclass(frozen=True)
@@ -472,7 +470,7 @@ def empirical_risk(model, loss: LossSpec, dataset: DatasetLike) -> float:
     """
     from .models import predict_batch
 
-    ds = resolve_dataset(dataset, model)
+    ds = dataset.realize(model)
     if len(ds) == 0:  # unreachable given Dataset invariants; defensive
         raise InputError("cannot average over an empty dataset")
     preds = predict_batch(model, ds.features)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConstraintSpec,
-    Dataset,
-    Problem,
-    empirical_risk,
-    resolve_dataset,
-)
+from .core import ConstraintSpec, Dataset, Problem, empirical_risk
 from .errors import ConfigurationError, InputError
 from .models import ModelState, OptimizerState, grad_params, optimizer_step
 
@@ -56,9 +50,10 @@ class InnerSolverConfig:
     """How to (approximately) minimize the Lagrangian over parameters.
 
     `gradient` runs `epochs` passes of minibatch descent and keeps the best
-    fully-evaluated iterate; target_rho is the aspirational suboptimality of
-    that value (recorded, not certified, since the landscape may be
-    non-convex). `enumeration` scans an explicit candidate list exactly.
+    fully-evaluated iterate (not certified optimal, since the landscape may
+    be non-convex); with `warm_start` each dual iteration resumes from the
+    previous minimizer, so `epochs=1` alternates one primal epoch with one
+    dual step. `enumeration` scans an explicit candidate list exactly.
     """
 
     method: str
@@ -67,14 +62,11 @@ class InnerSolverConfig:
     optimizer: str = "adam"
     step_size: float = 1e-2
     candidates: tuple[ModelState, ...] | None = None
-    target_rho: float = 0.0
     warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in ("gradient", "enumeration"):
             raise ConfigurationError(f"unknown inner solver method {self.method!r}")
-        if self.target_rho < 0:
-            raise ConfigurationError("target_rho must be >= 0")
         if self.method == "gradient":
             if self.epochs < 1:
                 raise ConfigurationError("gradient inner solver needs epochs >= 1")
@@ -121,9 +113,10 @@ def enumeration_stats(problem: Problem, candidates: tuple[ModelState, ...]):
     """Per-candidate (objective risk, slack vector) pairs.
 
     The Lagrangian of candidate j at any mu is then R[j] + S[j] . mu, which
-    makes repeated dual-function evaluations over a mu grid cheap. Only valid
-    while the problem's datasets are static; model-dependent providers are
-    re-realised per candidate here.
+    makes repeated dual-function evaluations over a mu grid cheap. Model-
+    dependent providers are realised against each candidate here; that
+    realisation is deterministic (attack restarts are seeded per sample), so
+    the tables stay valid for every mu and every iteration.
     """
     R = np.empty(len(candidates))
     S = np.empty((len(candidates), problem.m))
@@ -131,14 +124,6 @@ def enumeration_stats(problem: Problem, candidates: tuple[ModelState, ...]):
         R[j] = empirical_risk(cand, problem.objective_loss, problem.objective_dataset)
         S[j] = slacks(cand, problem)
     return R, S
-
-
-def _batch(dataset_like, model: ModelState, idx: np.ndarray) -> Dataset:
-    if isinstance(dataset_like, Dataset):
-        return dataset_like.subset(idx)
-    if hasattr(dataset_like, "realize_subset"):
-        return dataset_like.realize_subset(model, idx)
-    return resolve_dataset(dataset_like, model).subset(idx)
 
 
 def _gradient_terms(model: ModelState, dual: DualState, problem: Problem,
@@ -149,28 +134,26 @@ def _gradient_terms(model: ModelState, dual: DualState, problem: Problem,
         w = float(dual.mu[i])
         if w == 0.0:
             continue
-        n_i = len(c.dataset.base) if hasattr(c.dataset, "base") else len(c.dataset)
+        n_i = len(c.dataset)
         if batch_size is None or n_i <= batch_size:
             idx = np.arange(n_i)
         else:
             idx = rng.choice(n_i, size=batch_size, replace=False)
-        terms.append((w, c.loss, _batch(c.dataset, model, idx)))
+        terms.append((w, c.loss, c.dataset.realize(model, idx)))
         if c.reference is not None:
             ref_ds = c.reference.dataset
-            n_r = len(ref_ds.base) if hasattr(ref_ds, "base") else len(ref_ds)
+            n_r = len(ref_ds)
             if batch_size is None or n_r <= batch_size:
                 ridx = np.arange(n_r)
             else:
                 ridx = rng.choice(n_r, size=batch_size, replace=False)
-            terms.append((-w, c.reference.loss, _batch(ref_ds, model, ridx)))
+            terms.append((-w, c.reference.loss, ref_ds.realize(model, ridx)))
     return terms
 
 
 def _gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConfig,
                        init: ModelState, rng: np.random.Generator):
-    obj_ds_static = isinstance(problem.objective_dataset, Dataset)
-    n0 = (len(problem.objective_dataset) if obj_ds_static
-          else len(problem.objective_dataset.base))
+    n0 = len(problem.objective_dataset)
     bs = solver.batch_size
     opt = OptimizerState(method=solver.optimizer, step_size=solver.step_size)
     model = init
@@ -181,7 +164,7 @@ def _gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverCon
         step = bs if bs is not None else n0
         for start in range(0, n0, step):
             idx = order[start : start + step]
-            obj_batch = _batch(problem.objective_dataset, model, idx)
+            obj_batch = problem.objective_dataset.realize(model, idx)
             terms = _gradient_terms(model, dual, problem, obj_batch, bs, rng)
             g = grad_params(model, terms)
             opt, model = optimizer_step(opt, model, g)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, DatasetLike, LossSpec, loss_pred_grads, resolve_dataset, stable_sigmoid
+from .core import DatasetLike, LossSpec, loss_pred_grads, stable_sigmoid
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -285,7 +285,7 @@ def grad_params(model: ModelState, weighted_losses: Sequence[WeightedLoss]) -> n
             raise InputError(f"loss weight must be finite, got {weight}")
         if weight == 0.0:
             continue
-        ds = resolve_dataset(dataset, model)
+        ds = dataset.realize(model)
         X, Y = ds.features, ds.labels
         P = predict_batch(model, X)
         G = loss_pred_grads(loss, P, Y) / len(ds)
@@ -312,7 +312,7 @@ def grad_input(model: ModelState, loss: LossSpec, sample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """SGD or ADAM state; `step` returns fresh states, nothing is mutated.
+    """SGD or ADAM state; `descent_step` returns fresh states, nothing is mutated.
 
     ADAM uses the standard defaults beta1=0.9, beta2=0.999, eps=1e-8 with
     bias-corrected moments and the epsilon added outside the square root.
@@ -347,21 +347,30 @@ def optimizer_step(opt: OptimizerState, model: ModelState,
         )
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient contains non-finite entries; step refused")
+    opt, params = descent_step(opt, model.params, g)
+    return opt, model.with_params(params)
+
+
+def descent_step(opt: OptimizerState, x: np.ndarray,
+                 g: np.ndarray) -> tuple[OptimizerState, np.ndarray]:
+    """One SGD or ADAM descent step on the array x along gradient g.
+
+    Returns the advanced state and x minus the step. Projected ascent on a
+    multiplier vector is this step on the negated gradient, then projection.
+    """
     if opt.method == "sgd":
-        new_model = model.with_params(model.params - opt.step_size * g)
-        return replace(opt, t=opt.t + 1), new_model
+        return replace(opt, t=opt.t + 1), x - opt.step_size * g
     m = opt.m if opt.m is not None else np.zeros_like(g)
     v = opt.v if opt.v is not None else np.zeros_like(g)
     if m.shape != g.shape or v.shape != g.shape:
-        raise InputError("optimizer moment vectors do not match the parameter length")
+        raise InputError("optimizer moment vectors do not match the gradient length")
     t = opt.t + 1
     m = opt.beta1 * m + (1.0 - opt.beta1) * g
     v = opt.beta2 * v + (1.0 - opt.beta2) * g * g
     m_hat = m / (1.0 - opt.beta1 ** t)
     v_hat = v / (1.0 - opt.beta2 ** t)
     step = opt.step_size * m_hat / (np.sqrt(v_hat) + opt.eps_hat)
-    new_model = model.with_params(model.params - step)
-    return replace(opt, m=m, v=v, t=t), new_model
+    return replace(opt, m=m, v=v, t=t), x - step
 
 
 # --- serialization -----------------------------------------------------------

@@ -17,53 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, LossSpec, Problem, Sample
+from .core import ConstraintSpec, Dataset, LossSpec, Problem
 from .errors import ConfigurationError, InputError
 from .lagrangian import enumeration_stats
 from .models import LinearArch, ModelState
 
 
-@dataclass(frozen=True)
-class Example1Draw:
-    """One coupled draw of the pathological instance.
-
-    tau is shared by all three sample sets of the draw; the nominal sample
-    is ([tau, -tau], -1) or ([0, alpha], +1) with equal probability, and the
-    two constraint samples are ([-1, tau], +1) and ([-tau, 1], +1).
-    """
-
-    tau: float
-    alpha: float
-    nominal: Sample
-    constraint_lo: Sample
-    constraint_hi: Sample
-
-    def __post_init__(self) -> None:
-        if not -0.5 <= self.tau <= 0.5:
-            raise InputError(f"tau must lie in [-1/2, 1/2], got {self.tau}")
-        if not 0.0 <= self.alpha <= 0.25:
-            raise InputError(f"alpha must lie in [0, 1/4], got {self.alpha}")
-
-
-def example1_draw(rng: np.random.Generator) -> Example1Draw:
-    """Single coupled draw; example1_sample is the vectorized equivalent."""
-    tau = rng.uniform(-0.5, 0.5)
-    alpha = rng.uniform(0.0, 0.25)
-    heads = rng.integers(0, 2) == 1
-    nominal = (Sample(np.array([0.0, alpha]), 1) if heads
-               else Sample(np.array([tau, -tau]), -1))
-    return Example1Draw(
-        tau=tau, alpha=alpha, nominal=nominal,
-        constraint_lo=Sample(np.array([-1.0, tau]), 1),
-        constraint_hi=Sample(np.array([-tau, 1.0]), 1),
-    )
-
-
 def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """N coupled draws of the pathological instance, as three datasets.
 
-    A fresh (tau, alpha) pair is drawn per sample index, and the same tau
-    appears in all three datasets at that index.
+    A fresh tau ~ U[-1/2, 1/2] and alpha ~ U[0, 1/4] are drawn per sample
+    index, and the same tau appears in all three datasets at that index: the
+    nominal sample is ([tau, -tau], -1) or ([0, alpha], +1) with equal
+    probability, and the two constraint samples are ([-1, tau], +1) and
+    ([-tau, 1], +1).
     """
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")

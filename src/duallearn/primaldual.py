@@ -1,27 +1,37 @@
 """Projected dual ascent over the empirical Lagrangian.
 
-`train` is the reference loop: per iteration it (approximately) minimizes
-the Lagrangian at the current multipliers, evaluates constraint slacks at
-the minimizer, and takes a projected ascent step on the multipliers, which
-start at zero and stay nonnegative throughout. `train_alternating` is the
-cheaper variant that replaces the inner minimization by a single warm-started
-epoch per dual update. Traces record every iterate so that the uniform
-mixture over them (the randomized solution) can be evaluated afterwards.
+`train` runs the loop: per iteration it (approximately) minimizes the
+Lagrangian at the current multipliers, evaluates constraint slacks at the
+minimizer, and takes a projected ascent step on the multipliers, which start
+at zero and stay nonnegative throughout. The inner solver's `epochs` and
+`warm_start` choose between full inner solves and the alternating scheme of
+one warm-started epoch per dual update. Traces record every iterate so that
+the uniform mixture over them (the randomized solution) can be evaluated
+afterwards.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Problem, empirical_risk
+from .core import Problem, empirical_risk
 from .errors import ConfigurationError, DualLearnError, InputError
 from .lagrangian import DualState, InnerSolverConfig, dual_function, enumeration_stats, slacks
-from .models import Arch, ModelState, arch_from_dict, arch_to_dict, load_model, save_model
+from .models import (
+    Arch,
+    ModelState,
+    OptimizerState,
+    arch_from_dict,
+    arch_to_dict,
+    descent_step,
+    load_model,
+    save_model,
+)
 
 # Full per-iteration snapshots above this parameter count require an explicit
 # snapshot_stride; strided traces cannot back a randomized solution.
@@ -30,13 +40,16 @@ SNAPSHOT_PARAM_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Iteration budget, dual step rule, and inner solver for one run."""
+    """Iteration budget, dual step rule, and inner solver for one run.
+
+    `dual_step_eta` is the step size of either dual method: the eta of
+    projected ascent, or the ADAM step size of projected-adam.
+    """
 
     iterations_T: int
     dual_step_eta: float
     inner: InnerSolverConfig
     dual_method: str = "projected-ascent"
-    dual_adam_step: float | None = None
     seed: int = 0
     snapshot_stride: int = 1
 
@@ -47,8 +60,6 @@ class TrainConfig:
             raise ConfigurationError("dual_step_eta must be positive")
         if self.dual_method not in ("projected-ascent", "projected-adam"):
             raise ConfigurationError(f"unknown dual method {self.dual_method!r}")
-        if self.dual_adam_step is not None and self.dual_adam_step <= 0:
-            raise ConfigurationError("dual_adam_step must be positive when given")
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
 
@@ -109,37 +120,6 @@ def dual_update(dual: DualState, slack: np.ndarray, eta: float) -> DualState:
     return DualState(np.maximum(0.0, dual.mu + eta * s))
 
 
-class _DualAdam:
-    """ADAM ascent on mu with the nonnegativity projection applied after each step."""
-
-    def __init__(self, m: int, step: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps_hat: float = 1e-8) -> None:
-        self.step = step
-        self.beta1, self.beta2, self.eps_hat = beta1, beta2, eps_hat
-        self.m1 = np.zeros(m)
-        self.m2 = np.zeros(m)
-        self.t = 0
-
-    def update(self, dual: DualState, slack: np.ndarray) -> DualState:
-        self.t += 1
-        self.m1 = self.beta1 * self.m1 + (1.0 - self.beta1) * slack
-        self.m2 = self.beta2 * self.m2 + (1.0 - self.beta2) * slack * slack
-        m_hat = self.m1 / (1.0 - self.beta1 ** self.t)
-        v_hat = self.m2 / (1.0 - self.beta2 ** self.t)
-        return DualState(np.maximum(0.0, dual.mu + self.step * m_hat / (np.sqrt(v_hat) + self.eps_hat)))
-
-
-def _is_static(problem: Problem) -> bool:
-    if not isinstance(problem.objective_dataset, Dataset):
-        return False
-    for c in problem.constraints:
-        if not isinstance(c.dataset, Dataset):
-            return False
-        if c.reference is not None and not isinstance(c.reference.dataset, Dataset):
-            return False
-    return True
-
-
 def train(problem: Problem, config: TrainConfig, init: ModelState,
           primal_problem: Problem | None = None):
     """Run projected dual ascent and return (trace, final model, final multipliers).
@@ -148,6 +128,10 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     sigmoid-surrogate substitution of `problem`); slack evaluation and the
     recorded Lagrangian always use the original `problem`, so dual updates
     see the true constraint values. Deterministic for a fixed config seed.
+
+    Enumeration reads every iterate from per-candidate tables computed once
+    (see `enumeration_stats`). Under projected-adam the multipliers take an
+    ADAM descent step on the negated slacks, projected onto mu >= 0.
     """
     if primal_problem is None:
         primal_problem = problem
@@ -160,9 +144,7 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
         )
 
     inner = config.inner
-    enum_fast = (inner.method == "enumeration" and _is_static(primal_problem)
-                 and _is_static(problem))
-    if enum_fast:
+    if inner.method == "enumeration":
         R_p, S_p = enumeration_stats(primal_problem, inner.candidates)
         if primal_problem is problem:
             R_o, S_o = R_p, S_p
@@ -171,14 +153,14 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
 
     seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(config.iterations_T)
     mu = DualState.zeros(problem.m)
-    adam = (_DualAdam(problem.m, config.dual_adam_step or config.dual_step_eta)
-            if config.dual_method == "projected-adam" else None)
+    dual_opt = (OptimizerState(method="adam", step_size=config.dual_step_eta)
+                if config.dual_method == "projected-adam" else None)
     model = init
     records: list[TraceRecord] = []
 
     for t in range(config.iterations_T):
         try:
-            if enum_fast:
+            if inner.method == "enumeration":
                 vals = R_p + S_p @ mu.mu if problem.m else R_p
                 j = int(np.argmin(vals))
                 model_t = inner.candidates[j]
@@ -198,25 +180,26 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
                                    slacks=np.asarray(s, dtype=float), mu=mu.mu.copy(),
                                    lagrangian=lag))
         if problem.m:
-            mu = adam.update(mu, s) if adam is not None else dual_update(mu, s, config.dual_step_eta)
+            if dual_opt is None:
+                mu = dual_update(mu, s, config.dual_step_eta)
+            else:
+                dual_opt, ascended = descent_step(dual_opt, mu.mu, -s)
+                mu = DualState(np.maximum(0.0, ascended))
         model = model_t
 
     return TrainTrace(records=tuple(records), arch=init.arch), model, mu
 
 
-def train_alternating(problem: Problem, config: TrainConfig, init: ModelState,
-                      primal_problem: Problem | None = None):
-    """Alternating variant: one warm-started primal epoch per dual update."""
-    inner = config.inner
-    if inner.method == "gradient":
-        inner = replace(inner, epochs=1, warm_start=True)
-    return train(problem, replace(config, inner=inner), init, primal_problem)
-
-
 def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
-    """Uniform mixture over all recorded iterates; refuses strided traces."""
+    """Uniform mixture over all recorded iterates; refuses traces without
+    every snapshot."""
     if len(trace) == 0:
         raise InputError("cannot build a randomized solution from an empty trace")
+    if all(r.theta is None for r in trace.records):
+        raise InputError(
+            "trace has no theta snapshots (the run had output.save_theta: false); "
+            "a randomized solution needs every iterate"
+        )
     models = []
     for r in trace.records:
         if r.theta is None:
@@ -236,9 +219,10 @@ def evaluate_randomized(sol: RandomizedSolution, loss, dataset) -> float:
 def ergodic_complementary_slackness(trace: TrainTrace) -> float:
     """(1/T) sum_t mu(t) . s(t) over a completed trace.
 
-    For projected-ascent runs this is bounded below by -eta * m * B^2 / 2;
-    the ADAM dual variant has no fixed eta, so the quantity is reported as a
-    diagnostic only.
+    For projected-ascent runs this is bounded below by -eta * m * B^2 / 2
+    with eta = dual_step_eta. Under projected-adam, dual_step_eta is the ADAM
+    step size and the per-coordinate steps are not eta * s, so the bound does
+    not apply and the quantity is a diagnostic only.
     """
     if len(trace) == 0:
         raise InputError("empty trace")

@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    ConstraintSpec,
-    LossSpec,
-    Problem,
-    ReferenceTerm,
-    resolve_dataset,
-    stable_sigmoid,
-)
+from .core import LossSpec, Problem, ReferenceTerm, stable_sigmoid
 from .errors import ConfigurationError, InputError
 from .lagrangian import DualState
 from .models import ModelState, predict_batch
@@ -149,7 +142,7 @@ def margin_check(model: ModelState, problem: Problem, tau_min: float = 0.0) -> M
             parts.append(("reference", c.reference.loss, c.reference.dataset))
         for part, loss, ds_like in parts:
             scanned = True
-            ds = resolve_dataset(ds_like, model)
+            ds = ds_like.realize(model)
             margins = np.abs(predict_batch(model, ds.features)[:, 0] - loss.rate_shift)
             min_margin = min(min_margin, float(margins.min()))
             for n in np.nonzero(margins < tau_min)[0]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintSpec, Dataset, DatasetProvider, LossSpec, Sample, loss_values
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .models import ModelState, grad_input_batch, predict_batch
 
 
@@ -103,10 +103,20 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     """Attack every row of X at once; returns the perturbed feature matrix.
 
     Restart randomness is keyed by cfg.seed XOR the sample index, so attacks
-    are reproducible and independent of how samples are batched.
+    are reproducible and independent of how samples are batched. Every clean
+    row must lie inside cfg.clamp_box, when one is declared; then projecting
+    onto the ball and then the box keeps each row inside both.
     """
     X0 = np.asarray(X, dtype=float)
     y = np.asarray(labels)
+    if cfg.clamp_box is not None:
+        lo, hi = cfg.clamp_box
+        outside = np.nonzero(np.any((X0 < lo) | (X0 > hi), axis=1))[0]
+        if outside.size:
+            raise InputError(
+                f"{outside.size} clean rows lie outside the attack clamp_box [{lo}, {hi}] "
+                f"(first: row {int(outside[0])})"
+            )
     if cfg.epsilon == 0.0:
         return X0.copy()
     if sample_indices is None:
@@ -120,7 +130,6 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
         for _ in range(cfg.steps):
             g = grad_input_batch(model, loss, X_adv, y)
             X_adv = _project(X_adv + cfg.step_size * np.sign(g), X0, cfg)
-            assert np.all(np.abs(X_adv - X0) <= cfg.epsilon + 1e-12)
         cand_loss = loss_values(loss, predict_batch(model, X_adv), y)
         better = cand_loss > best_loss
         best_X[better] = X_adv[better]
@@ -151,19 +160,14 @@ class AdversarialDataset(DatasetProvider):
     def name(self) -> str:
         return f"{self.base.name}@adversarial"
 
-    def realize(self, model: ModelState) -> Dataset:
-        X = perturb_batch(model, self.loss, self.base.features, self.base.labels,
-                          self.cfg)
-        return Dataset(features=X, labels=self.base.labels, name=self.name)
-
-    def realize_subset(self, model: ModelState, indices: np.ndarray) -> Dataset:
-        idx = np.asarray(indices, dtype=int)
-        X = perturb_batch(model, self.loss, self.base.features[idx],
-                          self.base.labels[idx], self.cfg, sample_indices=idx)
-        return Dataset(features=X, labels=self.base.labels[idx], name=self.name)
-
-    def __len__(self) -> int:
-        return len(self.base)
+    def realize(self, model: ModelState, indices: np.ndarray | None = None) -> Dataset:
+        """The base set, or its `indices` rows, attacked against `model`."""
+        X, y = self.base.features, self.base.labels
+        if indices is not None:
+            indices = np.asarray(indices, dtype=int)
+            X, y = X[indices], y[indices]
+        X = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices)
+        return Dataset(features=X, labels=y, name=self.name)
 
 
 def adversarial_constraint(base: Dataset, loss: LossSpec, threshold_c: float,

@@ -17,7 +17,6 @@ from duallearn.primaldual import (
     recommend_hyperparams,
     save_trace,
     train,
-    train_alternating,
 )
 
 from helpers import (
@@ -107,20 +106,6 @@ class TestTrain:
         assert final_mu.mu[0] == pytest.approx(mu_star, abs=0.05)
         assert ref.d_hat == pytest.approx(p_star, abs=1e-6)
 
-    def test_alternating_equals_train_for_single_epoch_inner(self):
-        prob = small_gradient_problem()
-        inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=8,
-                                  optimizer="adam", step_size=0.05, warm_start=True)
-        cfg = TrainConfig(iterations_T=6, dual_step_eta=1.0, inner=inner, seed=3)
-        init = init_model(LogisticArch(2))
-        t1, m1, mu1 = train(prob, cfg, init)
-        t2, m2, mu2 = train_alternating(prob, cfg, init)
-        assert np.array_equal(m1.params, m2.params)
-        assert np.array_equal(mu1.mu, mu2.mu)
-        for r1, r2 in zip(t1.records, t2.records):
-            assert r1.lagrangian == r2.lagrangian
-            assert np.array_equal(r1.theta, r2.theta)
-
     def test_projected_adam_zero_slacks_keep_mu_zero(self):
         # constraint risk == c exactly: indicator rate 0.5 on a balanced set
         preds = np.array([[0.9], [0.8], [0.2], [0.1]])
@@ -131,11 +116,34 @@ class TestTrain:
                        constraints=(ConstraintSpec(loss=ind, threshold_c=0.5, dataset=ds),))
         cands = (ModelState(np.array([1.0]), TOY_ARCH),)
         inner = InnerSolverConfig(method="enumeration", candidates=cands)
-        cfg = TrainConfig(iterations_T=5, dual_step_eta=1.0, dual_method="projected-adam",
-                          dual_adam_step=0.1, inner=inner, seed=0)
+        cfg = TrainConfig(iterations_T=5, dual_step_eta=0.1, dual_method="projected-adam",
+                          inner=inner, seed=0)
         trace, _, final_mu = train(prob, cfg, cands[0])
         assert np.array_equal(trace.slack_matrix(), np.zeros((5, 1)))
         assert np.array_equal(final_mu.mu, [0.0])
+
+    def test_projected_adam_matches_reference_ascent(self):
+        # ADAM ascent on mu written out directly, fed the recorded slacks
+        prob = convex_toy()
+        cands = toy_candidates(points=31)
+        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        eta = 0.05
+        cfg = TrainConfig(iterations_T=40, dual_step_eta=eta, dual_method="projected-adam",
+                          inner=inner, seed=0)
+        trace, _, final_mu = train(prob, cfg, cands[0])
+        mu, m1, m2 = np.zeros(1), np.zeros(1), np.zeros(1)
+        expected = []
+        for t, rec in enumerate(trace.records, start=1):
+            expected.append(mu)
+            s = rec.slacks
+            m1 = 0.9 * m1 + (1.0 - 0.9) * s
+            m2 = 0.999 * m2 + (1.0 - 0.999) * s * s
+            m_hat = m1 / (1.0 - 0.9 ** t)
+            v_hat = m2 / (1.0 - 0.999 ** t)
+            mu = np.maximum(0.0, mu + eta * m_hat / (np.sqrt(v_hat) + 1e-8))
+        assert np.any(trace.mu_matrix() > 0.0)
+        assert np.array_equal(trace.mu_matrix(), np.stack(expected))
+        assert np.array_equal(final_mu.mu, mu)
 
     def test_mu_nonnegative_throughout(self):
         prob = small_gradient_problem()
@@ -240,8 +248,16 @@ class TestRandomizedSolution:
                           snapshot_stride=2)
         trace, _, _ = train(prob, cfg, cands[0])
         assert trace.records[1].theta is None
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="strided snapshots"):
             randomized_solution(trace)
+
+    def test_trace_without_snapshots_names_save_theta(self, tmp_path):
+        _, trace = self._toy_trace(T=3)
+        save_trace(trace, tmp_path / "trace.jsonl")  # records only, no theta files
+        loaded = load_trace(tmp_path / "trace.jsonl")
+        assert all(r.theta is None for r in loaded.records)
+        with pytest.raises(InputError, match="no theta snapshots.*output.save_theta"):
+            randomized_solution(loaded)
 
 
 class TestRecommendHyperparams:

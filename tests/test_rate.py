@@ -17,7 +17,7 @@ from duallearn.core import (
 from duallearn.errors import ConfigurationError, InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, slacks
 from duallearn.models import LogisticArch, ModelState, grad_params, init_model, predict_batch
-from duallearn.primaldual import TrainConfig, train_alternating
+from duallearn.primaldual import TrainConfig, train
 from duallearn.rate import (
     SurrogateConfig,
     build_surrogate_lagrangian,
@@ -232,8 +232,7 @@ class TestDualUsesIndicatorSlacks:
         inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None,
                                   optimizer="adam", step_size=0.1)
         cfg = TrainConfig(iterations_T=6, dual_step_eta=1.0, inner=inner, seed=2)
-        trace, _, _ = train_alternating(prob, cfg, init_model(LogisticArch(2)),
-                                        primal_problem=sur)
+        trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)), primal_problem=sur)
         for rec in trace.records:
             model = ModelState(rec.theta, trace.arch)
             assert np.array_equal(rec.slacks, slacks(model, prob))
