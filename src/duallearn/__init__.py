@@ -35,6 +35,7 @@ from .lagrangian import (
     slacks,
 )
 from .models import (
+    Evaluation,
     LinearArch,
     LogisticArch,
     MlpArch,
@@ -67,6 +68,7 @@ from .primaldual import (
     dual_update,
     evaluate_randomized,
     load_trace,
+    mixture_risks,
     randomized_solution,
     recommend_hyperparams,
     save_trace,

@@ -48,8 +48,8 @@ from .oracle import example1_trial
 from .primaldual import (
     RandomizedSolution,
     TrainConfig,
-    evaluate_randomized,
     load_trace,
+    mixture_risks,
     randomized_solution,
     save_trace,
     train,
@@ -290,9 +290,15 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
     if cfg.get("attack") is not None:
         attack_cfg, attack_echo = _build_attack(cfg["attack"], seed)
     default_sur, default_sur_echo = _build_surrogate(cfg.get("surrogate"))
+    # Equal loss specs become one object: evaluations key losses by identity.
+    shared: dict[LossSpec, LossSpec] = {}
+
+    def build_loss(spec: dict, context: str) -> tuple[LossSpec, dict]:
+        loss, echo = _build_loss(spec, context)
+        return shared.setdefault(loss, loss), echo
 
     obj_cfg = _require(problem_cfg, "objective", "problem.")
-    obj_loss, obj_loss_echo = _build_loss(_require(obj_cfg, "loss", "problem.objective."),
+    obj_loss, obj_loss_echo = build_loss(_require(obj_cfg, "loss", "problem.objective."),
                                           "problem.objective.loss.")
     obj_ds = _dataset_ref(datasets, _require(obj_cfg, "dataset", "problem.objective."),
                           None, "problem.objective.dataset")
@@ -308,7 +314,7 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
     con_echo = []
     for i, c in enumerate(problem_cfg.get("constraints", []) or []):
         ctx = f"problem.constraints[{i}]"
-        loss, loss_echo = _build_loss(_require(c, "loss", ctx + "."), ctx + ".loss.")
+        loss, loss_echo = build_loss(_require(c, "loss", ctx + "."), ctx + ".loss.")
         ds = _dataset_ref(datasets, _require(c, "dataset", ctx + "."),
                           c.get("group"), ctx + ".dataset")
         dataset = ds
@@ -320,7 +326,7 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
         ref_echo = None
         if c.get("reference") is not None:
             rspec = c["reference"]
-            rloss, rloss_echo = (_build_loss(rspec["loss"], ctx + ".reference.loss.")
+            rloss, rloss_echo = (build_loss(rspec["loss"], ctx + ".reference.loss.")
                                  if rspec.get("loss") is not None else (loss, loss_echo))
             rds = _dataset_ref(datasets, _require(rspec, "dataset", ctx + ".reference."),
                                rspec.get("group"), ctx + ".reference.dataset")
@@ -494,14 +500,19 @@ def cmd_train(args) -> int:
 
 
 def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
-    metrics = {"objective_risk": evaluate_randomized(sol, problem.objective_loss,
-                                                     problem.objective_dataset)}
+    terms = [(problem.objective_loss, problem.objective_dataset)]
+    for c in problem.constraints:
+        terms.append((c.loss, c.dataset))
+        if c.reference is not None:
+            terms.append((c.reference.loss, c.reference.dataset))
+    risks = iter(mixture_risks(sol, terms))
+    metrics = {"objective_risk": next(risks)}
     cons = []
     for c in problem.constraints:
-        risk = evaluate_randomized(sol, c.loss, c.dataset)
+        risk = next(risks)
         entry = {"name": c.name, "risk": risk, "threshold_c": c.threshold_c}
         if c.reference is not None:
-            ref = evaluate_randomized(sol, c.reference.loss, c.reference.dataset)
+            ref = next(risks)
             entry["reference_risk"] = ref
             entry["slack"] = risk - ref - c.threshold_c
         else:

@@ -46,13 +46,14 @@ DIFFERENTIABLE_KINDS = (
 
 
 def stable_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function, exact at large |x|."""
+    """Numerically stable logistic function, exact at large |x|.
+
+    Branch-free: with e = exp(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e)
+    (that is, exp(x) / (1 + exp(x))) for x < 0, so exp never overflows.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
@@ -88,11 +89,20 @@ class Dataset:
     Stored columnwise (an (N, d) feature matrix and an (N,) label vector) so
     that million-sample Monte-Carlo sets stay cheap; `samples` materialises
     Sample views on demand.
+
+    A set cut from another by `subset` is a view: it records the table it
+    was cut from (`root`, never itself a view) and its `rows` there, so that
+    a `models.Evaluation` can read a view's predictions from one forward
+    pass over the root. A table of its own has `root` and `rows` None.
     """
 
     features: np.ndarray
     labels: np.ndarray
     name: str = "dataset"
+
+    # Provenance; `subset` sets both on the views it makes.
+    root = None
+    rows = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -111,9 +121,9 @@ class Dataset:
             raise InputError(
                 f"labels shape {labels.shape} does not match {feats.shape[0]} samples"
             )
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise InputError("dataset features must be finite")
-        if not np.all(np.isfinite(labels.astype(float))):
+        if labels.dtype.kind == "f" and not np.isfinite(labels).all():
             raise InputError("dataset labels must be finite")
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "labels", _readonly(labels))
@@ -148,12 +158,18 @@ class Dataset:
         return (self.sample(i) for i in range(len(self)))
 
     def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
-        idx = np.asarray(indices, dtype=int)
-        return Dataset(
+        """The view of the `indices` rows, in that order; a subset of a view
+        is a view of the same root."""
+        idx = np.array(indices, dtype=int)
+        view = Dataset(
             features=self.features[idx],
             labels=self.labels[idx],
             name=name if name is not None else self.name,
         )
+        root, rows = (self, idx) if self.root is None else (self.root, self.rows[idx])
+        object.__setattr__(view, "root", root)
+        object.__setattr__(view, "rows", _readonly(rows))
+        return view
 
     def realize(self, model, indices: np.ndarray | None = None) -> Dataset:
         """This dataset, or its `indices` rows; a static set ignores the model."""
@@ -173,8 +189,10 @@ class LossSpec:
       true class, with probabilities clamped to [p_min, 1 - p_min] so the
       loss stays in [0, -log p_min]. Scalar predictions are P(class 1).
     - ``squared``: (z - y)^2, capped at bound_B.
-    - ``hinge``: max(0, 1 - y z), capped at bound_B, with {0, 1} labels
-      mapped to {-1, +1}.
+    - ``hinge``: max(0, 1 - y z), capped at bound_B, with label 0 read as
+      -1 and every other label as itself, row by row: {0, 1} labels become
+      {-1, +1}, {-1, +1} labels are unchanged, and a row's value never
+      depends on the other rows of its set.
     - ``absolute``: |y z|, capped at bound_B.
     - ``signed-score``: y z clipped to [-bound_B, bound_B]. The one signed
       kind; it encodes linear expectation constraints such as E[y z] <= c.
@@ -307,14 +325,19 @@ class Problem:
     objective_dataset: DatasetLike
     constraints: tuple[ConstraintSpec, ...] = field(default_factory=tuple)
     name: str = "problem"
+    # Every set the Lagrangian averages over: the objective's, then each
+    # constraint's and its reference's.
+    datasets: tuple[DatasetLike, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        dims = {self.objective_dataset.n_features}
+        sets = [self.objective_dataset]
         for c in self.constraints:
-            dims.add(c.dataset.n_features)
+            sets.append(c.dataset)
             if c.reference is not None:
-                dims.add(c.reference.dataset.n_features)
+                sets.append(c.reference.dataset)
+        object.__setattr__(self, "datasets", tuple(sets))
+        dims = {d.n_features for d in sets}
         if len(dims) != 1:
             raise InputError(f"all problem datasets must share a feature dimension, got {sorted(dims)}")
 
@@ -328,11 +351,9 @@ class Problem:
 
 
 def _pm_labels(labels: np.ndarray) -> np.ndarray:
-    """Map {0, 1} class labels to {-1, +1}; leave anything else untouched."""
-    vals = np.unique(labels)
-    if np.all(np.isin(vals, (0, 1))):
-        return 2.0 * labels.astype(float) - 1.0
-    return labels.astype(float)
+    """Row-wise hinge labels: 0 becomes -1, every other label is kept."""
+    y = labels.astype(float)
+    return np.where(y == 0.0, -1.0, y)
 
 
 def _check_predictions(loss: LossSpec, predictions: np.ndarray) -> np.ndarray:
@@ -380,7 +401,7 @@ def loss_values(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> 
             if np.any(yi < 0) or np.any(yi >= k):
                 raise InputError(f"class labels must lie in [0, {k}) for {k}-way predictions")
             p_true = p[np.arange(n), yi]
-        return -np.log(np.clip(p_true, lo, hi))
+        return -np.log(np.minimum(np.maximum(p_true, lo), hi))
 
     z = p[:, 0]
     if kind == "squared":
@@ -391,7 +412,7 @@ def loss_values(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> 
     if kind == "absolute":
         return np.minimum(np.abs(y.astype(float) * z), B)
     if kind == "signed-score":
-        return np.clip(y.astype(float) * z, -B, B)
+        return np.minimum(np.maximum(y.astype(float) * z, -B), B)
     if kind == "rate-indicator":
         return (z - loss.rate_shift >= 0.0).astype(float)
     if kind == "rate-sigmoid":
@@ -461,17 +482,13 @@ def dataset_risk(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) ->
     return float(vals.sum()) / vals.shape[0]
 
 
-def empirical_risk(model, loss: LossSpec, dataset: DatasetLike) -> float:
-    """Sample-average loss of `model` on `dataset`.
+def empirical_risk(at, loss: LossSpec, dataset: DatasetLike) -> float:
+    """Sample-average loss of a model (or `Evaluation`) `at` on `dataset`.
 
     Model-dependent datasets (adversarial providers) are realised against
-    `model` first, so the average is over the distribution the model itself
-    induces.
+    the model first, so the average is over the distribution the model
+    itself induces.
     """
-    from .models import predict_batch
+    from .models import Evaluation
 
-    ds = dataset.realize(model)
-    if len(ds) == 0:  # unreachable given Dataset invariants; defensive
-        raise InputError("cannot average over an empty dataset")
-    preds = predict_batch(model, ds.features)
-    return dataset_risk(loss, preds, ds.labels)
+    return Evaluation.of(at).risk(loss, dataset)

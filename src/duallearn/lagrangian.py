@@ -5,6 +5,13 @@ of the empirical Lagrangian over model parameters. Two inner minimizers are
 provided: exact enumeration over a finite candidate list (ties break to the
 lowest index) and seeded minibatch gradient descent that reports the best
 Lagrangian value it ever visited.
+
+The Lagrangian is a weighted sum of sample averages over views of a few
+tables, so a model is evaluated once: every function here takes a model or
+its `Evaluation` (one forward pass per table, see `duallearn.models`) and
+reads each risk and loss gradient from that evaluation. The gradient solver
+returns the evaluation of the iterate it returns, so a caller that resumes
+from that iterate does not evaluate it again.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, Problem, empirical_risk
+from .core import ConstraintSpec, Problem
 from .errors import ConfigurationError, InputError
-from .models import ModelState, OptimizerState, grad_params, optimizer_step
+from .models import Evaluation, ModelState, OptimizerState, grad_params, optimizer_step
 
 
 @dataclass(frozen=True)
@@ -82,96 +89,109 @@ class InnerSolverConfig:
             object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
-def constraint_risk(model: ModelState, constraint: ConstraintSpec) -> float:
+def constraint_risk(at: ModelState | Evaluation, constraint: ConstraintSpec) -> float:
     """Empirical constraint risk, minus the reference risk when one is attached."""
-    risk = empirical_risk(model, constraint.loss, constraint.dataset)
+    ev = Evaluation.of(at)
+    risk = ev.risk(constraint.loss, constraint.dataset)
     if constraint.reference is not None:
-        risk -= empirical_risk(model, constraint.reference.loss, constraint.reference.dataset)
+        risk -= ev.risk(constraint.reference.loss, constraint.reference.dataset)
     return risk
 
 
-def slacks(model: ModelState, problem: Problem) -> np.ndarray:
+def _slacks(ev: Evaluation, problem: Problem) -> np.ndarray:
+    return np.asarray([constraint_risk(ev, c) - c.threshold_c for c in problem.constraints])
+
+
+def slacks(at: ModelState | Evaluation, problem: Problem) -> np.ndarray:
     """Constraint slack vector s_i = constraint risk - threshold; may be negative."""
-    return np.asarray(
-        [constraint_risk(model, c) - c.threshold_c for c in problem.constraints]
-    )
+    # problem.datasets[0] is the objective's set, which slacks do not average over.
+    return _slacks(Evaluation.of(at, problem.datasets[1:]), problem)
 
 
-def empirical_lagrangian(model: ModelState, dual: DualState, problem: Problem) -> float:
+def empirical_lagrangian(at: ModelState | Evaluation, dual: DualState, problem: Problem) -> float:
     """Objective empirical risk plus multiplier-weighted slacks."""
     if len(dual) != problem.m:
         raise InputError(
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
-    obj = empirical_risk(model, problem.objective_loss, problem.objective_dataset)
+    ev = Evaluation.of(at, problem.datasets)
+    obj = ev.risk(problem.objective_loss, problem.objective_dataset)
     if problem.m == 0:
         return obj
-    return obj + float(dual.mu @ slacks(model, problem))
+    return obj + float(dual.mu @ _slacks(ev, problem))
 
 
-def enumeration_stats(problem: Problem, candidates: tuple[ModelState, ...]):
+def enumeration_stats(problem: Problem, candidates):
     """Per-candidate (objective risk, slack vector) pairs.
 
-    The Lagrangian of candidate j at any mu is then R[j] + S[j] . mu, which
-    makes repeated dual-function evaluations over a mu grid cheap. Model-
-    dependent providers are realised against each candidate here; that
-    realisation is deterministic (attack restarts are seeded per sample), so
-    the tables stay valid for every mu and every iteration.
+    Candidates are models or their evaluations. The Lagrangian of candidate
+    j at any mu is then R[j] + S[j] . mu, which makes repeated dual-function
+    evaluations over a mu grid cheap. Model-dependent providers are realised
+    against each candidate here; that realisation is deterministic (attack
+    restarts are seeded per sample), so the tables stay valid for every mu
+    and every iteration.
     """
     R = np.empty(len(candidates))
     S = np.empty((len(candidates), problem.m))
     for j, cand in enumerate(candidates):
-        R[j] = empirical_risk(cand, problem.objective_loss, problem.objective_dataset)
-        S[j] = slacks(cand, problem)
+        ev = Evaluation.of(cand, problem.datasets)
+        R[j] = ev.risk(problem.objective_loss, problem.objective_dataset)
+        S[j] = _slacks(ev, problem)
     return R, S
 
 
-def _gradient_terms(model: ModelState, dual: DualState, problem: Problem,
-                    obj_batch: Dataset, batch_size: int | None,
+def _batch_rows(n: int, batch_size: int | None, rng: np.random.Generator):
+    """Rows of a minibatch of an n-row set, or None when the batch is the whole set."""
+    if batch_size is None or n <= batch_size:
+        return None
+    return rng.choice(n, size=batch_size, replace=False)
+
+
+def _gradient_terms(at: Evaluation, dual: DualState, problem: Problem,
+                    obj_rows: np.ndarray | None, batch_size: int | None,
                     rng: np.random.Generator):
-    terms = [(1.0, problem.objective_loss, obj_batch)]
+    terms = [(1.0, problem.objective_loss, at.batch(problem.objective_dataset, obj_rows))]
     for i, c in enumerate(problem.constraints):
         w = float(dual.mu[i])
         if w == 0.0:
             continue
-        n_i = len(c.dataset)
-        if batch_size is None or n_i <= batch_size:
-            idx = np.arange(n_i)
-        else:
-            idx = rng.choice(n_i, size=batch_size, replace=False)
-        terms.append((w, c.loss, c.dataset.realize(model, idx)))
+        rows = _batch_rows(len(c.dataset), batch_size, rng)
+        terms.append((w, c.loss, at.batch(c.dataset, rows)))
         if c.reference is not None:
             ref_ds = c.reference.dataset
-            n_r = len(ref_ds)
-            if batch_size is None or n_r <= batch_size:
-                ridx = np.arange(n_r)
-            else:
-                ridx = rng.choice(n_r, size=batch_size, replace=False)
-            terms.append((-w, c.reference.loss, ref_ds.realize(model, ridx)))
+            rows = _batch_rows(len(ref_ds), batch_size, rng)
+            terms.append((-w, c.reference.loss, at.batch(ref_ds, rows)))
     return terms
 
 
-def _gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConfig,
-                       init: ModelState, rng: np.random.Generator):
+def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConfig,
+                      start: Evaluation, rng: np.random.Generator):
+    """The gradient inner solver from the evaluated start point `start`.
+
+    Returns (value, evaluation) for the best fully evaluated iterate, with
+    value = empirical_lagrangian(evaluation). Every iterate is evaluated
+    once: a step reads its gradient from the current iterate's evaluation,
+    and the evaluation that scores an epoch's last iterate also serves the
+    next epoch's first step.
+    """
     n0 = len(problem.objective_dataset)
     bs = solver.batch_size
+    whole = bs is None or bs >= n0
     opt = OptimizerState(method=solver.optimizer, step_size=solver.step_size)
-    model = init
-    best_val = empirical_lagrangian(init, dual, problem)
-    best_model = init
+    at = start
+    best_val = empirical_lagrangian(start, dual, problem)
+    best = start
     for _ in range(solver.epochs):
-        order = rng.permutation(n0) if (bs is not None and bs < n0) else np.arange(n0)
-        step = bs if bs is not None else n0
-        for start in range(0, n0, step):
-            idx = order[start : start + step]
-            obj_batch = problem.objective_dataset.realize(model, idx)
-            terms = _gradient_terms(model, dual, problem, obj_batch, bs, rng)
-            g = grad_params(model, terms)
-            opt, model = optimizer_step(opt, model, g)
-        val = empirical_lagrangian(model, dual, problem)
+        order = None if whole else rng.permutation(n0)
+        for lo in range(0, n0, n0 if whole else bs):
+            rows = None if whole else order[lo : lo + bs]
+            g = grad_params(at, _gradient_terms(at, dual, problem, rows, bs, rng))
+            opt, model = optimizer_step(opt, at.model, g)
+            at = Evaluation(model)
+        val = empirical_lagrangian(at, dual, problem)
         if val < best_val:
-            best_val, best_model = val, model
-    return best_val, best_model
+            best_val, best = val, at
+    return best_val, best
 
 
 def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
@@ -194,4 +214,5 @@ def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
         return float(values[j]), solver.candidates[j]
     if rng is None:
         rng = np.random.default_rng(seed)
-    return _gradient_minimize(dual, problem, solver, init, rng)
+    value, ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)
+    return value, ev.model

@@ -4,7 +4,9 @@ Three architectures: linear maps, logistic regression, and small MLPs with
 tanh (default) or relu hidden units and an optional sigmoid output. No
 autodiff framework is used anywhere -- the parameter and input gradients
 below are written out per architecture and validated against central finite
-differences in the test suite.
+differences in the test suite. An `Evaluation` is the one path from a model
+to risks and loss gradients: it forwards each table once and every term of
+a Lagrangian reads from it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DatasetLike, LossSpec, loss_pred_grads, stable_sigmoid
+from .core import Dataset, DatasetLike, LossSpec, loss_pred_grads, loss_values, stable_sigmoid
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -116,7 +118,7 @@ class ModelState:
             raise InputError(
                 f"architecture expects {self.arch.n_params} parameters, got {p.shape[0]}"
             )
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise InputError("model parameters must be finite")
         p = p.copy()
         p.setflags(write=False)
@@ -219,12 +221,14 @@ def _mlp_hidden_grad(arch: MlpArch, z: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(float)
 
 
-def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray,
+def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
               want_params: bool, want_inputs: bool):
     """Chain an upstream d(total)/d(output) matrix G back through the model.
 
     Returns (param_grad or None, input_grads or None). G rows are per-sample
-    gradients w.r.t. the model output (after any output squashing).
+    gradients w.r.t. the model output (after any output squashing), and P
+    is `predict_batch(model, X)`, which the logistic model reads instead of
+    recomputing its sigmoid.
     """
     arch = model.arch
     dparams = None
@@ -241,7 +245,7 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray,
             dX = G @ W
     elif isinstance(arch, LogisticArch):
         w = model.params[:-1]
-        p = stable_sigmoid(X @ w + model.params[-1])
+        p = P[:, 0]
         ds = G[:, 0] * p * (1.0 - p)
         if want_params:
             dparams = np.concatenate([ds @ X, [ds.sum()]])
@@ -270,26 +274,136 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray,
     return dparams, dX
 
 
+class Evaluation:
+    """One model evaluated once; every risk and loss gradient reads from it.
+
+    The evaluation realises each model-dependent provider once (one attack
+    per adversarial set) and runs one `predict_batch` per table: a root
+    table when the evaluation also realises the root itself (some term
+    averages over all of it), otherwise a view on its own rows. Loss values
+    and loss gradients are computed once per (table, loss), and risks once
+    per (set, loss). A view's risk is the mean of its rows gathered from
+    its table: the same elements in the same order as evaluating the view
+    on its own, so the reduction and its bits are unchanged. Sets and
+    losses are keyed by identity, so equal `LossSpec`s are computed once
+    only when they are one object.
+
+    Sets may be realised at any time; realising every set up front (see
+    `of`) lets views find the root they share before anything is forwarded.
+    """
+
+    def __init__(self, model: ModelState) -> None:
+        self.model = model
+        # id(set) -> (set, realised set). A realised table is also its own
+        # entry, which marks it as used whole.
+        self._realized: dict[int, tuple[DatasetLike, Dataset]] = {}
+        self._preds: dict[int, tuple[Dataset, np.ndarray]] = {}
+        self._rowwise: dict[tuple, tuple[LossSpec, np.ndarray]] = {}
+        self._risks: dict[tuple[int, int], float] = {}
+
+    @classmethod
+    def of(cls, at, datasets: Sequence[DatasetLike] = ()) -> Evaluation:
+        """`at` itself when it is an evaluation, else a new one of the model
+        `at`; either way with every set in `datasets` realised."""
+        ev = at if isinstance(at, Evaluation) else cls(at)
+        for d in datasets:
+            ev.realize(d)
+        return ev
+
+    def realize(self, dataset: DatasetLike) -> Dataset:
+        """`dataset` realised against the model, once per evaluation."""
+        hit = self._realized.get(id(dataset))
+        if hit is None:
+            ds = dataset.realize(self.model)
+            hit = self._realized[id(dataset)] = (dataset, ds)
+            if ds.root is None:
+                self._realized[id(ds)] = (ds, ds)
+        return hit[1]
+
+    def batch(self, dataset: DatasetLike, indices: np.ndarray | None) -> DatasetLike:
+        """`dataset` itself, or its `indices` rows realised against the model:
+        cut from this evaluation's realisation of it when there is one."""
+        if indices is None:
+            return dataset
+        hit = self._realized.get(id(dataset))
+        if hit is not None:
+            return hit[1].subset(indices)
+        return dataset.realize(self.model, indices)
+
+    def _locate(self, ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
+        """(table, rows there) that `ds` is read from; rows None for all."""
+        if ds.root is not None and id(ds.root) in self._realized:
+            return ds.root, ds.rows
+        return ds, None
+
+    def _table_predictions(self, table: Dataset) -> np.ndarray:
+        hit = self._preds.get(id(table))
+        if hit is None:
+            hit = self._preds[id(table)] = (table, predict_batch(self.model, table.features))
+        return hit[1]
+
+    def _per_row(self, fn, loss: LossSpec, table: Dataset) -> np.ndarray:
+        key = (fn, id(table), id(loss))
+        hit = self._rowwise.get(key)
+        if hit is None:
+            hit = self._rowwise[key] = (loss, fn(loss, self._table_predictions(table),
+                                                 table.labels))
+        return hit[1]
+
+    def predictions(self, dataset: DatasetLike) -> np.ndarray:
+        """Model outputs on the realised `dataset`, as an (N, k) matrix."""
+        table, rows = self._locate(self.realize(dataset))
+        preds = self._table_predictions(table)
+        return preds if rows is None else preds[rows]
+
+    def risk(self, loss: LossSpec, dataset: DatasetLike) -> float:
+        """Sample-average `loss` over the realised `dataset`."""
+        key = (id(dataset), id(loss))
+        risk = self._risks.get(key)
+        if risk is None:
+            table, rows = self._locate(self.realize(dataset))
+            vals = self._per_row(loss_values, loss, table)
+            if rows is not None:
+                vals = vals[rows]
+            risk = self._risks[key] = float(vals.sum()) / vals.shape[0]
+        return risk
+
+    def backprop_inputs(self, loss: LossSpec, dataset: DatasetLike):
+        """(features, predictions, d(risk)/d(prediction)) of the realised
+        `dataset`: what backprop of its risk needs."""
+        ds = self.realize(dataset)
+        table, rows = self._locate(ds)
+        preds = self._table_predictions(table)
+        grads = self._per_row(loss_pred_grads, loss, table)
+        if rows is not None:
+            preds, grads = preds[rows], grads[rows]
+        return ds.features, preds, grads / len(ds)
+
+
 WeightedLoss = tuple[float, LossSpec, DatasetLike]
 
 
-def grad_params(model: ModelState, weighted_losses: Sequence[WeightedLoss]) -> np.ndarray:
+def grad_params(at: ModelState | Evaluation,
+                weighted_losses: Sequence[WeightedLoss]) -> np.ndarray:
     """Exact gradient of sum_j weight_j * empirical_risk(model, loss_j, batch_j).
 
-    Zero-weight terms are skipped outright, so they neither trigger
-    surrogate-required errors nor realise model-dependent datasets.
+    `at` is the model or its `Evaluation`, from which every term reads its
+    predictions and per-row loss gradients; each term is then backpropagated
+    on its own. Zero-weight terms are skipped outright, so they neither
+    trigger surrogate-required errors nor realise model-dependent datasets.
     """
-    total = np.zeros(model.arch.n_params)
+    live = []
     for weight, loss, dataset in weighted_losses:
         if not math.isfinite(weight):
             raise InputError(f"loss weight must be finite, got {weight}")
-        if weight == 0.0:
-            continue
-        ds = dataset.realize(model)
-        X, Y = ds.features, ds.labels
-        P = predict_batch(model, X)
-        G = loss_pred_grads(loss, P, Y) / len(ds)
-        dparams, _ = _backprop(model, X, G, want_params=True, want_inputs=False)
+        if weight != 0.0:
+            live.append((weight, loss, dataset))
+    ev = Evaluation.of(at, [dataset for _, _, dataset in live])
+    model = ev.model
+    total = np.zeros(model.arch.n_params)
+    for weight, loss, dataset in live:
+        X, P, G = ev.backprop_inputs(loss, dataset)
+        dparams, _ = _backprop(model, X, G, P, want_params=True, want_inputs=False)
         total += weight * dparams
     return total
 
@@ -300,7 +414,7 @@ def grad_input_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     X = np.asarray(X, dtype=float)
     P = predict_batch(model, X)
     G = loss_pred_grads(loss, P, np.asarray(labels))
-    _, dX = _backprop(model, X, G, want_params=False, want_inputs=True)
+    _, dX = _backprop(model, X, G, P, want_params=False, want_inputs=True)
     return dX
 
 

@@ -5,8 +5,11 @@ Lagrangian at the current multipliers, evaluates constraint slacks at the
 minimizer, and takes a projected ascent step on the multipliers, which start
 at zero and stay nonnegative throughout. The inner solver's `epochs` and
 `warm_start` choose between full inner solves and the alternating scheme of
-one warm-started epoch per dual update. Traces record every iterate so that
-the uniform mixture over them (the randomized solution) can be evaluated
+one warm-started epoch per dual update. Each iterate is evaluated once (see
+`duallearn.lagrangian`): the slacks and objective of the trace are read from
+the evaluation the inner solver scored the iterate with, and a warm start
+resumes from that evaluation. Traces record every iterate so that the
+uniform mixture over them (the randomized solution) can be evaluated
 afterwards.
 """
 
@@ -19,11 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Problem, empirical_risk
+from .core import Problem
 from .errors import ConfigurationError, DualLearnError, InputError
-from .lagrangian import DualState, InnerSolverConfig, dual_function, enumeration_stats, slacks
+from .lagrangian import DualState, InnerSolverConfig, enumeration_stats, gradient_minimize, slacks
 from .models import (
     Arch,
+    Evaluation,
     ModelState,
     OptimizerState,
     arch_from_dict,
@@ -129,9 +133,15 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     recorded Lagrangian always use the original `problem`, so dual updates
     see the true constraint values. Deterministic for a fixed config seed.
 
-    Enumeration reads every iterate from per-candidate tables computed once
-    (see `enumeration_stats`). Under projected-adam the multipliers take an
-    ADAM descent step on the negated slacks, projected onto mu >= 0.
+    A model is evaluated once: the true slacks and the objective are read
+    from the evaluation the gradient solver returns with its minimizer (the
+    same predictions under the original losses), and under `warm_start` that
+    evaluation is handed back as the next iteration's start point, so the
+    start point is not evaluated again. Enumeration reads every iterate from
+    per-candidate tables computed once (see `enumeration_stats`), with one
+    evaluation per candidate for both problems. Under projected-adam the
+    multipliers take an ADAM descent step on the negated slacks, projected
+    onto mu >= 0.
     """
     if primal_problem is None:
         primal_problem = problem
@@ -145,17 +155,19 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
 
     inner = config.inner
     if inner.method == "enumeration":
-        R_p, S_p = enumeration_stats(primal_problem, inner.candidates)
         if primal_problem is problem:
-            R_o, S_o = R_p, S_p
+            R_p, S_p = R_o, S_o = enumeration_stats(problem, inner.candidates)
         else:
-            R_o, S_o = enumeration_stats(problem, inner.candidates)
+            evals = [Evaluation(c) for c in inner.candidates]
+            R_p, S_p = enumeration_stats(primal_problem, evals)
+            R_o, S_o = enumeration_stats(problem, evals)
 
     seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(config.iterations_T)
     mu = DualState.zeros(problem.m)
     dual_opt = (OptimizerState(method="adam", step_size=config.dual_step_eta)
                 if config.dual_method == "projected-adam" else None)
     model = init
+    init_eval = ev = Evaluation(init)
     records: list[TraceRecord] = []
 
     for t in range(config.iterations_T):
@@ -167,11 +179,12 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
                 s = S_o[j].copy()
                 obj = float(R_o[j])
             else:
-                start = model if (inner.warm_start and t > 0) else init
-                _, model_t = dual_function(mu, primal_problem, inner, start,
-                                           rng=np.random.default_rng(seeds[t]))
-                s = slacks(model_t, problem)
-                obj = empirical_risk(model_t, problem.objective_loss, problem.objective_dataset)
+                start = ev if inner.warm_start else init_eval
+                _, ev = gradient_minimize(mu, primal_problem, inner, start,
+                                          rng=np.random.default_rng(seeds[t]))
+                model_t = ev.model
+                s = slacks(ev, problem)
+                obj = ev.risk(problem.objective_loss, problem.objective_dataset)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
         lag = obj + float(mu.mu @ s) if problem.m else obj
@@ -210,10 +223,21 @@ def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
     return RandomizedSolution(models=tuple(models))
 
 
+def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:
+    """Risk of the uniform mixture on each (loss, dataset) term: the average
+    of the per-iterate risks, every iterate evaluated once for all terms."""
+    datasets = [dataset for _, dataset in terms]
+    risks = np.empty((len(terms), len(sol.models)))
+    for j, model in enumerate(sol.models):
+        ev = Evaluation.of(model, datasets)
+        for k, (loss, dataset) in enumerate(terms):
+            risks[k, j] = ev.risk(loss, dataset)
+    return [float(row.sum()) / row.shape[0] for row in risks]
+
+
 def evaluate_randomized(sol: RandomizedSolution, loss, dataset) -> float:
     """Risk of the uniform mixture: the average of per-iterate empirical risks."""
-    risks = [empirical_risk(m, loss, dataset) for m in sol.models]
-    return float(np.asarray(risks).sum()) / len(risks)
+    return mixture_risks(sol, [(loss, dataset)])[0]
 
 
 def ergodic_complementary_slackness(trace: TrainTrace) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .core import LossSpec, Problem, ReferenceTerm, stable_sigmoid
 from .errors import ConfigurationError, InputError
 from .lagrangian import DualState
-from .models import ModelState, predict_batch
+from .models import Evaluation, ModelState
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,19 @@ def build_surrogate_lagrangian(problem: Problem) -> Problem:
     Thresholds, datasets, and reference structure are untouched; the result
     is meant for the primal step only, while slack evaluation stays on the
     original problem. Problems without rate constraints pass through
-    unchanged.
+    unchanged. Equal surrogates are one `LossSpec` object, so an evaluation
+    (which keys losses by identity) computes each once per table.
     """
     if not any(c.loss.kind == "rate-indicator" or
                (c.reference is not None and c.reference.loss.kind == "rate-indicator")
                for c in problem.constraints):
         return problem
+    shared: dict[LossSpec, LossSpec] = {}
+
+    def surrogate(loss: LossSpec, cfg: SurrogateConfig) -> LossSpec:
+        sur = _surrogate_loss(loss, cfg)
+        return shared.setdefault(sur, sur)
+
     new_constraints = []
     for i, c in enumerate(problem.constraints):
         if c.loss.kind != "rate-indicator" and (
@@ -99,10 +106,10 @@ def build_surrogate_lagrangian(problem: Problem) -> Problem:
         if not c.surrogate.enabled_in_primal:
             new_constraints.append(c)
             continue
-        loss = _surrogate_loss(c.loss, c.surrogate) if c.loss.kind == "rate-indicator" else c.loss
+        loss = surrogate(c.loss, c.surrogate) if c.loss.kind == "rate-indicator" else c.loss
         reference = c.reference
         if reference is not None and reference.loss.kind == "rate-indicator":
-            reference = ReferenceTerm(loss=_surrogate_loss(reference.loss, c.surrogate),
+            reference = ReferenceTerm(loss=surrogate(reference.loss, c.surrogate),
                                       dataset=reference.dataset)
         new_constraints.append(replace(c, loss=loss, reference=reference))
     return replace(problem, constraints=tuple(new_constraints))
@@ -131,23 +138,21 @@ def margin_check(model: ModelState, problem: Problem, tau_min: float = 0.0) -> M
     """
     if tau_min < 0:
         raise InputError("tau_min must be >= 0")
-    scanned = False
+    parts = []
+    for i, c in enumerate(problem.constraints):
+        if _is_rate(c.loss):
+            parts.append((i, "dataset", c.loss, c.dataset))
+        if c.reference is not None and _is_rate(c.reference.loss):
+            parts.append((i, "reference", c.reference.loss, c.reference.dataset))
+    if not parts:
+        raise InputError("problem has no rate constraints to margin-check")
+    ev = Evaluation.of(model, [ds_like for *_, ds_like in parts])
     min_margin = math.inf
     violations: list[tuple[int, str, int]] = []
-    for i, c in enumerate(problem.constraints):
-        parts = []
-        if _is_rate(c.loss):
-            parts.append(("dataset", c.loss, c.dataset))
-        if c.reference is not None and _is_rate(c.reference.loss):
-            parts.append(("reference", c.reference.loss, c.reference.dataset))
-        for part, loss, ds_like in parts:
-            scanned = True
-            ds = ds_like.realize(model)
-            margins = np.abs(predict_batch(model, ds.features)[:, 0] - loss.rate_shift)
-            min_margin = min(min_margin, float(margins.min()))
-            for n in np.nonzero(margins < tau_min)[0]:
-                violations.append((i, part, int(n)))
-    if not scanned:
-        raise InputError("problem has no rate constraints to margin-check")
+    for i, part, loss, ds_like in parts:
+        margins = np.abs(ev.predictions(ds_like)[:, 0] - loss.rate_shift)
+        min_margin = min(min_margin, float(margins.min()))
+        for n in np.nonzero(margins < tau_min)[0]:
+            violations.append((i, part, int(n)))
     return MarginReport(min_abs_margin_tau=min_margin,
                         violating_sample_indices=tuple(violations))

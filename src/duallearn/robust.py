@@ -82,19 +82,23 @@ def _project(X_adv: np.ndarray, X0: np.ndarray, cfg: AttackConfig) -> np.ndarray
     return out
 
 
-def _restart_starts(X0: np.ndarray, cfg: AttackConfig, restart: int,
-                    sample_seeds: np.ndarray) -> np.ndarray:
-    if restart == 0:
-        return X0.copy()
-    deltas = np.empty_like(X0)
-    for n in range(X0.shape[0]):
-        rng = np.random.default_rng(int(sample_seeds[n]))
-        # Skip draws consumed by earlier restarts so each restart is fresh
-        # yet reproducible per (seed, sample index).
-        draws = rng.uniform(-cfg.epsilon, cfg.epsilon,
-                            size=(restart, X0.shape[1]))
-        deltas[n] = draws[-1]
-    return _project(X0 + deltas, X0, cfg)
+def _restart_starts(X0: np.ndarray, cfg: AttackConfig, sample_indices: np.ndarray):
+    """Start point of each restart in turn: the clean rows, then uniform draws in the ball.
+
+    Each sample draws its restarts once, from one generator seeded by
+    cfg.seed XOR its sample index, as a (restarts - 1, d) block; restart
+    r >= 1 starts at row r - 1 of that block. So each restart is fresh yet
+    reproducible per (seed, sample index).
+    """
+    yield X0.copy()
+    if cfg.restarts == 1:
+        return
+    draws = np.empty((X0.shape[0], cfg.restarts - 1, X0.shape[1]))
+    for n, i in enumerate(sample_indices):
+        draws[n] = np.random.default_rng(cfg.seed ^ int(i)).uniform(
+            -cfg.epsilon, cfg.epsilon, size=draws.shape[1:])
+    for r in range(cfg.restarts - 1):
+        yield _project(X0 + draws[:, r], X0, cfg)
 
 
 def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
@@ -121,12 +125,10 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
         return X0.copy()
     if sample_indices is None:
         sample_indices = np.arange(X0.shape[0])
-    sample_seeds = np.asarray([cfg.seed ^ int(i) for i in sample_indices])
 
     best_X = X0.copy()
     best_loss = loss_values(loss, predict_batch(model, X0), y)
-    for restart in range(cfg.restarts):
-        X_adv = _restart_starts(X0, cfg, restart, sample_seeds)
+    for X_adv in _restart_starts(X0, cfg, sample_indices):
         for _ in range(cfg.steps):
             g = grad_input_batch(model, loss, X_adv, y)
             X_adv = _project(X_adv + cfg.step_size * np.sign(g), X0, cfg)

@@ -13,6 +13,7 @@ from duallearn.core import (
     empirical_risk,
     eval_loss,
     loss_values,
+    stable_sigmoid,
 )
 from duallearn.errors import ConfigurationError, InputError
 from duallearn.models import LinearArch, ModelState
@@ -196,3 +197,91 @@ class TestDatasetInvariants:
         y = rng.choice([0, 1], 20)
         by_hand = sum(eval_loss(loss, P[i], y[i]) for i in range(20)) / 20
         assert dataset_risk(loss, P, y) == pytest.approx(by_hand, rel=1e-12)
+
+
+def masked_sigmoid(x):
+    """The masked-index logistic that `stable_sigmoid` replaced, as a reference."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out) if out.ndim == 0 else out
+
+
+class TestStableSigmoid:
+    def test_bit_identical_to_the_masked_form(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0.0, 30.0, 100_000),
+                            [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 745.0, -745.0]])
+        got, want = stable_sigmoid(x), masked_sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 700.0, -700.0, 2.5, -2.5])
+    def test_zero_d_input_returns_a_float(self, x):
+        got = stable_sigmoid(np.float64(x))
+        assert type(got) is float
+        assert got == masked_sigmoid(x)
+        assert stable_sigmoid(x) == got
+
+    def test_matrix_shape_kept(self):
+        x = np.array([[-1.0, 0.0], [1.0, 800.0]])
+        assert np.array_equal(stable_sigmoid(x), masked_sigmoid(x))
+
+
+class TestHingeIsRowWise:
+    HINGE = LossSpec(kind="hinge", bound_B=4.0)
+
+    def test_row_value_does_not_depend_on_its_set(self):
+        z = np.full((3, 1), 0.3)
+        y = np.array([0, 1, 2])
+        in_full = loss_values(self.HINGE, z, y)
+        in_view = loss_values(self.HINGE, z[:2], y[:2])
+        # label 0 reads as -1 in both sets: 1 - (-1)(0.3)
+        assert in_full[0] == in_view[0] == pytest.approx(1.3, abs=1e-15)
+        assert in_full[1] == in_view[1]
+        assert in_full[2] == pytest.approx(0.4, abs=1e-15)  # label 2 is kept: 1 - 2(0.3)
+        assert eval_loss(self.HINGE, [0.3], 0) == in_full[0]
+
+    def test_minibatch_rows_match_the_full_set(self):
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-2.0, 2.0, (30, 1))
+        y = rng.choice([-1, 0, 1, 2], 30)
+        full = loss_values(self.HINGE, z, y)
+        for idx in (np.arange(5), np.nonzero(y <= 0)[0], np.nonzero(y == 0)[0]):
+            assert np.array_equal(loss_values(self.HINGE, z[idx], y[idx]), full[idx])
+
+    def test_binary_and_signed_labels_unchanged(self):
+        z = np.array([[0.3], [-0.4], [1.5]])
+        for y, ypm in ((np.array([0, 1, 1]), np.array([-1.0, 1.0, 1.0])),
+                       (np.array([-1, 1, -1]), np.array([-1.0, 1.0, -1.0]))):
+            want = np.minimum(np.maximum(0.0, 1.0 - ypm * z[:, 0]), 4.0)
+            assert np.array_equal(loss_values(self.HINGE, z, y), want)
+
+
+class TestDatasetViews:
+    def test_subset_records_its_root_rows(self):
+        root = Dataset(features=np.arange(12.0).reshape(6, 2), labels=np.arange(6), name="t")
+        assert root.root is None and root.rows is None
+        view = root.subset([4, 1, 3])
+        assert view.root is root
+        assert np.array_equal(view.rows, [4, 1, 3])
+        assert np.array_equal(view.features, root.features[view.rows])
+
+    def test_subset_of_a_view_composes_the_rows(self):
+        root = Dataset(features=np.arange(12.0).reshape(6, 2), labels=np.arange(6), name="t")
+        inner = root.subset([4, 1, 3]).subset([2, 0])
+        assert inner.root is root
+        assert np.array_equal(inner.rows, [3, 4])
+        assert np.array_equal(inner.labels, root.labels[inner.rows])
+        assert np.array_equal(root.realize(None, [4, 1, 3]).rows, [4, 1, 3])
+
+    def test_rows_are_a_private_read_only_copy(self):
+        root = Dataset(features=np.zeros((4, 1)), labels=np.arange(4))
+        idx = np.array([0, 2])
+        view = root.subset(idx)
+        idx[0] = 3
+        assert np.array_equal(view.rows, [0, 2])
+        with pytest.raises(ValueError):
+            view.rows[0] = 1

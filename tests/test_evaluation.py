@@ -1,0 +1,265 @@
+"""The shared evaluation: every risk, slack, Lagrangian and gradient read from
+one `Evaluation` equals evaluating each set on its own, bit for bit, and a
+training run forwards each table once per iterate."""
+
+import numpy as np
+import pytest
+
+from duallearn.core import (
+    DIFFERENTIABLE_KINDS,
+    LOSS_KINDS,
+    ConstraintSpec,
+    Dataset,
+    LossSpec,
+    Problem,
+    ReferenceTerm,
+    dataset_risk,
+    empirical_risk,
+    loss_pred_grads,
+)
+from duallearn.data import group_split
+from duallearn.lagrangian import (
+    DualState,
+    InnerSolverConfig,
+    constraint_risk,
+    empirical_lagrangian,
+    enumeration_stats,
+    slacks,
+)
+from duallearn.models import (
+    Evaluation,
+    LinearArch,
+    LogisticArch,
+    MlpArch,
+    ModelState,
+    _backprop,
+    grad_params,
+    init_model,
+    predict_batch,
+)
+from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
+from duallearn.rate import SurrogateConfig, build_surrogate_lagrangian
+from duallearn.robust import AdversarialDataset, AttackConfig
+
+CE = LossSpec.cross_entropy()
+GROUPS = ("A", "B", "C", "D")
+
+
+def loss_of(kind):
+    if kind == "clamped-cross-entropy":
+        return CE
+    return LossSpec(kind=kind, bound_B=1.0 if kind in ("zero-one", "rate-indicator",
+                                                       "rate-sigmoid") else 4.0)
+
+
+def table(n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, 3))
+    y = rng.choice([0, 1], n)
+    groups = tuple(GROUPS[i] for i in rng.integers(0, 4, n))
+    return Dataset(features=X, labels=y, name="table"), groups
+
+
+def models(seed=1):
+    rng = np.random.default_rng(seed)
+    return [
+        ModelState(rng.normal(0.0, 1.0, 4), LogisticArch(3)),
+        ModelState(rng.normal(0.0, 1.0, 4), LinearArch(3)),
+        init_model(MlpArch((3, 5, 1), output="sigmoid"), seed=seed),
+    ]
+
+
+def fairness_shaped(kind, seed=0):
+    """Objective on a table; one constraint per group view, each against a
+    reference on the whole table, all with one shared loss object."""
+    ds, groups = table(seed=seed)
+    loss = loss_of(kind)
+    parts = group_split(ds, groups)
+    cons = tuple(ConstraintSpec(loss=loss, threshold_c=0.1 * i, dataset=parts[g],
+                                reference=ReferenceTerm(loss=loss, dataset=ds), name=g)
+                 for i, g in enumerate(GROUPS))
+    return Problem(objective_loss=CE, objective_dataset=ds, constraints=cons)
+
+
+def own_risk(model, loss, view):
+    """Risk of `view` evaluated on its own: its own forward pass and reduction."""
+    return dataset_risk(loss, predict_batch(model, view.features), view.labels)
+
+
+def own_gradient(model, terms):
+    """Sum of per-view backprops, each from the view's own forward pass."""
+    total = np.zeros(model.arch.n_params)
+    for w, loss, view in terms:
+        P = predict_batch(model, view.features)
+        G = loss_pred_grads(loss, P, view.labels) / len(view)
+        dparams, _ = _backprop(model, view.features, G, P, want_params=True, want_inputs=False)
+        total += w * dparams
+    return total
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
+def test_group_views_with_references_read_exactly_their_own_risks(kind, model):
+    problem = fairness_shaped(kind)
+    table_ds = problem.objective_dataset
+    want = [own_risk(model, c.loss, c.dataset) - own_risk(model, c.loss, table_ds)
+            for c in problem.constraints]
+    ev = Evaluation.of(model, problem.datasets)
+    assert bits([constraint_risk(ev, c) for c in problem.constraints]) == bits(want)
+    want_slacks = [w - c.threshold_c for w, c in zip(want, problem.constraints)]
+    assert bits(slacks(model, problem)) == bits(want_slacks)
+    assert bits(slacks(ev, problem)) == bits(want_slacks)
+    mu = DualState(np.array([0.5, 0.0, 1.25, 2.0]))
+    want_lag = own_risk(model, CE, table_ds) + float(mu.mu @ np.asarray(want_slacks))
+    assert bits(empirical_lagrangian(model, mu, problem)) == bits(want_lag)
+    assert bits(empirical_lagrangian(ev, mu, problem)) == bits(want_lag)
+    for c in problem.constraints:
+        assert bits(ev.predictions(c.dataset)) == bits(predict_batch(model, c.dataset.features))
+        assert bits(empirical_risk(model, c.loss, c.dataset)) == bits(own_risk(model, c.loss,
+                                                                                c.dataset))
+
+
+@pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
+def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
+    problem = fairness_shaped(kind)
+    terms = [(1.0, CE, problem.objective_dataset)]
+    for w, c in zip((0.5, 0.0, 1.25, 2.0), problem.constraints):
+        terms += [(w, c.loss, c.dataset), (-w, c.reference.loss, c.reference.dataset)]
+    want = own_gradient(model, [t for t in terms if t[0] != 0.0])
+    assert bits(grad_params(model, terms)) == bits(want)
+    ev = Evaluation.of(model, problem.datasets)
+    empirical_lagrangian(ev, DualState.zeros(4), problem)  # fill it, then read gradients
+    assert bits(grad_params(ev, terms)) == bits(want)
+    batch = ev.batch(problem.constraints[0].dataset, np.array([3, 0, 5, 5]))
+    assert batch.root is problem.objective_dataset
+    assert bits(grad_params(ev, [(1.0, loss_of(kind), batch)])) == bits(
+        own_gradient(model, [(1.0, loss_of(kind), batch)]))
+
+
+@pytest.mark.parametrize("kind", ["clamped-cross-entropy", "squared", "signed-score"])
+def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
+    import duallearn.robust as robust
+
+    ds, _ = table(n=30, seed=2)
+    model = models(seed=3)[0]
+    loss = loss_of(kind)
+    attack = AttackConfig(kind="pgd", epsilon=0.2, steps=3, step_size=0.1, restarts=2,
+                          clamp_box=(-1.0, 1.0), seed=4)
+    adv = AdversarialDataset(ds, loss, attack)
+    problem = Problem(objective_loss=CE, objective_dataset=ds,
+                      constraints=(ConstraintSpec(loss=loss, threshold_c=0.2, dataset=adv),))
+    attacked = adv.realize(model)
+
+    attacks = []
+    original = robust.perturb_batch
+    monkeypatch.setattr(robust, "perturb_batch",
+                        lambda *a, **k: attacks.append(len(a[2])) or original(*a, **k))
+    ev = Evaluation(model)
+    mu = DualState(np.array([0.7]))
+    lag = empirical_lagrangian(ev, mu, problem)
+    s = slacks(ev, problem)
+    risk = empirical_risk(ev, loss, adv)
+    idx = np.array([4, 1, 29, 4])
+    batch = ev.batch(adv, idx)
+    g = grad_params(ev, [(1.0, CE, ds), (0.7, loss, adv), (0.7, loss, batch)])
+    assert attacks == [len(ds)]
+
+    assert bits(risk) == bits(own_risk(model, loss, attacked))
+    assert bits(s) == bits([own_risk(model, loss, attacked) - 0.2])
+    assert bits(lag) == bits(own_risk(model, CE, ds) + float(mu.mu @ s))
+    own_batch = adv.realize(model, idx)
+    assert bits(batch.features) == bits(own_batch.features)
+    assert bits(g) == bits(own_gradient(model, [(1.0, CE, ds), (0.7, loss, attacked),
+                                                (0.7, loss, own_batch)]))
+
+
+def test_no_constraints():
+    ds, _ = table(seed=4)
+    problem = Problem(objective_loss=CE, objective_dataset=ds)
+    for model in models(seed=5):
+        ev = Evaluation.of(model, problem.datasets)
+        assert slacks(ev, problem).shape == (0,)
+        assert bits(empirical_lagrangian(ev, DualState.zeros(0), problem)) == bits(
+            own_risk(model, CE, ds))
+        assert bits(grad_params(ev, [(1.0, CE, ds)])) == bits(
+            own_gradient(model, [(1.0, CE, ds)]))
+        R, S = enumeration_stats(problem, [model, ev])
+        assert bits(R) == bits([own_risk(model, CE, ds)] * 2) and S.shape == (2, 0)
+
+
+def test_mixture_risks_average_the_per_model_risks():
+    problem = fairness_shaped("rate-indicator")
+    sol = RandomizedSolution(models=tuple(models(seed=6)[:2]) + (models(seed=7)[0],))
+    terms = [(problem.objective_loss, problem.objective_dataset)]
+    terms += [(c.loss, c.dataset) for c in problem.constraints]
+    for (loss, ds), got in zip(terms, mixture_risks(sol, terms)):
+        per_model = np.asarray([own_risk(m, loss, ds) for m in sol.models])
+        assert bits(got) == bits(float(per_model.sum()) / len(per_model))
+
+
+def fairness_train_problem():
+    ds, groups = table(n=200, seed=8)
+    ind = LossSpec(kind="rate-indicator", bound_B=1.0)
+    parts = group_split(ds, groups)
+    sur = SurrogateConfig(slope_a=8.0)
+    cons = tuple(ConstraintSpec(loss=ind, threshold_c=0.01, dataset=parts[g], surrogate=sur,
+                                reference=ReferenceTerm(loss=ind, dataset=ds), name=g)
+                 for g in GROUPS)
+    return Problem(objective_loss=CE, objective_dataset=ds, constraints=cons)
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(warm_start,
+                                                                       monkeypatch):
+    import duallearn.models as models_mod
+
+    problem = fairness_train_problem()
+    primal = build_surrogate_lagrangian(problem)
+    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None, optimizer="adam",
+                              step_size=0.05, warm_start=warm_start)
+    T = 25
+    cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
+    forwarded = []
+    original = models_mod.predict_batch
+    monkeypatch.setattr(models_mod, "predict_batch",
+                        lambda model, X: forwarded.append(len(X)) or original(model, X))
+    trace, _, _ = train(problem, cfg, init_model(LogisticArch(3)), primal_problem=primal)
+    monkeypatch.undo()
+
+    assert len(forwarded) <= 2 * T
+    assert set(forwarded) == {len(problem.objective_dataset)}
+    assert np.any(trace.mu_matrix() > 0.0)
+    # what the carried evaluations recorded is what a fresh evaluation reads
+    for rec in trace.records:
+        model = ModelState(rec.theta, trace.arch)
+        assert bits(rec.slacks) == bits(slacks(model, problem))
+        assert bits(rec.objective) == bits(empirical_risk(model, CE, problem.objective_dataset))
+
+
+def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
+    import duallearn.robust as robust
+
+    ds, _ = table(n=64, seed=9)
+    attack = AttackConfig.pgd_training(0.3, clamp_box=(-1.0, 1.0), seed=1)
+    problem = Problem(objective_loss=CE, objective_dataset=ds, constraints=(
+        ConstraintSpec(loss=CE, threshold_c=0.5, dataset=AdversarialDataset(ds, CE, attack)),))
+    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=16, optimizer="adam",
+                              step_size=0.05)
+    T = 8
+    cfg = TrainConfig(iterations_T=T, dual_step_eta=2.0, inner=inner, seed=0)
+    attacked = []
+    original = robust.perturb_batch
+    monkeypatch.setattr(robust, "perturb_batch",
+                        lambda *a, **k: attacked.append(len(a[2])) or original(*a, **k))
+    trace, _, _ = train(problem, cfg, init_model(LogisticArch(3)))
+    monkeypatch.undo()
+
+    assert attacked.count(len(ds)) == T + 1  # the start point once, then one per iterate
+    assert np.any(trace.mu_matrix() > 0.0)
+    for rec in trace.records:
+        assert bits(rec.slacks) == bits(slacks(ModelState(rec.theta, trace.arch), problem))

@@ -6,7 +6,14 @@ from duallearn.errors import InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function, slacks
 from duallearn.models import LinearArch, LogisticArch, ModelState, predict_batch
 from duallearn.primaldual import TrainConfig, train
-from duallearn.robust import AdversarialDataset, AttackConfig, adversarial_constraint, perturb_batch
+from duallearn.robust import (
+    AdversarialDataset,
+    AttackConfig,
+    _project,
+    _restart_starts,
+    adversarial_constraint,
+    perturb_batch,
+)
 
 CE = LossSpec.cross_entropy()
 BOX = (-1.0, 1.0)
@@ -95,3 +102,29 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
         assert np.array_equal(rec.slacks, slacks(cand, problem))
         _, argmin = dual_function(DualState(rec.mu), problem, inner, cands[0])
         assert np.array_equal(argmin.params, rec.theta)
+
+
+def per_restart_start(X0, cfg, restart, sample_indices):
+    """The per-restart formula `_restart_starts` replaced, as a reference: a
+    fresh generator per sample and restart, redrawing every earlier restart's
+    rows and keeping the last."""
+    if restart == 0:
+        return X0.copy()
+    deltas = np.empty_like(X0)
+    for n, i in enumerate(sample_indices):
+        rng = np.random.default_rng(cfg.seed ^ int(i))
+        deltas[n] = rng.uniform(-cfg.epsilon, cfg.epsilon, size=(restart, X0.shape[1]))[-1]
+    return _project(X0 + deltas, X0, cfg)
+
+
+@pytest.mark.parametrize("restarts", range(1, 10))
+def test_restart_starts_match_the_per_restart_formula(restarts):
+    _, X, _ = logistic_case(restarts, n=25)
+    cfg = AttackConfig(kind="pgd", epsilon=0.3, steps=2, step_size=0.1, restarts=restarts,
+                       clamp_box=BOX, seed=11)
+    sample_indices = np.arange(100, 125)[::-1]
+    starts = list(_restart_starts(X, cfg, sample_indices))
+    assert len(starts) == restarts
+    for r, start in enumerate(starts):
+        want = per_restart_start(X, cfg, r, sample_indices)
+        assert np.array_equal(start.view(np.uint64), want.view(np.uint64))
