@@ -4,10 +4,15 @@ Four commands over a single JSON config tree:
 
 - ``train``: build the configured problem and run projected dual ascent
   (full inner solves, or one warm-started epoch per dual update with
-  ``inner.epochs: 1``), writing a trace, theta snapshots, the final model,
-  and a summary into the run directory.
+  ``inner.epochs: 1``). The run directory gets ``config_echo.json``,
+  ``trace.jsonl`` (a header line, then one JSON record per iteration),
+  ``thetas.npy`` when ``output.save_theta`` is on (every theta snapshot as
+  one (K, P) float64 array; the trace header names it and its stride),
+  ``final_model.txt`` and ``summary.json``.
 - ``eval``: nominal / adversarial / group-rate metrics for a saved model or
-  for the randomized solution of a saved trace.
+  for the randomized solution of a saved trace (``--trace`` reads
+  ``thetas.npy`` through the trace header), written as ``config_echo.json``
+  and ``summary.json``.
 - ``example1``: pathology trials of the built-in hard instance, with the
   fraction of trials landing on the doubled population objective.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
@@ -478,7 +483,8 @@ def cmd_train(args) -> int:
         primal_problem=None if primal_problem is problem else primal_problem,
     )
 
-    save_trace(trace, out / "trace.jsonl", theta_dir=(out / "thetas" if save_theta else None))
+    save_trace(trace, out / "trace.jsonl",
+               thetas_path=(out / "thetas.npy" if save_theta else None))
     save_model(final_model, out / "final_model.txt")
     final_slacks = trace.records[-1].slacks
     summary = {

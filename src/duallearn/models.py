@@ -409,10 +409,15 @@ def grad_params(at: ModelState | Evaluation,
 
 
 def grad_input_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
-                     labels: np.ndarray) -> np.ndarray:
-    """Per-sample gradients of the loss w.r.t. the inputs, as an (N, d) matrix."""
+                     labels: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample gradients of the loss w.r.t. the inputs, as an (N, d) matrix.
+
+    `P`, when given, is `predict_batch(model, X)` already computed by the
+    caller, so X is not forwarded again.
+    """
     X = np.asarray(X, dtype=float)
-    P = predict_batch(model, X)
+    if P is None:
+        P = predict_batch(model, X)
     G = loss_pred_grads(loss, P, np.asarray(labels))
     _, dX = _backprop(model, X, G, P, want_params=False, want_inputs=True)
     return dX

@@ -33,8 +33,6 @@ from .models import (
     arch_from_dict,
     arch_to_dict,
     descent_step,
-    load_model,
-    save_model,
 )
 
 # Full per-iteration snapshots above this parameter count require an explicit
@@ -82,10 +80,16 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-iteration records of a completed run plus the model architecture."""
+    """Per-iteration records of a completed run plus the model architecture.
+
+    Records at the iterations t with t % snapshot_stride == 0 carry their
+    theta snapshot (all of them, or none for a run that kept none); every
+    other record has theta None.
+    """
 
     records: tuple[TraceRecord, ...]
     arch: Arch
+    snapshot_stride: int = 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -200,7 +204,9 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
                 mu = DualState(np.maximum(0.0, ascended))
         model = model_t
 
-    return TrainTrace(records=tuple(records), arch=init.arch), model, mu
+    trace = TrainTrace(records=tuple(records), arch=init.arch,
+                       snapshot_stride=config.snapshot_stride)
+    return trace, model, mu
 
 
 def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
@@ -225,13 +231,22 @@ def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
 
 def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:
     """Risk of the uniform mixture on each (loss, dataset) term: the average
-    of the per-iterate risks, every iterate evaluated once for all terms."""
+    of the per-iterate risks.
+
+    Each distinct model (same architecture and parameter bytes) is evaluated
+    once for all terms; an iterate that repeats one copies its risks, so the
+    per-iterate risks and their sums are those of evaluating every iterate.
+    """
     datasets = [dataset for _, dataset in terms]
     risks = np.empty((len(terms), len(sol.models)))
+    distinct: dict[tuple, list[float]] = {}
     for j, model in enumerate(sol.models):
-        ev = Evaluation.of(model, datasets)
-        for k, (loss, dataset) in enumerate(terms):
-            risks[k, j] = ev.risk(loss, dataset)
+        key = (model.arch, model.params.tobytes())
+        column = distinct.get(key)
+        if column is None:
+            ev = Evaluation.of(model, datasets)
+            column = distinct[key] = [ev.risk(loss, dataset) for loss, dataset in terms]
+        risks[:, j] = column
     return [float(row.sum()) / row.shape[0] for row in risks]
 
 
@@ -284,40 +299,56 @@ def recommend_hyperparams(B: float, m: int, zeta_bar: float, U0: float,
 # --- trace serialization -----------------------------------------------------
 
 _TRACE_KIND = "duallearn-trace"
+_TRACE_VERSION = 2
 
 
 def save_trace(trace: TrainTrace, records_path: str | Path,
-               theta_dir: str | Path | None = None) -> None:
-    """Write one JSON object per iteration; snapshots go to sidecar model files.
+               thetas_path: str | Path | None = None) -> None:
+    """Write the trace: a JSON header line, then one JSON object per iteration.
 
-    With theta_dir=None the snapshots are dropped (records only), which is
-    enough for slack/multiplier diagnostics but not for randomized solutions.
+    With `thetas_path` the snapshots are written there as one (K, P) float64
+    `.npy` array, row k holding the theta of iteration k * snapshot_stride,
+    and the header records the file (relative to the trace's directory when
+    it lies inside it) and the stride. A run directory written by
+    `duallearn train` therefore holds `trace.jsonl` and, with
+    `output.save_theta`, `thetas.npy` next to it. With thetas_path=None the
+    snapshots are dropped (records only), which is enough for slack/multiplier
+    diagnostics but not for randomized solutions.
     """
     records_path = Path(records_path)
-    lines = [json.dumps({"kind": _TRACE_KIND, "version": 1,
-                         "arch": arch_to_dict(trace.arch)}, sort_keys=True)]
+    snapshots = None
+    if thetas_path is not None:
+        stride = trace.snapshot_stride
+        if any((r.theta is not None) != (r.t % stride == 0) for r in trace.records):
+            raise InputError(f"trace snapshots do not follow its snapshot_stride {stride}")
+        thetas_path = Path(thetas_path)
+        thetas = np.array([r.theta for r in trace.records if r.theta is not None],
+                          dtype=np.float64).reshape(-1, trace.arch.n_params)
+        with open(thetas_path, "wb") as f:  # a path np.save would give a .npy suffix
+            np.save(f, thetas, allow_pickle=False)
+        if thetas_path.is_relative_to(records_path.parent):
+            thetas_path = thetas_path.relative_to(records_path.parent)
+        snapshots = {"file": str(thetas_path), "stride": stride}
+    lines = [json.dumps({"kind": _TRACE_KIND, "version": _TRACE_VERSION,
+                         "arch": arch_to_dict(trace.arch), "snapshots": snapshots},
+                        sort_keys=True)]
     for r in trace.records:
-        theta_path = None
-        if theta_dir is not None and r.theta is not None:
-            theta_dir = Path(theta_dir)
-            theta_dir.mkdir(parents=True, exist_ok=True)
-            fname = f"theta_{r.t:06d}.txt"
-            save_model(ModelState(params=r.theta, arch=trace.arch), theta_dir / fname)
-            theta_path = str((theta_dir / fname).relative_to(records_path.parent)
-                             if theta_dir.is_relative_to(records_path.parent)
-                             else theta_dir / fname)
         lines.append(json.dumps({
             "t": r.t,
             "objective": r.objective,
             "slacks": [float(v) for v in r.slacks],
             "mu": [float(v) for v in r.mu],
             "lagrangian": r.lagrangian,
-            "theta_path": theta_path,
         }, sort_keys=True))
     records_path.write_text("\n".join(lines) + "\n")
 
 
 def load_trace(records_path: str | Path) -> TrainTrace:
+    """Read a trace written by `save_trace`, with its snapshot array if any.
+
+    The snapshot array is read once, without pickles, and must be float64
+    of shape (number of snapshot records, the architecture's n_params).
+    """
     records_path = Path(records_path)
     lines = records_path.read_text().splitlines()
     if not lines:
@@ -325,17 +356,38 @@ def load_trace(records_path: str | Path) -> TrainTrace:
     header = json.loads(lines[0])
     if header.get("kind") != _TRACE_KIND:
         raise InputError(f"{records_path}: not a duallearn trace file")
+    if header.get("version") != _TRACE_VERSION:
+        raise InputError(
+            f"{records_path}: trace version {header.get('version')} is not supported "
+            f"(this duallearn reads version {_TRACE_VERSION}); re-run train to write it"
+        )
     arch = arch_from_dict(header["arch"])
-    records = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        theta = None
-        if obj.get("theta_path"):
-            theta = load_model(records_path.parent / obj["theta_path"]).params
-        records.append(TraceRecord(
-            t=int(obj["t"]), theta=theta, objective=float(obj["objective"]),
-            slacks=np.asarray(obj["slacks"], dtype=float),
-            mu=np.asarray(obj["mu"], dtype=float),
-            lagrangian=float(obj["lagrangian"]),
-        ))
-    return TrainTrace(records=tuple(records), arch=arch)
+    objs = [json.loads(line) for line in lines[1:]]
+    thetas = [None] * len(objs)
+    stride = 1
+    snapshots = header["snapshots"]
+    if snapshots is not None:
+        stride = int(snapshots["stride"])
+        path = records_path.parent / snapshots["file"]
+        try:
+            array = np.load(path, allow_pickle=False)
+        except (OSError, ValueError) as err:
+            raise InputError(f"{path}: cannot read the theta snapshots: {err}") from err
+        held = [k for k, obj in enumerate(objs) if int(obj["t"]) % stride == 0]
+        shape = (len(held), arch.n_params)
+        if array.dtype != np.float64 or array.shape != shape:
+            raise InputError(
+                f"{path}: theta snapshots are {array.dtype} {array.shape}, expected "
+                f"float64 {shape} (snapshot records x architecture parameters)"
+            )
+        array.setflags(write=False)
+        for k, row in zip(held, array):
+            thetas[k] = row
+    records = tuple(
+        TraceRecord(t=int(obj["t"]), theta=theta, objective=float(obj["objective"]),
+                    slacks=np.asarray(obj["slacks"], dtype=float),
+                    mu=np.asarray(obj["mu"], dtype=float),
+                    lagrangian=float(obj["lagrangian"]))
+        for obj, theta in zip(objs, thetas)
+    )
+    return TrainTrace(records=records, arch=arch, snapshot_stride=stride)

@@ -127,10 +127,13 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
         sample_indices = np.arange(X0.shape[0])
 
     best_X = X0.copy()
-    best_loss = loss_values(loss, predict_batch(model, X0), y)
+    P = predict_batch(model, X0)
+    best_loss = loss_values(loss, P, y)
     for X_adv in _restart_starts(X0, cfg, sample_indices):
         for _ in range(cfg.steps):
-            g = grad_input_batch(model, loss, X_adv, y)
+            # restart 0 starts at the clean rows, whose predictions P already holds
+            g = grad_input_batch(model, loss, X_adv, y, P)
+            P = None
             X_adv = _project(X_adv + cfg.step_size * np.sign(g), X0, cfg)
         cand_loss = loss_values(loss, predict_batch(model, X_adv), y)
         better = cand_loss > best_loss

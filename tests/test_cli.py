@@ -40,7 +40,9 @@ def test_fairness_train_then_eval_of_the_mixture(tmp_path):
     trace_path = tmp_path / "train" / "trace.jsonl"
     trace = load_trace(trace_path)
     assert len(trace) == 3
-    assert len(list((tmp_path / "train" / "thetas").iterdir())) == 3
+    thetas = np.load(tmp_path / "train" / "thetas.npy", allow_pickle=False)
+    assert thetas.shape == (3, trace.arch.n_params)
+    assert thetas.tobytes() == np.stack([r.theta for r in trace.records]).tobytes()
 
     assert main(["eval", "--config", str(path), "--trace", str(trace_path),
                  "--out", str(tmp_path / "eval")]) == 0

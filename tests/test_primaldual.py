@@ -1,18 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
+from duallearn import models
 from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, empirical_risk
 from duallearn.errors import ConfigurationError, InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function
-from duallearn.models import LinearArch, LogisticArch, MlpArch, ModelState, init_model
+from duallearn.models import (
+    Evaluation,
+    LinearArch,
+    LogisticArch,
+    MlpArch,
+    ModelState,
+    init_model,
+)
 from duallearn.oracle import EnumerableProblem, MuGrid, dual_enumerate
 from duallearn.primaldual import (
+    RandomizedSolution,
     TrainConfig,
     dual_update,
     ergodic_complementary_slackness,
     ergodic_slacks,
     evaluate_randomized,
     load_trace,
+    mixture_risks,
     randomized_solution,
     recommend_hyperparams,
     save_trace,
@@ -251,6 +263,32 @@ class TestRandomizedSolution:
         with pytest.raises(InputError, match="strided snapshots"):
             randomized_solution(trace)
 
+    def test_repeated_iterates_are_evaluated_once(self, monkeypatch):
+        prob = small_gradient_problem()
+        arch = LogisticArch(in_dim=2)
+        a, b, c = (ModelState(params, arch)
+                   for params in np.random.default_rng(4).normal(size=(3, arch.n_params)))
+        # equal parameters in distinct objects count as one model
+        twin = ModelState(a.params.copy(), arch)
+        sol_models = (a, twin, b, a, c, b, twin)
+        terms = [(prob.objective_loss, prob.objective_dataset),
+                 (prob.constraints[0].loss, prob.constraints[0].dataset)]
+        per_model = np.array([[Evaluation(m).risk(loss, ds) for m in sol_models]
+                              for loss, ds in terms])
+        expected = [float(row.sum()) / row.shape[0] for row in per_model]
+
+        calls = []
+        forward = models.predict_batch
+
+        def counted(model, X):
+            calls.append(model.params.tobytes())
+            return forward(model, X)
+
+        monkeypatch.setattr(models, "predict_batch", counted)
+        got = mixture_risks(RandomizedSolution(models=sol_models), terms)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert sorted(calls) == sorted(m.params.tobytes() for m in (a, b, c))
+
     def test_trace_without_snapshots_names_save_theta(self, tmp_path):
         _, trace = self._toy_trace(T=3)
         save_trace(trace, tmp_path / "trace.jsonl")  # records only, no theta files
@@ -288,7 +326,7 @@ class TestTraceSerialization:
         cfg = TrainConfig(iterations_T=4, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         path = tmp_path / "trace.jsonl"
-        save_trace(trace, path, theta_dir=tmp_path / "thetas")
+        save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
         for a, b in zip(loaded.records, trace.records):
@@ -297,6 +335,63 @@ class TestTraceSerialization:
             assert np.array_equal(a.slacks, b.slacks)
             assert np.array_equal(a.mu, b.mu)
             assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, None])
+    def test_round_trip_is_bit_exact(self, tmp_path, stride):
+        prob = small_gradient_problem()
+        inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
+        cfg = TrainConfig(iterations_T=7, dual_step_eta=0.5, inner=inner, seed=3,
+                          snapshot_stride=stride or 1)
+        trace, _, _ = train(prob, cfg, init_model(LogisticArch(in_dim=2), seed=1))
+        # premise: the snapshots differ, so a row read into the wrong record shows
+        assert len({r.theta.tobytes() for r in trace.records[::stride or 1]}) > 2
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path, thetas_path=None if stride is None else tmp_path / "thetas.npy")
+        loaded = load_trace(path)
+        assert loaded.arch == trace.arch and len(loaded) == 7
+        for a, b in zip(loaded.records, trace.records):
+            assert a.t == b.t
+            assert a.objective.hex() == b.objective.hex()
+            assert a.lagrangian.hex() == b.lagrangian.hex()
+            assert a.slacks.tobytes() == b.slacks.tobytes()
+            assert a.mu.tobytes() == b.mu.tobytes()
+            if stride is None or a.t % stride:
+                assert a.theta is None
+            else:
+                assert a.theta.tobytes() == b.theta.tobytes()
+        if stride is not None:
+            assert loaded.snapshot_stride == stride
+            thetas = np.load(tmp_path / "thetas.npy", allow_pickle=False)
+            assert thetas.shape == (len(range(0, 7, stride)), trace.arch.n_params)
+
+    def _saved_toy(self, tmp_path):
+        prob = convex_toy()
+        cands = toy_candidates(points=31)
+        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        cfg = TrainConfig(iterations_T=3, dual_step_eta=0.5, inner=inner, seed=0)
+        trace, _, _ = train(prob, cfg, cands[0])
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
+        return path
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 1)), np.zeros((3, 2)), np.zeros(3),
+                                       np.zeros((3, 1), dtype=np.float32)])
+    def test_wrong_snapshot_array_is_refused(self, tmp_path, array):
+        path = self._saved_toy(tmp_path)
+        np.save(tmp_path / "thetas.npy", array, allow_pickle=False)
+        with pytest.raises(InputError, match=r"thetas\.npy: theta snapshots are .*expected "
+                                             r"float64 \(3, 1\)"):
+            load_trace(path)
+
+    def test_version_1_trace_is_refused(self, tmp_path):
+        path = self._saved_toy(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        del header["snapshots"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="trace version 1 is not supported.*re-run train"):
+            load_trace(path)
 
     def test_reserialization_is_byte_identical(self, tmp_path):
         prob = convex_toy()

@@ -4,7 +4,13 @@ import pytest
 from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
 from duallearn.errors import InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function, slacks
-from duallearn.models import LinearArch, LogisticArch, ModelState, predict_batch
+from duallearn.models import (
+    LinearArch,
+    LogisticArch,
+    ModelState,
+    grad_input_batch,
+    predict_batch,
+)
 from duallearn.primaldual import TrainConfig, train
 from duallearn.robust import (
     AdversarialDataset,
@@ -49,6 +55,28 @@ class TestAttackInvariants:
         attacked = loss_values(CE, predict_batch(model, X_adv), y)
         assert np.all(attacked >= clean)
         assert np.any(attacked > clean)
+
+
+@pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_attack_equals_the_reference_loop(cfg, seed):
+    # clamped squared loss on a linear score: a row's input gradient vanishes
+    # once its own prediction reaches the clamp, so stale predictions show
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (40, 3))
+    y = rng.uniform(-0.5, 0.5, 40)
+    model = ModelState(rng.normal(0.0, 1.0, 4), LinearArch(3, 1))
+    loss = LossSpec(kind="squared", bound_B=1.0)
+    best_X = X.copy()
+    best = loss_values(loss, predict_batch(model, X), y)
+    for X_adv in _restart_starts(X, cfg, np.arange(len(X))):
+        for _ in range(cfg.steps):
+            g = grad_input_batch(model, loss, X_adv, y)
+            X_adv = _project(X_adv + cfg.step_size * np.sign(g), X, cfg)
+        cand = loss_values(loss, predict_batch(model, X_adv), y)
+        best_X[cand > best] = X_adv[cand > best]
+        best = np.maximum(best, cand)
+    assert perturb_batch(model, loss, X, y, cfg).tobytes() == best_X.tobytes()
 
 
 def test_zero_epsilon_is_the_identity():
