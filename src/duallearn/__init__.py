@@ -83,7 +83,7 @@ from .rate import (
     sigmoid_surrogate,
     surrogate_gap_bound,
 )
-from .robust import AttackConfig, adversarial_constraint, perturb
+from .robust import AttackConfig, adversarial_constraint
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -192,25 +192,37 @@ def _build_loss(spec: dict, context: str) -> tuple[LossSpec, dict]:
     return loss, echo
 
 
+_ATTACK_PRESETS = {
+    "pgd-training": AttackConfig.pgd_training,
+    "pgd-evaluation": AttackConfig.pgd_evaluation,
+    "fgsm": AttackConfig.fgsm,
+}
+
+
 def _build_attack(spec: dict, seed: int) -> tuple[AttackConfig, dict]:
+    if (spec.get("clamp_lo") is None) != (spec.get("clamp_hi") is None):
+        raise ConfigurationError(
+            "attack.clamp_lo and attack.clamp_hi must be given together: "
+            "the clamp box needs both bounds")
     clamp = None
-    if spec.get("clamp_lo") is not None or spec.get("clamp_hi") is not None:
+    if spec.get("clamp_lo") is not None:
         clamp = (float(spec["clamp_lo"]), float(spec["clamp_hi"]))
     preset = spec.get("preset")
     eps = float(_require(spec, "epsilon", "attack."))
     aseed = spec.get("seed", seed)
-    if preset == "pgd-training":
-        cfg = AttackConfig.pgd_training(eps, clamp_box=clamp, seed=aseed)
-    elif preset == "pgd-evaluation":
-        cfg = AttackConfig.pgd_evaluation(eps, clamp_box=clamp, seed=aseed)
-    elif preset == "fgsm":
-        cfg = AttackConfig.fgsm(eps, clamp_box=clamp, seed=aseed)
-    elif preset is None:
+    if preset is None:
         cfg = AttackConfig(kind=_require(spec, "kind", "attack."), epsilon=eps,
                            steps=spec.get("steps", 1),
                            step_size=spec.get("step_size", eps),
                            restarts=spec.get("restarts", 1), clamp_box=clamp,
                            seed=aseed)
+    elif preset in _ATTACK_PRESETS:
+        for key in ("kind", "steps", "step_size", "restarts"):
+            if spec.get(key) is not None:
+                raise ConfigurationError(
+                    f"attack.{key} cannot be combined with attack.preset {preset!r}, "
+                    "which sets it")
+        cfg = _ATTACK_PRESETS[preset](eps, clamp_box=clamp, seed=aseed)
     else:
         raise ConfigurationError(f"unknown attack preset {preset!r}")
     echo = {"kind": cfg.kind, "epsilon": cfg.epsilon, "steps": cfg.steps,

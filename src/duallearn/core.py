@@ -103,6 +103,11 @@ class Dataset:
     # Provenance; `subset` sets both on the views it makes.
     root = None
     rows = None
+    # Provenance of a set realised against a model (an attacked set): the
+    # model and its predictions on these rows, which a `models.Evaluation`
+    # of that same model reads instead of forwarding the rows again.
+    predicted_by = None
+    predictions = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -393,7 +398,7 @@ def loss_values(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> 
         lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
         if k == 1:
             yi = y.astype(float)
-            if not np.all(np.isin(yi, (0.0, 1.0))):
+            if not ((yi == 0.0) | (yi == 1.0)).all():
                 raise InputError("scalar cross-entropy predictions need {0, 1} labels")
             p_true = np.where(yi == 1.0, p[:, 0], 1.0 - p[:, 0])
         else:

@@ -280,7 +280,9 @@ class Evaluation:
     The evaluation realises each model-dependent provider once (one attack
     per adversarial set) and runs one `predict_batch` per table: a root
     table when the evaluation also realises the root itself (some term
-    averages over all of it), otherwise a view on its own rows. Loss values
+    averages over all of it), otherwise a view on its own rows. A table
+    realised with this model's predictions attached (an attacked set) is
+    not forwarded at all: its predictions are read from it. Loss values
     and loss gradients are computed once per (table, loss), and risks once
     per (set, loss). A view's risk is the mean of its rows gathered from
     its table: the same elements in the same order as evaluating the view
@@ -339,7 +341,9 @@ class Evaluation:
     def _table_predictions(self, table: Dataset) -> np.ndarray:
         hit = self._preds.get(id(table))
         if hit is None:
-            hit = self._preds[id(table)] = (table, predict_batch(self.model, table.features))
+            preds = (table.predictions if table.predicted_by is self.model
+                     else predict_batch(self.model, table.features))
+            hit = self._preds[id(table)] = (table, preds)
         return hit[1]
 
     def _per_row(self, fn, loss: LossSpec, table: Dataset) -> np.ndarray:

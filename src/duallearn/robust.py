@@ -1,13 +1,20 @@
-"""Adversarial-distribution constraints: FGSM and PGD input perturbations.
+"""Adversarial-distribution constraints: worst-case input perturbations.
 
-Attacks maximize a differentiable loss over an l-infinity ball around each
-sample by iterated signed-gradient ascent with projection back onto the
-ball (and then into the feature box, when one is declared). The clean
-sample always competes as a candidate, so an attack never reports a loss
-below the unperturbed one. Wrapping a dataset in `adversarial_constraint`
-yields a constraint whose sample set is regenerated against the current
-model on every slack or gradient evaluation; nothing is ever cached across
-model states.
+An attack maximizes a loss over the l-infinity ball around each sample,
+intersected with the feature box when one is declared. For a model whose
+output is monotone in an affine score z = w . x + b (logistic, or linear
+with one output) the maximum is exact: every scalar loss kind is
+quasiconvex in that output, and over the ball-and-box z ranges between the
+two corners x -/+ epsilon * sign(w), clipped to the box, so the larger of
+the two corner losses is the worst case. Every other model (MLPs, linear
+maps with several outputs) is attacked by iterated signed-gradient ascent
+(FGSM/PGD) with projection back onto the ball and then into the box.
+Either way the clean sample competes as a candidate, so an attack never
+reports a loss below the unperturbed one, and the model's predictions on
+the rows it picks come back with them. Wrapping a dataset in
+`adversarial_constraint` yields a constraint whose sample set is
+regenerated against the current model on every slack or gradient
+evaluation; nothing is ever cached across model states.
 """
 
 from __future__ import annotations
@@ -17,19 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, DatasetProvider, LossSpec, Sample, loss_values
+from .core import ConstraintSpec, Dataset, DatasetProvider, LossSpec, loss_values
 from .errors import ConfigurationError, InputError
-from .models import ModelState, grad_input_batch, predict_batch
+from .models import LinearArch, LogisticArch, ModelState, grad_input_batch, predict_batch
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Perturbation budget and schedule for one attack.
+    """Perturbation budget, and the schedule of the gradient attack.
 
-    FGSM is the single-step special case (steps=1, step_size=epsilon).
-    The stock PGD schedules follow the usual split between a cheap training
-    attack (5 steps of epsilon/3, no extra restarts) and a strong evaluation
-    attack (50 steps of epsilon/30, worst case over 10 restarts).
+    `epsilon` and `clamp_box` bound every attack. Models whose output is
+    monotone in an affine score (logistic, linear with one output) get the
+    exact two-corner attack, which has no schedule: `steps`, `step_size`,
+    `restarts` and `seed` (which keys the restart draws) apply only to
+    models attacked by PGD. FGSM is the single-step special case (steps=1,
+    step_size=epsilon). The stock PGD schedules follow the usual split
+    between a cheap training attack (5 steps of epsilon/3, no extra
+    restarts) and a strong evaluation attack (50 steps of epsilon/30, worst
+    case over 10 restarts).
     """
 
     kind: str
@@ -101,11 +113,49 @@ def _restart_starts(X0: np.ndarray, cfg: AttackConfig, sample_indices: np.ndarra
         yield _project(X0 + draws[:, r], X0, cfg)
 
 
+def _affine_weights(model: ModelState) -> np.ndarray | None:
+    """w when the model's one output is monotone in the score w . x + b, else None."""
+    arch = model.arch
+    if isinstance(arch, LogisticArch):
+        return model.params[:-1]
+    if isinstance(arch, LinearArch) and arch.out_dim == 1:
+        return model.params[: arch.in_dim]
+    return None
+
+
+def _corners(model: ModelState, w: np.ndarray, X0: np.ndarray, cfg: AttackConfig):
+    """The corners of each row's ball-and-box where w . x is largest and
+    smallest, with the model's predictions there; a coordinate with w_j = 0
+    stays put."""
+    step = cfg.epsilon * np.sign(w)
+    for X_adv in (_project(X0 + step, X0, cfg), _project(X0 - step, X0, cfg)):
+        yield X_adv, predict_batch(model, X_adv)
+
+
+def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,
+         cfg: AttackConfig, sample_indices: np.ndarray | None, P0: np.ndarray):
+    """Each restart's last PGD iterate, with the model's predictions there."""
+    if sample_indices is None:
+        sample_indices = np.arange(X0.shape[0])
+    P = P0
+    for X_adv in _restart_starts(X0, cfg, sample_indices):
+        for _ in range(cfg.steps):
+            # restart 0 starts at the clean rows, whose predictions P0 holds
+            g = grad_input_batch(model, loss, X_adv, y, P)
+            P = None
+            X_adv = _project(X_adv + cfg.step_size * np.sign(g), X0, cfg)
+        yield X_adv, predict_batch(model, X_adv)
+
+
 def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                   labels: np.ndarray, cfg: AttackConfig,
-                  sample_indices: np.ndarray | None = None) -> np.ndarray:
-    """Attack every row of X at once; returns the perturbed feature matrix.
+                  sample_indices: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Attack every row of X at once.
 
+    Returns (perturbed features, the model's predictions on them). The
+    candidates are the two corners of an affine-score model, or else each
+    PGD restart's last iterate; starting from the clean row, a row moves to
+    a candidate only where its loss is strictly above the best so far.
     Restart randomness is keyed by cfg.seed XOR the sample index, so attacks
     are reproducible and independent of how samples are batched. Every clean
     row must lie inside cfg.clamp_box, when one is declared; then projecting
@@ -121,36 +171,20 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                 f"{outside.size} clean rows lie outside the attack clamp_box [{lo}, {hi}] "
                 f"(first: row {int(outside[0])})"
             )
+    best_X, best_P = X0.copy(), predict_batch(model, X0)
     if cfg.epsilon == 0.0:
-        return X0.copy()
-    if sample_indices is None:
-        sample_indices = np.arange(X0.shape[0])
-
-    best_X = X0.copy()
-    P = predict_batch(model, X0)
-    best_loss = loss_values(loss, P, y)
-    for X_adv in _restart_starts(X0, cfg, sample_indices):
-        for _ in range(cfg.steps):
-            # restart 0 starts at the clean rows, whose predictions P already holds
-            g = grad_input_batch(model, loss, X_adv, y, P)
-            P = None
-            X_adv = _project(X_adv + cfg.step_size * np.sign(g), X0, cfg)
-        cand_loss = loss_values(loss, predict_batch(model, X_adv), y)
-        better = cand_loss > best_loss
-        best_X[better] = X_adv[better]
+        return best_X, best_P
+    w = _affine_weights(model)
+    candidates = (_corners(model, w, X0, cfg) if w is not None
+                  else _pgd(model, loss, X0, y, cfg, sample_indices, best_P))
+    best_loss = loss_values(loss, best_P, y)
+    for X_adv, P in candidates:
+        cand_loss = loss_values(loss, P, y)
+        better = (cand_loss > best_loss)[:, None]
+        best_X = np.where(better, X_adv, best_X)
+        best_P = np.where(better, P, best_P)
         best_loss = np.maximum(best_loss, cand_loss)
-    return best_X
-
-
-def perturb(model: ModelState, loss: LossSpec, sample: Sample, cfg: AttackConfig) -> Sample:
-    """Loss-maximizing perturbation of one sample within the epsilon ball.
-
-    The label is untouched; the zero perturbation is always a candidate, so
-    the returned sample never has lower loss than the original.
-    """
-    X = perturb_batch(model, loss, sample.features[None, :],
-                      np.asarray([sample.label]), cfg)
-    return Sample(features=X[0], label=sample.label)
+    return best_X, best_P
 
 
 class AdversarialDataset(DatasetProvider):
@@ -166,13 +200,18 @@ class AdversarialDataset(DatasetProvider):
         return f"{self.base.name}@adversarial"
 
     def realize(self, model: ModelState, indices: np.ndarray | None = None) -> Dataset:
-        """The base set, or its `indices` rows, attacked against `model`."""
+        """The base set, or its `indices` rows, attacked against `model`,
+        carrying the model's predictions on them as provenance."""
         X, y = self.base.features, self.base.labels
         if indices is not None:
             indices = np.asarray(indices, dtype=int)
             X, y = X[indices], y[indices]
-        X = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices)
-        return Dataset(features=X, labels=y, name=self.name)
+        X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices)
+        ds = Dataset(features=X, labels=y, name=self.name)
+        P.setflags(write=False)
+        object.__setattr__(ds, "predicted_by", model)
+        object.__setattr__(ds, "predictions", P)
+        return ds
 
 
 def adversarial_constraint(base: Dataset, loss: LossSpec, threshold_c: float,

@@ -93,6 +93,30 @@ def test_clean_rows_outside_the_attack_box_are_an_input_error(tmp_path, capsys):
     assert "clamp_box [-1.0, 1.0]" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("kind", "fgsm"), ("steps", 50), ("step_size", 0.1), ("restarts", 7),
+])
+def test_attack_preset_refuses_the_keys_it_sets(tmp_path, capsys, key, value):
+    def edit(cfg):
+        cfg["attack"][key] = value
+    path, _ = derived_config(tmp_path, "robust_train.json", edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"attack.{key} cannot be combined with attack.preset 'pgd-training'" in err
+    assert not (tmp_path / "run" / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["clamp_lo", "clamp_hi"])
+def test_attack_clamp_box_needs_both_bounds(tmp_path, capsys, key):
+    def edit(cfg):
+        cfg["attack"][key] = 6.0 if key == "clamp_hi" else -6.0
+    path, _ = derived_config(tmp_path, "robust_train.json", edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "attack.clamp_lo and attack.clamp_hi must be given together" in err
+    assert "Traceback" not in err and "KeyError" not in err
+
+
 def test_bounds_fixture_matches_the_reference_formulas(tmp_path):
     assert main(["bounds", "--config", str(CONFIGS / "bounds_fixture.json"),
                  "--out", str(tmp_path)]) == 0

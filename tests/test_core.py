@@ -58,6 +58,12 @@ class TestEvalLoss:
         assert eval_loss(sc, [0.3], -1) == pytest.approx(-0.3)
         assert eval_loss(sc, [9.0], 1) == 4.0  # clipped at the bound
 
+    @pytest.mark.parametrize("label", [np.nan, 2.0, 0.5])
+    def test_scalar_cross_entropy_refuses_labels_outside_0_1(self, label):
+        y = np.array([1.0, label, 0.0])
+        with pytest.raises(InputError, match=r"scalar cross-entropy predictions need \{0, 1\}"):
+            loss_values(LossSpec.cross_entropy(), np.full((3, 1), 0.5), y)
+
     def test_dimension_mismatch(self):
         sq = LossSpec(kind="squared", bound_B=4.0)
         with pytest.raises(InputError):

@@ -178,6 +178,27 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
                                                 (0.7, loss, own_batch)]))
 
 
+def test_attacked_set_is_read_from_the_attack_not_forwarded_again(monkeypatch):
+    import duallearn.models as models_mod
+
+    ds, _ = table(n=30, seed=5)
+    model = models(seed=6)[0]
+    attack = AttackConfig.pgd_training(0.2, clamp_box=(-1.0, 1.0), seed=2)
+    attacked = AdversarialDataset(ds, CE, attack).realize(model)
+    forwarded = []
+    original = models_mod.predict_batch
+    monkeypatch.setattr(models_mod, "predict_batch",
+                        lambda m, X: forwarded.append(m) or original(m, X))
+    risk = Evaluation(model).risk(CE, attacked)
+    assert forwarded == []
+    # an equal model that is another object forwards the rows itself
+    twin = ModelState(model.params, model.arch)
+    assert bits(Evaluation(twin).risk(CE, attacked)) == bits(risk)
+    assert forwarded == [twin]
+    monkeypatch.undo()
+    assert bits(risk) == bits(own_risk(model, CE, attacked))
+
+
 def test_no_constraints():
     ds, _ = table(seed=4)
     problem = Problem(objective_loss=CE, objective_dataset=ds)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from duallearn.lagrangian import enumeration_stats
-from duallearn.oracle import EnumerableProblem, MuGrid, dual_enumerate, ecrm_enumerate
+from duallearn.oracle import (
+    EnumerableProblem,
+    MuGrid,
+    dual_enumerate,
+    ecrm_enumerate,
+    example1_population_objective,
+    example1_trial,
+)
 
 from helpers import convex_toy, random_enumerable, toy_analytic, toy_candidates
 
@@ -37,3 +44,15 @@ def test_boundary_hit_on_a_grid_too_small_to_bracket_mu_star():
     assert small.d_hat < wide.d_hat <= ecrm_enumerate(ep).value
     assert wide.d_hat == pytest.approx(p_star, abs=1e-3)
     assert wide.theta.params[0] == pytest.approx(theta_star, abs=0.01)
+
+
+@pytest.mark.parametrize("N", [10, 100, 1000])
+def test_example1_selects_twice_the_population_optimum(N):
+    # the population optimum is theta = [1, 1] with objective 1/16; the
+    # sample-average constraints exclude it, and the feasible argmin has 1/8
+    optimum = example1_population_objective([1.0, 1.0])
+    assert optimum == 0.0625
+    for seed in range(50):
+        trial = example1_trial(N, seed)
+        assert trial["feasible"], (N, seed)
+        assert trial["population_J"] == 2 * optimum == 0.125, (N, seed)

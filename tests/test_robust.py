@@ -1,12 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
+from duallearn.core import (
+    DIFFERENTIABLE_KINDS,
+    LOSS_KINDS,
+    ConstraintSpec,
+    Dataset,
+    LossSpec,
+    Problem,
+    loss_values,
+)
 from duallearn.errors import InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function, slacks
 from duallearn.models import (
     LinearArch,
     LogisticArch,
+    MlpArch,
     ModelState,
     grad_input_batch,
     predict_batch,
@@ -44,13 +55,13 @@ def logistic_case(seed, n=40):
 class TestAttackInvariants:
     def test_stays_in_ball_and_box(self, cfg, seed):
         model, X, y = logistic_case(seed)
-        X_adv = perturb_batch(model, CE, X, y, cfg)
+        X_adv, _ = perturb_batch(model, CE, X, y, cfg)
         assert np.all(np.abs(X_adv - X) <= cfg.epsilon + 1e-12)
         assert np.all((X_adv >= BOX[0]) & (X_adv <= BOX[1]))
 
     def test_never_lowers_the_loss(self, cfg, seed):
         model, X, y = logistic_case(seed)
-        X_adv = perturb_batch(model, CE, X, y, cfg)
+        X_adv, _ = perturb_batch(model, CE, X, y, cfg)
         clean = loss_values(CE, predict_batch(model, X), y)
         attacked = loss_values(CE, predict_batch(model, X_adv), y)
         assert np.all(attacked >= clean)
@@ -58,15 +69,20 @@ class TestAttackInvariants:
 
 
 @pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
-@pytest.mark.parametrize("seed", [0, 1])
-def test_attack_equals_the_reference_loop(cfg, seed):
-    # clamped squared loss on a linear score: a row's input gradient vanishes
-    # once its own prediction reaches the clamp, so stale predictions show
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, (40, 3))
-    y = rng.uniform(-0.5, 0.5, 40)
-    model = ModelState(rng.normal(0.0, 1.0, 4), LinearArch(3, 1))
-    loss = LossSpec(kind="squared", bound_B=1.0)
+def test_pgd_on_an_mlp_stays_in_ball_and_box_and_never_lowers_the_loss(cfg):
+    _, X, y = logistic_case(3)
+    arch = MlpArch((3, 5, 1), output="sigmoid")
+    model = ModelState(np.random.default_rng(3).normal(0.0, 2.0, arch.n_params), arch)
+    X_adv, P = perturb_batch(model, CE, X, y, cfg)
+    assert np.all(np.abs(X_adv - X) <= cfg.epsilon + 1e-12)
+    assert np.all((X_adv >= BOX[0]) & (X_adv <= BOX[1]))
+    clean = loss_values(CE, predict_batch(model, X), y)
+    assert np.all(loss_values(CE, P, y) >= clean)
+    assert np.any(loss_values(CE, P, y) > clean)
+
+
+def pgd_reference(model, loss, X, y, cfg):
+    """The PGD loop written out plainly: every step forwards its own point."""
     best_X = X.copy()
     best = loss_values(loss, predict_batch(model, X), y)
     for X_adv in _restart_starts(X, cfg, np.arange(len(X))):
@@ -76,13 +92,128 @@ def test_attack_equals_the_reference_loop(cfg, seed):
         cand = loss_values(loss, predict_batch(model, X_adv), y)
         best_X[cand > best] = X_adv[cand > best]
         best = np.maximum(best, cand)
-    assert perturb_batch(model, loss, X, y, cfg).tobytes() == best_X.tobytes()
+    return best_X
+
+
+@pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_attack_equals_the_reference_loop(cfg, seed):
+    # clamped squared loss on an MLP with a linear output, which PGD attacks:
+    # a row's input gradient vanishes once its own prediction reaches the
+    # clamp, so stale predictions show
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (40, 3))
+    y = rng.uniform(-0.5, 0.5, 40)
+    arch = MlpArch((3, 4, 1))
+    model = ModelState(rng.normal(0.0, 1.0, arch.n_params), arch)
+    loss = LossSpec(kind="squared", bound_B=1.0)
+    want = pgd_reference(model, loss, X, y, cfg)
+    assert np.any(loss_values(loss, predict_batch(model, want), y) == 1.0)
+    assert perturb_batch(model, loss, X, y, cfg)[0].tobytes() == want.tobytes()
+
+
+def scalar_loss(kind):
+    return CE if kind == "clamped-cross-entropy" else LossSpec(kind=kind, bound_B=1.0)
+
+
+def affine_case(kind, arch, seed, n=30, d=3):
+    """An affine-score model, rows in BOX and labels that suit the loss kind."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    if kind in ("signed-score", "absolute"):
+        y = rng.choice([-1, 1], n)
+    elif kind == "squared":
+        y = rng.uniform(0.0, 1.0, n)
+    else:
+        y = rng.choice([0, 1], n)
+    model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d, 1)
+    model = ModelState(rng.normal(0.0, 1.5, model_arch.n_params), model_arch)
+    return model, X, y
+
+
+def box_of(cfg, boxed):
+    return cfg if boxed else replace(cfg, clamp_box=None)
+
+
+@pytest.mark.parametrize("boxed", [True, False], ids=["box", "no-box"])
+@pytest.mark.parametrize("arch", ["linear", "logistic"])
+@pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+def test_exact_attack_is_at_least_pgd_row_by_row(kind, arch, boxed):
+    for seed, cfg in enumerate(ATTACKS):
+        cfg = box_of(cfg, boxed)
+        model, X, y = affine_case(kind, arch, seed)
+        loss = scalar_loss(kind)
+        _, P = perturb_batch(model, loss, X, y, cfg)
+        pgd = loss_values(loss, predict_batch(model, pgd_reference(model, loss, X, y, cfg)), y)
+        assert np.all(loss_values(loss, P, y) >= pgd)
+
+
+def vertex_maximum(model, loss, X, y, cfg):
+    """Largest loss over the clean rows and every vertex of each row's
+    ball-and-box, by enumerating all 2^d vertices."""
+    lo, hi = X - cfg.epsilon, X + cfg.epsilon
+    if cfg.clamp_box is not None:
+        lo, hi = np.maximum(lo, cfg.clamp_box[0]), np.minimum(hi, cfg.clamp_box[1])
+    d = X.shape[1]
+    best = loss_values(loss, predict_batch(model, X), y)
+    for v in range(2 ** d):
+        upper = ((v >> np.arange(d)) & 1).astype(bool)
+        vertex = np.where(upper, hi, lo)
+        best = np.maximum(best, loss_values(loss, predict_batch(model, vertex), y))
+    return best
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("boxed", [True, False], ids=["box", "no-box"])
+@pytest.mark.parametrize("arch", ["linear", "logistic"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_exact_attack_equals_the_vertex_maximum(kind, arch, boxed, d):
+    cfg = box_of(ATTACKS[1], boxed)
+    model, X, y = affine_case(kind, arch, seed=d, n=40, d=d)
+    loss = scalar_loss(kind)
+    X_adv, P = perturb_batch(model, loss, X, y, cfg)
+    assert np.array_equal(loss_values(loss, P, y), vertex_maximum(model, loss, X, y, cfg))
+    assert np.all(np.abs(X_adv - X) <= cfg.epsilon + 1e-12)
+
+
+def test_exact_attack_leaves_zero_weight_coordinates_alone():
+    _, X, y = logistic_case(5)
+    model = ModelState(np.array([1.5, 0.0, -2.0, 0.3]), LogisticArch(3))
+    X_adv, _ = perturb_batch(model, CE, X, y, ATTACKS[1])
+    assert np.array_equal(X_adv[:, 1], X[:, 1])
+    assert not np.array_equal(X_adv[:, [0, 2]], X[:, [0, 2]])
+
+
+HANDOVER_MODELS = {
+    "logistic": (LogisticArch(3), ATTACKS[1]),
+    "linear-1": (LinearArch(3, 1), ATTACKS[1]),
+    "linear-2": (LinearArch(3, 2), ATTACKS[2]),
+    "mlp": (MlpArch((3, 4, 1), output="sigmoid"), ATTACKS[2]),
+}
+
+
+@pytest.mark.parametrize("name", list(HANDOVER_MODELS))
+def test_returned_predictions_are_those_of_the_returned_rows(name):
+    arch, cfg = HANDOVER_MODELS[name]
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1.0, 1.0, (50, 3))
+    y = rng.choice([0, 1], 50)
+    model = ModelState(rng.normal(0.0, 2.0, arch.n_params), arch)
+    X_adv, P = perturb_batch(model, CE, X, y, cfg)
+    assert P.tobytes() == predict_batch(model, X_adv).tobytes()
+    ds = AdversarialDataset(Dataset(features=X, labels=y), CE, cfg)
+    idx = np.array([3, 0, 41, 3])
+    for part in (ds.realize(model), ds.realize(model, idx)):
+        assert part.predicted_by is model
+        assert part.predictions.tobytes() == predict_batch(model, part.features).tobytes()
 
 
 def test_zero_epsilon_is_the_identity():
     model, X, y = logistic_case(0)
     cfg = AttackConfig(kind="pgd", epsilon=0.0, steps=5, step_size=0.1, restarts=3)
-    assert np.array_equal(perturb_batch(model, CE, X, y, cfg), X)
+    X_adv, P = perturb_batch(model, CE, X, y, cfg)
+    assert np.array_equal(X_adv, X)
+    assert np.array_equal(P, predict_batch(model, X))
     base = Dataset(features=X, labels=y)
     assert adversarial_constraint(base, CE, 0.5, cfg).dataset is base
 
