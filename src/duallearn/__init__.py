@@ -2,10 +2,8 @@
 
 from .bounds import (
     BoundsReport,
-    empirical_rademacher,
     empirical_rademacher_stats,
     gap_report,
-    measure_xi,
     multiplier_bound,
     zeta_rademacher,
     zeta_vc,
@@ -16,9 +14,7 @@ from .core import (
     LossSpec,
     Problem,
     ReferenceTerm,
-    Sample,
     empirical_risk,
-    eval_loss,
 )
 from .errors import (
     ConfigurationError,
@@ -41,12 +37,10 @@ from .models import (
     MlpArch,
     ModelState,
     OptimizerState,
-    grad_input,
     grad_params,
     init_model,
     load_model,
     optimizer_step,
-    predict,
     save_model,
 )
 from .oracle import (
@@ -66,7 +60,6 @@ from .primaldual import (
     TrainConfig,
     TrainTrace,
     dual_update,
-    evaluate_randomized,
     load_trace,
     mixture_risks,
     randomized_solution,
@@ -78,12 +71,10 @@ from .rate import (
     MarginReport,
     SurrogateConfig,
     build_surrogate_lagrangian,
-    indicator_rate_loss,
     margin_check,
-    sigmoid_surrogate,
     surrogate_gap_bound,
 )
-from .robust import AttackConfig, adversarial_constraint
+from .robust import AttackConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,12 +1,11 @@
 """Generalization-bound calculators and the duality-gap report.
 
 Pure formula evaluation: uniform-convergence radii from VC dimension or
-Rademacher complexity, a Monte-Carlo estimator of empirical Rademacher
-complexity over finite achievable-loss-vector sets, the strict-feasibility
-multiplier cap, and the assembled optimality/feasibility gap report. The
-parametrization-richness input nu is not estimable from data and is always
-a user-declared value; the feasibility margin xi can instead be measured
-from a designated strictly feasible model.
+Rademacher complexity, a Monte-Carlo estimator (with its standard error) of
+empirical Rademacher complexity over finite achievable-loss-vector sets, the
+strict-feasibility multiplier cap, and the assembled optimality/feasibility
+gap report. The parametrization-richness input nu and the feasibility
+margin xi are user-declared values.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Problem
 from .errors import InputError
-from .lagrangian import constraint_risk
-from .models import ModelState
 
 
 def _check_common(N: int, delta: float, B: float) -> None:
@@ -79,11 +75,6 @@ def empirical_rademacher_stats(loss_matrix: np.ndarray, draws: int,
     return est, stderr
 
 
-def empirical_rademacher(loss_matrix: np.ndarray, draws: int, seed: int = 0) -> float:
-    """Monte-Carlo empirical Rademacher complexity of a finite vector set."""
-    return empirical_rademacher_stats(loss_matrix, draws, seed)[0]
-
-
 def multiplier_bound(B: float, xi: float) -> float:
     """B / xi, an upper bound on every relevant optimal multiplier l1-norm."""
     if B <= 0:
@@ -93,21 +84,6 @@ def multiplier_bound(B: float, xi: float) -> float:
             f"xi must be positive (no strictly feasible margin available), got {xi}"
         )
     return B / xi
-
-
-def measure_xi(model: ModelState, problem: Problem) -> float:
-    """Strict-feasibility margin of a user-designated model:
-    min_i (c_i - constraint risk). Nonpositive margins are an error, since
-    the model was supposed to be strictly feasible."""
-    if problem.m == 0:
-        raise InputError("xi is undefined for unconstrained problems")
-    margins = [c.threshold_c - constraint_risk(model, c) for c in problem.constraints]
-    xi = min(margins)
-    if xi <= 0:
-        raise InputError(
-            f"designated model is not strictly feasible: min margin {xi:.6g} <= 0"
-        )
-    return xi
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,23 @@ Four commands over a single JSON config tree:
   fraction of trials landing on the doubled population objective.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
-Configs are validated strictly (unknown keys are rejected, with full key
-paths in the error); every defaulted value is materialized into
-config_echo.json so reruns are exactly reproducible. Output files contain
-no timestamps: identical inputs give byte-identical outputs.
+Configs are validated strictly, with the full key path in every error.
+Each section that configures a dataclass (every loss, surrogate and attack,
+the model architecture, the gradient inner solver, the dual schedule and the
+csv schema) takes its keys, types and defaults from that dataclass (see
+`duallearn.config`); a hand-written schema covers the structure around them.
+Unknown keys, keys of a variant other than the one selected, and nulls
+where a key takes none are refused. config_echo.json holds every value the
+run used, defaults included, and is itself a config: training from it
+reproduces the run. Output files contain no timestamps: identical inputs
+give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,15 +42,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
+from .config import check, from_config, read, require
 from .core import ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
 from .data import CsvSchema, group_split, load_csv, synth_two_gaussians
 from .errors import ConfigurationError, DualLearnError
 from .lagrangian import InnerSolverConfig
 from .models import (
-    LinearArch,
-    LogisticArch,
-    MlpArch,
     ModelState,
+    arch_from_dict,
     arch_to_dict,
     init_model,
     load_model,
@@ -65,131 +71,43 @@ from .robust import AdversarialDataset, AttackConfig
 ENV_OUT = "DUALLEARN_OUT"
 
 
-# --- strict config validation -------------------------------------------------
-
-_NUM = (int, float)
-
-_LOSS_KEYS = {
-    "kind": str, "bound_B": _NUM, "lipschitz_M": _NUM, "clamp_p_min": _NUM,
-    "rate_shift": _NUM, "rate_slope": _NUM,
-}
-_DATASET_KEYS = {
-    "kind": str, "path": str, "label_column": str, "feature_columns": list,
-    "group_column": str, "label_kind": str,
-    "dim": int, "means": list, "sigma": _NUM, "n": int, "seed": int,
-}
-_REFERENCE_KEYS = {"dataset": str, "group": str, "loss": dict}
-_CONSTRAINT_KEYS = {
-    "loss": dict, "threshold_c": _NUM, "dataset": str, "group": str,
-    "adversarial": bool, "surrogate": dict, "reference": dict, "name": str,
-}
-_SURROGATE_KEYS = {"slope_a": _NUM, "shift": _NUM, "enabled_in_primal": bool}
-_ATTACK_KEYS = {
-    "kind": str, "epsilon": _NUM, "steps": int, "step_size": _NUM,
-    "restarts": int, "clamp_lo": _NUM, "clamp_hi": _NUM, "seed": int,
-    "preset": str,
-}
-_SCHEMA = {
-    "seed": int,
-    "problem": {
-        "datasets": dict,  # name -> dataset spec, validated separately
-        "objective": {"loss": dict, "dataset": str, "adversarial": bool},
-        "constraints": list,
-    },
-    "model": {
-        "arch": str, "in_dim": int, "out_dim": int, "bias": bool,
-        "widths": list, "activation": str, "output": str, "init_seed": int,
-    },
-    "inner": {
-        "method": str, "epochs": int, "batch_size": int, "optimizer": str,
-        "step_size": _NUM, "warm_start": bool,
-        "grid_lo": list, "grid_hi": list, "grid_points": int,
-    },
-    "dual": {"iterations_T": int, "step_eta": _NUM, "method": str, "snapshot_stride": int},
-    "attack": _ATTACK_KEYS,
-    "surrogate": _SURROGATE_KEYS,
-    "bounds": {
-        "B": _NUM, "M": _NUM, "nu": _NUM, "xi": _NUM, "delta": _NUM,
-        "N": int, "d_vc": _NUM, "R_N": _NUM, "zetas": list, "Delta": _NUM,
-        "thresholds_c": list,
-    },
-    "output": {"save_theta": bool},
-}
+# The structure around the dataclass sections.
+_OBJECTIVE = {"loss": dict, "dataset": str, "adversarial": bool}
+_CONSTRAINT = {"loss": dict, "threshold_c": float, "dataset": str, "group": str | None,
+               "adversarial": bool, "surrogate": dict | None, "reference": dict | None,
+               "name": str}
+_REFERENCE = {"dataset": str, "group": str | None, "loss": dict | None}
+_BOUNDS = {**dict.fromkeys(("B", "M", "nu", "xi", "delta", "d_vc", "R_N", "Delta"), float),
+           "N": int, "zetas": tuple[float, ...], "thresholds_c": tuple[float, ...]}
+_TOP = {"seed": int, "model": dict, "inner": dict, "dual": dict,
+        "problem": {"datasets": dict, "objective": _OBJECTIVE, "constraints": list | None},
+        "attack": dict | None, "surrogate": dict | None, "bounds": _BOUNDS,
+        "output": {"save_theta": bool}}
+_TWO_GAUSSIANS = {"kind": str, "dim": int, "means": tuple[tuple[float, ...], ...],
+                  "sigma": float, "n": int, "seed": int}
+_ENUMERATION = {"method": str, "grid_lo": tuple[float, ...], "grid_hi": tuple[float, ...],
+                "grid_points": int}
+_DUAL_KEYS = {"dual_step_eta": "step_eta", "dual_method": "method"}
 
 
-def _type_ok(value, expected) -> bool:
-    if expected is _NUM:
-        return isinstance(value, _NUM) and not isinstance(value, bool)
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
+def validate_config(cfg) -> dict:
+    """The config with its top-level structure checked and its numbers read
+    as their types: unknown keys, mistyped values and nulls where a key
+    takes none are refused with their full key paths. Each constraint and
+    each dataclass section is checked as it is built (see `duallearn.config`)."""
+    return read(cfg, _TOP, "")
 
 
-def _validate_keys(node: dict, allowed: dict, path: str) -> None:
-    if not isinstance(node, dict):
-        raise ConfigurationError(f"config key {path or '<root>'} must be an object")
-    for key, value in node.items():
-        if key not in allowed:
-            raise ConfigurationError(f"unknown config key {path}{key}")
-        spec = allowed[key]
-        if isinstance(spec, dict) and not _type_ok(value, dict):
-            raise ConfigurationError(f"config key {path}{key} must be an object")
-        if isinstance(spec, dict):
-            _validate_keys(value, spec, f"{path}{key}.")
-        elif value is not None and not _type_ok(value, spec):
-            want = "number" if spec is _NUM else getattr(spec, "__name__", str(spec))
-            raise ConfigurationError(
-                f"config key {path}{key} must be a {want}, got {type(value).__name__}"
-            )
+# --- builders (each returns the object plus the echo of the values it used) ----
 
-
-def validate_config(cfg: dict) -> None:
-    """Reject unknown keys and mistyped values, reporting full key paths."""
-    _validate_keys(cfg, _SCHEMA, "")
-    problem = cfg.get("problem", {})
-    for name, spec in problem.get("datasets", {}).items():
-        _validate_keys(spec, _DATASET_KEYS, f"problem.datasets.{name}.")
-    for i, c in enumerate(problem.get("constraints", []) or []):
-        _validate_keys(c, _CONSTRAINT_KEYS, f"problem.constraints[{i}].")
-        if "loss" in c:
-            _validate_keys(c["loss"], _LOSS_KEYS, f"problem.constraints[{i}].loss.")
-        if "surrogate" in c and c["surrogate"] is not None:
-            _validate_keys(c["surrogate"], _SURROGATE_KEYS,
-                           f"problem.constraints[{i}].surrogate.")
-        if "reference" in c and c["reference"] is not None:
-            _validate_keys(c["reference"], _REFERENCE_KEYS,
-                           f"problem.constraints[{i}].reference.")
-            if "loss" in c["reference"]:
-                _validate_keys(c["reference"]["loss"], _LOSS_KEYS,
-                               f"problem.constraints[{i}].reference.loss.")
-    obj = problem.get("objective")
-    if obj is not None and "loss" in obj:
-        _validate_keys(obj["loss"], _LOSS_KEYS, "problem.objective.loss.")
-
-
-def _require(cfg: dict, key: str, context: str):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigurationError(f"missing config key {context}{key}")
-    return cfg[key]
-
-
-# --- builders (each returns the object plus its fully-defaulted echo) ----------
-
-def _build_loss(spec: dict, context: str) -> tuple[LossSpec, dict]:
-    kind = _require(spec, "kind", context)
-    if kind == "clamped-cross-entropy" and "bound_B" not in spec:
-        loss = LossSpec.cross_entropy(clamp_p_min=spec.get("clamp_p_min", 1e-6),
-                                      lipschitz_M=spec.get("lipschitz_M"))
-    else:
-        loss = LossSpec(kind=kind, bound_B=_require(spec, "bound_B", context),
-                        lipschitz_M=spec.get("lipschitz_M"),
-                        clamp_p_min=spec.get("clamp_p_min", 1e-6),
-                        rate_shift=spec.get("rate_shift", 0.5),
-                        rate_slope=spec.get("rate_slope", 8.0))
-    echo = {"kind": loss.kind, "bound_B": loss.bound_B, "lipschitz_M": loss.lipschitz_M,
-            "clamp_p_min": loss.clamp_p_min, "rate_shift": loss.rate_shift,
-            "rate_slope": loss.rate_slope}
-    return loss, echo
+def _build_loss(spec, path: str) -> tuple[LossSpec, dict]:
+    defaults = {}
+    if spec.get("kind") == "clamped-cross-entropy":
+        # the one bound LossSpec accepts; it refuses a clamp outside (0, 1/2)
+        # before it reads bound_B
+        defaults["bound_B"] = lambda v: (-math.log(v["clamp_p_min"]) if v["clamp_p_min"] > 0
+                                         else math.inf)
+    return from_config(LossSpec, spec, path, defaults)
 
 
 _ATTACK_PRESETS = {
@@ -197,92 +115,65 @@ _ATTACK_PRESETS = {
     "pgd-evaluation": AttackConfig.pgd_evaluation,
     "fgsm": AttackConfig.fgsm,
 }
+_PRESET_KEYS = ("kind", "steps", "step_size", "restarts")
+# Attack keys that are not AttackConfig fields: the preset and the clamp box.
+_ATTACK_OWN = {"preset": str | None, "clamp_lo": float | None, "clamp_hi": float | None}
 
 
-def _build_attack(spec: dict, seed: int) -> tuple[AttackConfig, dict]:
-    if (spec.get("clamp_lo") is None) != (spec.get("clamp_hi") is None):
+def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
+    own = read({k: v for k, v in spec.items() if k in _ATTACK_OWN}, _ATTACK_OWN, "attack.")
+    rest = {k: v for k, v in spec.items() if k not in _ATTACK_OWN}
+    lo, hi = own.get("clamp_lo"), own.get("clamp_hi")
+    if (lo is None) != (hi is None):
         raise ConfigurationError(
             "attack.clamp_lo and attack.clamp_hi must be given together: "
             "the clamp box needs both bounds")
-    clamp = None
-    if spec.get("clamp_lo") is not None:
-        clamp = (float(spec["clamp_lo"]), float(spec["clamp_hi"]))
-    preset = spec.get("preset")
-    eps = float(_require(spec, "epsilon", "attack."))
-    aseed = spec.get("seed", seed)
-    if preset is None:
-        cfg = AttackConfig(kind=_require(spec, "kind", "attack."), epsilon=eps,
-                           steps=spec.get("steps", 1),
-                           step_size=spec.get("step_size", eps),
-                           restarts=spec.get("restarts", 1), clamp_box=clamp,
-                           seed=aseed)
-    elif preset in _ATTACK_PRESETS:
-        for key in ("kind", "steps", "step_size", "restarts"):
-            if spec.get(key) is not None:
+    defaults = {"seed": seed, "step_size": lambda v: v["epsilon"]}
+    preset = own.get("preset")
+    if preset is not None:
+        if preset not in _ATTACK_PRESETS:
+            raise ConfigurationError(f"unknown attack preset {preset!r}")
+        for key in _PRESET_KEYS:
+            if key in rest:
                 raise ConfigurationError(
                     f"attack.{key} cannot be combined with attack.preset {preset!r}, "
                     "which sets it")
-        cfg = _ATTACK_PRESETS[preset](eps, clamp_box=clamp, seed=aseed)
-    else:
-        raise ConfigurationError(f"unknown attack preset {preset!r}")
-    echo = {"kind": cfg.kind, "epsilon": cfg.epsilon, "steps": cfg.steps,
-            "step_size": cfg.step_size, "restarts": cfg.restarts,
-            "clamp_lo": None if clamp is None else clamp[0],
-            "clamp_hi": None if clamp is None else clamp[1], "seed": cfg.seed,
-            "projection_order": "ball-then-box"}
-    return cfg, echo
+        made = _ATTACK_PRESETS[preset](
+            check(require(rest, "epsilon", "attack."), float, "attack.epsilon"))
+        defaults = {"seed": seed, **{key: getattr(made, key) for key in _PRESET_KEYS}}
+    cfg, echo = from_config(AttackConfig, rest, "attack.", defaults,
+                            clamp_box=None if lo is None else (lo, hi))
+    return cfg, {**echo, "clamp_lo": lo, "clamp_hi": hi}
 
 
-def _build_surrogate(spec: dict | None) -> tuple[SurrogateConfig | None, dict | None]:
-    if spec is None:
-        return None, None
-    cfg = SurrogateConfig(slope_a=spec.get("slope_a", 8.0),
-                          shift=spec.get("shift", 0.5),
-                          enabled_in_primal=spec.get("enabled_in_primal", True))
-    return cfg, {"slope_a": cfg.slope_a, "shift": cfg.shift,
-                 "enabled_in_primal": cfg.enabled_in_primal}
+def _build_surrogate(spec, path: str) -> tuple[SurrogateConfig | None, dict | None]:
+    return (None, None) if spec is None else from_config(SurrogateConfig, spec, path)
 
 
-def _build_datasets(problem_cfg: dict, base_dir: Path):
+def _build_datasets(specs: dict, base_dir: Path):
     """Load every declared dataset; returns name -> (Dataset, groups or None)."""
     out: dict[str, tuple[Dataset, tuple[str, ...] | None]] = {}
     echo: dict[str, dict] = {}
-    for name, spec in _require(problem_cfg, "datasets", "problem.").items():
-        kind = _require(spec, "kind", f"problem.datasets.{name}.")
+    for name, spec in specs.items():
+        ctx = f"problem.datasets.{name}."
+        kind = require(check(spec, dict, ctx.rstrip(".")), "kind", ctx)
         if kind == "csv":
-            schema = CsvSchema(
-                label_column=_require(spec, "label_column", f"problem.datasets.{name}."),
-                feature_columns=tuple(_require(spec, "feature_columns",
-                                               f"problem.datasets.{name}.")),
-                group_column=spec.get("group_column"),
-                label_kind=spec.get("label_kind", "class"),
-            )
-            path = Path(spec["path"])
+            rest = {k: v for k, v in spec.items() if k not in ("kind", "path")}
+            schema, values = from_config(CsvSchema, rest, ctx)
+            path = Path(check(require(spec, "path", ctx), str, ctx + "path"))
             if not path.is_absolute():
                 path = base_dir / path
             ds, groups = load_csv(path, schema)
-            ds = Dataset(features=ds.features, labels=ds.labels, name=name)
-            out[name] = (ds, groups)
-            echo[name] = {"kind": "csv", "path": str(path),
-                          "label_column": schema.label_column,
-                          "feature_columns": list(schema.feature_columns),
-                          "group_column": schema.group_column,
-                          "label_kind": schema.label_kind}
+            echo[name] = {"kind": "csv", "path": str(path), **values}
         elif kind == "two-gaussians":
-            ds = synth_two_gaussians(
-                dim=_require(spec, "dim", f"problem.datasets.{name}."),
-                means=_require(spec, "means", f"problem.datasets.{name}."),
-                sigma=_require(spec, "sigma", f"problem.datasets.{name}."),
-                N=_require(spec, "n", f"problem.datasets.{name}."),
-                seed=spec.get("seed", 0),
-            )
-            ds = Dataset(features=ds.features, labels=ds.labels, name=name)
-            out[name] = (ds, None)
-            echo[name] = {"kind": "two-gaussians", "dim": spec["dim"],
-                          "means": spec["means"], "sigma": spec["sigma"],
-                          "n": spec["n"], "seed": spec.get("seed", 0)}
+            values = echo[name] = {"seed": 0, **read(spec, _TWO_GAUSSIANS, ctx)}
+            dim, means, sigma, n = (require(values, key, ctx)
+                                    for key in ("dim", "means", "sigma", "n"))
+            ds = synth_two_gaussians(dim, means, sigma, n, values["seed"])
+            groups = None
         else:
-            raise ConfigurationError(f"problem.datasets.{name}.kind: unknown kind {kind!r}")
+            raise ConfigurationError(f"{ctx}kind: unknown kind {kind!r}")
+        out[name] = (Dataset(features=ds.features, labels=ds.labels, name=name), groups)
     return out, echo
 
 
@@ -301,12 +192,13 @@ def _dataset_ref(datasets, name: str, group: str | None, context: str) -> Datase
 
 
 def _build_problem(cfg: dict, base_dir: Path, seed: int):
-    problem_cfg = _require(cfg, "problem", "")
-    datasets, ds_echo = _build_datasets(problem_cfg, base_dir)
+    """(problem, its echo, the attack echo, the default surrogate echo)."""
+    problem_cfg = require(cfg, "problem", "")
+    datasets, ds_echo = _build_datasets(require(problem_cfg, "datasets", "problem."), base_dir)
     attack_cfg, attack_echo = (None, None)
     if cfg.get("attack") is not None:
         attack_cfg, attack_echo = _build_attack(cfg["attack"], seed)
-    default_sur, default_sur_echo = _build_surrogate(cfg.get("surrogate"))
+    default_sur, default_sur_echo = _build_surrogate(cfg.get("surrogate"), "surrogate.")
     # Equal loss specs become one object: evaluations key losses by identity.
     shared: dict[LossSpec, LossSpec] = {}
 
@@ -314,91 +206,60 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
         loss, echo = _build_loss(spec, context)
         return shared.setdefault(loss, loss), echo
 
-    obj_cfg = _require(problem_cfg, "objective", "problem.")
-    obj_loss, obj_loss_echo = build_loss(_require(obj_cfg, "loss", "problem.objective."),
-                                          "problem.objective.loss.")
-    obj_ds = _dataset_ref(datasets, _require(obj_cfg, "dataset", "problem.objective."),
-                          None, "problem.objective.dataset")
-    obj_adv = obj_cfg.get("adversarial", False)
-    if obj_adv:
-        if attack_cfg is None:
-            raise ConfigurationError("problem.objective.adversarial needs an attack section")
-        objective_dataset = AdversarialDataset(obj_ds, obj_loss, attack_cfg)
-    else:
-        objective_dataset = obj_ds
-
-    constraints = []
-    con_echo = []
-    for i, c in enumerate(problem_cfg.get("constraints", []) or []):
-        ctx = f"problem.constraints[{i}]"
-        loss, loss_echo = build_loss(_require(c, "loss", ctx + "."), ctx + ".loss.")
-        ds = _dataset_ref(datasets, _require(c, "dataset", ctx + "."),
-                          c.get("group"), ctx + ".dataset")
-        dataset = ds
-        if c.get("adversarial", False):
+    def term(spec: dict, ctx: str):
+        """(loss, its echo, dataset) of the objective or of a constraint."""
+        loss, loss_echo = build_loss(require(spec, "loss", ctx + "."), ctx + ".loss.")
+        ds = _dataset_ref(datasets, require(spec, "dataset", ctx + "."),
+                          spec.get("group"), ctx + ".dataset")
+        if spec.get("adversarial", False):
             if attack_cfg is None:
                 raise ConfigurationError(f"{ctx}.adversarial needs an attack section")
-            dataset = AdversarialDataset(ds, loss, attack_cfg)
-        reference = None
-        ref_echo = None
+            ds = AdversarialDataset(ds, loss, attack_cfg)
+        return loss, loss_echo, ds
+
+    obj_cfg = require(problem_cfg, "objective", "problem.")
+    obj_loss, obj_loss_echo, obj_ds = term(obj_cfg, "problem.objective")
+    constraints = []
+    con_echo = []
+    for i, c in enumerate(problem_cfg.get("constraints") or []):
+        ctx = f"problem.constraints[{i}]"
+        c = read(c, _CONSTRAINT, ctx + ".")
+        loss, loss_echo, dataset = term(c, ctx)
+        reference = ref_echo = None
         if c.get("reference") is not None:
-            rspec = c["reference"]
+            rspec = read(c["reference"], _REFERENCE, ctx + ".reference.")
             rloss, rloss_echo = (build_loss(rspec["loss"], ctx + ".reference.loss.")
                                  if rspec.get("loss") is not None else (loss, loss_echo))
-            rds = _dataset_ref(datasets, _require(rspec, "dataset", ctx + ".reference."),
+            rds = _dataset_ref(datasets, require(rspec, "dataset", ctx + ".reference."),
                                rspec.get("group"), ctx + ".reference.dataset")
             reference = ReferenceTerm(loss=rloss, dataset=rds)
-            ref_echo = {"dataset": rspec["dataset"], "group": rspec.get("group"),
-                        "loss": rloss_echo}
-        sur, sur_echo = _build_surrogate(c.get("surrogate"))
+            ref_echo = {"group": None, **rspec, "loss": rloss_echo}
+        sur, sur_echo = _build_surrogate(c.get("surrogate"), ctx + ".surrogate.")
         if sur is None:
             sur, sur_echo = default_sur, default_sur_echo
+        echo = {"group": None, "adversarial": False, "name": f"constraint-{i}", **c,
+                "loss": loss_echo, "surrogate": sur_echo, "reference": ref_echo}
         constraints.append(ConstraintSpec(
-            loss=loss, threshold_c=float(_require(c, "threshold_c", ctx + ".")),
-            dataset=dataset, surrogate=sur, reference=reference,
-            name=c.get("name", f"constraint-{i}"),
-        ))
-        con_echo.append({"loss": loss_echo, "threshold_c": float(c["threshold_c"]),
-                         "dataset": c["dataset"], "group": c.get("group"),
-                         "adversarial": c.get("adversarial", False),
-                         "surrogate": sur_echo, "reference": ref_echo,
-                         "name": c.get("name", f"constraint-{i}")})
+            loss=loss, threshold_c=require(c, "threshold_c", ctx + "."), dataset=dataset,
+            surrogate=sur, reference=reference, name=echo["name"]))
+        con_echo.append(echo)
 
-    problem = Problem(objective_loss=obj_loss, objective_dataset=objective_dataset,
+    problem = Problem(objective_loss=obj_loss, objective_dataset=obj_ds,
                       constraints=tuple(constraints), name="configured")
-    echo = {"datasets": ds_echo,
-            "objective": {"loss": obj_loss_echo,
-                          "dataset": obj_cfg["dataset"], "adversarial": obj_adv},
-            "constraints": con_echo}
-    return problem, echo, attack_echo, datasets
+    echo = {"datasets": ds_echo, "constraints": con_echo,
+            "objective": {"adversarial": False, **obj_cfg, "loss": obj_loss_echo}}
+    return problem, echo, attack_echo, default_sur_echo
 
 
-def _build_model(cfg: dict, seed: int):
-    model_cfg = _require(cfg, "model", "")
-    arch_kind = _require(model_cfg, "arch", "model.")
-    if arch_kind == "linear":
-        arch = LinearArch(in_dim=_require(model_cfg, "in_dim", "model."),
-                          out_dim=model_cfg.get("out_dim", 1),
-                          bias=model_cfg.get("bias", True))
-    elif arch_kind == "logistic":
-        arch = LogisticArch(in_dim=_require(model_cfg, "in_dim", "model."))
-    elif arch_kind == "mlp":
-        arch = MlpArch(widths=tuple(_require(model_cfg, "widths", "model.")),
-                       activation=model_cfg.get("activation", "tanh"),
-                       output=model_cfg.get("output", "linear"))
-    else:
-        raise ConfigurationError(f"model.arch: unknown architecture {arch_kind!r}")
-    init_seed = model_cfg.get("init_seed", seed)
-    model = init_model(arch, seed=init_seed)
-    echo = dict(arch_to_dict(arch))
-    echo["init_seed"] = init_seed
-    return model, echo
+def _build_model(spec: dict, seed: int):
+    arch = arch_from_dict({k: v for k, v in spec.items() if k != "init_seed"}, "model.", "arch")
+    init_seed = check(spec.get("init_seed", seed), int, "model.init_seed")
+    return init_model(arch, seed=init_seed), {**arch_to_dict(arch, "arch"), "init_seed": init_seed}
 
 
-def _grid_candidates(arch, lo, hi, points: int) -> tuple[ModelState, ...]:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != (arch.n_params,) or hi.shape != (arch.n_params,):
+def _grid_candidates(arch, lo: tuple[float, ...], hi: tuple[float, ...],
+                     points: int) -> tuple[ModelState, ...]:
+    if len(lo) != arch.n_params or len(hi) != arch.n_params:
         raise ConfigurationError(
             f"inner.grid_lo/grid_hi must have {arch.n_params} entries for this model"
         )
@@ -408,28 +269,13 @@ def _grid_candidates(arch, lo, hi, points: int) -> tuple[ModelState, ...]:
     return tuple(ModelState(params=row, arch=arch) for row in flat)
 
 
-def _build_inner(cfg: dict, arch) -> tuple[InnerSolverConfig, dict]:
-    inner_cfg = _require(cfg, "inner", "")
-    method = _require(inner_cfg, "method", "inner.")
-    if method == "enumeration":
-        points = inner_cfg.get("grid_points", 200)
-        cands = _grid_candidates(arch, _require(inner_cfg, "grid_lo", "inner."),
-                                 _require(inner_cfg, "grid_hi", "inner."), points)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
-        echo = {"method": "enumeration", "grid_lo": inner_cfg["grid_lo"],
-                "grid_hi": inner_cfg["grid_hi"], "grid_points": points}
-        return inner, echo
-    inner = InnerSolverConfig(
-        method="gradient", epochs=inner_cfg.get("epochs", 1),
-        batch_size=inner_cfg.get("batch_size"),
-        optimizer=inner_cfg.get("optimizer", "adam"),
-        step_size=inner_cfg.get("step_size", 1e-2),
-        warm_start=inner_cfg.get("warm_start", True),
-    )
-    echo = {"method": "gradient", "epochs": inner.epochs, "batch_size": inner.batch_size,
-            "optimizer": inner.optimizer, "step_size": inner.step_size,
-            "warm_start": inner.warm_start}
-    return inner, echo
+def _build_inner(spec: dict, arch) -> tuple[InnerSolverConfig, dict]:
+    if spec.get("method") != "enumeration":
+        return from_config(InnerSolverConfig, spec, "inner.", candidates=None)
+    values = {"grid_points": 200, **read(spec, _ENUMERATION, "inner.")}
+    cands = _grid_candidates(arch, require(values, "grid_lo", "inner."),
+                             require(values, "grid_hi", "inner."), values["grid_points"])
+    return InnerSolverConfig(method="enumeration", candidates=cands), values
 
 
 def _out_dir(args, command: str) -> Path:
@@ -446,48 +292,37 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config(path: str) -> tuple[dict, Path]:
-    p = Path(path)
+def _load_config(args) -> tuple[dict, Path, int]:
+    """The checked config of `args.config`, its directory and the run seed."""
+    p = Path(args.config)
     try:
         cfg = json.loads(p.read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {p}") from None
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"{p}: invalid JSON ({err})") from None
-    validate_config(cfg)
-    return cfg, p.parent
+    cfg = validate_config(cfg)
+    return cfg, p.parent, args.seed if args.seed is not None else cfg.get("seed", 0)
 
 
 # --- commands ------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg, base_dir = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    cfg, base_dir, seed = _load_config(args)
     out = _out_dir(args, "train")
 
-    problem, problem_echo, attack_echo, _ = _build_problem(cfg, base_dir, seed)
-    model, model_echo = _build_model(cfg, seed)
-    inner, inner_echo = _build_inner(cfg, model.arch)
-
-    dual_cfg = _require(cfg, "dual", "")
-    tcfg = TrainConfig(
-        iterations_T=_require(dual_cfg, "iterations_T", "dual."),
-        dual_step_eta=_require(dual_cfg, "step_eta", "dual."),
-        inner=inner,
-        dual_method=dual_cfg.get("method", "projected-ascent"),
-        seed=seed,
-        snapshot_stride=dual_cfg.get("snapshot_stride", 1),
-    )
-    dual_echo = {"iterations_T": tcfg.iterations_T, "step_eta": tcfg.dual_step_eta,
-                 "method": tcfg.dual_method, "snapshot_stride": tcfg.snapshot_stride}
+    problem, problem_echo, attack_echo, surrogate_echo = _build_problem(cfg, base_dir, seed)
+    model, model_echo = _build_model(require(cfg, "model", ""), seed)
+    inner, inner_echo = _build_inner(require(cfg, "inner", ""), model.arch)
+    tcfg, dual_echo = from_config(TrainConfig, require(cfg, "dual", ""), "dual.",
+                                  keys=_DUAL_KEYS, inner=inner, seed=seed)
 
     primal_problem = build_surrogate_lagrangian(problem)
-    save_theta = (cfg.get("output") or {}).get("save_theta", True)
+    save_theta = cfg.get("output", {}).get("save_theta", True)
 
     echo = {"seed": seed, "problem": problem_echo, "model": model_echo,
             "inner": inner_echo, "dual": dual_echo, "attack": attack_echo,
-            "surrogate": (cfg.get("surrogate") and _build_surrogate(cfg["surrogate"])[1]),
-            "output": {"save_theta": save_theta}}
+            "surrogate": surrogate_echo, "output": {"save_theta": save_theta}}
     _write_json(out / "config_echo.json", echo)
 
     trace, final_model, final_mu = train(
@@ -542,8 +377,7 @@ def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
 
 
 def cmd_eval(args) -> int:
-    cfg, base_dir = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    cfg, base_dir, seed = _load_config(args)
     out = _out_dir(args, "eval")
     problem, problem_echo, attack_echo, _ = _build_problem(cfg, base_dir, seed)
 
@@ -568,8 +402,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_example1(args) -> int:
+    try:
+        ns = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        ns = []
+    if not ns or min(ns) < 1 or len(set(ns)) != len(ns):
+        raise ConfigurationError(
+            f"--n must be distinct comma-separated sample sizes >= 1, got {args.n!r}")
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     out = _out_dir(args, "example1")
-    ns = [int(v) for v in args.n.split(",")]
     jobs = [(n, args.seed + t) for n in ns for t in range(args.trials)]
     if args.parallel_trials > 1:
         with ProcessPoolExecutor(max_workers=args.parallel_trials) as pool:
@@ -600,9 +442,9 @@ def _trial_star(job) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    cfg, _ = _load_config(args.config)
+    cfg, _, _ = _load_config(args)
     out = _out_dir(args, "bounds")
-    b = _require(cfg, "bounds", "")
+    b = require(cfg, "bounds", "")
     summary: dict = {"command": "bounds"}
 
     zetas = b.get("zetas")
@@ -610,11 +452,11 @@ def cmd_bounds(args) -> int:
     if zetas is None and b.get("N") is not None:
         if b.get("d_vc") is not None:
             zetas = [bounds_mod.zeta_vc(b["N"], b["d_vc"], b.get("delta", 0.05),
-                                        _require(b, "B", "bounds."))]
+                                        require(b, "B", "bounds."))]
             zeta_source = "vc"
         elif b.get("R_N") is not None:
             zetas = [bounds_mod.zeta_rademacher(b["N"], b["R_N"], b.get("delta", 0.05),
-                                                _require(b, "B", "bounds."))]
+                                                require(b, "B", "bounds."))]
             zeta_source = "rademacher"
     if b.get("B") is not None and b.get("xi") is not None:
         summary["Delta_cap"] = bounds_mod.multiplier_bound(b["B"], b["xi"])

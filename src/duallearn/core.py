@@ -1,18 +1,18 @@
 """Domain types and bounded-loss evaluation.
 
 Everything downstream (Lagrangians, attacks, rate surrogates, oracles) is
-built on four value types -- Sample, Dataset, LossSpec, ConstraintSpec --
-plus the Problem container and two operations: per-sample loss evaluation
-and empirical (sample-average) risk. All types are immutable after
-construction and safe to share across threads.
+built on three value types -- Dataset, LossSpec, ConstraintSpec -- plus the
+Problem container and two batch operations: per-row loss values (and their
+gradients) for a prediction matrix, and empirical (sample-average) risk.
+All types are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -65,30 +65,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One (features, label) pair. Labels are class indices or real scalars."""
-
-    features: np.ndarray
-    label: int | float
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise InputError(f"sample features must be a vector, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise InputError("sample features must be finite")
-        if not math.isfinite(float(self.label)):
-            raise InputError("sample label must be finite")
-        object.__setattr__(self, "features", _readonly(feats))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An ordered, nonempty collection of samples with a fixed feature dimension.
 
     Stored columnwise (an (N, d) feature matrix and an (N,) label vector) so
-    that million-sample Monte-Carlo sets stay cheap; `samples` materialises
-    Sample views on demand.
+    that million-sample Monte-Carlo sets stay cheap. Labels are class
+    indices or real scalars.
 
     A set cut from another by `subset` is a view: it records the table it
     was cut from (`root`, never itself a view) and its `rows` there, so that
@@ -133,34 +115,12 @@ class Dataset:
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "labels", _readonly(labels))
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], name: str = "dataset") -> Dataset:
-        if len(samples) == 0:
-            raise InputError("dataset must be nonempty")
-        dims = {s.features.shape[0] for s in samples}
-        if len(dims) != 1:
-            raise InputError(f"inhomogeneous feature dimensions in dataset: {sorted(dims)}")
-        feats = np.stack([s.features for s in samples])
-        labels = np.asarray([s.label for s in samples])
-        return cls(features=feats, labels=labels, name=name)
-
     def __len__(self) -> int:
         return self.features.shape[0]
 
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        label = self.labels[i]
-        return Sample(self.features[i].copy(), label.item())
-
-    @cached_property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(self.sample(i) for i in range(len(self)))
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self.sample(i) for i in range(len(self)))
 
     def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
         """The view of the `indices` rows, in that order; a subset of a view
@@ -223,13 +183,14 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
+        # before bound_B, which a cross-entropy loss derives from clamp_p_min
+        if self.kind == "clamped-cross-entropy" and not (0.0 < self.clamp_p_min < 0.5):
+            raise ConfigurationError("clamp_p_min must lie in (0, 1/2)")
         if not (math.isfinite(self.bound_B) and self.bound_B > 0):
             raise ConfigurationError(f"bound_B must be positive, got {self.bound_B}")
         if self.lipschitz_M is not None and self.lipschitz_M <= 0:
             raise ConfigurationError("lipschitz_M must be positive when given")
         if self.kind == "clamped-cross-entropy":
-            if not (0.0 < self.clamp_p_min < 0.5):
-                raise ConfigurationError("clamp_p_min must lie in (0, 1/2)")
             expected = -math.log(self.clamp_p_min)
             if not math.isclose(self.bound_B, expected, rel_tol=1e-9):
                 raise ConfigurationError(
@@ -471,14 +432,6 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
         s = stable_sigmoid(loss.rate_slope * (z - loss.rate_shift))
         grads[:, 0] = loss.rate_slope * s * (1.0 - s)
     return grads
-
-
-def eval_loss(loss: LossSpec, prediction: np.ndarray | Sequence[float], label: int | float) -> float:
-    """Evaluate one loss on a single (prediction, label) pair."""
-    p = np.atleast_1d(np.asarray(prediction, dtype=float))
-    if p.ndim != 1:
-        raise InputError(f"prediction must be a vector, got shape {p.shape}")
-    return float(loss_values(loss, p[None, :], np.asarray([label]))[0])
 
 
 def dataset_risk(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> float:

@@ -41,7 +41,11 @@ class CsvSchema:
 def load_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, tuple[str, ...] | None]:
     """Read a dataset in file row order; returns (dataset, group labels or None)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as err:
+        raise InputError(f"{path}: cannot open the dataset: {err.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

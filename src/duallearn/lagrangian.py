@@ -16,7 +16,6 @@ from that iterate does not evaluate it again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import from_config
 from .core import Dataset, DatasetLike, LossSpec, loss_pred_grads, loss_values, stable_sigmoid
 from .errors import ConfigurationError, InputError, NumericError
 
@@ -41,10 +42,6 @@ class LinearArch:
     def n_params(self) -> int:
         return self.out_dim * self.in_dim + (self.out_dim if self.bias else 0)
 
-    @property
-    def n_outputs(self) -> int:
-        return self.out_dim
-
 
 @dataclass(frozen=True)
 class LogisticArch:
@@ -61,10 +58,6 @@ class LogisticArch:
     @property
     def n_params(self) -> int:
         return self.in_dim + 1
-
-    @property
-    def n_outputs(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,6 @@ class MlpArch:
     @property
     def n_params(self) -> int:
         return sum(o * i + o for i, o in zip(self.widths[:-1], self.widths[1:]))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.widths[-1]
 
 
 Arch = LinearArch | LogisticArch | MlpArch
@@ -204,14 +193,6 @@ def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
         return stable_sigmoid(X @ w + b)[:, None]
     _, acts, _ = _mlp_forward(model, X)
     return acts[-1]
-
-
-def predict(model: ModelState, features: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Model output for a single feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 1:
-        raise InputError(f"features must be a vector, got shape {x.shape}")
-    return predict_batch(model, x[None, :])[0]
 
 
 def _mlp_hidden_grad(arch: MlpArch, z: np.ndarray) -> np.ndarray:
@@ -427,12 +408,6 @@ def grad_input_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     return dX
 
 
-def grad_input(model: ModelState, loss: LossSpec, sample) -> np.ndarray:
-    """Exact gradient of eval_loss(loss, predict(model, x), y) w.r.t. x."""
-    return grad_input_batch(model, loss, sample.features[None, :],
-                            np.asarray([sample.label]))[0]
-
-
 @dataclass(frozen=True)
 class OptimizerState:
     """SGD or ADAM state; `descent_step` returns fresh states, nothing is mutated.
@@ -501,28 +476,24 @@ def descent_step(opt: OptimizerState, x: np.ndarray,
 _MODEL_HEADER = "duallearn-model 1"
 
 
-def arch_to_dict(arch: Arch) -> dict:
-    if isinstance(arch, LinearArch):
-        return {"kind": "linear", "in_dim": arch.in_dim, "out_dim": arch.out_dim,
-                "bias": arch.bias}
-    if isinstance(arch, LogisticArch):
-        return {"kind": "logistic", "in_dim": arch.in_dim}
-    return {"kind": "mlp", "widths": list(arch.widths), "activation": arch.activation,
-            "output": arch.output}
+_ARCHS = {arch.kind: arch for arch in (LinearArch, LogisticArch, MlpArch)}
 
 
-def arch_from_dict(spec: dict) -> Arch:
-    kind = spec.get("kind")
-    if kind == "linear":
-        return LinearArch(in_dim=spec["in_dim"], out_dim=spec.get("out_dim", 1),
-                          bias=spec.get("bias", True))
-    if kind == "logistic":
-        return LogisticArch(in_dim=spec["in_dim"])
-    if kind == "mlp":
-        return MlpArch(widths=tuple(spec["widths"]),
-                       activation=spec.get("activation", "tanh"),
-                       output=spec.get("output", "linear"))
-    raise ConfigurationError(f"unknown architecture kind {kind!r}")
+def arch_to_dict(arch: Arch, selector: str = "kind") -> dict:
+    """The architecture as a config object: its kind under `selector`, then its fields."""
+    return {selector: arch.kind, **{f.name: getattr(arch, f.name) for f in fields(arch)}}
+
+
+def arch_from_dict(spec: dict, path: str = "", selector: str = "kind") -> Arch:
+    """The architecture a config object (at key path `path`) or a file header
+    describes: the class its `selector` key names, built from its other keys
+    by `duallearn.config.from_config`."""
+    if not isinstance(spec, dict) or selector not in spec:
+        raise ConfigurationError(f"missing config key {path}{selector}")
+    kind = spec[selector]
+    if not isinstance(kind, str) or kind not in _ARCHS:
+        raise ConfigurationError(f"{path}{selector}: unknown architecture {kind!r}")
+    return from_config(_ARCHS[kind], {k: v for k, v in spec.items() if k != selector}, path)[0]
 
 
 def save_model(model: ModelState, path: str | Path) -> None:
@@ -533,9 +504,14 @@ def save_model(model: ModelState, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelState:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _MODEL_HEADER:
-        raise InputError(f"{path}: not a duallearn model file")
-    arch = arch_from_dict(json.loads(lines[1]))
-    params = np.asarray([float(s) for s in lines[2:] if s.strip()], dtype=float)
-    return ModelState(params=params, arch=arch)
+    """Read a model written by `save_model`; any fault of the file is an
+    InputError naming it."""
+    try:
+        lines = Path(path).read_text().splitlines()
+        if len(lines) < 2 or lines[0] != _MODEL_HEADER:
+            raise InputError("not a duallearn model file (a header, then an architecture line)")
+        arch = arch_from_dict(json.loads(lines[1]))
+        params = np.asarray([float(s) for s in lines[2:] if s.strip()], dtype=float)
+        return ModelState(params=params, arch=arch)
+    except (OSError, ValueError) as err:
+        raise InputError(f"{path}: {err}") from None

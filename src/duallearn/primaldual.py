@@ -103,9 +103,6 @@ class TrainTrace:
     def lagrangians(self) -> np.ndarray:
         return np.asarray([r.lagrangian for r in self.records])
 
-    def objectives(self) -> np.ndarray:
-        return np.asarray([r.objective for r in self.records])
-
 
 @dataclass(frozen=True)
 class RandomizedSolution:
@@ -250,11 +247,6 @@ def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:
     return [float(row.sum()) / row.shape[0] for row in risks]
 
 
-def evaluate_randomized(sol: RandomizedSolution, loss, dataset) -> float:
-    """Risk of the uniform mixture: the average of per-iterate empirical risks."""
-    return mixture_risks(sol, [(loss, dataset)])[0]
-
-
 def ergodic_complementary_slackness(trace: TrainTrace) -> float:
     """(1/T) sum_t mu(t) . s(t) over a completed trace.
 
@@ -347,47 +339,54 @@ def load_trace(records_path: str | Path) -> TrainTrace:
     """Read a trace written by `save_trace`, with its snapshot array if any.
 
     The snapshot array is read once, without pickles, and must be float64
-    of shape (number of snapshot records, the architecture's n_params).
+    of shape (number of snapshot records, the architecture's n_params). Any
+    fault of the trace or its snapshot file is an InputError naming the
+    trace.
     """
     records_path = Path(records_path)
-    lines = records_path.read_text().splitlines()
-    if not lines:
-        raise InputError(f"{records_path}: empty trace file")
-    header = json.loads(lines[0])
-    if header.get("kind") != _TRACE_KIND:
-        raise InputError(f"{records_path}: not a duallearn trace file")
-    if header.get("version") != _TRACE_VERSION:
-        raise InputError(
-            f"{records_path}: trace version {header.get('version')} is not supported "
-            f"(this duallearn reads version {_TRACE_VERSION}); re-run train to write it"
-        )
-    arch = arch_from_dict(header["arch"])
-    objs = [json.loads(line) for line in lines[1:]]
-    thetas = [None] * len(objs)
-    stride = 1
-    snapshots = header["snapshots"]
-    if snapshots is not None:
-        stride = int(snapshots["stride"])
-        path = records_path.parent / snapshots["file"]
-        try:
-            array = np.load(path, allow_pickle=False)
-        except (OSError, ValueError) as err:
-            raise InputError(f"{path}: cannot read the theta snapshots: {err}") from err
-        held = [k for k, obj in enumerate(objs) if int(obj["t"]) % stride == 0]
-        shape = (len(held), arch.n_params)
-        if array.dtype != np.float64 or array.shape != shape:
+    try:
+        lines = records_path.read_text().splitlines()
+        if not lines:
+            raise InputError("empty trace file")
+        header = json.loads(lines[0])
+        if not isinstance(header, dict) or header.get("kind") != _TRACE_KIND:
+            raise InputError("not a duallearn trace file")
+        if header.get("version") != _TRACE_VERSION:
             raise InputError(
-                f"{path}: theta snapshots are {array.dtype} {array.shape}, expected "
-                f"float64 {shape} (snapshot records x architecture parameters)"
+                f"trace version {header.get('version')} is not supported "
+                f"(this duallearn reads version {_TRACE_VERSION}); re-run train to write it"
             )
-        array.setflags(write=False)
-        for k, row in zip(held, array):
-            thetas[k] = row
-    records = tuple(
-        TraceRecord(t=int(obj["t"]), theta=theta, objective=float(obj["objective"]),
-                    slacks=np.asarray(obj["slacks"], dtype=float),
-                    mu=np.asarray(obj["mu"], dtype=float),
-                    lagrangian=float(obj["lagrangian"]))
-        for obj, theta in zip(objs, thetas)
-    )
-    return TrainTrace(records=records, arch=arch, snapshot_stride=stride)
+        arch = arch_from_dict(header["arch"])
+        objs = [json.loads(line) for line in lines[1:]]
+        thetas = [None] * len(objs)
+        stride = 1
+        snapshots = header["snapshots"]
+        if snapshots is not None:
+            stride = int(snapshots["stride"])
+            path = records_path.parent / snapshots["file"]
+            try:
+                array = np.load(path, allow_pickle=False)
+            except (OSError, ValueError) as err:
+                raise InputError(f"{path}: cannot read the theta snapshots: {err}") from err
+            held = [k for k, obj in enumerate(objs) if int(obj["t"]) % stride == 0]
+            shape = (len(held), arch.n_params)
+            if array.dtype != np.float64 or array.shape != shape:
+                raise InputError(
+                    f"{path}: theta snapshots are {array.dtype} {array.shape}, expected "
+                    f"float64 {shape} (snapshot records x architecture parameters)"
+                )
+            array.setflags(write=False)
+            for k, row in zip(held, array):
+                thetas[k] = row
+        records = tuple(
+            TraceRecord(t=int(obj["t"]), theta=theta, objective=float(obj["objective"]),
+                        slacks=np.asarray(obj["slacks"], dtype=float),
+                        mu=np.asarray(obj["mu"], dtype=float),
+                        lagrangian=float(obj["lagrangian"]))
+            for obj, theta in zip(objs, thetas)
+        )
+        return TrainTrace(records=records, arch=arch, snapshot_stride=stride)
+    except KeyError as err:
+        raise InputError(f"{records_path}: missing key {err}") from None
+    except (OSError, TypeError, ValueError) as err:
+        raise InputError(f"{records_path}: {err}") from None

@@ -49,20 +49,6 @@ class MarginReport:
             raise InputError("margin must be nonnegative")
 
 
-def indicator_rate_loss(g_value: float) -> float:
-    """1 if the event fires (g >= 0, boundary included), else 0."""
-    if not math.isfinite(g_value):
-        raise InputError(f"indicator input must be finite, got {g_value}")
-    return 1.0 if g_value >= 0.0 else 0.0
-
-
-def sigmoid_surrogate(x: float, a: float) -> float:
-    """1 / (1 + exp(-a x)), strictly inside (0, 1) and increasing in x."""
-    if a < 1.0:
-        raise ConfigurationError(f"sigmoid slope must be >= 1, got {a}")
-    return float(stable_sigmoid(a * float(x)))
-
-
 def _is_rate(loss: LossSpec) -> bool:
     return loss.kind in ("rate-indicator", "rate-sigmoid")
 
@@ -125,8 +111,10 @@ def surrogate_gap_bound(mu: DualState, tau: float, a: float) -> float:
     """
     if tau < 0:
         raise InputError(f"tau must be >= 0, got {tau}")
+    if a < 1.0:
+        raise ConfigurationError(f"sigmoid slope must be >= 1, got {a}")
     l1 = float(np.abs(mu.mu).sum())
-    return 2.0 * l1 * (1.0 - sigmoid_surrogate(tau, a))
+    return 2.0 * l1 * (1.0 - stable_sigmoid(a * float(tau)))
 
 
 def margin_check(model: ModelState, problem: Problem, tau_min: float = 0.0) -> MarginReport:

@@ -11,10 +11,10 @@ maps with several outputs) is attacked by iterated signed-gradient ascent
 (FGSM/PGD) with projection back onto the ball and then into the box.
 Either way the clean sample competes as a candidate, so an attack never
 reports a loss below the unperturbed one, and the model's predictions on
-the rows it picks come back with them. Wrapping a dataset in
-`adversarial_constraint` yields a constraint whose sample set is
-regenerated against the current model on every slack or gradient
-evaluation; nothing is ever cached across model states.
+the rows it picks come back with them. An `AdversarialDataset` is the
+constraint's dataset: it regenerates its sample set against whatever model
+a slack or gradient evaluation is made at, so nothing is cached across
+model states.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, DatasetProvider, LossSpec, loss_values
+from .core import Dataset, DatasetProvider, LossSpec, loss_values
 from .errors import ConfigurationError, InputError
 from .models import LinearArch, LogisticArch, ModelState, grad_input_batch, predict_batch
 
@@ -213,15 +213,3 @@ class AdversarialDataset(DatasetProvider):
         object.__setattr__(ds, "predictions", P)
         return ds
 
-
-def adversarial_constraint(base: Dataset, loss: LossSpec, threshold_c: float,
-                           cfg: AttackConfig, name: str = "") -> ConstraintSpec:
-    """Constraint whose risk is measured on perturbations of `base` generated
-    against whatever model is being evaluated. With epsilon=0 the realized
-    set equals `base` exactly."""
-    if cfg.epsilon == 0.0:
-        return ConstraintSpec(loss=loss, threshold_c=threshold_c, dataset=base,
-                              name=name or f"{base.name}@adversarial")
-    return ConstraintSpec(loss=loss, threshold_c=threshold_c,
-                          dataset=AdversarialDataset(base, loss, cfg),
-                          name=name or f"{base.name}@adversarial")

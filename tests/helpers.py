@@ -1,15 +1,32 @@
-"""Shared builders for the test suite: the hand-solved convex toy and
-random small enumerable instances."""
+"""Shared builders for the test suite: the hand-solved convex toy, random
+small enumerable instances, and one-row forms of the batch API."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem
-from duallearn.models import LinearArch, ModelState
+from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
+from duallearn.models import LinearArch, ModelState, grad_input_batch, predict_batch
 from duallearn.oracle import EnumerableProblem
 
 TOY_BOUND = 4.0
+
+
+def row_loss(loss: LossSpec, prediction, label) -> float:
+    """`loss_values` of one (prediction vector, label) row."""
+    P = np.asarray(prediction, dtype=float).reshape(1, -1)
+    return float(loss_values(loss, P, np.asarray([label]))[0])
+
+
+def row_predict(model: ModelState, x) -> np.ndarray:
+    """`predict_batch` of one feature vector."""
+    return predict_batch(model, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def row_grad_input(model: ModelState, loss: LossSpec, x, label) -> np.ndarray:
+    """`grad_input_batch` of one (feature vector, label) row."""
+    return grad_input_batch(model, loss, np.asarray(x, dtype=float)[None, :],
+                            np.asarray([label]))[0]
 
 # Hand-derived before implementation: objective (1/N) sum (theta - y_n)^2 over
 # labels with mean 1.0, one constraint theta <= 0.5 via a unit-score dataset.
@@ -47,11 +64,6 @@ def convex_toy() -> Problem:
 def toy_candidates(lo: float = -1.0, hi: float = 2.0, points: int = 601):
     grid = np.linspace(lo, hi, points)
     return tuple(ModelState(np.array([t]), TOY_ARCH) for t in grid)
-
-
-def toy_feasible_model() -> ModelState:
-    # strictly feasible: slack 0.3 - 0.5 = -0.2, so measured xi = 0.2
-    return ModelState(np.array([0.3]), TOY_ARCH)
 
 
 def random_enumerable(rng: np.random.Generator, n_candidates=None, m=None,

@@ -1,0 +1,54 @@
+"""The package interface that the benchmark under perfbench/ relies on.
+
+perfbench/tracer.py wraps the functions it names in TRACED and refuses to run
+when one is missing, and perfbench/run.py drives the command line with fixed
+argument lists. Both files are loaded by path and left unchanged, so that a
+change to the package which breaks the benchmark fails here first.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from duallearn import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_is_callable_in_its_home_module():
+    tracer = load("tracer")
+    for module, funcs in tracer.TRACED.items():
+        home = importlib.import_module(f"duallearn.{module}")
+        for func in funcs:
+            assert callable(getattr(home, func, None)), f"duallearn.{module}.{func}"
+
+
+def test_the_command_line_accepts_every_argument_list_of_the_runner(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ on it
+    run = load("run")
+    parsed = []
+    for command in ("train", "eval", "example1"):
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or 0)
+    rep = tmp_path / "rep"
+    for workload in run.WORKLOADS:
+        _, setup, steps = run.plan(workload, tmp_path / workload)
+        for args in [setup, *(make(rep) for _, make in steps)]:
+            # run_command appends the run directory, and the seed when one is given
+            for tail in (["--out", str(tmp_path / "out")],
+                         ["--out", str(tmp_path / "out"), "--seed", "17"]):
+                assert cli.main([*args, *tail]) == 0
+    commands = [args.command for args in parsed]
+    assert commands.count("train") == 2 * 2 * 3  # set-up and run of three workloads
+    assert commands.count("eval") == 2 * 2
+    assert commands.count("example1") == 2 * 2
+    assert {args.parallel_trials for args in parsed if args.command == "example1"} == {1}
+    # train and eval default to the config's seed (None), example1 to 0
+    assert {args.seed for args in parsed} == {None, 0, 17}

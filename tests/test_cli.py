@@ -131,3 +131,160 @@ def test_bounds_fixture_matches_the_reference_formulas(tmp_path):
     assert report["Delta"] == pytest.approx(cap, rel=1e-12)
     assert report["gap_estimate"] == pytest.approx(
         ref_gap_estimate([zeta], cap, b["M"], b["nu"]), rel=1e-12)
+
+
+def short_run(cfg):
+    cfg["dual"]["iterations_T"] = 3
+
+
+@pytest.mark.parametrize("shipped", ["fairness_train.json", "robust_train.json"])
+def test_training_from_the_echo_reproduces_the_run(tmp_path, shipped):
+    path, _ = derived_config(tmp_path, shipped, short_run)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["train", "--config", str(path), "--out", str(first)]) == 0
+    assert main(["train", "--config", str(first / "config_echo.json"),
+                 "--out", str(second)]) == 0
+    for name in ("trace.jsonl", "summary.json", "config_echo.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_an_empty_surrogate_section_echoes_its_defaults(tmp_path):
+    def edit(cfg):
+        short_run(cfg)
+        cfg["surrogate"] = {}
+    path, _ = derived_config(tmp_path, "fairness_train.json", edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+    assert echo["surrogate"] == {"slope_a": 8.0, "shift": 0.5, "enabled_in_primal": True}
+    assert echo["model"] == {"arch": "logistic", "in_dim": 6, "init_seed": 1}
+    assert "projection_order" not in json.dumps(echo)
+
+
+def set_key(path, value):
+    """An edit that sets the key at `path` (a list of keys and indices)."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+ENUMERATION = {"method": "enumeration", "grid_lo": [-1.0] * 7, "grid_hi": [1.0] * 7,
+               "grid_points": 2}
+
+
+@pytest.mark.parametrize("shipped, edit, message", [
+    # a key of a variant other than the one selected
+    ("fairness_train.json", set_key(["model", "widths"], [6, 1]),
+     "unknown config key model.widths"),
+    ("fairness_train.json", set_key(["model", "bias"], True), "unknown config key model.bias"),
+    ("fairness_train.json", set_key(["inner", "grid_lo"], [0.0]),
+     "unknown config key inner.grid_lo"),
+    ("fairness_train.json", set_key(["inner"], {**ENUMERATION, "epochs": 1}),
+     "unknown config key inner.epochs"),
+    ("robust_train.json", set_key(["problem", "datasets", "synth", "path"], "x.csv"),
+     "unknown config key problem.datasets.synth.path"),
+    ("fairness_train.json", set_key(["problem", "datasets", "train", "dim"], 6),
+     "unknown config key problem.datasets.train.dim"),
+    # null where the key takes none
+    ("fairness_train.json", set_key(["inner", "epochs"], None), "config key inner.epochs"),
+    ("fairness_train.json", set_key(["dual", "snapshot_stride"], None),
+     "config key dual.snapshot_stride"),
+    ("fairness_train.json", set_key(["problem", "objective", "loss", "clamp_p_min"], None),
+     "config key problem.objective.loss.clamp_p_min"),
+    ("robust_train.json", set_key(["attack", "seed"], None), "config key attack.seed"),
+    ("fairness_train.json", set_key(["problem", "constraints", 0, "name"], None),
+     "config key problem.constraints[0].name"),
+    ("fairness_train.json", set_key(["model", "init_seed"], None), "config key model.init_seed"),
+    # a float for an int key, a bool for a number key
+    ("fairness_train.json", set_key(["inner", "epochs"], 1.0),
+     "config key inner.epochs must be an integer, got float"),
+    ("fairness_train.json", set_key(["dual", "step_eta"], True),
+     "config key dual.step_eta must be a number, got bool"),
+])
+def test_the_derived_schema_refuses(tmp_path, capsys, shipped, edit, message):
+    path, _ = derived_config(tmp_path, shipped, edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "trace.jsonl").exists()
+
+
+def test_an_enumeration_inner_solver_trains_from_its_grid(tmp_path):
+    path, _ = derived_config(tmp_path, "fairness_train.json", lambda cfg: (
+        short_run(cfg), set_key(["inner"], ENUMERATION)(cfg)))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+    assert echo["inner"] == ENUMERATION
+
+
+def fairness_eval(tmp_path, *source):
+    path, _ = derived_config(tmp_path, "fairness_train.json", short_run)
+    return ["eval", "--config", str(path), *source, "--out", str(tmp_path / "eval")]
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+MODEL_HEADER = "duallearn-model 1\n"
+TRACE_HEADER = {"kind": "duallearn-trace", "version": 2, "snapshots": None,
+                "arch": {"kind": "logistic", "in_dim": 6}}
+
+
+@pytest.mark.parametrize("flag, name, text, message", [
+    ("--model", "m.txt", MODEL_HEADER, "not a duallearn model file"),
+    ("--model", "m.txt", MODEL_HEADER + '{"kind": "logistic"}\n',
+     "missing config key in_dim"),
+    ("--model", "m.txt", MODEL_HEADER + '{"kind": "logistic", "in_dim": 6}\n' + "0.0\n" * 6
+     + "one\n", "could not convert string to float"),
+    ("--model", None, None, "No such file"),
+    ("--trace", "t.jsonl", "kind: duallearn-trace\n", "Expecting value"),
+    ("--trace", "t.jsonl", json.dumps({k: v for k, v in TRACE_HEADER.items() if k != "arch"})
+     + "\n", "missing key 'arch'"),
+])
+def test_a_bad_model_or_trace_file_is_an_input_error_naming_it(tmp_path, capsys, flag, name,
+                                                              text, message):
+    path = str(tmp_path / "missing.txt") if name is None else write(tmp_path, name, text)
+    assert main(fairness_eval(tmp_path, flag, path)) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_a_missing_csv_file_is_an_input_error_naming_it(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    path, _ = derived_config(tmp_path, "fairness_train.json",
+                             set_key(["problem", "datasets", "train", "path"], missing))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{missing}: cannot open the dataset" in err
+    assert "Traceback" not in err
+
+
+def test_a_csv_dataset_without_a_path_names_the_key(tmp_path, capsys):
+    def edit(cfg):
+        del cfg["problem"]["datasets"]["train"]["path"]
+    path, _ = derived_config(tmp_path, "fairness_train.json", edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "missing config key problem.datasets.train.path" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "10,,100"], "--n must be distinct comma-separated sample sizes"),
+    (["--n", "10,0"], "--n must be distinct comma-separated sample sizes"),
+    (["--n", "10,100,10"], "--n must be distinct comma-separated sample sizes"),
+    (["--trials", "0"], "--trials must be >= 1"),
+])
+def test_bad_example1_flags_are_named(tmp_path, capsys, args, message):
+    assert main(["example1", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trials.jsonl").exists()

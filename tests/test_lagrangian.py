@@ -7,7 +7,6 @@ from duallearn.core import (
     LossSpec,
     Problem,
     empirical_risk,
-    eval_loss,
 )
 from duallearn.errors import ConfigurationError, InputError, SurrogateRequiredError
 from duallearn.lagrangian import (
@@ -17,10 +16,10 @@ from duallearn.lagrangian import (
     empirical_lagrangian,
     slacks,
 )
-from duallearn.models import LinearArch, LogisticArch, ModelState, init_model, predict
+from duallearn.models import LinearArch, LogisticArch, ModelState, init_model
 from duallearn.oracle import ecrm_enumerate, example1_problem
 
-from helpers import random_enumerable
+from helpers import random_enumerable, row_loss, row_predict
 
 ABS = LossSpec(kind="absolute", bound_B=4.0)
 SCORE = LossSpec(kind="signed-score", bound_B=4.0)
@@ -68,7 +67,7 @@ class TestEmpiricalLagrangian:
         def risk_by_hand(loss, ds):
             total = 0.0
             for i in range(len(ds)):
-                total += eval_loss(loss, predict(model, ds.features[i]), ds.labels[i].item())
+                total += row_loss(loss, row_predict(model, ds.features[i]), ds.labels[i].item())
             return total / len(ds)
 
         expected = risk_by_hand(prob.objective_loss, prob.objective_dataset)

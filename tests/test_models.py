@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duallearn.core import Dataset, LossSpec, Sample
+from duallearn.core import Dataset, LossSpec
 from duallearn.errors import InputError, NumericError, SurrogateRequiredError
 from duallearn.models import (
     LinearArch,
@@ -11,15 +11,15 @@ from duallearn.models import (
     MlpArch,
     ModelState,
     OptimizerState,
-    grad_input,
     grad_params,
     init_model,
     load_model,
     optimizer_step,
-    predict,
     predict_batch,
     save_model,
 )
+
+from helpers import row_grad_input, row_loss, row_predict
 
 CE = LossSpec.cross_entropy()
 SQ = LossSpec(kind="squared", bound_B=100.0)
@@ -40,17 +40,14 @@ def finite_diff_params(model, loss, ds, h=1e-5):
     return g
 
 
-def finite_diff_input(model, loss, sample, h=1e-5):
-    from duallearn.core import eval_loss
-
-    x = sample.features.copy()
+def finite_diff_input(model, loss, x, label, h=1e-5):
     g = np.zeros_like(x)
     for i in range(len(x)):
         hi, lo = x.copy(), x.copy()
         hi[i] += h
         lo[i] -= h
-        g[i] = (eval_loss(loss, predict(model, hi), sample.label)
-                - eval_loss(loss, predict(model, lo), sample.label)) / (2 * h)
+        g[i] = (row_loss(loss, row_predict(model, hi), label)
+                - row_loss(loss, row_predict(model, lo), label)) / (2 * h)
     return g
 
 
@@ -60,12 +57,12 @@ class TestPredict:
         params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         model = ModelState(params, arch)
         x = np.array([0.3, -1.2, 2.0])
-        assert np.array_equal(predict(model, x), x)
+        assert np.array_equal(row_predict(model, x), x)
 
     def test_logistic_zero_weights(self):
         model = init_model(LogisticArch(4))
         for x in (np.zeros(4), np.array([5.0, -3.0, 1.0, 0.2])):
-            assert predict(model, x)[0] == 0.5
+            assert row_predict(model, x)[0] == 0.5
 
     def test_mlp_independent_forward_pass(self):
         # hand-set weights on a 2-3-1 tanh net, checked against a nested-loop
@@ -88,12 +85,12 @@ class TestPredict:
         for j in range(3):
             expected += W2[0, j] * hidden[j]
 
-        assert predict(model, x)[0] == pytest.approx(expected, rel=1e-12)
+        assert row_predict(model, x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = init_model(LogisticArch(3))
         with pytest.raises(InputError):
-            predict(model, np.zeros(4))
+            row_predict(model, np.zeros(4))
 
 
 class TestGradParams:
@@ -152,24 +149,22 @@ class TestGradInput:
         arch = LinearArch(3, 1, bias=False)
         theta = np.array([0.5, -1.0, 2.0])
         model = ModelState(theta, arch)
-        sample = Sample(np.array([0.2, 0.3, -0.1]), -1)
-        g = grad_input(model, SCORE, sample)
+        g = row_grad_input(model, SCORE, np.array([0.2, 0.3, -0.1]), -1)
         assert np.allclose(g, -theta, rtol=1e-12)
 
     def test_clamped_region_kills_gradient(self):
         # saturated logistic: p beyond 1 - p_min, so the clamp zeroes the gradient
         model = ModelState(np.array([20.0, 0.0]), LogisticArch(1))
-        sample = Sample(np.array([1.0]), 1)
-        g = grad_input(model, CE, sample)
+        g = row_grad_input(model, CE, np.array([1.0]), 1)
         assert np.array_equal(g, np.zeros(1))
 
     def test_mlp_matches_finite_differences(self):
         arch = MlpArch((4, 6, 1), activation="tanh", output="sigmoid")
         model = init_model(arch, seed=12)
         rng = np.random.default_rng(13)
-        sample = Sample(rng.uniform(-1, 1, 4), 1)
-        g = grad_input(model, CE, sample)
-        fd = finite_diff_input(model, CE, sample)
+        x = rng.uniform(-1, 1, 4)
+        g = row_grad_input(model, CE, x, 1)
+        fd = finite_diff_input(model, CE, x, 1)
         assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(g)))
 
 
@@ -276,4 +271,4 @@ class TestPredictBatch:
         X = rng.uniform(-1, 1, (9, 2))
         batch = predict_batch(model, X)
         for i in range(9):
-            assert np.allclose(batch[i], predict(model, X[i]), rtol=1e-15)
+            assert np.allclose(batch[i], row_predict(model, X[i]), rtol=1e-15)

@@ -22,7 +22,6 @@ from duallearn.primaldual import (
     dual_update,
     ergodic_complementary_slackness,
     ergodic_slacks,
-    evaluate_randomized,
     load_trace,
     mixture_risks,
     randomized_solution,
@@ -37,7 +36,6 @@ from helpers import (
     convex_toy,
     toy_analytic,
     toy_candidates,
-    toy_feasible_model,
 )
 
 
@@ -250,7 +248,7 @@ class TestRandomizedSolution:
         ds = prob.objective_dataset
         per_iter = [empirical_risk(m, loss, ds) for m in sol.models]
         direct = float(np.asarray(per_iter).sum()) / len(per_iter)
-        assert evaluate_randomized(sol, loss, ds) == pytest.approx(direct, abs=1e-12)
+        assert mixture_risks(sol, [(loss, ds)]) == [pytest.approx(direct, abs=1e-12)]
 
     def test_strided_traces_refused(self):
         prob = convex_toy()

@@ -21,11 +21,11 @@ from duallearn.primaldual import TrainConfig, train
 from duallearn.rate import (
     SurrogateConfig,
     build_surrogate_lagrangian,
-    indicator_rate_loss,
     margin_check,
-    sigmoid_surrogate,
     surrogate_gap_bound,
 )
+
+from helpers import row_loss
 
 IND = LossSpec(kind="rate-indicator", bound_B=1.0, rate_shift=0.5)
 CE = LossSpec.cross_entropy()
@@ -42,47 +42,55 @@ def prob_with_rate_constraint(threshold=0.4, surrogate=SurrogateConfig()):
     )
 
 
+def indicator(x: float) -> float:
+    """The rate-indicator loss of score x at shift 0: 1 when x >= 0."""
+    return row_loss(LossSpec(kind="rate-indicator", bound_B=1.0, rate_shift=0.0), [x], 0)
+
+
+def sigmoid(x: float, a: float) -> float:
+    """The rate-sigmoid loss of score x at shift 0 and slope a: sigma(a x)."""
+    loss = LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_shift=0.0, rate_slope=a)
+    return row_loss(loss, [x], 0)
+
+
 class TestIndicator:
     def test_boundary_counts_as_event(self):
-        assert indicator_rate_loss(0.0) == 1.0
+        assert indicator(0.0) == 1.0
 
     def test_negative(self):
-        assert indicator_rate_loss(-0.3) == 0.0
+        assert indicator(-0.3) == 0.0
 
     def test_positive(self):
-        assert indicator_rate_loss(5.0) == 1.0
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            indicator_rate_loss(float("nan"))
+        assert indicator(5.0) == 1.0
 
 
 class TestSigmoidSurrogate:
     def test_symmetry_point(self):
         for a in (1.0, 8.0, 100.0):
-            assert sigmoid_surrogate(0.0, a) == 0.5
+            assert sigmoid(0.0, a) == 0.5
 
     def test_analytic_value(self):
         expected = 1.0 / (1.0 + math.exp(-2.0))
-        assert sigmoid_surrogate(0.25, 8.0) == pytest.approx(expected, rel=1e-12)
+        assert sigmoid(0.25, 8.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.880797, abs=1e-6)
 
     def test_complement_identity(self):
         for x in (-3.0, -0.1, 0.7, 11.0):
-            assert sigmoid_surrogate(x, 8.0) + sigmoid_surrogate(-x, 8.0) == pytest.approx(
-                1.0, abs=1e-12)
+            assert sigmoid(x, 8.0) + sigmoid(-x, 8.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_slope_floor(self):
         with pytest.raises(ConfigurationError):
-            sigmoid_surrogate(0.1, 0.9)
+            LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_slope=0.9)
+        with pytest.raises(ConfigurationError):
+            surrogate_gap_bound(DualState(np.array([1.0])), 0.1, 0.9)
 
     @given(x=st.floats(-30, 30, allow_nan=False), a=st.floats(1, 64, allow_nan=False))
     @example(x=0.0, a=8.0)
     @settings(max_examples=300, deadline=None)
     def test_pointwise_surrogate_ordering(self, x, a):
         # |1(x >= 0) - sigma(a x)| <= 1 - sigma(a |x|), with equality 0.5 <= 0.5 at x = 0
-        lhs = abs(indicator_rate_loss(x) - sigmoid_surrogate(x, a))
-        rhs = 1.0 - sigmoid_surrogate(abs(x), a)
+        lhs = abs(indicator(x) - sigmoid(x, a))
+        rhs = 1.0 - sigmoid(abs(x), a)
         assert lhs <= rhs + 1e-15
 
 
@@ -101,9 +109,8 @@ class TestBuildSurrogateLagrangian:
         new_loss = sur.constraints[0].loss
         assert new_loss.kind == "rate-sigmoid"
         assert new_loss.rate_slope == 8.0
-        from duallearn.core import eval_loss
-        assert eval_loss(IND, [0.5], 0) == 1.0
-        assert eval_loss(new_loss, [0.5], 0) == pytest.approx(0.5, abs=1e-12)
+        assert row_loss(IND, [0.5], 0) == 1.0
+        assert row_loss(new_loss, [0.5], 0) == pytest.approx(0.5, abs=1e-12)
         # thresholds and datasets untouched
         assert sur.constraints[0].threshold_c == prob.constraints[0].threshold_c
         assert sur.constraints[0].dataset is prob.constraints[0].dataset
@@ -125,7 +132,7 @@ class TestBuildSurrogateLagrangian:
             sig = LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_shift=0.5, rate_slope=a)
             gap = abs(empirical_risk(model, sig, ds) - ind_risk)
             # per sample |1(z >= s) - sigma(a(z - s))| = 1 - sigma(a |z - s|) <= 1 - sigma(a tau)
-            assert gap <= 1.0 - sigmoid_surrogate(tau, a)
+            assert gap <= 1.0 - sigmoid(tau, a)
             gaps.append(gap)
             dists.append(float(np.mean(np.abs(loss_values(sig, preds, ds.labels) - events))))
         assert dists[0] > dists[1] > dists[2]

@@ -28,7 +28,6 @@ from duallearn.robust import (
     AttackConfig,
     _project,
     _restart_starts,
-    adversarial_constraint,
     perturb_batch,
 )
 
@@ -215,7 +214,15 @@ def test_zero_epsilon_is_the_identity():
     assert np.array_equal(X_adv, X)
     assert np.array_equal(P, predict_batch(model, X))
     base = Dataset(features=X, labels=y)
-    assert adversarial_constraint(base, CE, 0.5, cfg).dataset is base
+    constraint = ConstraintSpec(loss=CE, threshold_c=0.5,
+                                dataset=AdversarialDataset(base, CE, cfg))
+    realized = constraint.dataset.realize(model)
+    assert np.array_equal(realized.features, base.features)
+    assert np.array_equal(realized.labels, base.labels)
+    problem = Problem(objective_loss=CE, objective_dataset=base, constraints=(constraint,))
+    clean = replace(constraint, dataset=base)
+    assert np.array_equal(slacks(model, problem),
+                          slacks(model, replace(problem, constraints=(clean,))))
 
 
 def test_clean_rows_outside_the_box_are_refused():
@@ -247,9 +254,10 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
                   name="con")
     attack = AttackConfig(kind="pgd", epsilon=0.25, steps=2, step_size=0.2, restarts=2, seed=5)
     score = LossSpec(kind="signed-score", bound_B=4.0)
+    constraint = ConstraintSpec(loss=score, threshold_c=0.3,
+                                dataset=AdversarialDataset(con, score, attack))
     problem = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
-                      objective_dataset=obj,
-                      constraints=(adversarial_constraint(con, score, 0.3, attack),))
+                      objective_dataset=obj, constraints=(constraint,))
     assert isinstance(problem.constraints[0].dataset, AdversarialDataset)
     cands = tuple(ModelState(np.array([t]), arch) for t in np.linspace(-1.0, 2.0, 31))
     inner = InnerSolverConfig(method="enumeration", candidates=cands)
