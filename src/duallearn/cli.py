@@ -24,9 +24,10 @@ csv schema) takes its keys, types and defaults from that dataclass (see
 `duallearn.config`); a hand-written schema covers the structure around them.
 Unknown keys, keys of a variant other than the one selected, and nulls
 where a key takes none are refused. config_echo.json holds every value the
-run used, defaults included, and is itself a config: training from it
-reproduces the run. Output files contain no timestamps: identical inputs
-give byte-identical outputs.
+run used, defaults included (csv paths made absolute), and is itself a
+config: training from it reproduces the run from any working directory.
+Output files contain no timestamps: identical inputs give byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -160,11 +161,12 @@ def _build_datasets(specs: dict, base_dir: Path):
         if kind == "csv":
             rest = {k: v for k, v in spec.items() if k not in ("kind", "path")}
             schema, values = from_config(CsvSchema, rest, ctx)
-            path = Path(check(require(spec, "path", ctx), str, ctx + "path"))
-            if not path.is_absolute():
-                path = base_dir / path
+            # absolute with `..` collapsed (symlinks kept), so the echo loads
+            # the same file from any working directory
+            path = os.path.abspath(base_dir / check(require(spec, "path", ctx), str,
+                                                    ctx + "path"))
             ds, groups = load_csv(path, schema)
-            echo[name] = {"kind": "csv", "path": str(path), **values}
+            echo[name] = {"kind": "csv", "path": path, **values}
         elif kind == "two-gaussians":
             values = echo[name] = {"seed": 0, **read(spec, _TWO_GAUSSIANS, ctx)}
             dim, means, sigma, n = (require(values, key, ctx)

@@ -90,6 +90,9 @@ class Dataset:
     # of that same model reads instead of forwarding the rows again.
     predicted_by = None
     predictions = None
+    # An attacked whole table also records the clean table it was attacked
+    # from and that model's predictions there, as (table, predictions).
+    clean = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)

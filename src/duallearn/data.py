@@ -9,6 +9,7 @@ group splits partition the loaded data in place without re-reading anything.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,46 +43,50 @@ def load_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, tuple[str, .
     """Read a dataset in file row order; returns (dataset, group labels or None)."""
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        data = path.read_bytes()
     except OSError as err:
         raise InputError(f"{path}: cannot open the dataset: {err.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required") from None
-        col = {name: i for i, name in enumerate(header)}
-        for name in (schema.label_column, *schema.feature_columns):
-            if name not in col:
-                raise InputError(f"{path}: schema error, missing column {name!r}")
-        if schema.group_column is not None and schema.group_column not in col:
-            raise InputError(f"{path}: schema error, missing column {schema.group_column!r}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text: byte 0x{data[err.start]:02x} at byte "
+                         f"offset {err.start} ({err.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file, header row required") from None
+    col = {name: i for i, name in enumerate(header)}
+    for name in (schema.label_column, *schema.feature_columns):
+        if name not in col:
+            raise InputError(f"{path}: schema error, missing column {name!r}")
+    if schema.group_column is not None and schema.group_column not in col:
+        raise InputError(f"{path}: schema error, missing column {schema.group_column!r}")
 
-        feats: list[list[float]] = []
-        labels: list[float] = []
-        groups: list[str] = []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            try:
-                feats.append([float(row[col[c]]) for c in schema.feature_columns])
-            except ValueError as err:
-                raise InputError(f"{path}: row {rownum}: non-numeric feature cell ({err})") from None
-            try:
-                label = float(row[col[schema.label_column]])
-            except ValueError:
-                raise InputError(
-                    f"{path}: row {rownum}: non-numeric label "
-                    f"{row[col[schema.label_column]]!r}"
-                ) from None
-            if schema.label_kind == "class":
-                if label != int(label):
-                    raise InputError(f"{path}: row {rownum}: class label {label} is not an integer")
-                label = int(label)
-            labels.append(label)
-            if schema.group_column is not None:
-                groups.append(row[col[schema.group_column]])
+    feats: list[list[float]] = []
+    labels: list[float] = []
+    groups: list[str] = []
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+        try:
+            feats.append([float(row[col[c]]) for c in schema.feature_columns])
+        except ValueError as err:
+            raise InputError(f"{path}: row {rownum}: non-numeric feature cell ({err})") from None
+        try:
+            label = float(row[col[schema.label_column]])
+        except ValueError:
+            raise InputError(
+                f"{path}: row {rownum}: non-numeric label "
+                f"{row[col[schema.label_column]]!r}"
+            ) from None
+        if schema.label_kind == "class":
+            if label != int(label):
+                raise InputError(f"{path}: row {rownum}: class label {label} is not an integer")
+            label = int(label)
+        labels.append(label)
+        if schema.group_column is not None:
+            groups.append(row[col[schema.group_column]])
 
     if not feats:
         raise InputError(f"{path}: no data rows")

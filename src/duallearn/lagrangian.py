@@ -12,6 +12,13 @@ its `Evaluation` (one forward pass per table, see `duallearn.models`) and
 reads each risk and loss gradient from that evaluation. The gradient solver
 returns the evaluation of the iterate it returns, so a caller that resumes
 from that iterate does not evaluate it again.
+
+Each problem's objective risk and slack vector, and each term's parameter
+gradient, are memoised on the evaluation. Multipliers only weight them, so
+an iterate kept across dual steps (a warm start whose step raised the
+Lagrangian) is not backpropagated again, and a memo hit has the bits of
+computing afresh: obj + mu . slacks from the same (obj, slacks), and the
+same per-term gradients summed in the same order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Problem
+from .core import Problem
 from .errors import ConfigurationError, InputError
 from .models import Evaluation, ModelState, OptimizerState, grad_params, optimizer_step
 
@@ -88,23 +95,10 @@ class InnerSolverConfig:
             object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
-def constraint_risk(at: ModelState | Evaluation, constraint: ConstraintSpec) -> float:
-    """Empirical constraint risk, minus the reference risk when one is attached."""
-    ev = Evaluation.of(at)
-    risk = ev.risk(constraint.loss, constraint.dataset)
-    if constraint.reference is not None:
-        risk -= ev.risk(constraint.reference.loss, constraint.reference.dataset)
-    return risk
-
-
-def _slacks(ev: Evaluation, problem: Problem) -> np.ndarray:
-    return np.asarray([constraint_risk(ev, c) - c.threshold_c for c in problem.constraints])
-
-
 def slacks(at: ModelState | Evaluation, problem: Problem) -> np.ndarray:
-    """Constraint slack vector s_i = constraint risk - threshold; may be negative."""
-    # problem.datasets[0] is the objective's set, which slacks do not average over.
-    return _slacks(Evaluation.of(at, problem.datasets[1:]), problem)
+    """Constraint slack vector s_i = constraint risk - threshold; may be
+    negative. Read-only: it is the evaluation's memoised vector."""
+    return Evaluation.of(at).stats(problem)[1]
 
 
 def empirical_lagrangian(at: ModelState | Evaluation, dual: DualState, problem: Problem) -> float:
@@ -113,11 +107,10 @@ def empirical_lagrangian(at: ModelState | Evaluation, dual: DualState, problem: 
         raise InputError(
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
-    ev = Evaluation.of(at, problem.datasets)
-    obj = ev.risk(problem.objective_loss, problem.objective_dataset)
+    obj, s = Evaluation.of(at).stats(problem)
     if problem.m == 0:
         return obj
-    return obj + float(dual.mu @ _slacks(ev, problem))
+    return obj + float(dual.mu @ s)
 
 
 def enumeration_stats(problem: Problem, candidates):
@@ -133,9 +126,7 @@ def enumeration_stats(problem: Problem, candidates):
     R = np.empty(len(candidates))
     S = np.empty((len(candidates), problem.m))
     for j, cand in enumerate(candidates):
-        ev = Evaluation.of(cand, problem.datasets)
-        R[j] = ev.risk(problem.objective_loss, problem.objective_dataset)
-        S[j] = _slacks(ev, problem)
+        R[j], S[j] = Evaluation.of(cand).stats(problem)
     return R, S
 
 

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import from_config
-from .core import Dataset, DatasetLike, LossSpec, loss_pred_grads, loss_values, stable_sigmoid
+from .core import (ConstraintSpec, Dataset, DatasetLike, LossSpec, Problem, loss_pred_grads,
+                   loss_values, stable_sigmoid)
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -273,6 +274,17 @@ class Evaluation:
 
     Sets may be realised at any time; realising every set up front (see
     `of`) lets views find the root they share before anything is forwarded.
+    An attacked table that records the clean table it was attacked from,
+    with this model's predictions there, hands those over, so the clean
+    table is not forwarded again.
+
+    Each (set, loss) term's parameter gradient (`param_grad`) and each
+    problem's objective risk and slack vector (`stats`) depend on the model
+    alone, so they are memoised too and returned read-only. An iterate kept
+    across dual steps comes back with new multipliers, which only weight
+    these results, in the same order: a memo hit has the bits of computing
+    afresh. Memos keyed by `id` hold their key objects, so no id is reused
+    while it is a key.
     """
 
     def __init__(self, model: ModelState) -> None:
@@ -282,7 +294,9 @@ class Evaluation:
         self._realized: dict[int, tuple[DatasetLike, Dataset]] = {}
         self._preds: dict[int, tuple[Dataset, np.ndarray]] = {}
         self._rowwise: dict[tuple, tuple[LossSpec, np.ndarray]] = {}
-        self._risks: dict[tuple[int, int], float] = {}
+        self._risks: dict[tuple[int, int], tuple[DatasetLike, LossSpec, float]] = {}
+        self._grads: dict[tuple[int, int], tuple[DatasetLike, LossSpec, np.ndarray]] = {}
+        self._stats: dict[int, tuple[Problem, float, np.ndarray]] = {}
 
     @classmethod
     def of(cls, at, datasets: Sequence[DatasetLike] = ()) -> Evaluation:
@@ -301,6 +315,9 @@ class Evaluation:
             hit = self._realized[id(dataset)] = (dataset, ds)
             if ds.root is None:
                 self._realized[id(ds)] = (ds, ds)
+            if ds.clean is not None and ds.predicted_by is self.model:
+                table, preds = ds.clean
+                self._preds.setdefault(id(table), (table, preds))
         return hit[1]
 
     def batch(self, dataset: DatasetLike, indices: np.ndarray | None) -> DatasetLike:
@@ -344,25 +361,54 @@ class Evaluation:
     def risk(self, loss: LossSpec, dataset: DatasetLike) -> float:
         """Sample-average `loss` over the realised `dataset`."""
         key = (id(dataset), id(loss))
-        risk = self._risks.get(key)
-        if risk is None:
+        hit = self._risks.get(key)
+        if hit is None:
             table, rows = self._locate(self.realize(dataset))
             vals = self._per_row(loss_values, loss, table)
             if rows is not None:
                 vals = vals[rows]
-            risk = self._risks[key] = float(vals.sum()) / vals.shape[0]
+            hit = self._risks[key] = (dataset, loss, float(vals.sum()) / vals.shape[0])
+        return hit[2]
+
+    def param_grad(self, loss: LossSpec, dataset: DatasetLike) -> np.ndarray:
+        """d(risk)/d(parameters) of `loss` on the realised `dataset`,
+        backpropagated once per (set, loss); read-only."""
+        key = (id(dataset), id(loss))
+        hit = self._grads.get(key)
+        if hit is None:
+            ds = self.realize(dataset)
+            table, rows = self._locate(ds)
+            preds = self._table_predictions(table)
+            grads = self._per_row(loss_pred_grads, loss, table)
+            if rows is not None:
+                preds, grads = preds[rows], grads[rows]
+            dparams, _ = _backprop(self.model, ds.features, grads / len(ds), preds,
+                                   want_params=True, want_inputs=False)
+            dparams.setflags(write=False)
+            hit = self._grads[key] = (dataset, loss, dparams)
+        return hit[2]
+
+    def constraint_risk(self, constraint: ConstraintSpec) -> float:
+        """Empirical constraint risk, minus the reference risk when one is attached."""
+        risk = self.risk(constraint.loss, constraint.dataset)
+        if constraint.reference is not None:
+            risk -= self.risk(constraint.reference.loss, constraint.reference.dataset)
         return risk
 
-    def backprop_inputs(self, loss: LossSpec, dataset: DatasetLike):
-        """(features, predictions, d(risk)/d(prediction)) of the realised
-        `dataset`: what backprop of its risk needs."""
-        ds = self.realize(dataset)
-        table, rows = self._locate(ds)
-        preds = self._table_predictions(table)
-        grads = self._per_row(loss_pred_grads, loss, table)
-        if rows is not None:
-            preds, grads = preds[rows], grads[rows]
-        return ds.features, preds, grads / len(ds)
+    def stats(self, problem: Problem) -> tuple[float, np.ndarray]:
+        """(objective risk, slack vector) of `problem`, computed once per
+        problem; the slack vector, constraint risk minus threshold per
+        constraint, is read-only."""
+        hit = self._stats.get(id(problem))
+        if hit is None:
+            for d in problem.datasets:
+                self.realize(d)
+            obj = self.risk(problem.objective_loss, problem.objective_dataset)
+            slacks = np.asarray([self.constraint_risk(c) - c.threshold_c
+                                 for c in problem.constraints], dtype=float)
+            slacks.setflags(write=False)
+            hit = self._stats[id(problem)] = (problem, obj, slacks)
+        return hit[1], hit[2]
 
 
 WeightedLoss = tuple[float, LossSpec, DatasetLike]
@@ -373,9 +419,10 @@ def grad_params(at: ModelState | Evaluation,
     """Exact gradient of sum_j weight_j * empirical_risk(model, loss_j, batch_j).
 
     `at` is the model or its `Evaluation`, from which every term reads its
-    predictions and per-row loss gradients; each term is then backpropagated
-    on its own. Zero-weight terms are skipped outright, so they neither
-    trigger surrogate-required errors nor realise model-dependent datasets.
+    parameter gradient: backpropagated on its own, once per evaluation (see
+    `Evaluation.param_grad`). Zero-weight terms are skipped outright, so they
+    neither trigger surrogate-required errors nor realise model-dependent
+    datasets.
     """
     live = []
     for weight, loss, dataset in weighted_losses:
@@ -384,12 +431,9 @@ def grad_params(at: ModelState | Evaluation,
         if weight != 0.0:
             live.append((weight, loss, dataset))
     ev = Evaluation.of(at, [dataset for _, _, dataset in live])
-    model = ev.model
-    total = np.zeros(model.arch.n_params)
+    total = np.zeros(ev.model.arch.n_params)
     for weight, loss, dataset in live:
-        X, P, G = ev.backprop_inputs(loss, dataset)
-        dparams, _ = _backprop(model, X, G, P, want_params=True, want_inputs=False)
-        total += weight * dparams
+        total += weight * ev.param_grad(loss, dataset)
     return total
 
 

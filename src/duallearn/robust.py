@@ -149,10 +149,13 @@ def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,
 
 def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                   labels: np.ndarray, cfg: AttackConfig,
-                  sample_indices: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  sample_indices: np.ndarray | None = None,
+                  clean_predictions: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Attack every row of X at once.
 
-    Returns (perturbed features, the model's predictions on them). The
+    Returns (perturbed features, the model's predictions on them).
+    `clean_predictions`, when given, is `predict_batch(model, X)` already
+    computed by the caller, so the clean rows are not forwarded again. The
     candidates are the two corners of an affine-score model, or else each
     PGD restart's last iterate; starting from the clean row, a row moves to
     a candidate only where its loss is strictly above the best so far.
@@ -171,7 +174,8 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                 f"{outside.size} clean rows lie outside the attack clamp_box [{lo}, {hi}] "
                 f"(first: row {int(outside[0])})"
             )
-    best_X, best_P = X0.copy(), predict_batch(model, X0)
+    best_X = X0.copy()
+    best_P = predict_batch(model, X0) if clean_predictions is None else clean_predictions
     if cfg.epsilon == 0.0:
         return best_X, best_P
     w = _affine_weights(model)
@@ -201,15 +205,24 @@ class AdversarialDataset(DatasetProvider):
 
     def realize(self, model: ModelState, indices: np.ndarray | None = None) -> Dataset:
         """The base set, or its `indices` rows, attacked against `model`,
-        carrying the model's predictions on them as provenance."""
+        carrying the model's predictions on them as provenance. The whole
+        set also carries the base table with the model's predictions there,
+        which the attack computes for its clean candidate anyway."""
         X, y = self.base.features, self.base.labels
-        if indices is not None:
+        clean = None
+        if indices is None:
+            clean = predict_batch(model, X)
+            clean.setflags(write=False)
+        else:
             indices = np.asarray(indices, dtype=int)
             X, y = X[indices], y[indices]
-        X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices)
+        X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices,
+                             clean_predictions=clean)
         ds = Dataset(features=X, labels=y, name=self.name)
         P.setflags(write=False)
         object.__setattr__(ds, "predicted_by", model)
         object.__setattr__(ds, "predictions", P)
+        if clean is not None:
+            object.__setattr__(ds, "clean", (self.base, clean))
         return ds
 

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,48 @@ def test_a_missing_csv_file_is_an_input_error_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{missing}: cannot open the dataset" in err
     assert "Traceback" not in err
+
+
+def test_a_csv_file_of_random_bytes_is_an_input_error_naming_the_offset(tmp_path, capsys):
+    noise = tmp_path / "noise.csv"
+    data = np.random.default_rng(0).integers(0, 256, 100, dtype=np.uint8).tobytes()
+    noise.write_bytes(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        offset = err.start
+    path, _ = derived_config(tmp_path, "fairness_train.json",
+                             set_key(["problem", "datasets", "train", "path"], str(noise)))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{noise}: not UTF-8 text: byte 0x{data[offset]:02x} at byte offset {offset}" in err
+    assert "Traceback" not in err
+
+
+def test_the_echo_of_a_relative_config_trains_from_any_working_directory(tmp_path,
+                                                                          monkeypatch):
+    """A relative --config whose csv path is relative to it, from another
+    directory: the echo names the csv by its absolute path."""
+    csv = (CONFIGS / json.loads((CONFIGS / "fairness_train.json").read_text())
+           ["problem"]["datasets"]["train"]["path"])
+    cfg_dir, cwd = tmp_path / "configs", tmp_path / "work"
+    cfg_dir.mkdir()
+    cwd.mkdir()
+    cfg = json.loads((CONFIGS / "fairness_train.json").read_text())
+    cfg["problem"]["datasets"]["train"]["path"] = os.path.relpath(csv, cfg_dir)
+    short_run(cfg)
+    (cfg_dir / "fairness.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(cwd)
+    assert main(["train", "--config", "../configs/fairness.json", "--out", "first"]) == 0
+    echoed = json.loads(Path("first/config_echo.json").read_text())
+    assert echoed["problem"]["datasets"]["train"]["path"] == os.path.abspath(csv)
+    assert main(["train", "--config", "first/config_echo.json", "--out", "second"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", "work/second/config_echo.json", "--out", "third"]) == 0
+    for name in ("trace.jsonl", "summary.json", "config_echo.json"):
+        first = (cwd / "first" / name).read_bytes()
+        assert first == (cwd / "second" / name).read_bytes(), name
+        assert first == (tmp_path / "third" / name).read_bytes(), name
 
 
 def test_a_csv_dataset_without_a_path_names_the_key(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from duallearn.core import Dataset
 from duallearn.data import CsvSchema, group_split, load_csv, save_csv
+from duallearn.errors import InputError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -58,3 +59,18 @@ def test_group_views_record_the_rows_they_select():
         assert part.root is ds
         assert np.array_equal(part.features, ds.features[part.rows])
         assert np.array_equal(part.labels, ds.labels[part.rows])
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_the_byte_offset(tmp_path, where):
+    good = (FIXTURES / "fair_groups.csv").read_bytes()
+    lines = good.split(b"\n")
+    line = 0 if where == "header" else 3
+    lines[line] = lines[line][:2] + b"\xff" + lines[line][2:]
+    bad = b"\n".join(lines)
+    offset = sum(len(x) + 1 for x in lines[:line]) + 2
+    path = tmp_path / "latin.csv"
+    path.write_bytes(bad)
+    with pytest.raises(InputError) as err:
+        load_csv(path, FAIR_SCHEMA)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text: byte 0xff at byte offset {offset} ")

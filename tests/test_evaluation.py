@@ -21,7 +21,6 @@ from duallearn.data import group_split
 from duallearn.lagrangian import (
     DualState,
     InnerSolverConfig,
-    constraint_risk,
     empirical_lagrangian,
     enumeration_stats,
     slacks,
@@ -109,7 +108,7 @@ def test_group_views_with_references_read_exactly_their_own_risks(kind, model):
     want = [own_risk(model, c.loss, c.dataset) - own_risk(model, c.loss, table_ds)
             for c in problem.constraints]
     ev = Evaluation.of(model, problem.datasets)
-    assert bits([constraint_risk(ev, c) for c in problem.constraints]) == bits(want)
+    assert bits([ev.constraint_risk(c) for c in problem.constraints]) == bits(want)
     want_slacks = [w - c.threshold_c for w, c in zip(want, problem.constraints)]
     assert bits(slacks(model, problem)) == bits(want_slacks)
     assert bits(slacks(ev, problem)) == bits(want_slacks)
@@ -284,3 +283,142 @@ def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
     assert np.any(trace.mu_matrix() > 0.0)
     for rec in trace.records:
         assert bits(rec.slacks) == bits(slacks(ModelState(rec.theta, trace.arch), problem))
+
+
+def memo_problem():
+    """A fairness-shaped problem (group views with references on one table)
+    plus an adversarial constraint on the table, for differentiable losses."""
+    problem = fairness_shaped("rate-sigmoid")
+    ds = problem.objective_dataset
+    attack = AttackConfig(kind="pgd", epsilon=0.2, steps=2, step_size=0.1,
+                          clamp_box=(-1.0, 1.0), seed=0)
+    adv = ConstraintSpec(loss=loss_of("hinge"), threshold_c=0.3,
+                         dataset=AdversarialDataset(ds, loss_of("hinge"), attack), name="adv")
+    return Problem(objective_loss=CE, objective_dataset=ds,
+                   constraints=problem.constraints + (adv,))
+
+
+def lagrangian_terms(problem, mu):
+    terms = [(1.0, problem.objective_loss, problem.objective_dataset)]
+    for w, c in zip(mu, problem.constraints):
+        terms.append((w, c.loss, c.dataset))
+        if c.reference is not None:
+            terms.append((-w, c.reference.loss, c.reference.dataset))
+    return terms
+
+
+def distinct_terms(problem):
+    """How many (set, loss) pairs the Lagrangian of `problem` backpropagates."""
+    return len({(id(ds), id(loss)) for _, loss, ds in lagrangian_terms(problem,
+                                                                        np.ones(problem.m))})
+
+
+def random_mus(m, count=20, seed=0):
+    rng = np.random.default_rng(seed)
+    mus = [np.zeros(m)]
+    for _ in range(count - 1):
+        mu = rng.exponential(1.0, m)
+        mus.append(np.where(rng.random(m) < 0.3, 0.0, mu))
+    return mus
+
+
+@pytest.mark.parametrize("model", models(seed=11), ids=lambda m: m.arch.kind)
+def test_a_reused_evaluation_reads_the_gradient_and_lagrangian_of_a_fresh_one(model):
+    problem = memo_problem()
+    ev = Evaluation(model)
+    batch = ev.batch(problem.constraints[1].dataset, np.array([2, 0, 2]))
+    for mu in random_mus(problem.m):
+        terms = lagrangian_terms(problem, mu) + [(0.5, CE, batch)]
+        dual = DualState(mu)
+        assert bits(grad_params(ev, terms)) == bits(grad_params(Evaluation(model), terms))
+        assert bits(empirical_lagrangian(ev, dual, problem)) == bits(
+            empirical_lagrangian(Evaluation(model), dual, problem))
+        assert bits(slacks(ev, problem)) == bits(slacks(model, problem))
+
+
+def test_a_kept_evaluation_backpropagates_each_term_once(monkeypatch):
+    import duallearn.models as models_mod
+
+    problem = memo_problem()
+    model = models(seed=12)[2]
+    calls = []
+    original = models_mod._backprop
+    monkeypatch.setattr(models_mod, "_backprop",
+                        lambda *a, **k: calls.append(k["want_params"]) or original(*a, **k))
+    ev = Evaluation(model)
+    for mu in random_mus(problem.m):
+        grad_params(ev, lagrangian_terms(problem, mu))
+    assert calls.count(True) == distinct_terms(problem)  # the attack backprops the inputs
+    s = slacks(ev, problem)
+    assert not s.flags.writeable
+    assert not ev.param_grad(CE, problem.objective_dataset).flags.writeable
+
+
+def test_memo_keys_are_held_so_their_ids_are_not_reused():
+    """Problems and batches made and dropped one after another on one
+    evaluation: each reads its own values, not those of a freed
+    predecessor whose id it may have taken."""
+    ds, groups = table(seed=13)
+    model = models(seed=14)[0]
+    loss = loss_of("squared")
+    parts = group_split(ds, groups)
+    ev = Evaluation(model)
+    rng = np.random.default_rng(15)
+
+    def problem(k):
+        return Problem(objective_loss=loss, objective_dataset=ds, constraints=(
+            ConstraintSpec(loss=loss, threshold_c=0.01 * k, dataset=parts[GROUPS[k % 4]]),))
+
+    for k in range(40):
+        assert bits(slacks(ev, problem(k))) == bits(slacks(model, problem(k)))
+        rows = rng.choice(len(ds), 5, replace=False)
+        terms = [(1.0, loss, ev.batch(ds, rows))]
+        assert bits(grad_params(ev, terms)) == bits(
+            own_gradient(model, [(1.0, loss, ds.subset(rows))]))
+
+
+def test_a_full_attack_hands_its_clean_predictions_to_the_evaluation(monkeypatch):
+    import duallearn.models as models_mod
+    import duallearn.robust as robust
+
+    problem = memo_problem()
+    ds = problem.objective_dataset
+    model = models(seed=16)[0]
+    want = empirical_lagrangian(model, DualState(np.full(problem.m, 0.5)), problem)
+    clean = []
+    for mod in (models_mod, robust):
+        original = mod.predict_batch
+        monkeypatch.setattr(mod, "predict_batch", lambda m, X, original=original:
+                            clean.append(X is ds.features) or original(m, X))
+    got = empirical_lagrangian(model, DualState(np.full(problem.m, 0.5)), problem)
+    assert bits(got) == bits(want)
+    assert clean.count(True) == 1  # the attack's clean candidate, read by the objective
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(warm_start,
+                                                                           monkeypatch):
+    import duallearn.models as models_mod
+
+    problem = fairness_train_problem()
+    primal = build_surrogate_lagrangian(problem)
+    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None, optimizer="adam",
+                              step_size=0.05, warm_start=warm_start)
+    T = 60
+    cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
+    init = init_model(LogisticArch(3))
+    calls = []
+    original = models_mod._backprop
+    monkeypatch.setattr(models_mod, "_backprop",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    trace, _, _ = train(problem, cfg, init, primal_problem=primal)
+    monkeypatch.undo()
+
+    thetas = [init.params] + [rec.theta for rec in trace.records]
+    accepted = sum(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
+    terms = distinct_terms(primal)
+    if warm_start:
+        assert accepted < T // 2  # the memo has kept iterates to pay on
+        assert len(calls) <= (accepted + 1) * terms
+    else:
+        assert len(calls) <= terms  # every iteration steps from the evaluation of init
