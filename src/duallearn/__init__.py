@@ -48,12 +48,14 @@ from .oracle import (
     EcrmResult,
     EnumerableProblem,
     MuGrid,
+    constrained_argmin,
     dual_enumerate,
     ecrm_enumerate,
     example1_population_objective,
     example1_problem,
     example1_sample,
     example1_trial,
+    example1_trials,
 )
 from .primaldual import (
     RandomizedSolution,

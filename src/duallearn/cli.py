@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .oracle import example1_trial
+from .oracle import example1_block_trials, example1_trials
 from .primaldual import (
     RandomizedSolution,
     TrainConfig,
@@ -413,13 +412,25 @@ def cmd_example1(args) -> int:
             f"--n must be distinct comma-separated sample sizes >= 1, got {args.n!r}")
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    if args.parallel_trials < 1:
+        raise ConfigurationError(f"--parallel-trials must be >= 1, got {args.parallel_trials}")
     out = _out_dir(args, "example1")
-    jobs = [(n, args.seed + t) for n in ns for t in range(args.trials)]
+    seeds = range(args.seed, args.seed + args.trials)
     if args.parallel_trials > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel_trials) as pool:
-            records = list(pool.map(_trial_star, jobs, chunksize=64))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one job per block of trials, in the order the serial path runs them
+        jobs = [(n, seeds[i:i + example1_block_trials(n)])
+                for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
+        with ProcessPoolExecutor(max_workers=args.parallel_trials,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            blocks = pool.map(example1_trials, *zip(*jobs))
+            records = [r for block in blocks for r in block]
     else:
-        records = [example1_trial(n, s) for n, s in jobs]
+        records = [r for n in ns for r in example1_trials(n, seeds)]
 
     lines = [json.dumps(r, sort_keys=True) for r in records]
     (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
@@ -437,10 +448,6 @@ def cmd_example1(args) -> int:
         frac = summary["per_N"][str(n)]["fraction_population_J_doubled"]
         print(f"example1: N={n}: fraction at doubled population objective = {frac:.4f}")
     return 0
-
-
-def _trial_star(job) -> dict:
-    return example1_trial(*job)
 
 
 def cmd_bounds(args) -> int:

@@ -8,6 +8,15 @@ constraints whose sample-average version almost surely excludes the
 population optimum, selecting a parameter with twice the population
 objective. Its closed forms make it a sharp oracle for the rest of the
 library.
+
+Monte-Carlo trials of that instance run in blocks of about 8,192 rows per
+table. Each trial is still drawn from its own generator, in the order
+`example1_sample` draws, into its own row block of three shared tables, and
+each candidate is forwarded once per table. A trial's risk is then the sum
+of its N loss values, read as one row of a C-ordered (T, N) array, divided
+by N. Every prediction and loss value depends on its own row alone, and
+numpy reduces each such row as it reduces a length-N vector, so a trial's
+risks, slacks and record have the bits of enumerating it on its own.
 """
 
 from __future__ import annotations
@@ -17,10 +26,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, LossSpec, Problem
+from .core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
 from .errors import ConfigurationError, InputError
 from .lagrangian import enumeration_stats
-from .models import LinearArch, ModelState
+from .models import LinearArch, ModelState, predict_batch
+
+
+def _example1_draws(N: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trial's (tau, alpha, heads) draws, each of length N."""
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(-0.5, 0.5, size=N)
+    alpha = rng.uniform(0.0, 0.25, size=N)
+    heads = rng.integers(0, 2, size=N).astype(bool)
+    return tau, alpha, heads
+
+
+def _example1_tables(tau: np.ndarray, alpha: np.ndarray,
+                     heads: np.ndarray) -> tuple[Dataset, Dataset, Dataset]:
+    """The three datasets of draws of any shape, one row per draw in C order."""
+    tau, alpha, heads = tau.ravel(), alpha.ravel(), heads.ravel()
+    n = tau.shape[0]
+    X0, X1, X2 = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    X0[:, 0], X0[:, 1] = np.where(heads, 0.0, tau), np.where(heads, alpha, -tau)
+    X1[:, 0], X1[:, 1] = -1.0, tau
+    X2[:, 0], X2[:, 1] = -tau, 1.0
+    y0 = np.where(heads, 1, -1)
+    ones = np.ones(n, dtype=np.int64)
+    return (
+        Dataset(features=X0, labels=y0, name="example1-nominal"),
+        Dataset(features=X1, labels=ones, name="example1-constraint-lo"),
+        Dataset(features=X2, labels=ones, name="example1-constraint-hi"),
+    )
 
 
 def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -32,25 +72,7 @@ def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     probability, and the two constraint samples are ([-1, tau], +1) and
     ([-tau, 1], +1).
     """
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
-    rng = np.random.default_rng(seed)
-    tau = rng.uniform(-0.5, 0.5, size=N)
-    alpha = rng.uniform(0.0, 0.25, size=N)
-    heads = rng.integers(0, 2, size=N).astype(bool)
-
-    X0 = np.where(heads[:, None],
-                  np.stack([np.zeros(N), alpha], axis=1),
-                  np.stack([tau, -tau], axis=1))
-    y0 = np.where(heads, 1, -1)
-    X1 = np.stack([-np.ones(N), tau], axis=1)
-    X2 = np.stack([-tau, np.ones(N)], axis=1)
-    ones = np.ones(N, dtype=np.int64)
-    return (
-        Dataset(features=X0, labels=y0, name="example1-nominal"),
-        Dataset(features=X1, labels=ones, name="example1-constraint-lo"),
-        Dataset(features=X2, labels=ones, name="example1-constraint-hi"),
-    )
+    return _example1_tables(*_example1_draws(N, seed))
 
 
 def example1_population_objective(theta) -> float:
@@ -67,25 +89,29 @@ def example1_population_objective(theta) -> float:
 
 _EX1_ARCH = LinearArch(in_dim=2, out_dim=1, bias=False)
 _EX1_BOUND = 4.0  # comfortably above any achievable |score| for unit-box candidates
+_EX1_ABS = LossSpec(kind="absolute", bound_B=_EX1_BOUND)
+_EX1_SCORE = LossSpec(kind="signed-score", bound_B=_EX1_BOUND)
+_EX1_CANDIDATES = tuple(ModelState(np.asarray(c, dtype=float), _EX1_ARCH)
+                        for c in ((1.0, 1.0), (1.0, 0.0)))
 
 
-def example1_problem(N: int, seed: int,
-                     candidates=((1.0, 1.0), (1.0, 0.0))) -> "EnumerableProblem":
-    """The pathological instance over a drawn sample set, ready to enumerate."""
-    d0, d1, d2 = example1_sample(N, seed)
-    abs_loss = LossSpec(kind="absolute", bound_B=_EX1_BOUND)
-    score = LossSpec(kind="signed-score", bound_B=_EX1_BOUND)
-    problem = Problem(
-        objective_loss=abs_loss,
+def _example1_instance(tables, name: str) -> Problem:
+    d0, d1, d2 = tables
+    return Problem(
+        objective_loss=_EX1_ABS,
         objective_dataset=d0,
         constraints=(
-            ConstraintSpec(loss=score, threshold_c=-1.0, dataset=d1, name="score-lo"),
-            ConstraintSpec(loss=score, threshold_c=1.0, dataset=d2, name="score-hi"),
+            ConstraintSpec(loss=_EX1_SCORE, threshold_c=-1.0, dataset=d1, name="score-lo"),
+            ConstraintSpec(loss=_EX1_SCORE, threshold_c=1.0, dataset=d2, name="score-hi"),
         ),
-        name=f"example1-N{N}-seed{seed}",
+        name=name,
     )
-    models = tuple(ModelState(np.asarray(c, dtype=float), _EX1_ARCH) for c in candidates)
-    return EnumerableProblem(problem=problem, candidates=models)
+
+
+def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "EnumerableProblem":
+    """The pathological instance over a drawn sample set, ready to enumerate."""
+    problem = _example1_instance(example1_sample(N, seed), f"example1-N{N}-seed{seed}")
+    return EnumerableProblem(problem=problem, candidates=candidates)
 
 
 @dataclass(frozen=True)
@@ -115,17 +141,31 @@ class EcrmResult:
     theta: ModelState | None = None
 
 
+def constrained_argmin(R: np.ndarray, S: np.ndarray,
+                       xi_relax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The selection rule of `ecrm_enumerate`, over trailing axes.
+
+    R (..., J) holds the objective risks of J candidates and S (..., J, m)
+    their slack vectors. A candidate is feasible when every slack is
+    <= xi_relax. Returns (index, value): the argmin of R over the feasible
+    candidates (lowest index on ties) and its R, or index 0 and value +inf
+    where no candidate is feasible.
+    """
+    feasible = np.all(S <= xi_relax, axis=-1)
+    masked = np.where(feasible, R, math.inf)
+    j = np.argmin(masked, axis=-1)
+    return j, np.take_along_axis(masked, j[..., None], axis=-1)[..., 0]
+
+
 def ecrm_enumerate(ep: EnumerableProblem) -> EcrmResult:
     """Among candidates with every empirical constraint risk <= c_i + xi_relax,
     return the one with minimal empirical objective (lowest index on ties).
     Infeasibility is a value, not an error: value becomes +inf."""
-    R, S = enumeration_stats(ep.problem, ep.candidates)
-    feasible = np.all(S <= ep.xi_relax, axis=1) if ep.problem.m else np.ones(len(R), bool)
-    if not feasible.any():
+    j, value = constrained_argmin(*enumeration_stats(ep.problem, ep.candidates), ep.xi_relax)
+    if value == math.inf:
         return EcrmResult(feasible=False, value=math.inf)
-    masked = np.where(feasible, R, math.inf)
-    j = int(np.argmin(masked))
-    return EcrmResult(feasible=True, value=float(R[j]), index=j, theta=ep.candidates[j])
+    return EcrmResult(feasible=True, value=float(value), index=int(j),
+                      theta=ep.candidates[int(j)])
 
 
 @dataclass(frozen=True)
@@ -203,22 +243,65 @@ def dual_enumerate(ep: EnumerableProblem, mu_grid: MuGrid) -> DualEnumResult:
                           theta=ep.candidates[best_j], boundary_hit=boundary)
 
 
-def example1_trial(N: int, seed: int) -> dict:
-    """One pathology trial: draw, enumerate, and score the selected parameter.
+_BLOCK_ROWS = 8192  # rows per table in one block of example1 trials
+# Each candidate's parameters and population objective, as a record holds them.
+_EX1_SCORED = tuple((tuple(float(v) for v in c.params), example1_population_objective(c.params))
+                    for c in _EX1_CANDIDATES)
 
-    The emitted record carries the empirical mean of tau, the selected
-    parameter pair, and its population objective.
+
+def example1_block_trials(N: int) -> int:
+    """How many example1 trials of N samples `example1_trials` runs as one block."""
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
+    return max(1, _BLOCK_ROWS // N)
+
+
+def example1_trials(N: int, seeds) -> list[dict]:
+    """One pathology trial per seed, in order: draw, enumerate, and score
+    the selected parameter. Each record carries the empirical mean of tau,
+    the selected parameter pair (None when no candidate is feasible) and its
+    population objective. Trials run in blocks of `example1_block_trials(N)`
+    (see the module docstring); each record has the bits of the per-trial
+    path `ecrm_enumerate(example1_problem(N, seed))`.
     """
-    ep = example1_problem(N, seed)
-    result = ecrm_enumerate(ep)
-    tau_bar = float(ep.problem.constraints[0].dataset.features[:, 1].sum()) / N
-    theta = None if result.theta is None else [float(v) for v in result.theta.params]
-    return {
-        "seed": seed,
-        "N": N,
-        "tau_bar": tau_bar,
-        "feasible": result.feasible,
-        "theta_hat": theta,
-        "population_J": (None if theta is None
-                         else example1_population_objective(theta)),
-    }
+    seeds = [int(s) for s in seeds]
+    size = example1_block_trials(N)
+    records = []
+    for start in range(0, len(seeds), size):
+        block = seeds[start:start + size]
+        R, S, tau_bar = _example1_block_stats(N, block)
+        index, value = constrained_argmin(R, S)
+        for t, seed in enumerate(block):
+            feasible = bool(value[t] != math.inf)
+            theta, J = _EX1_SCORED[index[t]] if feasible else (None, None)
+            records.append({"seed": seed, "N": N, "tau_bar": float(tau_bar[t]),
+                            "feasible": feasible,
+                            "theta_hat": None if theta is None else list(theta),
+                            "population_J": J})
+    return records
+
+
+def _example1_block_stats(N: int, seeds: list[int]):
+    """(R, S, tau_bar) of one block of trials: R (T, J) holds each trial's
+    objective risks at the J candidates, S (T, J, m) its slack vectors."""
+    T = len(seeds)
+    tau, alpha = np.empty((T, N)), np.empty((T, N))
+    heads = np.empty((T, N), dtype=bool)
+    for t, seed in enumerate(seeds):
+        tau[t], alpha[t], heads[t] = _example1_draws(N, seed)
+    problem = _example1_instance(_example1_tables(tau, alpha, heads), "example1-block")
+    terms = [(problem.objective_loss, problem.objective_dataset)]
+    terms += [(c.loss, c.dataset) for c in problem.constraints]
+    risks = np.empty((len(terms), T, len(_EX1_CANDIDATES)))
+    for j, model in enumerate(_EX1_CANDIDATES):
+        for i, (loss, ds) in enumerate(terms):
+            values = loss_values(loss, predict_batch(model, ds.features), ds.labels)
+            risks[i, :, j] = values.reshape(T, N).sum(axis=1) / N
+    thresholds = np.array([c.threshold_c for c in problem.constraints])
+    S = np.moveaxis(risks[1:], 0, -1) - thresholds
+    return risks[0], S, tau.sum(axis=1) / N
+
+
+def example1_trial(N: int, seed: int) -> dict:
+    """One pathology trial (see `example1_trials`)."""
+    return example1_trials(N, [seed])[0]

@@ -126,8 +126,11 @@ def _affine_weights(model: ModelState) -> np.ndarray | None:
 def _corners(model: ModelState, w: np.ndarray, X0: np.ndarray, cfg: AttackConfig):
     """The corners of each row's ball-and-box where w . x is largest and
     smallest, with the model's predictions there; a coordinate with w_j = 0
-    stays put."""
+    stays put. With w all zero both corners are the clean rows, and a
+    candidate equal to the clean row never replaces it, so none is yielded."""
     step = cfg.epsilon * np.sign(w)
+    if not step.any():
+        return
     for X_adv in (_project(X0 + step, X0, cfg), _project(X0 - step, X0, cfg)):
         yield X_adv, predict_batch(model, X_adv)
 

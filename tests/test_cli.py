@@ -319,11 +319,24 @@ def test_a_csv_dataset_without_a_path_names_the_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):
+    # blocks of 150 trials (N=1), of 819 (N=10, one short block) and of 8 (N=1000)
+    args = ["example1", "--n", "1,10,1000", "--trials", "150", "--seed", "9"]
+    assert main([*args, "--out", str(tmp_path / "serial")]) == 0
+    assert main([*args, "--parallel-trials", "2", "--out", str(tmp_path / "parallel")]) == 0
+    for name in ("trials.jsonl", "summary.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "parallel" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n", "10,,100"], "--n must be distinct comma-separated sample sizes"),
     (["--n", "10,0"], "--n must be distinct comma-separated sample sizes"),
     (["--n", "10,100,10"], "--n must be distinct comma-separated sample sizes"),
     (["--trials", "0"], "--trials must be >= 1"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--parallel-trials", "0"], "--parallel-trials must be >= 1, got 0"),
+    (["--parallel-trials", "-5"], "--parallel-trials must be >= 1, got -5"),
 ])
 def test_bad_example1_flags_are_named(tmp_path, capsys, args, message):
     assert main(["example1", *args, "--out", str(tmp_path)]) == 2

@@ -1,16 +1,27 @@
-"""The dual grid of `oracle.dual_enumerate` on enumerable instances."""
+"""The dual grid of `oracle.dual_enumerate` on enumerable instances, and
+the blocked example1 trials against the per-trial enumeration."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from duallearn.errors import InputError
 from duallearn.lagrangian import enumeration_stats
 from duallearn.oracle import (
     EnumerableProblem,
     MuGrid,
+    _example1_block_stats,
+    constrained_argmin,
     dual_enumerate,
     ecrm_enumerate,
+    example1_block_trials,
     example1_population_objective,
+    example1_problem,
+    example1_sample,
     example1_trial,
+    example1_trials,
 )
 
 from helpers import convex_toy, random_enumerable, toy_analytic, toy_candidates
@@ -56,3 +67,98 @@ def test_example1_selects_twice_the_population_optimum(N):
         trial = example1_trial(N, seed)
         assert trial["feasible"], (N, seed)
         assert trial["population_J"] == 2 * optimum == 0.125, (N, seed)
+
+
+def per_trial_record(N, seed):
+    """The record of one trial read off the per-trial library path."""
+    tau = example1_sample(N, seed)[1].features[:, 1]
+    result = ecrm_enumerate(example1_problem(N, seed))
+    theta = None if result.theta is None else [float(v) for v in result.theta.params]
+    return {"seed": seed, "N": N, "tau_bar": float(tau.sum()) / N,
+            "feasible": result.feasible, "theta_hat": theta,
+            "population_J": None if theta is None else example1_population_objective(theta)}
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 10, 100, 1000, 9000])
+def test_blocked_trials_equal_the_per_trial_path(N):
+    block = example1_block_trials(N)
+    seeds = range(31, 31 + block + 1)  # one full block, then a block of one trial
+    records = example1_trials(N, seeds)
+    assert [r["seed"] for r in records] == list(seeds)
+    for r in records:
+        expected = per_trial_record(N, r["seed"])
+        assert r == expected
+        assert r["tau_bar"].hex() == expected["tau_bar"].hex()
+    assert example1_trials(N, seeds[:block]) == records[:block]
+    assert example1_trial(N, seeds[-1]) == records[-1]
+    if N == 9000:
+        assert block == 1  # a block of 9000 rows is larger than 8192
+
+
+@pytest.mark.parametrize("N", [1, 7, 100, 9000])
+def test_block_risks_and_slacks_have_the_bits_of_the_per_trial_evaluation(N):
+    seeds = list(range(5, 5 + example1_block_trials(N)))
+    R, S, tau_bar = _example1_block_stats(N, seeds)
+    for t in sorted({0, len(seeds) // 2, len(seeds) - 1}):
+        ep = example1_problem(N, seeds[t])
+        R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
+        assert R[t].tobytes() == R_t.tobytes()
+        assert S[t].tobytes() == S_t.tobytes()
+
+
+def test_an_example1_seed_below_zero_is_an_input_error():
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        example1_sample(10, -1)
+    with pytest.raises(InputError, match="seed must be >= 0, got -3"):
+        example1_trials(10, [4, -3])
+    with pytest.raises(InputError, match="N must be >= 1, got 0"):
+        example1_trials(0, [1])
+    assert example1_trials(10, []) == []
+
+
+def old_selection(R, S, xi_relax, m):
+    """`ecrm_enumerate`'s rule as it was written before it moved into
+    `constrained_argmin`: (feasible, value, index)."""
+    feasible = np.all(S <= xi_relax, axis=1) if m else np.ones(len(R), bool)
+    if not feasible.any():
+        return False, math.inf, None
+    j = int(np.argmin(np.where(feasible, R, math.inf)))
+    return True, float(R[j]), j
+
+
+def test_the_selection_helper_agrees_with_the_per_problem_rule():
+    rng = np.random.default_rng(8)
+    outcomes = {True: 0, False: 0}
+    for trial in range(120):
+        xi = [0.0, 0.05, 0.4][trial % 3]
+        ep = replace(random_enumerable(rng, n_candidates=4, m=int(rng.integers(0, 4))),
+                     xi_relax=xi)
+        R, S = enumeration_stats(ep.problem, ep.candidates)
+        expected = old_selection(R, S, xi, ep.problem.m)
+        outcomes[expected[0]] += 1
+        j, value = constrained_argmin(R, S, xi)
+        result = ecrm_enumerate(ep)
+        assert (result.feasible, result.value, result.index) == expected
+        assert (value != math.inf, float(value)) == expected[:2]
+        if expected[0]:
+            assert int(j) == expected[2]
+            assert result.theta is ep.candidates[j]
+        # the same rule over a leading axis of stacked problems
+        R2 = np.stack([R, R[::-1]])
+        S2 = np.stack([S, S[::-1]])
+        j2, value2 = constrained_argmin(R2, S2, xi)
+        assert (int(j2[0]), float(value2[0])) == (int(j), float(value))
+        flipped = old_selection(R[::-1], S[::-1], xi, ep.problem.m)
+        assert float(value2[1]) == flipped[1]
+        if flipped[0]:
+            assert int(j2[1]) == flipped[2]
+    assert min(outcomes.values()) >= 10  # feasible and infeasible instances both checked
+
+
+def test_ties_go_to_the_lowest_feasible_index():
+    R = np.array([[0.5, 0.2, 0.2, 0.2]])
+    S = np.array([[[0.0], [0.1], [0.0], [-1.0]]])
+    j, value = constrained_argmin(R, S)
+    assert (int(j[0]), float(value[0])) == (2, 0.2)
+    j, value = constrained_argmin(R, S + 2.0)
+    assert float(value[0]) == math.inf

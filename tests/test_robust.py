@@ -183,6 +183,28 @@ def test_exact_attack_leaves_zero_weight_coordinates_alone():
     assert not np.array_equal(X_adv[:, [0, 2]], X[:, [0, 2]])
 
 
+@pytest.mark.parametrize("arch", [LogisticArch(3), LinearArch(3, 1)], ids=["logistic", "linear"])
+def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arch, monkeypatch):
+    import duallearn.robust as robust_mod
+
+    _, X, y = logistic_case(7)
+    params = np.zeros(arch.n_params)
+    params[-1] = 0.4  # both archs keep their bias last
+    model = ModelState(params, arch)
+    loss = CE if isinstance(arch, LogisticArch) else LossSpec(kind="absolute", bound_B=4.0)
+    labels = y if isinstance(arch, LogisticArch) else 2 * y - 1
+    calls = []
+    original = robust_mod.predict_batch
+    monkeypatch.setattr(robust_mod, "predict_batch",
+                        lambda m, rows: calls.append(len(rows)) or original(m, rows))
+    X_adv, P = perturb_batch(model, loss, X, labels, ATTACKS[1])
+    assert calls == [len(X)]  # the clean rows only
+    assert X_adv.tobytes() == X.tobytes()
+    assert P.tobytes() == original(model, X).tobytes()
+    perturb_batch(model, loss, X, labels, ATTACKS[1], clean_predictions=P)
+    assert calls == [len(X)]
+
+
 HANDOVER_MODELS = {
     "logistic": (LogisticArch(3), ATTACKS[1]),
     "linear-1": (LinearArch(3, 1), ATTACKS[1]),
