@@ -6,8 +6,8 @@ Four commands over a single JSON config tree:
   (full inner solves, or one warm-started epoch per dual update with
   ``inner.epochs: 1``). The run directory gets ``config_echo.json``,
   ``trace.jsonl`` (a header line, then one JSON record per iteration),
-  ``thetas.npy`` when ``output.save_theta`` is on (every theta snapshot as
-  one (K, P) float64 array; the trace header names it and its stride),
+  ``thetas.npy`` when ``output.save_theta`` is on (every iterate's theta as
+  one (T, P) float64 array, named by the trace header; absent otherwise),
   ``final_model.txt`` and ``summary.json``.
 - ``eval``: nominal / adversarial / group-rate metrics for a saved model or
   for the randomized solution of a saved trace (``--trace`` reads
@@ -115,7 +115,7 @@ _ATTACK_PRESETS = {
     "pgd-evaluation": AttackConfig.pgd_evaluation,
     "fgsm": AttackConfig.fgsm,
 }
-_PRESET_KEYS = ("kind", "steps", "step_size", "restarts")
+_PRESET_KEYS = ("steps", "step_size", "restarts")
 # Attack keys that are not AttackConfig fields: the preset and the clamp box.
 _ATTACK_OWN = {"preset": str | None, "clamp_lo": float | None, "clamp_hi": float | None}
 
@@ -315,11 +315,12 @@ def cmd_train(args) -> int:
     problem, problem_echo, attack_echo, surrogate_echo = _build_problem(cfg, base_dir, seed)
     model, model_echo = _build_model(require(cfg, "model", ""), seed)
     inner, inner_echo = _build_inner(require(cfg, "inner", ""), model.arch)
+    save_theta = cfg.get("output", {}).get("save_theta", True)
     tcfg, dual_echo = from_config(TrainConfig, require(cfg, "dual", ""), "dual.",
-                                  keys=_DUAL_KEYS, inner=inner, seed=seed)
+                                  keys=_DUAL_KEYS, inner=inner, seed=seed,
+                                  save_theta=save_theta)
 
     primal_problem = build_surrogate_lagrangian(problem)
-    save_theta = cfg.get("output", {}).get("save_theta", True)
 
     echo = {"seed": seed, "problem": problem_echo, "model": model_echo,
             "inner": inner_echo, "dual": dual_echo, "attack": attack_echo,
@@ -334,13 +335,13 @@ def cmd_train(args) -> int:
     save_trace(trace, out / "trace.jsonl",
                thetas_path=(out / "thetas.npy" if save_theta else None))
     save_model(final_model, out / "final_model.txt")
-    final_slacks = trace.records[-1].slacks
+    final_slacks = trace.slacks[-1]
     summary = {
         "command": "train",
         "seed": seed,
         "iterations_T": tcfg.iterations_T,
-        "final_objective": trace.records[-1].objective,
-        "final_lagrangian": trace.records[-1].lagrangian,
+        "final_objective": float(trace.objective[-1]),
+        "final_lagrangian": float(trace.lagrangian[-1]),
         "final_slacks": [float(v) for v in final_slacks],
         "final_mu": [float(v) for v in final_mu.mu],
         "feasible_at_end": bool(np.all(final_slacks <= 0.0)) if problem.m else True,
@@ -457,14 +458,15 @@ def cmd_bounds(args) -> int:
     summary: dict = {"command": "bounds"}
 
     zetas = b.get("zetas")
+    delta = b.get("delta")
     zeta_source = "declared"
     if zetas is None and b.get("N") is not None:
+        delta = 0.05 if delta is None else delta
         if b.get("d_vc") is not None:
-            zetas = [bounds_mod.zeta_vc(b["N"], b["d_vc"], b.get("delta", 0.05),
-                                        require(b, "B", "bounds."))]
+            zetas = [bounds_mod.zeta_vc(b["N"], b["d_vc"], delta, require(b, "B", "bounds."))]
             zeta_source = "vc"
         elif b.get("R_N") is not None:
-            zetas = [bounds_mod.zeta_rademacher(b["N"], b["R_N"], b.get("delta", 0.05),
+            zetas = [bounds_mod.zeta_rademacher(b["N"], b["R_N"], delta,
                                                 require(b, "B", "bounds."))]
             zeta_source = "rademacher"
     if b.get("B") is not None and b.get("xi") is not None:
@@ -482,7 +484,7 @@ def cmd_bounds(args) -> int:
             delta_source = "capped-by-B/xi"
         report = bounds_mod.gap_report(zetas, delta_val, b["M"], b["nu"],
                                        B=b.get("B"), xi=b.get("xi"),
-                                       delta=b.get("delta"),
+                                       delta=delta,
                                        thresholds_c=b.get("thresholds_c"))
         summary["report"] = report.to_dict()
         summary["zeta_source"] = zeta_source

@@ -5,6 +5,7 @@ names the full key path."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -17,9 +18,10 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a 
 def check(value, want, path: str):
     """`value` read as the type `want`, else a ConfigurationError naming `path`.
 
-    `float` takes any non-bool number, `int` a non-bool int, `tuple[T, ...]`
-    a list of T, a schema dict an object (see `read`), and null is allowed
-    only where `want` is `T | None`.
+    `float` takes any finite non-bool number (JSON's NaN and Infinity are
+    refused), `int` a non-bool int, `tuple[T, ...]` a list of T, a schema
+    dict an object (see `read`), and null is allowed only where `want` is
+    `T | None`.
     """
     if isinstance(want, dict):
         return read(value, want, path + ".")
@@ -33,7 +35,13 @@ def check(value, want, path: str):
         got = "null" if value is None else type(value).__name__
         raise ConfigurationError(f"config key {path} must be {_TYPE_NAMES[kind]}, got {got}")
     if kind is float:
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigurationError(f"config key {path} must be a finite number, got {number}")
+        return number
     if kind is tuple:
         item = typing.get_args(want)[0]
         return tuple(check(v, item, f"{path}[{i}]") for i, v in enumerate(value))

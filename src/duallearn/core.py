@@ -178,7 +178,6 @@ class LossSpec:
 
     kind: str
     bound_B: float
-    lipschitz_M: float | None = None
     clamp_p_min: float = 1e-6
     rate_shift: float = 0.5
     rate_slope: float = 8.0
@@ -191,8 +190,6 @@ class LossSpec:
             raise ConfigurationError("clamp_p_min must lie in (0, 1/2)")
         if not (math.isfinite(self.bound_B) and self.bound_B > 0):
             raise ConfigurationError(f"bound_B must be positive, got {self.bound_B}")
-        if self.lipschitz_M is not None and self.lipschitz_M <= 0:
-            raise ConfigurationError("lipschitz_M must be positive when given")
         if self.kind == "clamped-cross-entropy":
             expected = -math.log(self.clamp_p_min)
             if not math.isclose(self.bound_B, expected, rel_tol=1e-9):
@@ -208,11 +205,10 @@ class LossSpec:
             )
 
     @classmethod
-    def cross_entropy(cls, clamp_p_min: float = 1e-6, lipschitz_M: float | None = None) -> LossSpec:
+    def cross_entropy(cls, clamp_p_min: float = 1e-6) -> LossSpec:
         return cls(
             kind="clamped-cross-entropy",
             bound_B=-math.log(clamp_p_min),
-            lipschitz_M=lipschitz_M,
             clamp_p_min=clamp_p_min,
         )
 

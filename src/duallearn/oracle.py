@@ -185,14 +185,6 @@ class MuGrid:
         return np.linspace(0.0, self.mu_max, self.points)
 
 
-def default_mu_grid(B: float, xi: float | None = None) -> MuGrid:
-    """[0, 2 B / xi] when the feasibility margin is known (the optimum is
-    capped at B / xi), else the generic [0, 50]."""
-    if xi is not None:
-        return MuGrid(mu_max=2.0 * B / xi)
-    return MuGrid(mu_max=50.0)
-
-
 @dataclass(frozen=True)
 class DualEnumResult:
     """Grid maximizer of the exact enumeration dual function.

@@ -8,9 +8,10 @@ at zero and stay nonnegative throughout. The inner solver's `epochs` and
 one warm-started epoch per dual update. Each iterate is evaluated once (see
 `duallearn.lagrangian`): the slacks and objective of the trace are read from
 the evaluation the inner solver scored the iterate with, and a warm start
-resumes from that evaluation. Traces record every iterate so that the
-uniform mixture over them (the randomized solution) can be evaluated
-afterwards.
+resumes from that evaluation. A trace holds one array per recorded
+quantity, row t for iteration t, and keeps every iterate's parameters so
+that the uniform mixture over them (the randomized solution) can be
+evaluated afterwards.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .models import (
     descent_step,
 )
 
-# Full per-iteration snapshots above this parameter count require an explicit
-# snapshot_stride; strided traces cannot back a randomized solution.
+# Runs that keep every iterate's parameters are refused above this count.
 SNAPSHOT_PARAM_LIMIT = 100_000
 
 
@@ -45,7 +45,8 @@ class TrainConfig:
     """Iteration budget, dual step rule, and inner solver for one run.
 
     `dual_step_eta` is the step size of either dual method: the eta of
-    projected ascent, or the ADAM step size of projected-adam.
+    projected ascent, or the ADAM step size of projected-adam. `save_theta`
+    keeps every iterate's parameters in the trace.
     """
 
     iterations_T: int
@@ -53,7 +54,7 @@ class TrainConfig:
     inner: InnerSolverConfig
     dual_method: str = "projected-ascent"
     seed: int = 0
-    snapshot_stride: int = 1
+    save_theta: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations_T < 1:
@@ -62,46 +63,27 @@ class TrainConfig:
             raise ConfigurationError("dual_step_eta must be positive")
         if self.dual_method not in ("projected-ascent", "projected-adam"):
             raise ConfigurationError(f"unknown dual method {self.dual_method!r}")
-        if self.snapshot_stride < 1:
-            raise ConfigurationError("snapshot_stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """State observed at one iteration, with mu taken before its update."""
-
-    t: int
-    theta: np.ndarray | None
-    objective: float
-    slacks: np.ndarray
-    mu: np.ndarray
-    lagrangian: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainTrace:
-    """Per-iteration records of a completed run plus the model architecture.
+    """A completed run, one array per quantity, plus the model architecture.
 
-    Records at the iterations t with t % snapshot_stride == 0 carry their
-    theta snapshot (all of them, or none for a run that kept none); every
-    other record has theta None.
+    Row t of each array is iteration t: `objective` (T,), `slacks` (T, m),
+    `mu` (T, m), taken before that iteration's update, and `lagrangian`
+    (T,). `thetas` (T, P) holds every iterate's parameters, or is None for
+    a run that kept none.
     """
 
-    records: tuple[TraceRecord, ...]
+    objective: np.ndarray
+    slacks: np.ndarray
+    mu: np.ndarray
+    lagrangian: np.ndarray
     arch: Arch
-    snapshot_stride: int = 1
+    thetas: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def mu_matrix(self) -> np.ndarray:
-        return np.stack([r.mu for r in self.records])
-
-    def slack_matrix(self) -> np.ndarray:
-        return np.stack([r.slacks for r in self.records])
-
-    def lagrangians(self) -> np.ndarray:
-        return np.asarray([r.lagrangian for r in self.records])
+        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -133,6 +115,8 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     sigmoid-surrogate substitution of `problem`); slack evaluation and the
     recorded Lagrangian always use the original `problem`, so dual updates
     see the true constraint values. Deterministic for a fixed config seed.
+    Each iteration is written into row t of the trace's preallocated arrays;
+    `config.save_theta` decides whether its parameters are kept.
 
     A model is evaluated once: the true slacks and the objective are read
     from the evaluation the gradient solver returns with its minimizer (the
@@ -149,9 +133,10 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     if primal_problem.m != problem.m:
         raise InputError("primal problem must have the same constraint count")
     n_params = init.arch.n_params
-    if n_params > SNAPSHOT_PARAM_LIMIT and config.snapshot_stride == 1:
+    if config.save_theta and n_params > SNAPSHOT_PARAM_LIMIT:
         raise ConfigurationError(
-            f"models above {SNAPSHOT_PARAM_LIMIT} parameters need an explicit snapshot_stride"
+            f"models above {SNAPSHOT_PARAM_LIMIT} parameters cannot keep every iterate; "
+            "set output.save_theta to false"
         )
 
     inner = config.inner
@@ -163,21 +148,24 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
             R_p, S_p = enumeration_stats(primal_problem, evals)
             R_o, S_o = enumeration_stats(problem, evals)
 
-    seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(config.iterations_T)
-    mu = DualState.zeros(problem.m)
+    T, m = config.iterations_T, problem.m
+    seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(T)
+    mu = DualState.zeros(m)
     dual_opt = (OptimizerState(method="adam", step_size=config.dual_step_eta)
                 if config.dual_method == "projected-adam" else None)
     model = init
     init_eval = ev = Evaluation(init)
-    records: list[TraceRecord] = []
+    trace = TrainTrace(objective=np.empty(T), slacks=np.empty((T, m)), mu=np.empty((T, m)),
+                       lagrangian=np.empty(T), arch=init.arch,
+                       thetas=np.empty((T, n_params)) if config.save_theta else None)
 
-    for t in range(config.iterations_T):
+    for t in range(T):
         try:
             if inner.method == "enumeration":
-                vals = R_p + S_p @ mu.mu if problem.m else R_p
+                vals = R_p + S_p @ mu.mu if m else R_p
                 j = int(np.argmin(vals))
                 model_t = inner.candidates[j]
-                s = S_o[j].copy()
+                s = S_o[j]
                 obj = float(R_o[j])
             else:
                 start = ev if inner.warm_start else init_eval
@@ -188,12 +176,13 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
                 obj = ev.risk(problem.objective_loss, problem.objective_dataset)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
-        lag = obj + float(mu.mu @ s) if problem.m else obj
-        theta = model_t.params.copy() if t % config.snapshot_stride == 0 else None
-        records.append(TraceRecord(t=t, theta=theta, objective=obj,
-                                   slacks=np.asarray(s, dtype=float), mu=mu.mu.copy(),
-                                   lagrangian=lag))
-        if problem.m:
+        trace.objective[t] = obj
+        trace.slacks[t] = s
+        trace.mu[t] = mu.mu
+        trace.lagrangian[t] = obj + float(mu.mu @ s) if m else obj
+        if trace.thetas is not None:
+            trace.thetas[t] = model_t.params
+        if m:
             if dual_opt is None:
                 mu = dual_update(mu, s, config.dual_step_eta)
             else:
@@ -201,29 +190,19 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
                 mu = DualState(np.maximum(0.0, ascended))
         model = model_t
 
-    trace = TrainTrace(records=tuple(records), arch=init.arch,
-                       snapshot_stride=config.snapshot_stride)
     return trace, model, mu
 
 
 def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
-    """Uniform mixture over all recorded iterates; refuses traces without
-    every snapshot."""
-    if len(trace) == 0:
-        raise InputError("cannot build a randomized solution from an empty trace")
-    if all(r.theta is None for r in trace.records):
+    """Uniform mixture over all recorded iterates; refuses a trace that kept
+    no parameters."""
+    if trace.thetas is None:
         raise InputError(
             "trace has no theta snapshots (the run had output.save_theta: false); "
             "a randomized solution needs every iterate"
         )
-    models = []
-    for r in trace.records:
-        if r.theta is None:
-            raise InputError(
-                "trace has strided snapshots; a randomized solution needs every iterate"
-            )
-        models.append(ModelState(params=r.theta, arch=trace.arch))
-    return RandomizedSolution(models=tuple(models))
+    return RandomizedSolution(models=tuple(ModelState(params=theta, arch=trace.arch)
+                                           for theta in trace.thetas))
 
 
 def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:
@@ -257,15 +236,14 @@ def ergodic_complementary_slackness(trace: TrainTrace) -> float:
     """
     if len(trace) == 0:
         raise InputError("empty trace")
-    total = sum(float(r.mu @ r.slacks) for r in trace.records)
-    return total / len(trace)
+    return float(np.sum(trace.mu * trace.slacks)) / len(trace)
 
 
 def ergodic_slacks(trace: TrainTrace) -> np.ndarray:
     """Per-constraint mean slack over the trace (the randomized-solution slack)."""
     if len(trace) == 0:
         raise InputError("empty trace")
-    return trace.slack_matrix().mean(axis=0)
+    return trace.slacks.mean(axis=0)
 
 
 def recommend_hyperparams(B: float, m: int, zeta_bar: float, U0: float,
@@ -298,50 +276,41 @@ def save_trace(trace: TrainTrace, records_path: str | Path,
                thetas_path: str | Path | None = None) -> None:
     """Write the trace: a JSON header line, then one JSON object per iteration.
 
-    With `thetas_path` the snapshots are written there as one (K, P) float64
-    `.npy` array, row k holding the theta of iteration k * snapshot_stride,
-    and the header records the file (relative to the trace's directory when
-    it lies inside it) and the stride. A run directory written by
-    `duallearn train` therefore holds `trace.jsonl` and, with
-    `output.save_theta`, `thetas.npy` next to it. With thetas_path=None the
-    snapshots are dropped (records only), which is enough for slack/multiplier
-    diagnostics but not for randomized solutions.
+    With `thetas_path`, a trace that kept its `thetas` writes them there as
+    one (T, P) float64 `.npy` array, row t holding the theta of iteration t,
+    and the header names the file (relative to the trace's directory when it
+    lies inside it). A run directory written by `duallearn train` therefore
+    holds `trace.jsonl` and, with `output.save_theta`, `thetas.npy` next to
+    it. Otherwise the parameters are dropped (records only), which is enough
+    for slack/multiplier diagnostics but not for randomized solutions.
     """
     records_path = Path(records_path)
     snapshots = None
-    if thetas_path is not None:
-        stride = trace.snapshot_stride
-        if any((r.theta is not None) != (r.t % stride == 0) for r in trace.records):
-            raise InputError(f"trace snapshots do not follow its snapshot_stride {stride}")
+    if thetas_path is not None and trace.thetas is not None:
         thetas_path = Path(thetas_path)
-        thetas = np.array([r.theta for r in trace.records if r.theta is not None],
-                          dtype=np.float64).reshape(-1, trace.arch.n_params)
         with open(thetas_path, "wb") as f:  # a path np.save would give a .npy suffix
-            np.save(f, thetas, allow_pickle=False)
+            np.save(f, trace.thetas, allow_pickle=False)
         if thetas_path.is_relative_to(records_path.parent):
             thetas_path = thetas_path.relative_to(records_path.parent)
-        snapshots = {"file": str(thetas_path), "stride": stride}
+        snapshots = {"file": str(thetas_path)}
     lines = [json.dumps({"kind": _TRACE_KIND, "version": _TRACE_VERSION,
                          "arch": arch_to_dict(trace.arch), "snapshots": snapshots},
                         sort_keys=True)]
-    for r in trace.records:
-        lines.append(json.dumps({
-            "t": r.t,
-            "objective": r.objective,
-            "slacks": [float(v) for v in r.slacks],
-            "mu": [float(v) for v in r.mu],
-            "lagrangian": r.lagrangian,
-        }, sort_keys=True))
+    rows = zip(trace.objective.tolist(), trace.slacks.tolist(), trace.mu.tolist(),
+               trace.lagrangian.tolist())
+    for t, (objective, slack, mu, lagrangian) in enumerate(rows):
+        lines.append(json.dumps({"t": t, "objective": objective, "slacks": slack, "mu": mu,
+                                 "lagrangian": lagrangian}, sort_keys=True))
     records_path.write_text("\n".join(lines) + "\n")
 
 
 def load_trace(records_path: str | Path) -> TrainTrace:
     """Read a trace written by `save_trace`, with its snapshot array if any.
 
-    The snapshot array is read once, without pickles, and must be float64
-    of shape (number of snapshot records, the architecture's n_params). Any
-    fault of the trace or its snapshot file is an InputError naming the
-    trace.
+    The records must be the iterations t = 0..T-1 in order. The snapshot
+    array is read once, without pickles, and must be float64 of shape
+    (T, the architecture's n_params). Any fault of the trace or its
+    snapshot file is an InputError naming the trace.
     """
     records_path = Path(records_path)
     try:
@@ -358,34 +327,33 @@ def load_trace(records_path: str | Path) -> TrainTrace:
             )
         arch = arch_from_dict(header["arch"])
         objs = [json.loads(line) for line in lines[1:]]
-        thetas = [None] * len(objs)
-        stride = 1
+        T = len(objs)
+        if T == 0 or [obj["t"] for obj in objs] != list(range(T)):
+            raise InputError("the records must be the iterations t = 0..T-1 in order, T >= 1")
+        thetas = None
         snapshots = header["snapshots"]
         if snapshots is not None:
-            stride = int(snapshots["stride"])
             path = records_path.parent / snapshots["file"]
             try:
-                array = np.load(path, allow_pickle=False)
+                thetas = np.load(path, allow_pickle=False)
             except (OSError, ValueError) as err:
                 raise InputError(f"{path}: cannot read the theta snapshots: {err}") from err
-            held = [k for k, obj in enumerate(objs) if int(obj["t"]) % stride == 0]
-            shape = (len(held), arch.n_params)
-            if array.dtype != np.float64 or array.shape != shape:
+            shape = (T, arch.n_params)
+            if thetas.dtype != np.float64 or thetas.shape != shape:
                 raise InputError(
-                    f"{path}: theta snapshots are {array.dtype} {array.shape}, expected "
-                    f"float64 {shape} (snapshot records x architecture parameters)"
+                    f"{path}: theta snapshots are {thetas.dtype} {thetas.shape}, expected "
+                    f"float64 {shape} (records x architecture parameters)"
                 )
-            array.setflags(write=False)
-            for k, row in zip(held, array):
-                thetas[k] = row
-        records = tuple(
-            TraceRecord(t=int(obj["t"]), theta=theta, objective=float(obj["objective"]),
-                        slacks=np.asarray(obj["slacks"], dtype=float),
-                        mu=np.asarray(obj["mu"], dtype=float),
-                        lagrangian=float(obj["lagrangian"]))
-            for obj, theta in zip(objs, thetas)
-        )
-        return TrainTrace(records=records, arch=arch, snapshot_stride=stride)
+            thetas.setflags(write=False)
+
+        def column(key: str) -> np.ndarray:
+            return np.array([obj[key] for obj in objs], dtype=float)
+
+        return TrainTrace(objective=column("objective").reshape(T),
+                          slacks=column("slacks").reshape(T, -1),
+                          mu=column("mu").reshape(T, -1),
+                          lagrangian=column("lagrangian").reshape(T), arch=arch,
+                          thetas=thetas)
     except KeyError as err:
         raise InputError(f"{records_path}: missing key {err}") from None
     except (OSError, TypeError, ValueError) as err:

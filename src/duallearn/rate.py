@@ -54,8 +54,7 @@ def _is_rate(loss: LossSpec) -> bool:
 
 
 def _surrogate_loss(loss: LossSpec, cfg: SurrogateConfig) -> LossSpec:
-    return LossSpec(kind="rate-sigmoid", bound_B=loss.bound_B,
-                    lipschitz_M=loss.lipschitz_M, rate_shift=cfg.shift,
+    return LossSpec(kind="rate-sigmoid", bound_B=loss.bound_B, rate_shift=cfg.shift,
                     rate_slope=cfg.slope_a)
 
 

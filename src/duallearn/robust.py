@@ -44,7 +44,6 @@ class AttackConfig:
     case over 10 restarts).
     """
 
-    kind: str
     epsilon: float
     steps: int = 1
     step_size: float = 0.0
@@ -53,8 +52,6 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fgsm", "pgd"):
-            raise ConfigurationError(f"unknown attack kind {self.kind!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ConfigurationError("epsilon must be >= 0")
         if self.steps < 1:
@@ -63,8 +60,6 @@ class AttackConfig:
             raise ConfigurationError("restarts must be >= 1")
         if self.step_size < 0:
             raise ConfigurationError("step_size must be >= 0")
-        if self.kind == "fgsm" and (self.steps != 1 or self.step_size != self.epsilon):
-            raise ConfigurationError("fgsm requires steps=1 and step_size=epsilon")
         if self.clamp_box is not None:
             lo, hi = self.clamp_box
             if not lo < hi:
@@ -72,17 +67,16 @@ class AttackConfig:
 
     @classmethod
     def fgsm(cls, epsilon: float, clamp_box=None, seed: int = 0) -> AttackConfig:
-        return cls(kind="fgsm", epsilon=epsilon, steps=1, step_size=epsilon,
-                   clamp_box=clamp_box, seed=seed)
+        return cls(epsilon=epsilon, steps=1, step_size=epsilon, clamp_box=clamp_box, seed=seed)
 
     @classmethod
     def pgd_training(cls, epsilon: float, clamp_box=None, seed: int = 0) -> AttackConfig:
-        return cls(kind="pgd", epsilon=epsilon, steps=5, step_size=epsilon / 3.0,
+        return cls(epsilon=epsilon, steps=5, step_size=epsilon / 3.0,
                    restarts=1, clamp_box=clamp_box, seed=seed)
 
     @classmethod
     def pgd_evaluation(cls, epsilon: float, clamp_box=None, seed: int = 0) -> AttackConfig:
-        return cls(kind="pgd", epsilon=epsilon, steps=50, step_size=epsilon / 30.0,
+        return cls(epsilon=epsilon, steps=50, step_size=epsilon / 30.0,
                    restarts=10, clamp_box=clamp_box, seed=seed)
 
 

@@ -2,8 +2,9 @@
 
 perfbench/tracer.py wraps the functions it names in TRACED and refuses to run
 when one is missing, and perfbench/run.py drives the command line with fixed
-argument lists. Both files are loaded by path and left unchanged, so that a
-change to the package which breaks the benchmark fails here first.
+argument lists over configs it derives from the shipped ones. Both files are
+loaded by path and left unchanged, so that a change to the package which
+breaks the benchmark fails here first.
 """
 
 import importlib
@@ -52,3 +53,14 @@ def test_the_command_line_accepts_every_argument_list_of_the_runner(tmp_path, mo
     assert {args.parallel_trials for args in parsed if args.command == "example1"} == {1}
     # train and eval default to the config's seed (None), example1 to 0
     assert {args.seed for args in parsed} == {None, 0, 17}
+
+
+def test_the_set_up_command_of_every_workload_runs(tmp_path, monkeypatch):
+    """Each workload's set-up command (its config cut to one iteration, or
+    example1 at one trial) runs for real, so a config-schema change that the
+    derived configs no longer pass fails here."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load("run")
+    for workload in run.WORKLOADS:
+        _, setup, _ = run.plan(workload, tmp_path / workload)
+        assert cli.main([*setup, "--out", str(tmp_path / "out" / workload)]) == 0, workload

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_fairness_train_then_eval_of_the_mixture(tmp_path):
     assert len(trace) == 3
     thetas = np.load(tmp_path / "train" / "thetas.npy", allow_pickle=False)
     assert thetas.shape == (3, trace.arch.n_params)
-    assert thetas.tobytes() == np.stack([r.theta for r in trace.records]).tobytes()
+    assert thetas.tobytes() == trace.thetas.tobytes()
 
     assert main(["eval", "--config", str(path), "--trace", str(trace_path),
                  "--out", str(tmp_path / "eval")]) == 0
@@ -54,8 +55,8 @@ def test_fairness_train_then_eval_of_the_mixture(tmp_path):
     ds, _ = load_csv(spec["path"], CsvSchema(label_column=spec["label_column"],
                                              feature_columns=tuple(spec["feature_columns"]),
                                              group_column=spec["group_column"]))
-    risks = [empirical_risk(ModelState(r.theta, trace.arch), LossSpec.cross_entropy(), ds)
-             for r in trace.records]
+    risks = [empirical_risk(ModelState(theta, trace.arch), LossSpec.cross_entropy(), ds)
+             for theta in trace.thetas]
     assert summary["objective_risk"] == pytest.approx(float(np.mean(risks)), rel=1e-12)
 
 
@@ -74,11 +75,13 @@ def test_eval_of_a_trace_without_snapshots_names_save_theta(tmp_path, capsys):
     ("dual", "variant", "alternating"),
     ("dual", "adam_step", 0.002),
     ("inner", "target_rho", 0.0),
+    ("dual", "snapshot_stride", 1),
+    ("problem.objective.loss", "lipschitz_M", 1.0),
+    ("attack", "kind", "fgsm"),
 ])
 def test_removed_keys_are_rejected_with_their_path(tmp_path, capsys, section, key, value):
-    def edit(cfg):
-        cfg[section][key] = value
-    path, _ = derived_config(tmp_path, "fairness_train.json", edit)
+    shipped = "robust_train.json" if section == "attack" else "fairness_train.json"
+    path, _ = derived_config(tmp_path, shipped, set_key([*section.split("."), key], value))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"unknown config key {section}.{key}" in capsys.readouterr().err
 
@@ -95,7 +98,7 @@ def test_clean_rows_outside_the_attack_box_are_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("kind", "fgsm"), ("steps", 50), ("step_size", 0.1), ("restarts", 7),
+    ("steps", 50), ("step_size", 0.1), ("restarts", 7),
 ])
 def test_attack_preset_refuses_the_keys_it_sets(tmp_path, capsys, key, value):
     def edit(cfg):
@@ -116,6 +119,47 @@ def test_attack_clamp_box_needs_both_bounds(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert "attack.clamp_lo and attack.clamp_hi must be given together" in err
     assert "Traceback" not in err and "KeyError" not in err
+
+
+@pytest.mark.parametrize("shipped, path, value, key", [
+    ("fairness_train.json", ["problem", "constraints", 0, "loss", "rate_shift"], math.nan,
+     "problem.constraints[0].loss.rate_shift"),
+    ("fairness_train.json", ["problem", "constraints", 1, "loss", "rate_shift"], -math.inf,
+     "problem.constraints[1].loss.rate_shift"),
+    ("fairness_train.json", ["problem", "constraints", 0, "loss", "rate_slope"], math.nan,
+     "problem.constraints[0].loss.rate_slope"),
+    ("robust_train.json", ["attack", "step_size"], math.nan, "attack.step_size"),
+    ("fairness_train.json", ["inner", "step_size"], math.inf, "inner.step_size"),
+])
+def test_a_number_that_is_not_finite_is_refused(tmp_path, capsys, shipped, path, value, key):
+    """JSON's NaN and Infinity parse as floats; every number key refuses them."""
+    def edit(cfg):
+        if path[0] == "attack":  # the preset sets step_size, so spell the schedule out
+            cfg["attack"] = {"epsilon": 0.8, "steps": 5, "step_size": 0.2, "seed": 0}
+        set_key(path, value)(cfg)
+    config, _ = derived_config(tmp_path, shipped, edit)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key} must be a finite number, got {value}" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "run").iterdir())
+
+
+def test_bounds_report_the_delta_their_zeta_was_computed_with(tmp_path):
+    computed = {"B": 1.0, "xi": 0.1, "N": 1000, "d_vc": 10.0, "M": 1.0, "nu": 0.01}
+    declared = {"zetas": [0.2], "B": 1.0, "xi": 0.1, "M": 1.0, "nu": 0.01}
+    for name, bounds, delta in (("computed", computed, 0.05),
+                                ("computed-at-0.1", {**computed, "delta": 0.1}, 0.1),
+                                ("declared", declared, None),
+                                ("declared-at-0.1", {**declared, "delta": 0.1}, 0.1)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"bounds": bounds}))
+        assert main(["bounds", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        report = json.loads((tmp_path / name / "summary.json").read_text())["report"]
+        assert report["delta"] == delta, name
+        if "d_vc" in bounds:
+            assert report["zeta_per_constraint"] == [
+                pytest.approx(ref_zeta_vc(1000, 10.0, delta, 1.0), rel=1e-12)]
 
 
 def test_bounds_fixture_matches_the_reference_formulas(tmp_path):
@@ -190,8 +234,7 @@ ENUMERATION = {"method": "enumeration", "grid_lo": [-1.0] * 7, "grid_hi": [1.0] 
      "unknown config key problem.datasets.train.dim"),
     # null where the key takes none
     ("fairness_train.json", set_key(["inner", "epochs"], None), "config key inner.epochs"),
-    ("fairness_train.json", set_key(["dual", "snapshot_stride"], None),
-     "config key dual.snapshot_stride"),
+    ("fairness_train.json", set_key(["dual", "method"], None), "config key dual.method"),
     ("fairness_train.json", set_key(["problem", "objective", "loss", "clamp_p_min"], None),
      "config key problem.objective.loss.clamp_p_min"),
     ("robust_train.json", set_key(["attack", "seed"], None), "config key attack.seed"),

@@ -147,7 +147,7 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     ds, _ = table(n=30, seed=2)
     model = models(seed=3)[0]
     loss = loss_of(kind)
-    attack = AttackConfig(kind="pgd", epsilon=0.2, steps=3, step_size=0.1, restarts=2,
+    attack = AttackConfig(epsilon=0.2, steps=3, step_size=0.1, restarts=2,
                           clamp_box=(-1.0, 1.0), seed=4)
     adv = AdversarialDataset(ds, loss, attack)
     problem = Problem(objective_loss=CE, objective_dataset=ds,
@@ -253,12 +253,12 @@ def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(warm_star
 
     assert len(forwarded) <= 2 * T
     assert set(forwarded) == {len(problem.objective_dataset)}
-    assert np.any(trace.mu_matrix() > 0.0)
+    assert np.any(trace.mu > 0.0)
     # what the carried evaluations recorded is what a fresh evaluation reads
-    for rec in trace.records:
-        model = ModelState(rec.theta, trace.arch)
-        assert bits(rec.slacks) == bits(slacks(model, problem))
-        assert bits(rec.objective) == bits(empirical_risk(model, CE, problem.objective_dataset))
+    for theta, slack, objective in zip(trace.thetas, trace.slacks, trace.objective):
+        model = ModelState(theta, trace.arch)
+        assert bits(slack) == bits(slacks(model, problem))
+        assert bits(objective) == bits(empirical_risk(model, CE, problem.objective_dataset))
 
 
 def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
@@ -280,9 +280,9 @@ def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
     monkeypatch.undo()
 
     assert attacked.count(len(ds)) == T + 1  # the start point once, then one per iterate
-    assert np.any(trace.mu_matrix() > 0.0)
-    for rec in trace.records:
-        assert bits(rec.slacks) == bits(slacks(ModelState(rec.theta, trace.arch), problem))
+    assert np.any(trace.mu > 0.0)
+    for theta, slack in zip(trace.thetas, trace.slacks):
+        assert bits(slack) == bits(slacks(ModelState(theta, trace.arch), problem))
 
 
 def memo_problem():
@@ -290,7 +290,7 @@ def memo_problem():
     plus an adversarial constraint on the table, for differentiable losses."""
     problem = fairness_shaped("rate-sigmoid")
     ds = problem.objective_dataset
-    attack = AttackConfig(kind="pgd", epsilon=0.2, steps=2, step_size=0.1,
+    attack = AttackConfig(epsilon=0.2, steps=2, step_size=0.1,
                           clamp_box=(-1.0, 1.0), seed=0)
     adv = ConstraintSpec(loss=loss_of("hinge"), threshold_c=0.3,
                          dataset=AdversarialDataset(ds, loss_of("hinge"), attack), name="adv")
@@ -414,7 +414,7 @@ def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(warm_
     trace, _, _ = train(problem, cfg, init, primal_problem=primal)
     monkeypatch.undo()
 
-    thetas = [init.params] + [rec.theta for rec in trace.records]
+    thetas = [init.params, *trace.thetas]
     accepted = sum(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
     terms = distinct_terms(primal)
     if warm_start:

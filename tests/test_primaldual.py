@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestTrain:
         _, direct = dual_function(DualState.zeros(0), prob, inner, init,
                                   rng=np.random.default_rng(seeds[0]))
         assert np.array_equal(final_model.params, direct.params)
-        assert trace.records[0].slacks.shape == (0,)
+        assert trace.slacks.shape == (1, 0)
         assert len(final_mu) == 0
 
     def test_vacuous_constraint_keeps_mu_at_zero(self):
@@ -98,7 +99,7 @@ class TestTrain:
                                   optimizer="adam", step_size=0.05)
         cfg = TrainConfig(iterations_T=8, dual_step_eta=2.0, inner=inner, seed=0)
         trace, _, final_mu = train(prob, cfg, init_model(LogisticArch(2)))
-        assert np.array_equal(trace.mu_matrix(), np.zeros((8, 1)))
+        assert np.array_equal(trace.mu, np.zeros((8, 1)))
         assert np.array_equal(final_mu.mu, [0.0])
 
     def test_convex_toy_reaches_grid_dual_optimum(self):
@@ -110,8 +111,8 @@ class TestTrain:
         ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands),
                              MuGrid(mu_max=8.0, points=2001))
         theta_star, mu_star, p_star = toy_analytic()
-        assert abs(trace.records[-1].lagrangian - ref.d_hat) <= 1e-2
-        assert trace.records[-1].slacks[0] <= 1e-2
+        assert abs(trace.lagrangian[-1] - ref.d_hat) <= 1e-2
+        assert trace.slacks[-1, 0] <= 1e-2
         assert final_model.params[0] == pytest.approx(theta_star, abs=0.01)
         assert final_mu.mu[0] == pytest.approx(mu_star, abs=0.05)
         assert ref.d_hat == pytest.approx(p_star, abs=1e-6)
@@ -129,7 +130,7 @@ class TestTrain:
         cfg = TrainConfig(iterations_T=5, dual_step_eta=0.1, dual_method="projected-adam",
                           inner=inner, seed=0)
         trace, _, final_mu = train(prob, cfg, cands[0])
-        assert np.array_equal(trace.slack_matrix(), np.zeros((5, 1)))
+        assert np.array_equal(trace.slacks, np.zeros((5, 1)))
         assert np.array_equal(final_mu.mu, [0.0])
 
     def test_projected_adam_matches_reference_ascent(self):
@@ -143,16 +144,15 @@ class TestTrain:
         trace, _, final_mu = train(prob, cfg, cands[0])
         mu, m1, m2 = np.zeros(1), np.zeros(1), np.zeros(1)
         expected = []
-        for t, rec in enumerate(trace.records, start=1):
+        for t, s in enumerate(trace.slacks, start=1):
             expected.append(mu)
-            s = rec.slacks
             m1 = 0.9 * m1 + (1.0 - 0.9) * s
             m2 = 0.999 * m2 + (1.0 - 0.999) * s * s
             m_hat = m1 / (1.0 - 0.9 ** t)
             v_hat = m2 / (1.0 - 0.999 ** t)
             mu = np.maximum(0.0, mu + eta * m_hat / (np.sqrt(v_hat) + 1e-8))
-        assert np.any(trace.mu_matrix() > 0.0)
-        assert np.array_equal(trace.mu_matrix(), np.stack(expected))
+        assert np.any(trace.mu > 0.0)
+        assert np.array_equal(trace.mu, np.stack(expected))
         assert np.array_equal(final_mu.mu, mu)
 
     def test_mu_nonnegative_throughout(self):
@@ -161,7 +161,7 @@ class TestTrain:
                                   optimizer="adam", step_size=0.1)
         cfg = TrainConfig(iterations_T=15, dual_step_eta=5.0, inner=inner, seed=5)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)))
-        assert np.all(trace.mu_matrix() >= 0.0)
+        assert np.all(trace.mu >= 0.0)
 
     def test_seed_determinism_bit_identical(self):
         prob = small_gradient_problem()
@@ -171,9 +171,8 @@ class TestTrain:
         t1, m1, _ = train(prob, cfg, init_model(LogisticArch(2)))
         t2, m2, _ = train(prob, cfg, init_model(LogisticArch(2)))
         assert np.array_equal(m1.params, m2.params)
-        assert np.array_equal(np.stack([r.theta for r in t1.records]),
-                              np.stack([r.theta for r in t2.records]))
-        assert np.array_equal(t1.mu_matrix(), t2.mu_matrix())
+        assert np.array_equal(t1.thetas, t2.thetas)
+        assert np.array_equal(t1.mu, t2.mu)
 
     def test_inner_errors_carry_iteration_index(self):
         zo = LossSpec(kind="zero-one", bound_B=1.0)
@@ -184,14 +183,16 @@ class TestTrain:
         with pytest.raises(Exception, match="iteration 0"):
             train(prob, cfg, ModelState(np.array([1.0]), TOY_ARCH))
 
-    def test_snapshot_stride_and_param_limit(self):
-        arch = MlpArch((400, 300, 1))
+    def test_param_limit_refuses_only_runs_that_keep_theta(self):
+        arch = MlpArch((2, 50_000, 1), output="sigmoid")
         assert arch.n_params > 100_000
         prob = small_gradient_problem()
         inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
         cfg = TrainConfig(iterations_T=1, dual_step_eta=1.0, inner=inner, seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="output.save_theta"):
             train(prob, cfg, init_model(arch))
+        trace, _, _ = train(prob, replace(cfg, save_theta=False), init_model(arch))
+        assert trace.thetas is None and len(trace) == 1
 
 
 class TestErgodicInvariants:
@@ -205,7 +206,7 @@ class TestErgodicInvariants:
         bound = -eta * prob.m * TOY_BOUND ** 2 / 2.0
         assert ergodic_complementary_slackness(trace) >= bound - 1e-9
         # premise of the bound: every slack is within the loss bound
-        assert np.all(np.abs(trace.slack_matrix()) <= TOY_BOUND)
+        assert np.all(np.abs(trace.slacks) <= TOY_BOUND)
 
     def test_per_iteration_lagrangian_below_grid_dual(self):
         prob = convex_toy()
@@ -215,7 +216,7 @@ class TestErgodicInvariants:
         inner = InnerSolverConfig(method="enumeration", candidates=cands)
         cfg = TrainConfig(iterations_T=300, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
-        assert np.all(trace.lagrangians() <= ref.d_hat + 1e-9)
+        assert np.all(trace.lagrangian <= ref.d_hat + 1e-9)
 
     def test_ergodic_slack_mean(self):
         prob = convex_toy()
@@ -223,7 +224,7 @@ class TestErgodicInvariants:
         inner = InnerSolverConfig(method="enumeration", candidates=cands)
         cfg = TrainConfig(iterations_T=50, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
-        assert ergodic_slacks(trace) == pytest.approx(trace.slack_matrix().mean(axis=0))
+        assert ergodic_slacks(trace) == pytest.approx(trace.slacks.mean(axis=0))
 
 
 class TestRandomizedSolution:
@@ -239,7 +240,7 @@ class TestRandomizedSolution:
         prob, trace = self._toy_trace(T=1)
         sol = randomized_solution(trace)
         assert len(sol.models) == 1
-        assert np.array_equal(sol.models[0].params, trace.records[0].theta)
+        assert np.array_equal(sol.models[0].params, trace.thetas[0])
 
     def test_mixture_risk_is_mean_of_iterate_risks(self):
         prob, trace = self._toy_trace(T=7)
@@ -249,17 +250,6 @@ class TestRandomizedSolution:
         per_iter = [empirical_risk(m, loss, ds) for m in sol.models]
         direct = float(np.asarray(per_iter).sum()) / len(per_iter)
         assert mixture_risks(sol, [(loss, ds)]) == [pytest.approx(direct, abs=1e-12)]
-
-    def test_strided_traces_refused(self):
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
-        cfg = TrainConfig(iterations_T=4, dual_step_eta=0.5, inner=inner, seed=0,
-                          snapshot_stride=2)
-        trace, _, _ = train(prob, cfg, cands[0])
-        assert trace.records[1].theta is None
-        with pytest.raises(InputError, match="strided snapshots"):
-            randomized_solution(trace)
 
     def test_repeated_iterates_are_evaluated_once(self, monkeypatch):
         prob = small_gradient_problem()
@@ -291,7 +281,7 @@ class TestRandomizedSolution:
         _, trace = self._toy_trace(T=3)
         save_trace(trace, tmp_path / "trace.jsonl")  # records only, no theta files
         loaded = load_trace(tmp_path / "trace.jsonl")
-        assert all(r.theta is None for r in loaded.records)
+        assert loaded.thetas is None
         with pytest.raises(InputError, match="no theta snapshots.*output.save_theta"):
             randomized_solution(loaded)
 
@@ -327,40 +317,32 @@ class TestTraceSerialization:
         save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
-        for a, b in zip(loaded.records, trace.records):
-            assert a.t == b.t
-            assert a.lagrangian == b.lagrangian
-            assert np.array_equal(a.slacks, b.slacks)
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.theta, b.theta)
+        for key in ("lagrangian", "slacks", "mu", "thetas"):
+            assert np.array_equal(getattr(loaded, key), getattr(trace, key)), key
 
-    @pytest.mark.parametrize("stride", [1, 2, 3, None])
-    def test_round_trip_is_bit_exact(self, tmp_path, stride):
+    @pytest.mark.parametrize("save_theta", [True, False])
+    def test_round_trip_is_bit_exact(self, tmp_path, save_theta):
         prob = small_gradient_problem()
         inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
         cfg = TrainConfig(iterations_T=7, dual_step_eta=0.5, inner=inner, seed=3,
-                          snapshot_stride=stride or 1)
+                          save_theta=save_theta)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(in_dim=2), seed=1))
-        # premise: the snapshots differ, so a row read into the wrong record shows
-        assert len({r.theta.tobytes() for r in trace.records[::stride or 1]}) > 2
         path = tmp_path / "trace.jsonl"
-        save_trace(trace, path, thetas_path=None if stride is None else tmp_path / "thetas.npy")
+        save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
         loaded = load_trace(path)
         assert loaded.arch == trace.arch and len(loaded) == 7
-        for a, b in zip(loaded.records, trace.records):
-            assert a.t == b.t
-            assert a.objective.hex() == b.objective.hex()
-            assert a.lagrangian.hex() == b.lagrangian.hex()
-            assert a.slacks.tobytes() == b.slacks.tobytes()
-            assert a.mu.tobytes() == b.mu.tobytes()
-            if stride is None or a.t % stride:
-                assert a.theta is None
-            else:
-                assert a.theta.tobytes() == b.theta.tobytes()
-        if stride is not None:
-            assert loaded.snapshot_stride == stride
-            thetas = np.load(tmp_path / "thetas.npy", allow_pickle=False)
-            assert thetas.shape == (len(range(0, 7, stride)), trace.arch.n_params)
+        # premise: the rows differ, so a row read into the wrong iteration shows
+        assert len(set(trace.objective.tolist())) > 2
+        for key in ("objective", "slacks", "mu", "lagrangian"):
+            got, want = getattr(loaded, key), getattr(trace, key)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+        if save_theta:
+            assert len({row.tobytes() for row in trace.thetas}) > 2
+            assert loaded.thetas.tobytes() == trace.thetas.tobytes()
+            assert loaded.thetas.shape == (7, trace.arch.n_params)
+        else:
+            assert trace.thetas is None and loaded.thetas is None
+            assert not (tmp_path / "thetas.npy").exists()
 
     def _saved_toy(self, tmp_path):
         prob = convex_toy()

@@ -240,8 +240,8 @@ class TestDualUsesIndicatorSlacks:
                                   optimizer="adam", step_size=0.1)
         cfg = TrainConfig(iterations_T=6, dual_step_eta=1.0, inner=inner, seed=2)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)), primal_problem=sur)
-        for rec in trace.records:
-            model = ModelState(rec.theta, trace.arch)
-            assert np.array_equal(rec.slacks, slacks(model, prob))
+        for theta, slack in zip(trace.thetas, trace.slacks):
+            model = ModelState(theta, trace.arch)
+            assert np.array_equal(slack, slacks(model, prob))
             sur_slacks = slacks(model, sur)
-            assert not np.array_equal(rec.slacks, sur_slacks)
+            assert not np.array_equal(slack, sur_slacks)

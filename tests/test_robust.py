@@ -36,9 +36,9 @@ BOX = (-1.0, 1.0)
 ATTACKS = [
     AttackConfig.fgsm(0.3, clamp_box=BOX, seed=1),
     AttackConfig.pgd_training(0.3, clamp_box=BOX, seed=2),
-    AttackConfig(kind="pgd", epsilon=0.3, steps=4, step_size=0.1, restarts=3,
-                 clamp_box=BOX, seed=3),
+    AttackConfig(epsilon=0.3, steps=4, step_size=0.1, restarts=3, clamp_box=BOX, seed=3),
 ]
+ATTACK_IDS = ["fgsm-1x1", "pgd-5x1", "pgd-4x3"]
 
 
 def logistic_case(seed, n=40):
@@ -49,7 +49,7 @@ def logistic_case(seed, n=40):
     return model, X, y
 
 
-@pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
+@pytest.mark.parametrize("cfg", ATTACKS, ids=ATTACK_IDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestAttackInvariants:
     def test_stays_in_ball_and_box(self, cfg, seed):
@@ -67,7 +67,7 @@ class TestAttackInvariants:
         assert np.any(attacked > clean)
 
 
-@pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
+@pytest.mark.parametrize("cfg", ATTACKS, ids=ATTACK_IDS)
 def test_pgd_on_an_mlp_stays_in_ball_and_box_and_never_lowers_the_loss(cfg):
     _, X, y = logistic_case(3)
     arch = MlpArch((3, 5, 1), output="sigmoid")
@@ -94,7 +94,7 @@ def pgd_reference(model, loss, X, y, cfg):
     return best_X
 
 
-@pytest.mark.parametrize("cfg", ATTACKS, ids=lambda c: f"{c.kind}-{c.steps}x{c.restarts}")
+@pytest.mark.parametrize("cfg", ATTACKS, ids=ATTACK_IDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_attack_equals_the_reference_loop(cfg, seed):
     # clamped squared loss on an MLP with a linear output, which PGD attacks:
@@ -231,7 +231,7 @@ def test_returned_predictions_are_those_of_the_returned_rows(name):
 
 def test_zero_epsilon_is_the_identity():
     model, X, y = logistic_case(0)
-    cfg = AttackConfig(kind="pgd", epsilon=0.0, steps=5, step_size=0.1, restarts=3)
+    cfg = AttackConfig(epsilon=0.0, steps=5, step_size=0.1, restarts=3)
     X_adv, P = perturb_batch(model, CE, X, y, cfg)
     assert np.array_equal(X_adv, X)
     assert np.array_equal(P, predict_batch(model, X))
@@ -274,7 +274,7 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
     obj = Dataset(features=np.ones((6, 1)), labels=np.linspace(0.8, 1.2, 6), name="obj")
     con = Dataset(features=np.full((5, 1), 0.5), labels=np.ones(5, dtype=np.int64),
                   name="con")
-    attack = AttackConfig(kind="pgd", epsilon=0.25, steps=2, step_size=0.2, restarts=2, seed=5)
+    attack = AttackConfig(epsilon=0.25, steps=2, step_size=0.2, restarts=2, seed=5)
     score = LossSpec(kind="signed-score", bound_B=4.0)
     constraint = ConstraintSpec(loss=score, threshold_c=0.3,
                                 dataset=AdversarialDataset(con, score, attack))
@@ -285,12 +285,11 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
     inner = InnerSolverConfig(method="enumeration", candidates=cands)
     cfg = TrainConfig(iterations_T=12, dual_step_eta=0.5, inner=inner, seed=0)
     trace, _, _ = train(problem, cfg, cands[0])
-    assert np.any(trace.mu_matrix() > 0.0)
-    for rec in trace.records:
-        cand = ModelState(rec.theta, arch)
-        assert np.array_equal(rec.slacks, slacks(cand, problem))
-        _, argmin = dual_function(DualState(rec.mu), problem, inner, cands[0])
-        assert np.array_equal(argmin.params, rec.theta)
+    assert np.any(trace.mu > 0.0)
+    for theta, slack, mu in zip(trace.thetas, trace.slacks, trace.mu):
+        assert np.array_equal(slack, slacks(ModelState(theta, arch), problem))
+        _, argmin = dual_function(DualState(mu), problem, inner, cands[0])
+        assert np.array_equal(argmin.params, theta)
 
 
 def per_restart_start(X0, cfg, restart, sample_indices):
@@ -309,7 +308,7 @@ def per_restart_start(X0, cfg, restart, sample_indices):
 @pytest.mark.parametrize("restarts", range(1, 10))
 def test_restart_starts_match_the_per_restart_formula(restarts):
     _, X, _ = logistic_case(restarts, n=25)
-    cfg = AttackConfig(kind="pgd", epsilon=0.3, steps=2, step_size=0.1, restarts=restarts,
+    cfg = AttackConfig(epsilon=0.3, steps=2, step_size=0.1, restarts=restarts,
                        clamp_box=BOX, seed=11)
     sample_indices = np.arange(100, 125)[::-1]
     starts = list(_restart_starts(X, cfg, sample_indices))
