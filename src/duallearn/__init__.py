@@ -47,7 +47,6 @@ from .oracle import (
     DualEnumResult,
     EcrmResult,
     EnumerableProblem,
-    MuGrid,
     constrained_argmin,
     dual_enumerate,
     ecrm_enumerate,

@@ -3,8 +3,11 @@
 Four commands over a single JSON config tree:
 
 - ``train``: build the configured problem and run projected dual ascent
-  (full inner solves, or one warm-started epoch per dual update with
-  ``inner.epochs: 1``). The run directory gets ``config_echo.json``,
+  with the gradient inner solver (full inner solves, or one warm-started
+  epoch per dual update with ``inner.epochs: 1``); the library's enumeration
+  solver takes an explicit candidate list, which a config does not give.
+  Rate indicators are swapped for their sigmoid surrogates in the primal
+  step only. The run directory gets ``config_echo.json``,
   ``trace.jsonl`` (a header line, then one JSON record per iteration),
   ``thetas.npy`` when ``output.save_theta`` is on (every iterate's theta as
   one (T, P) float64 array, named by the trace header; absent otherwise),
@@ -23,11 +26,12 @@ the model architecture, the gradient inner solver, the dual schedule and the
 csv schema) takes its keys, types and defaults from that dataclass (see
 `duallearn.config`); a hand-written schema covers the structure around them.
 Unknown keys, keys of a variant other than the one selected, and nulls
-where a key takes none are refused. config_echo.json holds every value the
-run used, defaults included (csv paths made absolute), and is itself a
-config: training from it reproduces the run from any working directory.
-Output files contain no timestamps: identical inputs give byte-identical
-outputs.
+where a key takes none are refused; a refused config writes nothing, as the
+run directory is made only once every section is built. config_echo.json
+holds every value the run used, defaults included (csv paths made
+absolute), and is itself a config: training from it reproduces the run from
+any working directory. Output files contain no timestamps: identical inputs
+give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .data import CsvSchema, group_split, load_csv, synth_two_gaussians
 from .errors import ConfigurationError, DualLearnError
 from .lagrangian import InnerSolverConfig
 from .models import (
-    ModelState,
     arch_from_dict,
     arch_to_dict,
     init_model,
@@ -85,8 +88,6 @@ _TOP = {"seed": int, "model": dict, "inner": dict, "dual": dict,
         "output": {"save_theta": bool}}
 _TWO_GAUSSIANS = {"kind": str, "dim": int, "means": tuple[tuple[float, ...], ...],
                   "sigma": float, "n": int, "seed": int}
-_ENUMERATION = {"method": str, "grid_lo": tuple[float, ...], "grid_hi": tuple[float, ...],
-                "grid_points": int}
 _DUAL_KEYS = {"dual_step_eta": "step_eta", "dual_method": "method"}
 
 
@@ -258,25 +259,13 @@ def _build_model(spec: dict, seed: int):
     return init_model(arch, seed=init_seed), {**arch_to_dict(arch, "arch"), "init_seed": init_seed}
 
 
-def _grid_candidates(arch, lo: tuple[float, ...], hi: tuple[float, ...],
-                     points: int) -> tuple[ModelState, ...]:
-    if len(lo) != arch.n_params or len(hi) != arch.n_params:
+def _build_inner(spec: dict) -> tuple[InnerSolverConfig, dict]:
+    method = spec.get("method")
+    if method not in (None, "gradient"):
         raise ConfigurationError(
-            f"inner.grid_lo/grid_hi must have {arch.n_params} entries for this model"
-        )
-    axes = [np.linspace(lo[i], hi[i], points) for i in range(arch.n_params)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    return tuple(ModelState(params=row, arch=arch) for row in flat)
-
-
-def _build_inner(spec: dict, arch) -> tuple[InnerSolverConfig, dict]:
-    if spec.get("method") != "enumeration":
-        return from_config(InnerSolverConfig, spec, "inner.", candidates=None)
-    values = {"grid_points": 200, **read(spec, _ENUMERATION, "inner.")}
-    cands = _grid_candidates(arch, require(values, "grid_lo", "inner."),
-                             require(values, "grid_hi", "inner."), values["grid_points"])
-    return InnerSolverConfig(method="enumeration", candidates=cands), values
+            f"config key inner.method must be 'gradient', got {method!r}: a config "
+            "trains with the gradient inner solver only")
+    return from_config(InnerSolverConfig, spec, "inner.", candidates=None)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -310,11 +299,9 @@ def _load_config(args) -> tuple[dict, Path, int]:
 
 def cmd_train(args) -> int:
     cfg, base_dir, seed = _load_config(args)
-    out = _out_dir(args, "train")
-
     problem, problem_echo, attack_echo, surrogate_echo = _build_problem(cfg, base_dir, seed)
     model, model_echo = _build_model(require(cfg, "model", ""), seed)
-    inner, inner_echo = _build_inner(require(cfg, "inner", ""), model.arch)
+    inner, inner_echo = _build_inner(require(cfg, "inner", ""))
     save_theta = cfg.get("output", {}).get("save_theta", True)
     tcfg, dual_echo = from_config(TrainConfig, require(cfg, "dual", ""), "dual.",
                                   keys=_DUAL_KEYS, inner=inner, seed=seed,
@@ -322,6 +309,7 @@ def cmd_train(args) -> int:
 
     primal_problem = build_surrogate_lagrangian(problem)
 
+    out = _out_dir(args, "train")
     echo = {"seed": seed, "problem": problem_echo, "model": model_echo,
             "inner": inner_echo, "dual": dual_echo, "attack": attack_echo,
             "surrogate": surrogate_echo, "output": {"save_theta": save_theta}}
@@ -380,7 +368,6 @@ def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
 
 def cmd_eval(args) -> int:
     cfg, base_dir, seed = _load_config(args)
-    out = _out_dir(args, "eval")
     problem, problem_echo, attack_echo, _ = _build_problem(cfg, base_dir, seed)
 
     if (args.model is None) == (args.trace is None):
@@ -392,6 +379,7 @@ def cmd_eval(args) -> int:
         sol = randomized_solution(load_trace(args.trace))
         source = {"trace": str(args.trace), "support": len(sol.models)}
 
+    out = _out_dir(args, "eval")
     _write_json(out / "config_echo.json",
                 {"seed": seed, "problem": problem_echo, "attack": attack_echo,
                  "source": source})
@@ -453,7 +441,6 @@ def cmd_example1(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg, _, _ = _load_config(args)
-    out = _out_dir(args, "bounds")
     b = require(cfg, "bounds", "")
     summary: dict = {"command": "bounds"}
 
@@ -490,6 +477,7 @@ def cmd_bounds(args) -> int:
         summary["zeta_source"] = zeta_source
         summary["Delta_source"] = delta_source
         summary["nu_source"] = "assumed"
+    out = _out_dir(args, "bounds")
     _write_json(out / "summary.json", summary)
     shown = summary.get("Delta_cap")
     print(f"bounds: Delta_cap={shown}; wrote {out}/summary.json")

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, InputError, SurrogateRequiredError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rate import SurrogateConfig
+    from .robust import AdversarialDataset
 
 
 LOSS_KINDS = (
@@ -224,33 +225,9 @@ class LossSpec:
         return 1
 
 
-class DatasetProvider:
-    """A dataset that must be realised against the current model.
-
-    Subclasses implement `realize(model, indices=None)`, regenerating the
-    sample set (or its `indices` rows of `base`) on every call; the
-    adversarial-constraint provider lives in the robust module. Its length
-    is that of `base`, so batches can be drawn before realising.
-    """
-
-    base: Dataset
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def n_features(self) -> int:
-        return self.base.n_features
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def realize(self, model, indices: np.ndarray | None = None) -> Dataset:  # pragma: no cover
-        raise NotImplementedError
-
-
-DatasetLike = Union[Dataset, DatasetProvider]
+# A set a risk averages over: a table, or an attacked set realised against
+# each model (`robust.AdversarialDataset`).
+DatasetLike = Union[Dataset, "AdversarialDataset"]
 
 
 @dataclass(frozen=True)
@@ -433,16 +410,10 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
     return grads
 
 
-def dataset_risk(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Mean loss over precomputed predictions, in deterministic reduction order."""
-    vals = loss_values(loss, predictions, labels)
-    return float(vals.sum()) / vals.shape[0]
-
-
 def empirical_risk(at, loss: LossSpec, dataset: DatasetLike) -> float:
     """Sample-average loss of a model (or `Evaluation`) `at` on `dataset`.
 
-    Model-dependent datasets (adversarial providers) are realised against
+    Model-dependent datasets (attacked sets) are realised against
     the model first, so the average is over the distribution the model
     itself induces.
     """

@@ -4,7 +4,10 @@ The dual function value at a multiplier vector is the (approximate) minimum
 of the empirical Lagrangian over model parameters. Two inner minimizers are
 provided: exact enumeration over a finite candidate list (ties break to the
 lowest index) and seeded minibatch gradient descent that reports the best
-Lagrangian value it ever visited.
+Lagrangian value it ever visited; a config trains with the gradient solver.
+Over a finite candidate list the dual function is the minimum of affine
+functions of mu, so its maximum over mu >= 0 is a linear program, which
+`oracle.dual_enumerate` solves exactly.
 
 The Lagrangian is a weighted sum of sample averages over views of a few
 tables, so a model is evaluated once: every function here takes a model or
@@ -117,9 +120,9 @@ def enumeration_stats(problem: Problem, candidates):
     """Per-candidate (objective risk, slack vector) pairs.
 
     Candidates are models or their evaluations. The Lagrangian of candidate
-    j at any mu is then R[j] + S[j] . mu, which makes repeated dual-function
-    evaluations over a mu grid cheap. Model-dependent providers are realised
-    against each candidate here; that realisation is deterministic (attack
+    j at any mu is then R[j] + S[j] . mu, so the dual function at any mu is
+    one matrix product away. Attacked sets are realised against each
+    candidate here; that realisation is deterministic (attack
     restarts are seeded per sample), so the tables stay valid for every mu
     and every iteration.
     """

@@ -259,8 +259,8 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
 class Evaluation:
     """One model evaluated once; every risk and loss gradient reads from it.
 
-    The evaluation realises each model-dependent provider once (one attack
-    per adversarial set) and runs one `predict_batch` per table: a root
+    The evaluation realises each model-dependent set once (one attack per
+    `robust.AdversarialDataset`) and runs one `predict_batch` per table: a root
     table when the evaluation also realises the root itself (some term
     averages over all of it), otherwise a view on its own rows. A table
     realised with this model's predictions attached (an attacked set) is

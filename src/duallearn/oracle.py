@@ -1,13 +1,13 @@
 """Brute-force ground truth for small instances.
 
 Two facilities: exact enumeration solvers (constrained argmin over a finite
-candidate list, and a mu-grid maximization of the exact dual function) used
-to verify weak duality and measure duality gaps, and the canonical
-pathological instance -- a two-point parameter set with linear expectation
-constraints whose sample-average version almost surely excludes the
-population optimum, selecting a parameter with twice the population
-objective. Its closed forms make it a sharp oracle for the rest of the
-library.
+candidate list, and the exact dual function maximised as a linear program
+over mixtures of the candidates) used to verify weak duality and measure
+duality gaps, and the canonical pathological instance -- a two-point
+parameter set with linear expectation constraints whose sample-average
+version almost surely excludes the population optimum, selecting a
+parameter with twice the population objective. Its closed forms make it a
+sharp oracle for the rest of the library.
 
 Monte-Carlo trials of that instance run in blocks of about 8,192 rows per
 table. Each trial is still drawn from its own generator, in the order
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericError
 from .lagrangian import enumeration_stats
 from .models import LinearArch, ModelState, predict_batch
 
@@ -168,71 +168,53 @@ def ecrm_enumerate(ep: EnumerableProblem) -> EcrmResult:
                       theta=ep.candidates[int(j)])
 
 
-@dataclass(frozen=True)
-class MuGrid:
-    """Axis-aligned multiplier grid [0, mu_max]^m with `points` per axis."""
-
-    mu_max: float
-    points: int = 200
-
-    def __post_init__(self) -> None:
-        if self.mu_max <= 0:
-            raise ConfigurationError("mu_max must be positive")
-        if self.points < 2:
-            raise ConfigurationError("grid needs at least 2 points per axis")
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(0.0, self.mu_max, self.points)
+# HiGHS's primal feasibility tolerance for the dual LP: the weights of
+# `dual_enumerate` satisfy every constraint to within it.
+LP_FEASIBILITY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class DualEnumResult:
-    """Grid maximizer of the exact enumeration dual function.
+    """The exact dual of an enumerable problem, or the infeasible marker.
 
-    boundary_hit flags a maximum attained on the outer grid face, i.e. the
-    grid was too coarse or too small to bracket the optimum.
+    `d_hat` is the dual function at `mu_star`, and `weights` (one per
+    candidate) is the best randomized solution. Where no mixture of the
+    candidates satisfies the constraints, the dual is unbounded: d_hat is
+    +inf and mu_star and weights are None.
     """
 
     d_hat: float
-    mu_star: np.ndarray
-    theta_index: int
-    theta: ModelState
-    boundary_hit: bool
+    mu_star: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
 
-def dual_enumerate(ep: EnumerableProblem, mu_grid: MuGrid) -> DualEnumResult:
-    """Maximize the exact dual function over the multiplier grid.
+def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
+    """Solve the empirical dual of the candidates exactly, as the LP
 
-    The dual value at mu is min_j (R_j + mu . S_j) over candidates, so the
-    whole grid is evaluated with one matrix product per chunk.
+        min p . R  subject to  S^T p <= 0,  p >= 0,  sum(p) = 1
+
+    over mixtures p, with R (J,) the candidates' objective risks and S
+    (J, m) their slack vectors (thresholds not relaxed by xi_relax). By LP
+    duality its value is the maximum over mu >= 0 of min_j (R_j + mu . S_j).
+    mu_star is the LP's multiplier of S^T p <= 0, and d_hat that minimum at
+    mu_star, so d_hat never exceeds the ECRM value. The weights are the LP's
+    vertex minimiser, which mixes at most m + 1 candidates. scipy is
+    imported here only: it takes longer to import than a training run
+    takes to set up.
     """
-    if ep.problem.m == 0:
-        R, _ = enumeration_stats(ep.problem, ep.candidates)
-        j = int(np.argmin(R))
-        return DualEnumResult(d_hat=float(R[j]), mu_star=np.zeros(0),
-                              theta_index=j, theta=ep.candidates[j], boundary_hit=False)
+    from scipy.optimize import linprog
+
     R, S = enumeration_stats(ep.problem, ep.candidates)
-    axis = mu_grid.axis()
-    m = ep.problem.m
-    total = mu_grid.points ** m
-    best_val = -math.inf
-    best_mu: np.ndarray | None = None
-    best_j = 0
-    chunk_rows = 200_000
-    for start in range(0, total, chunk_rows):
-        flat = np.arange(start, min(start + chunk_rows, total))
-        coords = np.unravel_index(flat, (mu_grid.points,) * m)
-        G = axis[np.stack(coords, axis=1)]
-        vals = R[None, :] + G @ S.T
-        mins = vals.min(axis=1)
-        i = int(np.argmax(mins))
-        if mins[i] > best_val:
-            best_val = float(mins[i])
-            best_mu = G[i].copy()
-            best_j = int(np.argmin(vals[i]))
-    boundary = bool(np.any(np.isclose(best_mu, mu_grid.mu_max)))
-    return DualEnumResult(d_hat=best_val, mu_star=best_mu, theta_index=best_j,
-                          theta=ep.candidates[best_j], boundary_hit=boundary)
+    res = linprog(R, A_ub=S.T, b_ub=np.zeros(ep.problem.m), A_eq=np.ones((1, len(R))),
+                  b_eq=[1.0], bounds=(0.0, None), method="highs",
+                  options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL})
+    if res.status == 2:
+        return DualEnumResult(d_hat=math.inf)
+    if res.status != 0:
+        raise NumericError(f"dual LP of {ep.problem.name!r} not solved: {res.message}")
+    mu = np.maximum(-res.ineqlin.marginals, 0.0)
+    return DualEnumResult(d_hat=float(np.min(R + S @ mu)), mu_star=mu,
+                          weights=np.maximum(res.x, 0.0))
 
 
 _BLOCK_ROWS = 8192  # rows per table in one block of example1 trials

@@ -22,12 +22,10 @@ from .models import Evaluation, ModelState
 
 @dataclass(frozen=True)
 class SurrogateConfig:
-    """Sigmoid replacement for an indicator: slope, decision shift, and
-    whether the primal step should use it at all."""
+    """Sigmoid replacement for an indicator: slope and decision shift."""
 
     slope_a: float = 8.0
     shift: float = 0.5
-    enabled_in_primal: bool = True
 
     def __post_init__(self) -> None:
         if self.slope_a < 1.0:
@@ -88,9 +86,6 @@ def build_surrogate_lagrangian(problem: Problem) -> Problem:
                 f"constraint {i} ({c.name or 'unnamed'}) has a rate-indicator loss "
                 "but no surrogate configuration"
             )
-        if not c.surrogate.enabled_in_primal:
-            new_constraints.append(c)
-            continue
         loss = surrogate(c.loss, c.surrogate) if c.loss.kind == "rate-indicator" else c.loss
         reference = c.reference
         if reference is not None and reference.loss.kind == "rate-indicator":

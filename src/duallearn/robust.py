@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DatasetProvider, LossSpec, loss_values
+from .core import Dataset, LossSpec, loss_values
 from .errors import ConfigurationError, InputError
 from .models import LinearArch, LogisticArch, ModelState, grad_input_batch, predict_batch
 
@@ -188,8 +188,12 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     return best_X, best_P
 
 
-class AdversarialDataset(DatasetProvider):
-    """Model-dependent dataset: the base set attacked against the current model."""
+class AdversarialDataset:
+    """Model-dependent dataset: the base set attacked against the current model.
+
+    `realize` regenerates the set (or its `indices` rows) on every call. Its
+    length is that of `base`, so batches can be drawn before realising.
+    """
 
     def __init__(self, base: Dataset, loss: LossSpec, cfg: AttackConfig) -> None:
         self.base = base
@@ -199,6 +203,13 @@ class AdversarialDataset(DatasetProvider):
     @property
     def name(self) -> str:
         return f"{self.base.name}@adversarial"
+
+    @property
+    def n_features(self) -> int:
+        return self.base.n_features
+
+    def __len__(self) -> int:
+        return len(self.base)
 
     def realize(self, model: ModelState, indices: np.ndarray | None = None) -> Dataset:
         """The base set, or its `indices` rows, attacked against `model`,

@@ -1,5 +1,6 @@
 """Shared builders for the test suite: the hand-solved convex toy, random
-small enumerable instances, and one-row forms of the batch API."""
+small enumerable instances, one-row forms of the batch API, and the risk of
+precomputed predictions."""
 
 from __future__ import annotations
 
@@ -16,6 +17,12 @@ def row_loss(loss: LossSpec, prediction, label) -> float:
     """`loss_values` of one (prediction vector, label) row."""
     P = np.asarray(prediction, dtype=float).reshape(1, -1)
     return float(loss_values(loss, P, np.asarray([label]))[0])
+
+
+def dataset_risk(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Mean loss over precomputed predictions, in deterministic reduction order."""
+    vals = loss_values(loss, predictions, labels)
+    return float(vals.sum()) / vals.shape[0]
 
 
 def row_predict(model: ModelState, x) -> np.ndarray:

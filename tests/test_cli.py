@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,7 @@ def test_eval_of_a_trace_without_snapshots_names_save_theta(tmp_path, capsys):
     ("dual", "snapshot_stride", 1),
     ("problem.objective.loss", "lipschitz_M", 1.0),
     ("attack", "kind", "fgsm"),
+    ("surrogate", "enabled_in_primal", True),
 ])
 def test_removed_keys_are_rejected_with_their_path(tmp_path, capsys, section, key, value):
     shipped = "robust_train.json" if section == "attack" else "fairness_train.json"
@@ -142,7 +145,7 @@ def test_a_number_that_is_not_finite_is_refused(tmp_path, capsys, shipped, path,
     err = capsys.readouterr().err
     assert f"config key {key} must be a finite number, got {value}" in err
     assert "Traceback" not in err
-    assert not any((tmp_path / "run").iterdir())
+    assert not (tmp_path / "run").exists()
 
 
 def test_bounds_report_the_delta_their_zeta_was_computed_with(tmp_path):
@@ -200,7 +203,7 @@ def test_an_empty_surrogate_section_echoes_its_defaults(tmp_path):
     path, _ = derived_config(tmp_path, "fairness_train.json", edit)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
-    assert echo["surrogate"] == {"slope_a": 8.0, "shift": 0.5, "enabled_in_primal": True}
+    assert echo["surrogate"] == {"slope_a": 8.0, "shift": 0.5}
     assert echo["model"] == {"arch": "logistic", "in_dim": 6, "init_seed": 1}
     assert "projection_order" not in json.dumps(echo)
 
@@ -215,10 +218,6 @@ def set_key(path, value):
     return edit
 
 
-ENUMERATION = {"method": "enumeration", "grid_lo": [-1.0] * 7, "grid_hi": [1.0] * 7,
-               "grid_points": 2}
-
-
 @pytest.mark.parametrize("shipped, edit, message", [
     # a key of a variant other than the one selected
     ("fairness_train.json", set_key(["model", "widths"], [6, 1]),
@@ -226,8 +225,9 @@ ENUMERATION = {"method": "enumeration", "grid_lo": [-1.0] * 7, "grid_hi": [1.0] 
     ("fairness_train.json", set_key(["model", "bias"], True), "unknown config key model.bias"),
     ("fairness_train.json", set_key(["inner", "grid_lo"], [0.0]),
      "unknown config key inner.grid_lo"),
-    ("fairness_train.json", set_key(["inner"], {**ENUMERATION, "epochs": 1}),
-     "unknown config key inner.epochs"),
+    # the one inner solver a config selects
+    ("fairness_train.json", set_key(["inner", "method"], "enumeration"),
+     "config key inner.method must be 'gradient', got 'enumeration'"),
     ("robust_train.json", set_key(["problem", "datasets", "synth", "path"], "x.csv"),
      "unknown config key problem.datasets.synth.path"),
     ("fairness_train.json", set_key(["problem", "datasets", "train", "dim"], 6),
@@ -253,15 +253,7 @@ def test_the_derived_schema_refuses(tmp_path, capsys, shipped, edit, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
-    assert not (tmp_path / "run" / "trace.jsonl").exists()
-
-
-def test_an_enumeration_inner_solver_trains_from_its_grid(tmp_path):
-    path, _ = derived_config(tmp_path, "fairness_train.json", lambda cfg: (
-        short_run(cfg), set_key(["inner"], ENUMERATION)(cfg)))
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
-    echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
-    assert echo["inner"] == ENUMERATION
+    assert not (tmp_path / "run").exists()
 
 
 def fairness_eval(tmp_path, *source):
@@ -360,6 +352,42 @@ def test_a_csv_dataset_without_a_path_names_the_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "missing config key problem.datasets.train.path" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("eval", "fairness_train.json"),  # neither --model nor --trace
+    ("bounds", None),  # no Delta, and no B and xi to cap it
+])
+def test_a_refused_command_makes_no_run_directory(tmp_path, capsys, command, config):
+    if config is None:
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({"bounds": {"zetas": [0.2], "M": 1.0, "nu": 0.01}}))
+    else:
+        path, _ = derived_config(tmp_path, config, short_run)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_commands_never_import_scipy(tmp_path):
+    """Only the oracle's dual LP uses scipy, and it imports it when called:
+    importing it takes longer than a whole one-iteration run takes to set up."""
+    path, _ = derived_config(tmp_path, "fairness_train.json",
+                             set_key(["dual", "iterations_T"], 1))
+    script = "\n".join([
+        "import sys",
+        "from duallearn.cli import main",
+        f"codes = [main(['train', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'train')!r}]),",
+        f"         main(['example1', '--n', '10', '--trials', '1', "
+        f"'--out', {str(tmp_path / 'example1')!r}])]",
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):

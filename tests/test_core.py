@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from duallearn.core import (
     Dataset,
     LossSpec,
-    dataset_risk,
     empirical_risk,
     loss_values,
     stable_sigmoid,
@@ -17,7 +16,7 @@ from duallearn.errors import ConfigurationError, InputError
 from duallearn.models import LinearArch, ModelState
 from duallearn.oracle import example1_population_objective, example1_sample
 
-from helpers import row_loss
+from helpers import dataset_risk, row_loss
 
 
 def identity_1d():

@@ -13,7 +13,6 @@ from duallearn.core import (
     LossSpec,
     Problem,
     ReferenceTerm,
-    dataset_risk,
     empirical_risk,
     loss_pred_grads,
 )
@@ -39,6 +38,8 @@ from duallearn.models import (
 from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
 from duallearn.rate import SurrogateConfig, build_surrogate_lagrangian
 from duallearn.robust import AdversarialDataset, AttackConfig
+
+from helpers import dataset_risk
 
 CE = LossSpec.cross_entropy()
 GROUPS = ("A", "B", "C", "D")

@@ -1,4 +1,4 @@
-"""The dual grid of `oracle.dual_enumerate` on enumerable instances, and
+"""The exact dual LP of `oracle.dual_enumerate` on enumerable instances, and
 the blocked example1 trials against the per-trial enumeration."""
 
 import math
@@ -10,8 +10,8 @@ import pytest
 from duallearn.errors import InputError
 from duallearn.lagrangian import enumeration_stats
 from duallearn.oracle import (
+    LP_FEASIBILITY_TOL,
     EnumerableProblem,
-    MuGrid,
     _example1_block_stats,
     constrained_argmin,
     dual_enumerate,
@@ -29,32 +29,53 @@ from helpers import convex_toy, random_enumerable, toy_analytic, toy_candidates
 
 def test_weak_duality_against_the_constrained_argmin():
     rng = np.random.default_rng(21)
-    feasible = 0
-    for _ in range(40):
-        ep = random_enumerable(rng, m=int(rng.integers(1, 3)))
-        d = dual_enumerate(ep, MuGrid(mu_max=10.0, points=101))
+    feasible = infeasible = 0
+    for _ in range(60):
+        ep = random_enumerable(rng, m=int(rng.integers(1, 4)))
+        m = ep.problem.m
+        d = dual_enumerate(ep)
         p = ecrm_enumerate(ep)
-        feasible += p.feasible
-        assert d.d_hat <= p.value
-        # the reported maximizer is the dual value at mu_star
+        assert d.d_hat <= p.value  # exactly: d_hat is the dual function at mu_star >= 0
+        if d.d_hat == math.inf:
+            # no mixture is feasible, so no single candidate is either
+            assert not p.feasible and d.mu_star is None and d.weights is None
+            infeasible += 1
+            continue
+        feasible += 1
         R, S = enumeration_stats(ep.problem, ep.candidates)
-        assert d.d_hat == pytest.approx(float(np.min(R + S @ d.mu_star)), abs=1e-12)
-        assert np.all(d.mu_star >= 0.0)
-    assert feasible >= 10  # the bound was checked against finite primal values
+        assert np.all(d.mu_star >= 0.0) and d.mu_star.shape == (m,)
+        assert d.d_hat == float(np.min(R + S @ d.mu_star))
+        # the weights are the best randomized solution: a feasible
+        # distribution over at most m + 1 candidates, whose value is d_hat
+        w = d.weights
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(S.T @ w <= LP_FEASIBILITY_TOL)
+        assert np.count_nonzero(w) <= m + 1
+        assert d.d_hat == pytest.approx(float(w @ R), abs=1e-9)  # LP duality
+        # mu_star maximises the dual function, up to the solver's tolerance
+        for mu in rng.choice(np.linspace(0.0, 10.0, 101), size=(20, m)):
+            assert d.d_hat >= float(np.min(R + S @ mu)) - 1e-9
+    assert feasible >= 10 and infeasible >= 10  # both outcomes were checked
 
 
-def test_boundary_hit_on_a_grid_too_small_to_bracket_mu_star():
+def test_the_convex_toy_dual_is_its_analytic_optimum():
     theta_star, mu_star, p_star = toy_analytic()  # mu* = 1
     ep = EnumerableProblem(problem=convex_toy(), candidates=toy_candidates())
-    small = dual_enumerate(ep, MuGrid(mu_max=0.5, points=51))
-    assert small.boundary_hit
-    assert small.mu_star[0] == pytest.approx(0.5)
-    wide = dual_enumerate(ep, MuGrid(mu_max=4.0, points=401))
-    assert not wide.boundary_hit
-    assert wide.mu_star[0] == pytest.approx(mu_star, abs=0.02)
-    assert small.d_hat < wide.d_hat <= ecrm_enumerate(ep).value
-    assert wide.d_hat == pytest.approx(p_star, abs=1e-3)
-    assert wide.theta.params[0] == pytest.approx(theta_star, abs=0.01)
+    d = dual_enumerate(ep)
+    assert d.d_hat == pytest.approx(p_star, abs=1e-6)
+    assert d.d_hat <= ecrm_enumerate(ep).value
+    assert d.mu_star[0] == pytest.approx(mu_star, abs=0.02)
+    theta = ep.candidates[int(np.argmax(d.weights))]
+    assert theta.params[0] == pytest.approx(theta_star, abs=0.01)
+
+
+def test_an_unconstrained_dual_is_the_erm():
+    ep = random_enumerable(np.random.default_rng(4), n_candidates=5, m=0)
+    R, _ = enumeration_stats(ep.problem, ep.candidates)
+    d = dual_enumerate(ep)
+    assert d.d_hat == float(R.min()) == ecrm_enumerate(ep).value
+    assert d.mu_star.shape == (0,)
+    assert d.weights[int(np.argmin(R))] == 1.0
 
 
 @pytest.mark.parametrize("N", [10, 100, 1000])

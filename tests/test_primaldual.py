@@ -16,7 +16,7 @@ from duallearn.models import (
     ModelState,
     init_model,
 )
-from duallearn.oracle import EnumerableProblem, MuGrid, dual_enumerate
+from duallearn.oracle import EnumerableProblem, dual_enumerate
 from duallearn.primaldual import (
     RandomizedSolution,
     TrainConfig,
@@ -108,8 +108,7 @@ class TestTrain:
         inner = InnerSolverConfig(method="enumeration", candidates=cands)
         cfg = TrainConfig(iterations_T=200, dual_step_eta=0.5, inner=inner, seed=0)
         trace, final_model, final_mu = train(prob, cfg, cands[0])
-        ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands),
-                             MuGrid(mu_max=8.0, points=2001))
+        ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
         theta_star, mu_star, p_star = toy_analytic()
         assert abs(trace.lagrangian[-1] - ref.d_hat) <= 1e-2
         assert trace.slacks[-1, 0] <= 1e-2
@@ -211,8 +210,7 @@ class TestErgodicInvariants:
     def test_per_iteration_lagrangian_below_grid_dual(self):
         prob = convex_toy()
         cands = toy_candidates()
-        ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands),
-                             MuGrid(mu_max=8.0, points=2001))
+        ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
         inner = InnerSolverConfig(method="enumeration", candidates=cands)
         cfg = TrainConfig(iterations_T=300, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])

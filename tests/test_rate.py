@@ -143,12 +143,6 @@ class TestBuildSurrogateLagrangian:
         with pytest.raises(ConfigurationError):
             build_surrogate_lagrangian(prob)
 
-    def test_disabled_surrogate_keeps_indicator(self):
-        prob = prob_with_rate_constraint(
-            surrogate=SurrogateConfig(enabled_in_primal=False))
-        sur = build_surrogate_lagrangian(prob)
-        assert sur.constraints[0].loss.kind == "rate-indicator"
-
     def test_reference_term_substituted_too(self):
         rng = np.random.default_rng(3)
         ds = Dataset(features=rng.uniform(-1, 1, (10, 2)), labels=rng.choice([0, 1], 10))

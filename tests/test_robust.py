@@ -261,7 +261,7 @@ def test_realize_subset_equals_rows_of_full_realisation():
     full = ds.realize(model)
     idx = np.array([7, 0, 31, 12, 12, 39])
     part = ds.realize(model, idx)
-    assert len(ds) == len(X)
+    assert (len(ds), ds.n_features) == X.shape
     assert np.array_equal(part.features, full.features[idx])
     assert np.array_equal(part.labels, full.labels[idx])
     assert part.name == full.name == "base@adversarial"
