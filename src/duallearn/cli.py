@@ -3,11 +3,12 @@
 Four commands over a single JSON config tree:
 
 - ``train``: build the configured problem and run projected dual ascent
-  with the gradient inner solver (full inner solves, or one warm-started
-  epoch per dual update with ``inner.epochs: 1``); the library's enumeration
+  with the ADAM inner solver, which resumes each dual iteration from the
+  previous minimizer for ``inner.epochs`` passes; the library's enumeration
   solver takes an explicit candidate list, which a config does not give.
-  Rate indicators are swapped for their sigmoid surrogates in the primal
-  step only. The run directory gets ``config_echo.json``,
+  Rate indicators are swapped for their sigmoid surrogates (each with the
+  indicator's own ``rate_shift`` and ``rate_slope``) in the primal step
+  only. The run directory gets ``config_echo.json``,
   ``trace.jsonl`` (a header line, then one JSON record per iteration),
   ``thetas.npy`` when ``output.save_theta`` is on (every iterate's theta as
   one (T, P) float64 array, named by the trace header; absent otherwise),
@@ -21,9 +22,9 @@ Four commands over a single JSON config tree:
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Configs are validated strictly, with the full key path in every error.
-Each section that configures a dataclass (every loss, surrogate and attack,
-the model architecture, the gradient inner solver, the dual schedule and the
-csv schema) takes its keys, types and defaults from that dataclass (see
+Each section that configures a dataclass (every loss and attack, the model
+architecture, the gradient inner solver, the dual schedule and the csv
+schema) takes its keys, types and defaults from that dataclass (see
 `duallearn.config`); a hand-written schema covers the structure around them.
 Unknown keys, keys of a variant other than the one selected, and nulls
 where a key takes none are refused; a refused config writes nothing, as the
@@ -68,7 +69,7 @@ from .primaldual import (
     save_trace,
     train,
 )
-from .rate import SurrogateConfig, build_surrogate_lagrangian
+from .rate import build_surrogate_lagrangian
 from .robust import AdversarialDataset, AttackConfig
 
 ENV_OUT = "DUALLEARN_OUT"
@@ -77,14 +78,13 @@ ENV_OUT = "DUALLEARN_OUT"
 # The structure around the dataclass sections.
 _OBJECTIVE = {"loss": dict, "dataset": str, "adversarial": bool}
 _CONSTRAINT = {"loss": dict, "threshold_c": float, "dataset": str, "group": str | None,
-               "adversarial": bool, "surrogate": dict | None, "reference": dict | None,
-               "name": str}
+               "adversarial": bool, "reference": dict | None, "name": str}
 _REFERENCE = {"dataset": str, "group": str | None, "loss": dict | None}
 _BOUNDS = {**dict.fromkeys(("B", "M", "nu", "xi", "delta", "d_vc", "R_N", "Delta"), float),
            "N": int, "zetas": tuple[float, ...], "thresholds_c": tuple[float, ...]}
 _TOP = {"seed": int, "model": dict, "inner": dict, "dual": dict,
         "problem": {"datasets": dict, "objective": _OBJECTIVE, "constraints": list | None},
-        "attack": dict | None, "surrogate": dict | None, "bounds": _BOUNDS,
+        "attack": dict | None, "bounds": _BOUNDS,
         "output": {"save_theta": bool}}
 _TWO_GAUSSIANS = {"kind": str, "dim": int, "means": tuple[tuple[float, ...], ...],
                   "sigma": float, "n": int, "seed": int}
@@ -147,10 +147,6 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
     return cfg, {**echo, "clamp_lo": lo, "clamp_hi": hi}
 
 
-def _build_surrogate(spec, path: str) -> tuple[SurrogateConfig | None, dict | None]:
-    return (None, None) if spec is None else from_config(SurrogateConfig, spec, path)
-
-
 def _build_datasets(specs: dict, base_dir: Path):
     """Load every declared dataset; returns name -> (Dataset, groups or None)."""
     out: dict[str, tuple[Dataset, tuple[str, ...] | None]] = {}
@@ -194,13 +190,12 @@ def _dataset_ref(datasets, name: str, group: str | None, context: str) -> Datase
 
 
 def _build_problem(cfg: dict, base_dir: Path, seed: int):
-    """(problem, its echo, the attack echo, the default surrogate echo)."""
+    """(problem, its echo, the attack echo)."""
     problem_cfg = require(cfg, "problem", "")
     datasets, ds_echo = _build_datasets(require(problem_cfg, "datasets", "problem."), base_dir)
     attack_cfg, attack_echo = (None, None)
     if cfg.get("attack") is not None:
         attack_cfg, attack_echo = _build_attack(cfg["attack"], seed)
-    default_sur, default_sur_echo = _build_surrogate(cfg.get("surrogate"), "surrogate.")
     # Equal loss specs become one object: evaluations key losses by identity.
     shared: dict[LossSpec, LossSpec] = {}
 
@@ -236,36 +231,24 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
                                rspec.get("group"), ctx + ".reference.dataset")
             reference = ReferenceTerm(loss=rloss, dataset=rds)
             ref_echo = {"group": None, **rspec, "loss": rloss_echo}
-        sur, sur_echo = _build_surrogate(c.get("surrogate"), ctx + ".surrogate.")
-        if sur is None:
-            sur, sur_echo = default_sur, default_sur_echo
         echo = {"group": None, "adversarial": False, "name": f"constraint-{i}", **c,
-                "loss": loss_echo, "surrogate": sur_echo, "reference": ref_echo}
+                "loss": loss_echo, "reference": ref_echo}
         constraints.append(ConstraintSpec(
             loss=loss, threshold_c=require(c, "threshold_c", ctx + "."), dataset=dataset,
-            surrogate=sur, reference=reference, name=echo["name"]))
+            reference=reference, name=echo["name"]))
         con_echo.append(echo)
 
     problem = Problem(objective_loss=obj_loss, objective_dataset=obj_ds,
                       constraints=tuple(constraints), name="configured")
     echo = {"datasets": ds_echo, "constraints": con_echo,
             "objective": {"adversarial": False, **obj_cfg, "loss": obj_loss_echo}}
-    return problem, echo, attack_echo, default_sur_echo
+    return problem, echo, attack_echo
 
 
 def _build_model(spec: dict, seed: int):
     arch = arch_from_dict({k: v for k, v in spec.items() if k != "init_seed"}, "model.", "arch")
     init_seed = check(spec.get("init_seed", seed), int, "model.init_seed")
     return init_model(arch, seed=init_seed), {**arch_to_dict(arch, "arch"), "init_seed": init_seed}
-
-
-def _build_inner(spec: dict) -> tuple[InnerSolverConfig, dict]:
-    method = spec.get("method")
-    if method not in (None, "gradient"):
-        raise ConfigurationError(
-            f"config key inner.method must be 'gradient', got {method!r}: a config "
-            "trains with the gradient inner solver only")
-    return from_config(InnerSolverConfig, spec, "inner.", candidates=None)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -299,9 +282,10 @@ def _load_config(args) -> tuple[dict, Path, int]:
 
 def cmd_train(args) -> int:
     cfg, base_dir, seed = _load_config(args)
-    problem, problem_echo, attack_echo, surrogate_echo = _build_problem(cfg, base_dir, seed)
+    problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
     model, model_echo = _build_model(require(cfg, "model", ""), seed)
-    inner, inner_echo = _build_inner(require(cfg, "inner", ""))
+    inner, inner_echo = from_config(InnerSolverConfig, require(cfg, "inner", ""), "inner.",
+                                    candidates=None)
     save_theta = cfg.get("output", {}).get("save_theta", True)
     tcfg, dual_echo = from_config(TrainConfig, require(cfg, "dual", ""), "dual.",
                                   keys=_DUAL_KEYS, inner=inner, seed=seed,
@@ -312,7 +296,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args, "train")
     echo = {"seed": seed, "problem": problem_echo, "model": model_echo,
             "inner": inner_echo, "dual": dual_echo, "attack": attack_echo,
-            "surrogate": surrogate_echo, "output": {"save_theta": save_theta}}
+            "output": {"save_theta": save_theta}}
     _write_json(out / "config_echo.json", echo)
 
     trace, final_model, final_mu = train(
@@ -368,7 +352,7 @@ def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
 
 def cmd_eval(args) -> int:
     cfg, base_dir, seed = _load_config(args)
-    problem, problem_echo, attack_echo, _ = _build_problem(cfg, base_dir, seed)
+    problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
 
     if (args.model is None) == (args.trace is None):
         raise ConfigurationError("eval needs exactly one of --model or --trace")

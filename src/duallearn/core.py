@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigurationError, InputError, SurrogateRequiredError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .rate import SurrogateConfig
     from .robust import AdversarialDataset
 
 
@@ -166,7 +165,9 @@ class LossSpec:
     - ``signed-score``: y z clipped to [-bound_B, bound_B]. The one signed
       kind; it encodes linear expectation constraints such as E[y z] <= c.
     - ``rate-indicator``: 1 if z - rate_shift >= 0 else 0 (the boundary
-      counts as the event).
+      counts as the event). Its rate_slope and rate_shift define its
+      surrogate, the rate-sigmoid with the same fields that primal steps
+      minimize in its place (see `rate.build_surrogate_lagrangian`).
     - ``rate-sigmoid``: logistic(rate_slope * (z - rate_shift)), the smooth
       stand-in for rate-indicator used inside primal gradient steps. Per
       sample, |1(z >= s) - sigma(a (z - s))| = 1 - sigma(a |z - s|) with
@@ -198,8 +199,8 @@ class LossSpec:
                     f"clamped-cross-entropy requires bound_B == -log(clamp_p_min) "
                     f"= {expected!r}, got {self.bound_B!r}"
                 )
-        if self.kind == "rate-sigmoid" and self.rate_slope < 1.0:
-            raise ConfigurationError("rate-sigmoid slope must be >= 1")
+        if self.kind in ("rate-indicator", "rate-sigmoid") and self.rate_slope < 1.0:
+            raise ConfigurationError(f"{self.kind} slope must be >= 1, got {self.rate_slope}")
         if self.kind in ("zero-one", "rate-indicator", "rate-sigmoid") and self.bound_B < 1.0:
             raise ConfigurationError(
                 f"{self.kind} takes values up to 1, so bound_B must be >= 1, got {self.bound_B}"
@@ -250,7 +251,6 @@ class ConstraintSpec:
     loss: LossSpec
     threshold_c: float
     dataset: DatasetLike
-    surrogate: "SurrogateConfig | None" = None
     reference: ReferenceTerm | None = None
     name: str = ""
 

@@ -1,13 +1,13 @@
 """Empirical Lagrangian, constraint slacks, and the dual function.
 
 The dual function value at a multiplier vector is the (approximate) minimum
-of the empirical Lagrangian over model parameters. Two inner minimizers are
-provided: exact enumeration over a finite candidate list (ties break to the
-lowest index) and seeded minibatch gradient descent that reports the best
-Lagrangian value it ever visited; a config trains with the gradient solver.
-Over a finite candidate list the dual function is the minimum of affine
-functions of mu, so its maximum over mu >= 0 is a linear program, which
-`oracle.dual_enumerate` solves exactly.
+of the empirical Lagrangian over model parameters. An `InnerSolverConfig`
+with candidates is the exact enumeration over that finite list (ties break
+to the lowest index); without them it is seeded minibatch ADAM, which
+reports the best Lagrangian value it ever visited, and which a config
+trains with. Over a finite candidate list the dual function is the minimum
+of affine functions of mu, so its maximum over mu >= 0 is a linear
+program, which `oracle.dual_enumerate` solves exactly.
 
 The Lagrangian is a weighted sum of sample averages over views of a few
 tables, so a model is evaluated once: every function here takes a model or
@@ -65,37 +65,31 @@ class DualState:
 class InnerSolverConfig:
     """How to (approximately) minimize the Lagrangian over parameters.
 
-    `gradient` runs `epochs` passes of minibatch descent and keeps the best
-    fully-evaluated iterate (not certified optimal, since the landscape may
-    be non-convex); with `warm_start` each dual iteration resumes from the
-    previous minimizer, so `epochs=1` alternates one primal epoch with one
-    dual step. `enumeration` scans an explicit candidate list exactly.
+    With `candidates`, the exact enumeration solver scans that list.
+    Otherwise `epochs` passes of minibatch ADAM (`batch_size` rows a step,
+    all of them when None, at `step_size`) keep the best fully-evaluated
+    iterate, which is not certified optimal since the landscape may be
+    non-convex. In training each dual iteration resumes from the previous
+    minimizer, so `epochs=1` alternates one primal epoch with one dual step.
     """
 
-    method: str
     epochs: int = 1
     batch_size: int | None = None
-    optimizer: str = "adam"
     step_size: float = 1e-2
     candidates: tuple[ModelState, ...] | None = None
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
-        if self.method not in ("gradient", "enumeration"):
-            raise ConfigurationError(f"unknown inner solver method {self.method!r}")
-        if self.method == "gradient":
-            if self.epochs < 1:
-                raise ConfigurationError("gradient inner solver needs epochs >= 1")
-            if self.batch_size is not None and self.batch_size < 1:
-                raise ConfigurationError("batch_size must be >= 1 when given")
-            if self.optimizer not in ("sgd", "adam"):
-                raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-            if self.step_size <= 0:
-                raise ConfigurationError("step_size must be positive")
-        else:
+        if self.candidates is not None:
             if not self.candidates:
                 raise ConfigurationError("enumeration inner solver needs a nonempty candidate list")
             object.__setattr__(self, "candidates", tuple(self.candidates))
+            return
+        if self.epochs < 1:
+            raise ConfigurationError("gradient inner solver needs epochs >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1 when given")
+        if self.step_size <= 0:
+            raise ConfigurationError("step_size must be positive")
 
 
 def slacks(at: ModelState | Evaluation, problem: Problem) -> np.ndarray:
@@ -170,7 +164,7 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
     n0 = len(problem.objective_dataset)
     bs = solver.batch_size
     whole = bs is None or bs >= n0
-    opt = OptimizerState(method=solver.optimizer, step_size=solver.step_size)
+    opt = OptimizerState(step_size=solver.step_size)
     at = start
     best_val = empirical_lagrangian(start, dual, problem)
     best = start
@@ -200,7 +194,7 @@ def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
         raise InputError(
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
-    if solver.method == "enumeration":
+    if solver.candidates is not None:
         R, S = enumeration_stats(problem, solver.candidates)
         values = R + S @ dual.mu if problem.m else R
         j = int(np.argmin(values))

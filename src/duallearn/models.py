@@ -452,26 +452,27 @@ def grad_input_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     return dX
 
 
+# ADAM's moment decay rates and the epsilon added to the root of the second moment.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerState:
-    """SGD or ADAM state; `descent_step` returns fresh states, nothing is mutated.
+    """ADAM state; `descent_step` returns fresh states, nothing is mutated.
 
-    ADAM uses the standard defaults beta1=0.9, beta2=0.999, eps=1e-8 with
-    bias-corrected moments and the epsilon added outside the square root.
+    The step uses ADAM_BETA1, ADAM_BETA2 and ADAM_EPS (the standard 0.9,
+    0.999 and 1e-8), bias-corrected moments and the epsilon added outside
+    the square root.
     """
 
-    method: str
     step_size: float
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.method not in ("sgd", "adam"):
-            raise ConfigurationError(f"unknown optimizer {self.method!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigurationError(f"step_size must be positive, got {self.step_size}")
         if self.t < 0:
@@ -495,23 +496,21 @@ def optimizer_step(opt: OptimizerState, model: ModelState,
 
 def descent_step(opt: OptimizerState, x: np.ndarray,
                  g: np.ndarray) -> tuple[OptimizerState, np.ndarray]:
-    """One SGD or ADAM descent step on the array x along gradient g.
+    """One ADAM descent step on the array x along gradient g.
 
     Returns the advanced state and x minus the step. Projected ascent on a
     multiplier vector is this step on the negated gradient, then projection.
     """
-    if opt.method == "sgd":
-        return replace(opt, t=opt.t + 1), x - opt.step_size * g
     m = opt.m if opt.m is not None else np.zeros_like(g)
     v = opt.v if opt.v is not None else np.zeros_like(g)
     if m.shape != g.shape or v.shape != g.shape:
         raise InputError("optimizer moment vectors do not match the gradient length")
     t = opt.t + 1
-    m = opt.beta1 * m + (1.0 - opt.beta1) * g
-    v = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-    m_hat = m / (1.0 - opt.beta1 ** t)
-    v_hat = v / (1.0 - opt.beta2 ** t)
-    step = opt.step_size * m_hat / (np.sqrt(v_hat) + opt.eps_hat)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    step = opt.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return replace(opt, m=m, v=v, t=t), x - step
 
 

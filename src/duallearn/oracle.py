@@ -116,19 +116,15 @@ def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "Enumerab
 
 @dataclass(frozen=True)
 class EnumerableProblem:
-    """A problem restricted to an explicit finite candidate list, with an
-    optional uniform relaxation of every constraint threshold."""
+    """A problem restricted to an explicit finite candidate list."""
 
     problem: Problem
     candidates: tuple[ModelState, ...]
-    xi_relax: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if len(self.candidates) == 0:
             raise ConfigurationError("candidate list must be nonempty")
-        if self.xi_relax < 0:
-            raise ConfigurationError("xi_relax must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,27 +137,26 @@ class EcrmResult:
     theta: ModelState | None = None
 
 
-def constrained_argmin(R: np.ndarray, S: np.ndarray,
-                       xi_relax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def constrained_argmin(R: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The selection rule of `ecrm_enumerate`, over trailing axes.
 
     R (..., J) holds the objective risks of J candidates and S (..., J, m)
-    their slack vectors. A candidate is feasible when every slack is
-    <= xi_relax. Returns (index, value): the argmin of R over the feasible
-    candidates (lowest index on ties) and its R, or index 0 and value +inf
-    where no candidate is feasible.
+    their slack vectors. A candidate is feasible when every slack is <= 0.
+    Returns (index, value): the argmin of R over the feasible candidates
+    (lowest index on ties) and its R, or index 0 and value +inf where no
+    candidate is feasible.
     """
-    feasible = np.all(S <= xi_relax, axis=-1)
+    feasible = np.all(S <= 0.0, axis=-1)
     masked = np.where(feasible, R, math.inf)
     j = np.argmin(masked, axis=-1)
     return j, np.take_along_axis(masked, j[..., None], axis=-1)[..., 0]
 
 
 def ecrm_enumerate(ep: EnumerableProblem) -> EcrmResult:
-    """Among candidates with every empirical constraint risk <= c_i + xi_relax,
+    """Among candidates with every empirical constraint risk <= c_i,
     return the one with minimal empirical objective (lowest index on ties).
     Infeasibility is a value, not an error: value becomes +inf."""
-    j, value = constrained_argmin(*enumeration_stats(ep.problem, ep.candidates), ep.xi_relax)
+    j, value = constrained_argmin(*enumeration_stats(ep.problem, ep.candidates))
     if value == math.inf:
         return EcrmResult(feasible=False, value=math.inf)
     return EcrmResult(feasible=True, value=float(value), index=int(j),
@@ -194,8 +189,8 @@ def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
         min p . R  subject to  S^T p <= 0,  p >= 0,  sum(p) = 1
 
     over mixtures p, with R (J,) the candidates' objective risks and S
-    (J, m) their slack vectors (thresholds not relaxed by xi_relax). By LP
-    duality its value is the maximum over mu >= 0 of min_j (R_j + mu . S_j).
+    (J, m) their slack vectors. By LP duality its value is the maximum over
+    mu >= 0 of min_j (R_j + mu . S_j).
     mu_star is the LP's multiplier of S^T p <= 0, and d_hat that minimum at
     mu_star, so d_hat never exceeds the ECRM value. The weights are the LP's
     vertex minimiser, which mixes at most m + 1 candidates. scipy is

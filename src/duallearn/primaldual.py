@@ -3,12 +3,12 @@
 `train` runs the loop: per iteration it (approximately) minimizes the
 Lagrangian at the current multipliers, evaluates constraint slacks at the
 minimizer, and takes a projected ascent step on the multipliers, which start
-at zero and stay nonnegative throughout. The inner solver's `epochs` and
-`warm_start` choose between full inner solves and the alternating scheme of
-one warm-started epoch per dual update. Each iterate is evaluated once (see
-`duallearn.lagrangian`): the slacks and objective of the trace are read from
-the evaluation the inner solver scored the iterate with, and a warm start
-resumes from that evaluation. A trace holds one array per recorded
+at zero and stay nonnegative throughout. The gradient inner solver resumes
+each iteration from the previous minimizer, and its `epochs` choose how many
+passes it makes per dual update (one gives the alternating scheme). Each
+iterate is evaluated once (see `duallearn.lagrangian`): the slacks and
+objective of the trace are read from the evaluation the inner solver scored
+the iterate with, and the next iteration resumes from that evaluation. A trace holds one array per recorded
 quantity, row t for iteration t, and keeps every iterate's parameters so
 that the uniform mixture over them (the randomized solution) can be
 evaluated afterwards.
@@ -120,9 +120,9 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
 
     A model is evaluated once: the true slacks and the objective are read
     from the evaluation the gradient solver returns with its minimizer (the
-    same predictions under the original losses), and under `warm_start` that
-    evaluation is handed back as the next iteration's start point, so the
-    start point is not evaluated again. Enumeration reads every iterate from
+    same predictions under the original losses), and that evaluation is
+    handed back as the next iteration's start point, so the start point is
+    not evaluated again. Enumeration reads every iterate from
     per-candidate tables computed once (see `enumeration_stats`), with one
     evaluation per candidate for both problems. Under projected-adam the
     multipliers take an ADAM descent step on the negated slacks, projected
@@ -140,7 +140,7 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
         )
 
     inner = config.inner
-    if inner.method == "enumeration":
+    if inner.candidates is not None:
         if primal_problem is problem:
             R_p, S_p = R_o, S_o = enumeration_stats(problem, inner.candidates)
         else:
@@ -151,25 +151,24 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     T, m = config.iterations_T, problem.m
     seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(T)
     mu = DualState.zeros(m)
-    dual_opt = (OptimizerState(method="adam", step_size=config.dual_step_eta)
+    dual_opt = (OptimizerState(step_size=config.dual_step_eta)
                 if config.dual_method == "projected-adam" else None)
     model = init
-    init_eval = ev = Evaluation(init)
+    ev = Evaluation(init)
     trace = TrainTrace(objective=np.empty(T), slacks=np.empty((T, m)), mu=np.empty((T, m)),
                        lagrangian=np.empty(T), arch=init.arch,
                        thetas=np.empty((T, n_params)) if config.save_theta else None)
 
     for t in range(T):
         try:
-            if inner.method == "enumeration":
+            if inner.candidates is not None:
                 vals = R_p + S_p @ mu.mu if m else R_p
                 j = int(np.argmin(vals))
                 model_t = inner.candidates[j]
                 s = S_o[j]
                 obj = float(R_o[j])
             else:
-                start = ev if inner.warm_start else init_eval
-                _, ev = gradient_minimize(mu, primal_problem, inner, start,
+                _, ev = gradient_minimize(mu, primal_problem, inner, ev,
                                           rng=np.random.default_rng(seeds[t]))
                 model_t = ev.model
                 s = slacks(ev, problem)

@@ -4,7 +4,9 @@ A rate constraint bounds the frequency of a thresholded event of the model
 output. The indicator making up that frequency has no usable gradient, so
 primal steps minimize a Lagrangian in which the indicator is swapped for a
 steep sigmoid; dual updates keep using the true indicator slacks, so
-feasibility is always measured against the actual rate.
+feasibility is always measured against the actual rate. The sigmoid is the
+indicator's own twin: a rate-sigmoid with the indicator's `rate_shift`,
+`rate_slope` and `bound_B`, so each indicator configures its surrogate.
 """
 
 from __future__ import annotations
@@ -14,24 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LossSpec, Problem, ReferenceTerm, stable_sigmoid
+from .core import LossSpec, Problem, stable_sigmoid
 from .errors import ConfigurationError, InputError
 from .lagrangian import DualState
 from .models import Evaluation, ModelState
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Sigmoid replacement for an indicator: slope and decision shift."""
-
-    slope_a: float = 8.0
-    shift: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.slope_a < 1.0:
-            raise ConfigurationError(f"surrogate slope must be >= 1, got {self.slope_a}")
-        if not math.isfinite(self.shift):
-            raise ConfigurationError("surrogate shift must be finite")
 
 
 @dataclass(frozen=True)
@@ -51,54 +39,42 @@ def _is_rate(loss: LossSpec) -> bool:
     return loss.kind in ("rate-indicator", "rate-sigmoid")
 
 
-def _surrogate_loss(loss: LossSpec, cfg: SurrogateConfig) -> LossSpec:
-    return LossSpec(kind="rate-sigmoid", bound_B=loss.bound_B, rate_shift=cfg.shift,
-                    rate_slope=cfg.slope_a)
-
-
 def build_surrogate_lagrangian(problem: Problem) -> Problem:
-    """Problem with rate-indicator constraint losses swapped for sigmoids.
+    """Problem with every rate-indicator loss swapped for its surrogate.
 
-    Thresholds, datasets, and reference structure are untouched; the result
-    is meant for the primal step only, while slack evaluation stays on the
-    original problem. Problems without rate constraints pass through
-    unchanged. Equal surrogates are one `LossSpec` object, so an evaluation
-    (which keys losses by identity) computes each once per table.
+    The surrogate of a rate-indicator is the rate-sigmoid with the same
+    `rate_shift`, `rate_slope` and `bound_B`; it replaces the indicator on a
+    constraint and on its reference alike. Thresholds, datasets, and
+    reference structure are untouched; the result is meant for the primal
+    step only, while slack evaluation stays on the original problem.
+    Problems without rate indicators pass through unchanged. Equal
+    surrogates are one `LossSpec` object, so an evaluation (which keys
+    losses by identity) computes each once per table.
     """
-    if not any(c.loss.kind == "rate-indicator" or
-               (c.reference is not None and c.reference.loss.kind == "rate-indicator")
-               for c in problem.constraints):
-        return problem
     shared: dict[LossSpec, LossSpec] = {}
 
-    def surrogate(loss: LossSpec, cfg: SurrogateConfig) -> LossSpec:
-        sur = _surrogate_loss(loss, cfg)
+    def surrogate(loss: LossSpec) -> LossSpec:
+        if loss.kind != "rate-indicator":
+            return loss
+        sur = replace(loss, kind="rate-sigmoid")
         return shared.setdefault(sur, sur)
 
     new_constraints = []
-    for i, c in enumerate(problem.constraints):
-        if c.loss.kind != "rate-indicator" and (
-                c.reference is None or c.reference.loss.kind != "rate-indicator"):
-            new_constraints.append(c)
-            continue
-        if c.surrogate is None:
-            raise ConfigurationError(
-                f"constraint {i} ({c.name or 'unnamed'}) has a rate-indicator loss "
-                "but no surrogate configuration"
-            )
-        loss = surrogate(c.loss, c.surrogate) if c.loss.kind == "rate-indicator" else c.loss
+    for c in problem.constraints:
         reference = c.reference
-        if reference is not None and reference.loss.kind == "rate-indicator":
-            reference = ReferenceTerm(loss=surrogate(reference.loss, c.surrogate),
-                                      dataset=reference.dataset)
-        new_constraints.append(replace(c, loss=loss, reference=reference))
+        if reference is not None:
+            reference = replace(reference, loss=surrogate(reference.loss))
+        new_constraints.append(replace(c, loss=surrogate(c.loss), reference=reference))
+    if not shared:
+        return problem
     return replace(problem, constraints=tuple(new_constraints))
 
 
 def surrogate_gap_bound(mu: DualState, tau: float, a: float) -> float:
     """2 ||mu||_1 (1 - sigmoid(a tau)): how far the surrogate minimizer can sit
     above the true indicator-Lagrangian minimum when every sample clears the
-    margin tau.
+    margin tau. `a` is the indicators' `rate_slope`, the slope of their
+    surrogates.
 
     Each rate risk moves by at most 1 - sigmoid(a tau) under the swap; see the
     ``rate-sigmoid`` entry of the `LossSpec` docstring in `duallearn.core`.

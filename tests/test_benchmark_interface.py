@@ -2,13 +2,15 @@
 
 perfbench/tracer.py wraps the functions it names in TRACED and refuses to run
 when one is missing, and perfbench/run.py drives the command line with fixed
-argument lists over configs it derives from the shipped ones. Both files are
-loaded by path and left unchanged, so that a change to the package which
-breaks the benchmark fails here first.
+argument lists over configs it derives from the shipped ones, and checks each
+summary against perfbench/reference.json. Both files are loaded by path and
+left unchanged, so that a change to the package which breaks the benchmark,
+or drifts from its recorded outputs, fails here first.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +66,23 @@ def test_the_set_up_command_of_every_workload_runs(tmp_path, monkeypatch):
     for workload in run.WORKLOADS:
         _, setup, _ = run.plan(workload, tmp_path / workload)
         assert cli.main([*setup, "--out", str(tmp_path / "out" / workload)]) == 0, workload
+
+
+def test_the_main_commands_of_every_workload_match_the_reference(tmp_path, monkeypatch):
+    """Each workload's main commands, run once at the shipped seed, write the
+    summaries recorded in perfbench/reference.json, within the tolerance the
+    benchmark checks them with."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load("run")
+    reference = json.loads(run.REFERENCE.read_text())["workloads"]
+    for workload in run.WORKLOADS:
+        _, _, steps = run.plan(workload, tmp_path / workload)
+        expected = reference[workload][str(run.SHIPPED_SEEDS[workload])]
+        assert sorted(expected) == sorted(label for label, _ in steps), workload
+        rep = tmp_path / "rep" / workload
+        for label, make in steps:
+            out = rep / label
+            assert cli.main([*make(rep), "--out", str(out)]) == 0, (workload, label)
+            summary = run.normalized_summary(out)
+            assert run.mismatches(summary, expected[label], run.RTOL, run.ATOL) == [], \
+                (workload, label)

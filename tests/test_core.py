@@ -77,8 +77,10 @@ class TestEvalLoss:
             LossSpec(kind="clamped-cross-entropy", bound_B=5.0, clamp_p_min=1e-6)
 
     def test_sigmoid_slope_floor(self):
-        with pytest.raises(ConfigurationError):
-            LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_slope=0.5)
+        # an indicator's slope is its surrogate's, so both kinds refuse it
+        for kind in ("rate-sigmoid", "rate-indicator"):
+            with pytest.raises(ConfigurationError, match=f"{kind} slope must be >= 1"):
+                LossSpec(kind=kind, bound_B=1.0, rate_slope=0.5)
 
 
 class TestEmpiricalRisk:

@@ -36,7 +36,7 @@ from duallearn.models import (
     predict_batch,
 )
 from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
-from duallearn.rate import SurrogateConfig, build_surrogate_lagrangian
+from duallearn.rate import build_surrogate_lagrangian
 from duallearn.robust import AdversarialDataset, AttackConfig
 
 from helpers import dataset_risk
@@ -227,22 +227,18 @@ def fairness_train_problem():
     ds, groups = table(n=200, seed=8)
     ind = LossSpec(kind="rate-indicator", bound_B=1.0)
     parts = group_split(ds, groups)
-    sur = SurrogateConfig(slope_a=8.0)
-    cons = tuple(ConstraintSpec(loss=ind, threshold_c=0.01, dataset=parts[g], surrogate=sur,
+    cons = tuple(ConstraintSpec(loss=ind, threshold_c=0.01, dataset=parts[g],
                                 reference=ReferenceTerm(loss=ind, dataset=ds), name=g)
                  for g in GROUPS)
     return Problem(objective_loss=CE, objective_dataset=ds, constraints=cons)
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
-def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(warm_start,
-                                                                       monkeypatch):
+def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(monkeypatch):
     import duallearn.models as models_mod
 
     problem = fairness_train_problem()
     primal = build_surrogate_lagrangian(problem)
-    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None, optimizer="adam",
-                              step_size=0.05, warm_start=warm_start)
+    inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
     T = 25
     cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
     forwarded = []
@@ -269,8 +265,7 @@ def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
     attack = AttackConfig.pgd_training(0.3, clamp_box=(-1.0, 1.0), seed=1)
     problem = Problem(objective_loss=CE, objective_dataset=ds, constraints=(
         ConstraintSpec(loss=CE, threshold_c=0.5, dataset=AdversarialDataset(ds, CE, attack)),))
-    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=16, optimizer="adam",
-                              step_size=0.05)
+    inner = InnerSolverConfig(epochs=1, batch_size=16, step_size=0.05)
     T = 8
     cfg = TrainConfig(iterations_T=T, dual_step_eta=2.0, inner=inner, seed=0)
     attacked = []
@@ -396,15 +391,12 @@ def test_a_full_attack_hands_its_clean_predictions_to_the_evaluation(monkeypatch
     assert clean.count(True) == 1  # the attack's clean candidate, read by the objective
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
-def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(warm_start,
-                                                                           monkeypatch):
+def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(monkeypatch):
     import duallearn.models as models_mod
 
     problem = fairness_train_problem()
     primal = build_surrogate_lagrangian(problem)
-    inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None, optimizer="adam",
-                              step_size=0.05, warm_start=warm_start)
+    inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
     T = 60
     cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
     init = init_model(LogisticArch(3))
@@ -418,8 +410,5 @@ def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(warm_
     thetas = [init.params, *trace.thetas]
     accepted = sum(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
     terms = distinct_terms(primal)
-    if warm_start:
-        assert accepted < T // 2  # the memo has kept iterates to pay on
-        assert len(calls) <= (accepted + 1) * terms
-    else:
-        assert len(calls) <= terms  # every iteration steps from the evaluation of init
+    assert accepted < T // 2  # the memo has kept iterates to pay on
+    assert len(calls) <= (accepted + 1) * terms

@@ -135,7 +135,7 @@ class TestDualFunction:
     def test_zero_mu_enumeration_is_erm(self):
         rng = np.random.default_rng(3)
         ep = random_enumerable(rng, n_candidates=2, m=1)
-        solver = InnerSolverConfig(method="enumeration", candidates=ep.candidates)
+        solver = InnerSolverConfig(candidates=ep.candidates)
         val, minimizer = dual_function(DualState.zeros(1), ep.problem, solver,
                                        ep.candidates[0])
         risks = [empirical_risk(c, ep.problem.objective_loss, ep.problem.objective_dataset)
@@ -160,7 +160,7 @@ class TestDualFunction:
             return obj + mu[0] * s1 + mu[1] * s2
 
         vals = [hand_lagrangian(np.asarray(c.params)) for c in ep.candidates]
-        solver = InnerSolverConfig(method="enumeration", candidates=ep.candidates)
+        solver = InnerSolverConfig(candidates=ep.candidates)
         got_val, got_min = dual_function(DualState(mu), ep.problem, solver, ep.candidates[0])
         j = int(np.argmin(vals))
         assert got_min is ep.candidates[j]
@@ -170,7 +170,7 @@ class TestDualFunction:
         model = ModelState(np.array([1.0]), IDENT)
         twin = ModelState(np.array([1.0]), IDENT)
         prob = simple_problem()
-        solver = InnerSolverConfig(method="enumeration", candidates=(model, twin))
+        solver = InnerSolverConfig(candidates=(model, twin))
         _, minimizer = dual_function(DualState.zeros(1), prob, solver, model)
         assert minimizer is model
 
@@ -178,7 +178,7 @@ class TestDualFunction:
         rng = np.random.default_rng(8)
         for _ in range(25):
             ep = random_enumerable(rng)
-            solver = InnerSolverConfig(method="enumeration", candidates=ep.candidates)
+            solver = InnerSolverConfig(candidates=ep.candidates)
             p_hat = ecrm_enumerate(ep).value
             for _ in range(5):
                 mu = rng.uniform(0, 5, ep.problem.m)
@@ -188,7 +188,7 @@ class TestDualFunction:
     def test_concavity(self):
         rng = np.random.default_rng(15)
         ep = random_enumerable(rng, n_candidates=4, m=2)
-        solver = InnerSolverConfig(method="enumeration", candidates=ep.candidates)
+        solver = InnerSolverConfig(candidates=ep.candidates)
 
         def d(mu):
             return dual_function(DualState(mu), ep.problem, solver, ep.candidates[0])[0]
@@ -206,8 +206,7 @@ class TestDualFunction:
         ce = LossSpec.cross_entropy()
         prob = Problem(objective_loss=ce, objective_dataset=ds)
         init = init_model(LogisticArch(2))
-        solver = InnerSolverConfig(method="gradient", epochs=5, batch_size=8,
-                                   optimizer="adam", step_size=0.1)
+        solver = InnerSolverConfig(epochs=5, batch_size=8, step_size=0.1)
         val, minimizer = dual_function(DualState.zeros(0), prob, solver, init, seed=1)
         init_val = empirical_risk(init, ce, ds)
         assert val <= init_val
@@ -217,7 +216,7 @@ class TestDualFunction:
         zo = LossSpec(kind="zero-one", bound_B=1.0)
         ds = scalar_ds([0.2, 0.8], labels=[0, 1])
         prob = Problem(objective_loss=zo, objective_dataset=ds)
-        solver = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
+        solver = InnerSolverConfig(epochs=1, step_size=0.1)
         with pytest.raises(SurrogateRequiredError):
             dual_function(DualState.zeros(0), prob, solver,
                           ModelState(np.array([1.0]), IDENT), seed=0)
@@ -234,8 +233,8 @@ class TestValidation:
 
     def test_enumeration_needs_candidates(self):
         with pytest.raises(ConfigurationError):
-            InnerSolverConfig(method="enumeration")
+            InnerSolverConfig(candidates=())
 
     def test_gradient_needs_positive_epochs(self):
         with pytest.raises(ConfigurationError):
-            InnerSolverConfig(method="gradient", epochs=0)
+            InnerSolverConfig(epochs=0)

@@ -169,23 +169,10 @@ class TestGradInput:
 
 
 class TestOptimizer:
-    def test_sgd_zero_gradient_fixed_point(self):
-        model = init_model(LogisticArch(2))
-        opt = OptimizerState(method="sgd", step_size=0.1)
-        opt2, model2 = optimizer_step(opt, model, np.zeros(3))
-        assert np.array_equal(model2.params, model.params)
-        assert opt2.t == 1
-
-    def test_sgd_substitution(self):
-        model = ModelState(np.zeros(2), LinearArch(2, 1, bias=False))
-        opt = OptimizerState(method="sgd", step_size=0.1)
-        _, model2 = optimizer_step(opt, model, np.array([1.0, -2.0]))
-        assert np.allclose(model2.params, [-0.1, 0.2], rtol=1e-15)
-
     def test_adam_first_step_hand_computed(self):
         # t=1 bias correction collapses to g / (|g| + eps)
         model = ModelState(np.zeros(1), LinearArch(1, 1, bias=False))
-        opt = OptimizerState(method="adam", step_size=1e-3)
+        opt = OptimizerState(step_size=1e-3)
         _, model2 = optimizer_step(opt, model, np.array([1.0]))
         expected = -1e-3 * 1.0 / (1.0 + 1e-8)
         assert model2.params[0] == expected
@@ -193,7 +180,7 @@ class TestOptimizer:
 
     def test_nan_gradient_rejected_state_unchanged(self):
         model = ModelState(np.array([1.0, 2.0]), LinearArch(2, 1, bias=False))
-        opt = OptimizerState(method="adam", step_size=1e-3)
+        opt = OptimizerState(step_size=1e-3)
         with pytest.raises(NumericError):
             optimizer_step(opt, model, np.array([np.nan, 0.0]))
         assert np.array_equal(model.params, [1.0, 2.0])
@@ -201,7 +188,7 @@ class TestOptimizer:
 
     def test_adam_moment_shapes_checked(self):
         model = ModelState(np.zeros(2), LinearArch(2, 1, bias=False))
-        opt = OptimizerState(method="adam", step_size=1e-3, m=np.zeros(3), v=np.zeros(3))
+        opt = OptimizerState(step_size=1e-3, m=np.zeros(3), v=np.zeros(3))
         with pytest.raises(InputError):
             optimizer_step(opt, model, np.zeros(2))
 
@@ -233,7 +220,7 @@ class TestDeterminismAndInit:
             ds = Dataset(features=rng.uniform(-1, 1, (12, 2)),
                          labels=rng.choice([0, 1], 12))
             model = init_model(MlpArch((2, 4, 1), output="sigmoid"), seed=4)
-            opt = OptimizerState(method="adam", step_size=0.05)
+            opt = OptimizerState(step_size=0.05)
             snaps = []
             for _ in range(10):
                 g = grad_params(model, [(1.0, CE, ds)])

@@ -2,7 +2,6 @@
 the blocked example1 trials against the per-trial enumeration."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,10 +136,10 @@ def test_an_example1_seed_below_zero_is_an_input_error():
     assert example1_trials(10, []) == []
 
 
-def old_selection(R, S, xi_relax, m):
+def old_selection(R, S, xi, m):
     """`ecrm_enumerate`'s rule as it was written before it moved into
     `constrained_argmin`: (feasible, value, index)."""
-    feasible = np.all(S <= xi_relax, axis=1) if m else np.ones(len(R), bool)
+    feasible = np.all(S <= xi, axis=1) if m else np.ones(len(R), bool)
     if not feasible.any():
         return False, math.inf, None
     j = int(np.argmin(np.where(feasible, R, math.inf)))
@@ -152,22 +151,24 @@ def test_the_selection_helper_agrees_with_the_per_problem_rule():
     outcomes = {True: 0, False: 0}
     for trial in range(120):
         xi = [0.0, 0.05, 0.4][trial % 3]
-        ep = replace(random_enumerable(rng, n_candidates=4, m=int(rng.integers(0, 4))),
-                     xi_relax=xi)
+        ep = random_enumerable(rng, n_candidates=4, m=int(rng.integers(0, 4)))
         R, S = enumeration_stats(ep.problem, ep.candidates)
         expected = old_selection(R, S, xi, ep.problem.m)
         outcomes[expected[0]] += 1
-        j, value = constrained_argmin(R, S, xi)
-        result = ecrm_enumerate(ep)
-        assert (result.feasible, result.value, result.index) == expected
+        # thresholds relaxed by xi: for floats, S - xi <= 0 exactly when S <= xi
+        j, value = constrained_argmin(R, S - xi)
         assert (value != math.inf, float(value)) == expected[:2]
         if expected[0]:
             assert int(j) == expected[2]
-            assert result.theta is ep.candidates[j]
+        if xi == 0.0:
+            result = ecrm_enumerate(ep)
+            assert (result.feasible, result.value, result.index) == expected
+            if expected[0]:
+                assert result.theta is ep.candidates[j]
         # the same rule over a leading axis of stacked problems
         R2 = np.stack([R, R[::-1]])
         S2 = np.stack([S, S[::-1]])
-        j2, value2 = constrained_argmin(R2, S2, xi)
+        j2, value2 = constrained_argmin(R2, S2 - xi)
         assert (int(j2[0]), float(value2[0])) == (int(j), float(value))
         flipped = old_selection(R[::-1], S[::-1], xi, ep.problem.m)
         assert float(value2[1]) == flipped[1]

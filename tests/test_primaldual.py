@@ -75,8 +75,7 @@ class TestTrain:
         ds = Dataset(features=rng.uniform(-1, 1, (20, 2)), labels=rng.choice([0, 1], 20))
         ce = LossSpec.cross_entropy()
         prob = Problem(objective_loss=ce, objective_dataset=ds)
-        inner = InnerSolverConfig(method="gradient", epochs=3, batch_size=8,
-                                  optimizer="adam", step_size=0.1, warm_start=False)
+        inner = InnerSolverConfig(epochs=3, batch_size=8, step_size=0.1)
         init = init_model(LogisticArch(2))
         cfg = TrainConfig(iterations_T=1, dual_step_eta=1.0, inner=inner, seed=42)
         trace, final_model, final_mu = train(prob, cfg, init)
@@ -95,8 +94,7 @@ class TestTrain:
                              dataset=prob0.constraints[0].dataset)
         prob = Problem(objective_loss=prob0.objective_loss,
                        objective_dataset=prob0.objective_dataset, constraints=(vac,))
-        inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None,
-                                  optimizer="adam", step_size=0.05)
+        inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
         cfg = TrainConfig(iterations_T=8, dual_step_eta=2.0, inner=inner, seed=0)
         trace, _, final_mu = train(prob, cfg, init_model(LogisticArch(2)))
         assert np.array_equal(trace.mu, np.zeros((8, 1)))
@@ -105,7 +103,7 @@ class TestTrain:
     def test_convex_toy_reaches_grid_dual_optimum(self):
         prob = convex_toy()
         cands = toy_candidates()
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=200, dual_step_eta=0.5, inner=inner, seed=0)
         trace, final_model, final_mu = train(prob, cfg, cands[0])
         ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
@@ -125,7 +123,7 @@ class TestTrain:
         prob = Problem(objective_loss=sq, objective_dataset=ds,
                        constraints=(ConstraintSpec(loss=ind, threshold_c=0.5, dataset=ds),))
         cands = (ModelState(np.array([1.0]), TOY_ARCH),)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=5, dual_step_eta=0.1, dual_method="projected-adam",
                           inner=inner, seed=0)
         trace, _, final_mu = train(prob, cfg, cands[0])
@@ -136,7 +134,7 @@ class TestTrain:
         # ADAM ascent on mu written out directly, fed the recorded slacks
         prob = convex_toy()
         cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         eta = 0.05
         cfg = TrainConfig(iterations_T=40, dual_step_eta=eta, dual_method="projected-adam",
                           inner=inner, seed=0)
@@ -156,16 +154,14 @@ class TestTrain:
 
     def test_mu_nonnegative_throughout(self):
         prob = small_gradient_problem()
-        inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None,
-                                  optimizer="adam", step_size=0.1)
+        inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.1)
         cfg = TrainConfig(iterations_T=15, dual_step_eta=5.0, inner=inner, seed=5)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)))
         assert np.all(trace.mu >= 0.0)
 
     def test_seed_determinism_bit_identical(self):
         prob = small_gradient_problem()
-        inner = InnerSolverConfig(method="gradient", epochs=2, batch_size=8,
-                                  optimizer="adam", step_size=0.05)
+        inner = InnerSolverConfig(epochs=2, batch_size=8, step_size=0.05)
         cfg = TrainConfig(iterations_T=5, dual_step_eta=1.0, inner=inner, seed=9)
         t1, m1, _ = train(prob, cfg, init_model(LogisticArch(2)))
         t2, m2, _ = train(prob, cfg, init_model(LogisticArch(2)))
@@ -177,7 +173,7 @@ class TestTrain:
         zo = LossSpec(kind="zero-one", bound_B=1.0)
         ds = Dataset(features=np.array([[0.2], [0.8]]), labels=np.array([0, 1]))
         prob = Problem(objective_loss=zo, objective_dataset=ds)
-        inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
+        inner = InnerSolverConfig(epochs=1, step_size=0.1)
         cfg = TrainConfig(iterations_T=3, dual_step_eta=1.0, inner=inner, seed=0)
         with pytest.raises(Exception, match="iteration 0"):
             train(prob, cfg, ModelState(np.array([1.0]), TOY_ARCH))
@@ -186,7 +182,7 @@ class TestTrain:
         arch = MlpArch((2, 50_000, 1), output="sigmoid")
         assert arch.n_params > 100_000
         prob = small_gradient_problem()
-        inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
+        inner = InnerSolverConfig(epochs=1, step_size=0.1)
         cfg = TrainConfig(iterations_T=1, dual_step_eta=1.0, inner=inner, seed=0)
         with pytest.raises(ConfigurationError, match="output.save_theta"):
             train(prob, cfg, init_model(arch))
@@ -198,7 +194,7 @@ class TestErgodicInvariants:
     def test_complementary_slackness_bound_on_toy(self):
         prob = convex_toy()
         cands = toy_candidates()
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         eta = 0.5
         cfg = TrainConfig(iterations_T=300, dual_step_eta=eta, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
@@ -211,7 +207,7 @@ class TestErgodicInvariants:
         prob = convex_toy()
         cands = toy_candidates()
         ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=300, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         assert np.all(trace.lagrangian <= ref.d_hat + 1e-9)
@@ -219,7 +215,7 @@ class TestErgodicInvariants:
     def test_ergodic_slack_mean(self):
         prob = convex_toy()
         cands = toy_candidates()
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=50, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         assert ergodic_slacks(trace) == pytest.approx(trace.slacks.mean(axis=0))
@@ -229,7 +225,7 @@ class TestRandomizedSolution:
     def _toy_trace(self, T=5):
         prob = convex_toy()
         cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=T, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         return prob, trace
@@ -308,7 +304,7 @@ class TestTraceSerialization:
     def test_round_trip_with_snapshots(self, tmp_path):
         prob = convex_toy()
         cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=4, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         path = tmp_path / "trace.jsonl"
@@ -321,7 +317,7 @@ class TestTraceSerialization:
     @pytest.mark.parametrize("save_theta", [True, False])
     def test_round_trip_is_bit_exact(self, tmp_path, save_theta):
         prob = small_gradient_problem()
-        inner = InnerSolverConfig(method="gradient", epochs=1, step_size=0.1)
+        inner = InnerSolverConfig(epochs=1, step_size=0.1)
         cfg = TrainConfig(iterations_T=7, dual_step_eta=0.5, inner=inner, seed=3,
                           save_theta=save_theta)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(in_dim=2), seed=1))
@@ -345,7 +341,7 @@ class TestTraceSerialization:
     def _saved_toy(self, tmp_path):
         prob = convex_toy()
         cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=3, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         path = tmp_path / "trace.jsonl"
@@ -374,7 +370,7 @@ class TestTraceSerialization:
     def test_reserialization_is_byte_identical(self, tmp_path):
         prob = convex_toy()
         cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(method="enumeration", candidates=cands)
+        inner = InnerSolverConfig(candidates=cands)
         cfg = TrainConfig(iterations_T=3, dual_step_eta=0.5, inner=inner, seed=0)
         trace, _, _ = train(prob, cfg, cands[0])
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

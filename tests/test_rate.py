@@ -19,7 +19,6 @@ from duallearn.lagrangian import DualState, InnerSolverConfig, slacks
 from duallearn.models import LogisticArch, ModelState, grad_params, init_model, predict_batch
 from duallearn.primaldual import TrainConfig, train
 from duallearn.rate import (
-    SurrogateConfig,
     build_surrogate_lagrangian,
     margin_check,
     surrogate_gap_bound,
@@ -31,14 +30,13 @@ IND = LossSpec(kind="rate-indicator", bound_B=1.0, rate_shift=0.5)
 CE = LossSpec.cross_entropy()
 
 
-def prob_with_rate_constraint(threshold=0.4, surrogate=SurrogateConfig()):
+def prob_with_rate_constraint(threshold=0.4):
     rng = np.random.default_rng(0)
     ds = Dataset(features=rng.uniform(-1, 1, (20, 2)), labels=rng.choice([0, 1], 20),
                  name="rate-ds")
     return Problem(
         objective_loss=CE, objective_dataset=ds,
-        constraints=(ConstraintSpec(loss=IND, threshold_c=threshold, dataset=ds,
-                                    surrogate=surrogate, name="rate"),),
+        constraints=(ConstraintSpec(loss=IND, threshold_c=threshold, dataset=ds, name="rate"),),
     )
 
 
@@ -138,10 +136,20 @@ class TestBuildSurrogateLagrangian:
         assert dists[0] > dists[1] > dists[2]
         assert gaps[2] < 1e-3
 
-    def test_missing_surrogate_config_is_an_error(self):
-        prob = prob_with_rate_constraint(surrogate=None)
-        with pytest.raises(ConfigurationError):
-            build_surrogate_lagrangian(prob)
+    def test_the_surrogate_keeps_the_indicators_shift_slope_and_bound(self):
+        rng = np.random.default_rng(5)
+        ds = Dataset(features=rng.uniform(-1, 1, (10, 2)), labels=rng.choice([0, 1], 10))
+        ind = LossSpec(kind="rate-indicator", bound_B=2.0, rate_shift=0.3, rate_slope=50.0)
+        twin = LossSpec(kind="rate-indicator", bound_B=2.0, rate_shift=0.3, rate_slope=50.0)
+        prob = Problem(
+            objective_loss=CE, objective_dataset=ds,
+            constraints=(ConstraintSpec(loss=ind, threshold_c=0.01, dataset=ds.subset([0, 1]),
+                                        reference=ReferenceTerm(loss=twin, dataset=ds)),),
+        )
+        c = build_surrogate_lagrangian(prob).constraints[0]
+        want = LossSpec(kind="rate-sigmoid", bound_B=2.0, rate_shift=0.3, rate_slope=50.0)
+        assert c.loss == want
+        assert c.reference.loss is c.loss  # equal surrogates are one object
 
     def test_reference_term_substituted_too(self):
         rng = np.random.default_rng(3)
@@ -150,7 +158,6 @@ class TestBuildSurrogateLagrangian:
         prob = Problem(
             objective_loss=CE, objective_dataset=ds,
             constraints=(ConstraintSpec(loss=IND, threshold_c=0.01, dataset=sub,
-                                        surrogate=SurrogateConfig(),
                                         reference=ReferenceTerm(loss=IND, dataset=ds)),),
         )
         sur = build_surrogate_lagrangian(prob)
@@ -191,8 +198,7 @@ class TestMarginCheck:
                      labels=np.zeros(len(preds), dtype=np.int64))
         prob = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
                        objective_dataset=ds,
-                       constraints=(ConstraintSpec(loss=IND, threshold_c=0.5, dataset=ds,
-                                                   surrogate=SurrogateConfig()),))
+                       constraints=(ConstraintSpec(loss=IND, threshold_c=0.5, dataset=ds),))
         model = ModelState(np.array([1.0]), LinearArch(1, 1, bias=False))
         return prob, model
 
@@ -230,8 +236,7 @@ class TestDualUsesIndicatorSlacks:
         # training with the surrogate primal must still record true-rate slacks
         prob = prob_with_rate_constraint(threshold=0.3)
         sur = build_surrogate_lagrangian(prob)
-        inner = InnerSolverConfig(method="gradient", epochs=1, batch_size=None,
-                                  optimizer="adam", step_size=0.1)
+        inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.1)
         cfg = TrainConfig(iterations_T=6, dual_step_eta=1.0, inner=inner, seed=2)
         trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)), primal_problem=sur)
         for theta, slack in zip(trace.thetas, trace.slacks):

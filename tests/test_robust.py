@@ -282,7 +282,7 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
                       objective_dataset=obj, constraints=(constraint,))
     assert isinstance(problem.constraints[0].dataset, AdversarialDataset)
     cands = tuple(ModelState(np.array([t]), arch) for t in np.linspace(-1.0, 2.0, 31))
-    inner = InnerSolverConfig(method="enumeration", candidates=cands)
+    inner = InnerSolverConfig(candidates=cands)
     cfg = TrainConfig(iterations_T=12, dual_step_eta=0.5, inner=inner, seed=0)
     trace, _, _ = train(problem, cfg, cands[0])
     assert np.any(trace.mu > 0.0)
