@@ -107,22 +107,6 @@ class BoundsReport:
     Delta_cap: float | None = None
     feasibility_margins: tuple[float, ...] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "zeta_per_constraint": list(self.zeta_per_constraint),
-            "zeta_bar": self.zeta_bar,
-            "Delta": self.Delta,
-            "M": self.M,
-            "nu": self.nu,
-            "gap_estimate": self.gap_estimate,
-            "B": self.B,
-            "xi": self.xi,
-            "delta": self.delta,
-            "Delta_cap": self.Delta_cap,
-            "feasibility_margins": (None if self.feasibility_margins is None
-                                    else list(self.feasibility_margins)),
-        }
-
 
 def gap_report(zeta_per_constraint, Delta: float, M: float, nu: float,
                B: float | None = None, xi: float | None = None,

@@ -38,6 +38,7 @@ give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import check, from_config, read, require
-from .core import ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
+from .core import LOSS_KINDS, ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
 from .data import CsvSchema, group_split, load_csv, synth_two_gaussians
 from .errors import ConfigurationError, DualLearnError
 from .lagrangian import InnerSolverConfig
@@ -101,14 +102,27 @@ def validate_config(cfg) -> dict:
 
 # --- builders (each returns the object plus the echo of the values it used) ----
 
+# The LossSpec fields each loss kind reads besides its kind (bound_B alone
+# where a kind is not listed); any other field is no config key of that kind.
+_RATE_KEYS = ("bound_B", "rate_shift", "rate_slope")
+_LOSS_KEYS = {"clamped-cross-entropy": ("clamp_p_min", "bound_B"),
+              "rate-indicator": _RATE_KEYS, "rate-sigmoid": _RATE_KEYS}
+
+
 def _build_loss(spec, path: str) -> tuple[LossSpec, dict]:
+    kind = check(require(spec, "kind", path), str, path + "kind")
+    if kind not in LOSS_KINDS:
+        raise ConfigurationError(f"{path}kind: unknown loss kind {kind!r}")
+    keys = _LOSS_KEYS.get(kind, ("bound_B",))
+    unread = {f.name: f.default for f in dataclasses.fields(LossSpec)
+              if f.name != "kind" and f.name not in keys}
     defaults = {}
-    if spec.get("kind") == "clamped-cross-entropy":
+    if kind == "clamped-cross-entropy":
         # the one bound LossSpec accepts; it refuses a clamp outside (0, 1/2)
         # before it reads bound_B
         defaults["bound_B"] = lambda v: (-math.log(v["clamp_p_min"]) if v["clamp_p_min"] > 0
                                          else math.inf)
-    return from_config(LossSpec, spec, path, defaults)
+    return from_config(LossSpec, spec, path, defaults, **unread)
 
 
 _ATTACK_PRESETS = {
@@ -196,16 +210,10 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
     attack_cfg, attack_echo = (None, None)
     if cfg.get("attack") is not None:
         attack_cfg, attack_echo = _build_attack(cfg["attack"], seed)
-    # Equal loss specs become one object: evaluations key losses by identity.
-    shared: dict[LossSpec, LossSpec] = {}
-
-    def build_loss(spec: dict, context: str) -> tuple[LossSpec, dict]:
-        loss, echo = _build_loss(spec, context)
-        return shared.setdefault(loss, loss), echo
 
     def term(spec: dict, ctx: str):
         """(loss, its echo, dataset) of the objective or of a constraint."""
-        loss, loss_echo = build_loss(require(spec, "loss", ctx + "."), ctx + ".loss.")
+        loss, loss_echo = _build_loss(require(spec, "loss", ctx + "."), ctx + ".loss.")
         ds = _dataset_ref(datasets, require(spec, "dataset", ctx + "."),
                           spec.get("group"), ctx + ".dataset")
         if spec.get("adversarial", False):
@@ -225,7 +233,7 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
         reference = ref_echo = None
         if c.get("reference") is not None:
             rspec = read(c["reference"], _REFERENCE, ctx + ".reference.")
-            rloss, rloss_echo = (build_loss(rspec["loss"], ctx + ".reference.loss.")
+            rloss, rloss_echo = (_build_loss(rspec["loss"], ctx + ".reference.loss.")
                                  if rspec.get("loss") is not None else (loss, loss_echo))
             rds = _dataset_ref(datasets, require(rspec, "dataset", ctx + ".reference."),
                                rspec.get("group"), ctx + ".reference.dataset")
@@ -457,7 +465,7 @@ def cmd_bounds(args) -> int:
                                        B=b.get("B"), xi=b.get("xi"),
                                        delta=delta,
                                        thresholds_c=b.get("thresholds_c"))
-        summary["report"] = report.to_dict()
+        summary["report"] = dataclasses.asdict(report)
         summary["zeta_source"] = zeta_source
         summary["Delta_source"] = delta_source
         summary["nu_source"] = "assumed"

@@ -1,7 +1,7 @@
 """Domain types and bounded-loss evaluation.
 
 Everything downstream (Lagrangians, attacks, rate surrogates, oracles) is
-built on three value types -- Dataset, LossSpec, ConstraintSpec -- plus the
+built on three types -- Dataset, LossSpec, ConstraintSpec -- plus the
 Problem container and two batch operations: per-row loss values (and their
 gradients) for a prediction matrix, and empirical (sample-average) risk.
 All types are immutable after construction and safe to share across
@@ -64,7 +64,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered, nonempty collection of samples with a fixed feature dimension.
 
@@ -76,6 +76,8 @@ class Dataset:
     was cut from (`root`, never itself a view) and its `rows` there, so that
     a `models.Evaluation` can read a view's predictions from one forward
     pass over the root. A table of its own has `root` and `rows` None.
+    A dataset compares and hashes by identity, so an evaluation keys its
+    memos by the set itself; it holds no model's predictions.
     """
 
     features: np.ndarray
@@ -85,14 +87,6 @@ class Dataset:
     # Provenance; `subset` sets both on the views it makes.
     root = None
     rows = None
-    # Provenance of a set realised against a model (an attacked set): the
-    # model and its predictions on these rows, which a `models.Evaluation`
-    # of that same model reads instead of forwarding the rows again.
-    predicted_by = None
-    predictions = None
-    # An attacked whole table also records the clean table it was attacked
-    # from and that model's predictions there, as (table, predictions).
-    clean = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -138,10 +132,6 @@ class Dataset:
         object.__setattr__(view, "root", root)
         object.__setattr__(view, "rows", _readonly(rows))
         return view
-
-    def realize(self, model, indices: np.ndarray | None = None) -> Dataset:
-        """This dataset, or its `indices` rows; a static set ignores the model."""
-        return self if indices is None else self.subset(indices)
 
 
 @dataclass(frozen=True)
@@ -199,8 +189,13 @@ class LossSpec:
                     f"clamped-cross-entropy requires bound_B == -log(clamp_p_min) "
                     f"= {expected!r}, got {self.bound_B!r}"
                 )
-        if self.kind in ("rate-indicator", "rate-sigmoid") and self.rate_slope < 1.0:
-            raise ConfigurationError(f"{self.kind} slope must be >= 1, got {self.rate_slope}")
+        if self.kind in ("rate-indicator", "rate-sigmoid"):
+            for name in ("rate_shift", "rate_slope"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ConfigurationError(
+                        f"{self.kind} {name} must be finite, got {getattr(self, name)}")
+            if self.rate_slope < 1.0:
+                raise ConfigurationError(f"{self.kind} slope must be >= 1, got {self.rate_slope}")
         if self.kind in ("zero-one", "rate-indicator", "rate-sigmoid") and self.bound_B < 1.0:
             raise ConfigurationError(
                 f"{self.kind} takes values up to 1, so bound_B must be >= 1, got {self.bound_B}"
@@ -259,9 +254,10 @@ class ConstraintSpec:
             raise InputError(f"constraint threshold must be finite, got {self.threshold_c}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
-    """Objective loss plus m >= 0 expectation constraints."""
+    """Objective loss plus m >= 0 expectation constraints; compares and
+    hashes by identity, like its datasets."""
 
     objective_loss: LossSpec
     objective_dataset: DatasetLike

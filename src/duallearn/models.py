@@ -262,41 +262,40 @@ class Evaluation:
     The evaluation realises each model-dependent set once (one attack per
     `robust.AdversarialDataset`) and runs one `predict_batch` per table: a root
     table when the evaluation also realises the root itself (some term
-    averages over all of it), otherwise a view on its own rows. A table
-    realised with this model's predictions attached (an attacked set) is
-    not forwarded at all: its predictions are read from it. Loss values
-    and loss gradients are computed once per (table, loss), and risks once
-    per (set, loss). A view's risk is the mean of its rows gathered from
-    its table: the same elements in the same order as evaluating the view
-    on its own, so the reduction and its bits are unchanged. Sets and
-    losses are keyed by identity, so equal `LossSpec`s are computed once
-    only when they are one object.
+    averages over all of it), otherwise a view on its own rows. An attacked
+    set is not forwarded at all: the attack returns the model's predictions
+    on the rows it picks, and the evaluation keeps them. A whole set is
+    attacked from this evaluation's predictions on its clean base table, so
+    the base is forwarded at most once, whichever term reads it first.
+    Loss values and loss gradients are computed once per (table, loss), and
+    risks once per (set, loss). A view's risk is the mean of its rows
+    gathered from its table: the same elements in the same order as
+    evaluating the view on its own, so the reduction and its bits are
+    unchanged.
 
     Sets may be realised at any time; realising every set up front (see
     `of`) lets views find the root they share before anything is forwarded.
-    An attacked table that records the clean table it was attacked from,
-    with this model's predictions there, hands those over, so the clean
-    table is not forwarded again.
 
     Each (set, loss) term's parameter gradient (`param_grad`) and each
     problem's objective risk and slack vector (`stats`) depend on the model
     alone, so they are memoised too and returned read-only. An iterate kept
     across dual steps comes back with new multipliers, which only weight
     these results, in the same order: a memo hit has the bits of computing
-    afresh. Memos keyed by `id` hold their key objects, so no id is reused
-    while it is a key.
+    afresh. Every memo is a dict keyed by the objects themselves: sets and
+    problems by identity, losses by value, so equal `LossSpec`s that are
+    distinct objects are computed once.
     """
 
     def __init__(self, model: ModelState) -> None:
         self.model = model
-        # id(set) -> (set, realised set). A realised table is also its own
-        # entry, which marks it as used whole.
-        self._realized: dict[int, tuple[DatasetLike, Dataset]] = {}
-        self._preds: dict[int, tuple[Dataset, np.ndarray]] = {}
-        self._rowwise: dict[tuple, tuple[LossSpec, np.ndarray]] = {}
-        self._risks: dict[tuple[int, int], tuple[DatasetLike, LossSpec, float]] = {}
-        self._grads: dict[tuple[int, int], tuple[DatasetLike, LossSpec, np.ndarray]] = {}
-        self._stats: dict[int, tuple[Problem, float, np.ndarray]] = {}
+        # set -> realised set; a realised table is also its own entry, which
+        # marks it as used whole
+        self._realized: dict[DatasetLike, Dataset] = {}
+        self._preds: dict[Dataset, np.ndarray] = {}
+        self._rowwise: dict[tuple, np.ndarray] = {}
+        self._risks: dict[tuple[DatasetLike, LossSpec], float] = {}
+        self._grads: dict[tuple[DatasetLike, LossSpec], np.ndarray] = {}
+        self._stats: dict[Problem, tuple[float, np.ndarray]] = {}
 
     @classmethod
     def of(cls, at, datasets: Sequence[DatasetLike] = ()) -> Evaluation:
@@ -309,48 +308,48 @@ class Evaluation:
 
     def realize(self, dataset: DatasetLike) -> Dataset:
         """`dataset` realised against the model, once per evaluation."""
-        hit = self._realized.get(id(dataset))
-        if hit is None:
-            ds = dataset.realize(self.model)
-            hit = self._realized[id(dataset)] = (dataset, ds)
+        ds = self._realized.get(dataset)
+        if ds is None:
+            ds = self._realized[dataset] = (
+                dataset if isinstance(dataset, Dataset)
+                else self._attack(dataset, None, self._table_predictions(dataset.base)))
             if ds.root is None:
-                self._realized[id(ds)] = (ds, ds)
-            if ds.clean is not None and ds.predicted_by is self.model:
-                table, preds = ds.clean
-                self._preds.setdefault(id(table), (table, preds))
-        return hit[1]
+                self._realized[ds] = ds
+        return ds
 
     def batch(self, dataset: DatasetLike, indices: np.ndarray | None) -> DatasetLike:
         """`dataset` itself, or its `indices` rows realised against the model:
         cut from this evaluation's realisation of it when there is one."""
         if indices is None:
             return dataset
-        hit = self._realized.get(id(dataset))
-        if hit is not None:
-            return hit[1].subset(indices)
-        return dataset.realize(self.model, indices)
+        ds = self._realized.get(dataset, dataset)
+        return ds.subset(indices) if isinstance(ds, Dataset) else self._attack(dataset, indices)
+
+    def _attack(self, dataset, indices, clean_predictions=None) -> Dataset:
+        """The model-dependent `dataset`, or its `indices` rows, attacked
+        against the model; the attack's predictions are kept as the set's."""
+        ds, preds = dataset.attack(self.model, indices, clean_predictions)
+        self._preds[ds] = preds
+        return ds
 
     def _locate(self, ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
         """(table, rows there) that `ds` is read from; rows None for all."""
-        if ds.root is not None and id(ds.root) in self._realized:
+        if ds.root is not None and ds.root in self._realized:
             return ds.root, ds.rows
         return ds, None
 
     def _table_predictions(self, table: Dataset) -> np.ndarray:
-        hit = self._preds.get(id(table))
-        if hit is None:
-            preds = (table.predictions if table.predicted_by is self.model
-                     else predict_batch(self.model, table.features))
-            hit = self._preds[id(table)] = (table, preds)
-        return hit[1]
+        preds = self._preds.get(table)
+        if preds is None:
+            preds = self._preds[table] = predict_batch(self.model, table.features)
+        return preds
 
     def _per_row(self, fn, loss: LossSpec, table: Dataset) -> np.ndarray:
-        key = (fn, id(table), id(loss))
-        hit = self._rowwise.get(key)
-        if hit is None:
-            hit = self._rowwise[key] = (loss, fn(loss, self._table_predictions(table),
-                                                 table.labels))
-        return hit[1]
+        key = (fn, table, loss)
+        values = self._rowwise.get(key)
+        if values is None:
+            values = self._rowwise[key] = fn(loss, self._table_predictions(table), table.labels)
+        return values
 
     def predictions(self, dataset: DatasetLike) -> np.ndarray:
         """Model outputs on the realised `dataset`, as an (N, k) matrix."""
@@ -360,22 +359,20 @@ class Evaluation:
 
     def risk(self, loss: LossSpec, dataset: DatasetLike) -> float:
         """Sample-average `loss` over the realised `dataset`."""
-        key = (id(dataset), id(loss))
-        hit = self._risks.get(key)
-        if hit is None:
+        risk = self._risks.get((dataset, loss))
+        if risk is None:
             table, rows = self._locate(self.realize(dataset))
             vals = self._per_row(loss_values, loss, table)
             if rows is not None:
                 vals = vals[rows]
-            hit = self._risks[key] = (dataset, loss, float(vals.sum()) / vals.shape[0])
-        return hit[2]
+            risk = self._risks[dataset, loss] = float(vals.sum()) / vals.shape[0]
+        return risk
 
     def param_grad(self, loss: LossSpec, dataset: DatasetLike) -> np.ndarray:
         """d(risk)/d(parameters) of `loss` on the realised `dataset`,
         backpropagated once per (set, loss); read-only."""
-        key = (id(dataset), id(loss))
-        hit = self._grads.get(key)
-        if hit is None:
+        dparams = self._grads.get((dataset, loss))
+        if dparams is None:
             ds = self.realize(dataset)
             table, rows = self._locate(ds)
             preds = self._table_predictions(table)
@@ -385,8 +382,8 @@ class Evaluation:
             dparams, _ = _backprop(self.model, ds.features, grads / len(ds), preds,
                                    want_params=True, want_inputs=False)
             dparams.setflags(write=False)
-            hit = self._grads[key] = (dataset, loss, dparams)
-        return hit[2]
+            self._grads[dataset, loss] = dparams
+        return dparams
 
     def constraint_risk(self, constraint: ConstraintSpec) -> float:
         """Empirical constraint risk, minus the reference risk when one is attached."""
@@ -399,7 +396,7 @@ class Evaluation:
         """(objective risk, slack vector) of `problem`, computed once per
         problem; the slack vector, constraint risk minus threshold per
         constraint, is read-only."""
-        hit = self._stats.get(id(problem))
+        hit = self._stats.get(problem)
         if hit is None:
             for d in problem.datasets:
                 self.realize(d)
@@ -407,8 +404,8 @@ class Evaluation:
             slacks = np.asarray([self.constraint_risk(c) - c.threshold_c
                                  for c in problem.constraints], dtype=float)
             slacks.setflags(write=False)
-            hit = self._stats[id(problem)] = (problem, obj, slacks)
-        return hit[1], hit[2]
+            hit = self._stats[problem] = (obj, slacks)
+        return hit
 
 
 WeightedLoss = tuple[float, LossSpec, DatasetLike]

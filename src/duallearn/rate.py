@@ -48,16 +48,11 @@ def build_surrogate_lagrangian(problem: Problem) -> Problem:
     reference structure are untouched; the result is meant for the primal
     step only, while slack evaluation stays on the original problem.
     Problems without rate indicators pass through unchanged. Equal
-    surrogates are one `LossSpec` object, so an evaluation (which keys
-    losses by identity) computes each once per table.
+    surrogates need not be one object: an evaluation keys losses by value.
     """
-    shared: dict[LossSpec, LossSpec] = {}
 
     def surrogate(loss: LossSpec) -> LossSpec:
-        if loss.kind != "rate-indicator":
-            return loss
-        sur = replace(loss, kind="rate-sigmoid")
-        return shared.setdefault(sur, sur)
+        return replace(loss, kind="rate-sigmoid") if loss.kind == "rate-indicator" else loss
 
     new_constraints = []
     for c in problem.constraints:
@@ -65,7 +60,7 @@ def build_surrogate_lagrangian(problem: Problem) -> Problem:
         if reference is not None:
             reference = replace(reference, loss=surrogate(reference.loss))
         new_constraints.append(replace(c, loss=surrogate(c.loss), reference=reference))
-    if not shared:
+    if tuple(new_constraints) == problem.constraints:
         return problem
     return replace(problem, constraints=tuple(new_constraints))
 

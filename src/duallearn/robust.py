@@ -12,9 +12,10 @@ maps with several outputs) is attacked by iterated signed-gradient ascent
 Either way the clean sample competes as a candidate, so an attack never
 reports a loss below the unperturbed one, and the model's predictions on
 the rows it picks come back with them. An `AdversarialDataset` is the
-constraint's dataset: it regenerates its sample set against whatever model
-a slack or gradient evaluation is made at, so nothing is cached across
-model states.
+constraint's dataset: it attacks its base set against whatever model a
+slack or gradient evaluation is made at and returns a plain `Dataset` with
+that model's predictions on it. A `models.Evaluation` keeps both for its one
+model, so nothing is cached across model states.
 """
 
 from __future__ import annotations
@@ -189,10 +190,11 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
 
 
 class AdversarialDataset:
-    """Model-dependent dataset: the base set attacked against the current model.
+    """Model-dependent dataset: the base set attacked against a model.
 
-    `realize` regenerates the set (or its `indices` rows) on every call. Its
-    length is that of `base`, so batches can be drawn before realising.
+    `attack` regenerates the set (or its `indices` rows) on every call and
+    returns it as a plain `Dataset`, with the model's predictions there. Its
+    length is that of `base`, so batches can be drawn before attacking.
     """
 
     def __init__(self, base: Dataset, loss: LossSpec, cfg: AttackConfig) -> None:
@@ -211,26 +213,16 @@ class AdversarialDataset:
     def __len__(self) -> int:
         return len(self.base)
 
-    def realize(self, model: ModelState, indices: np.ndarray | None = None) -> Dataset:
-        """The base set, or its `indices` rows, attacked against `model`,
-        carrying the model's predictions on them as provenance. The whole
-        set also carries the base table with the model's predictions there,
-        which the attack computes for its clean candidate anyway."""
+    def attack(self, model: ModelState, indices: np.ndarray | None = None,
+               clean_predictions: np.ndarray | None = None) -> tuple[Dataset, np.ndarray]:
+        """(the base set, or its `indices` rows, attacked against `model`;
+        the model's predictions there). `clean_predictions`, when given, are
+        the model's predictions on the clean rows attacked, which are then
+        not forwarded again (see `perturb_batch`)."""
         X, y = self.base.features, self.base.labels
-        clean = None
-        if indices is None:
-            clean = predict_batch(model, X)
-            clean.setflags(write=False)
-        else:
+        if indices is not None:
             indices = np.asarray(indices, dtype=int)
             X, y = X[indices], y[indices]
         X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices,
-                             clean_predictions=clean)
-        ds = Dataset(features=X, labels=y, name=self.name)
-        P.setflags(write=False)
-        object.__setattr__(ds, "predicted_by", model)
-        object.__setattr__(ds, "predictions", P)
-        if clean is not None:
-            object.__setattr__(ds, "clean", (self.base, clean))
-        return ds
-
+                             clean_predictions=clean_predictions)
+        return Dataset(features=X, labels=y, name=self.name), P

@@ -225,6 +225,15 @@ def set_key(path, value):
      "unknown config key problem.datasets.synth.path"),
     ("fairness_train.json", set_key(["problem", "datasets", "train", "dim"], 6),
      "unknown config key problem.datasets.train.dim"),
+    # a LossSpec field that the loss kind does not read
+    ("robust_train.json", set_key(["problem", "objective", "loss", "rate_slope"], 0.1),
+     "unknown config key problem.objective.loss.rate_slope"),
+    ("fairness_train.json", set_key(["problem", "constraints", 0, "loss", "clamp_p_min"], 1e-3),
+     "unknown config key problem.constraints[0].loss.clamp_p_min"),
+    # an unknown kind is named before any key it would not read
+    ("fairness_train.json", set_key(["problem", "objective", "loss"],
+                                    {"kind": "bogus", "rate_slope": 2.0}),
+     "problem.objective.loss.kind: unknown loss kind 'bogus'"),
     # null where the key takes none
     ("fairness_train.json", set_key(["inner", "epochs"], None), "config key inner.epochs"),
     ("fairness_train.json", set_key(["dual", "method"], None), "config key dual.method"),
@@ -330,6 +339,10 @@ def test_the_echo_of_a_relative_config_trains_from_any_working_directory(tmp_pat
     assert echoed["problem"]["datasets"]["train"]["path"] == os.path.abspath(csv)
     assert echoed["model"] == {"arch": "logistic", "in_dim": 6, "init_seed": 1}
     assert echoed["inner"] == {"epochs": 1, "batch_size": None, "step_size": 0.05}
+    # each loss echoes the fields its kind reads, and no other
+    assert set(echoed["problem"]["objective"]["loss"]) == {"kind", "clamp_p_min", "bound_B"}
+    assert set(echoed["problem"]["constraints"][0]["loss"]) == {"kind", "bound_B", "rate_shift",
+                                                                 "rate_slope"}
     assert "projection_order" not in json.dumps(echoed)
     assert main(["train", "--config", "first/config_echo.json", "--out", "second"]) == 0
     monkeypatch.chdir(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from duallearn.core import (
     Dataset,
     LossSpec,
+    Problem,
     empirical_risk,
     loss_values,
     stable_sigmoid,
@@ -81,6 +82,11 @@ class TestEvalLoss:
         for kind in ("rate-sigmoid", "rate-indicator"):
             with pytest.raises(ConfigurationError, match=f"{kind} slope must be >= 1"):
                 LossSpec(kind=kind, bound_B=1.0, rate_slope=0.5)
+            # nan < 1 is false, and an infinite slope has the gradient inf * 0
+            for name, value in (("rate_slope", math.nan), ("rate_slope", math.inf),
+                                ("rate_shift", math.nan), ("rate_shift", -math.inf)):
+                with pytest.raises(ConfigurationError, match=f"{kind} {name} must be finite"):
+                    LossSpec(kind=kind, bound_B=1.0, **{name: value})
 
 
 class TestEmpiricalRisk:
@@ -271,7 +277,18 @@ class TestDatasetViews:
         assert inner.root is root
         assert np.array_equal(inner.rows, [3, 4])
         assert np.array_equal(inner.labels, root.labels[inner.rows])
-        assert np.array_equal(root.realize(None, [4, 1, 3]).rows, [4, 1, 3])
+
+    def test_sets_and_problems_compare_and_hash_by_identity(self):
+        """Equal arrays make distinct sets: an evaluation keys its memos by
+        the set itself, and by the problem itself."""
+        X, y = np.zeros((3, 1)), np.arange(3)
+        a, b = Dataset(features=X, labels=y), Dataset(features=X, labels=y)
+        assert a == a and a != b and len({a, b, a}) == 2
+        loss = LossSpec(kind="squared", bound_B=1.0)
+        p, q = Problem(loss, a), Problem(loss, a)
+        assert p != q and len({p, q, p}) == 2
+        assert loss == LossSpec(kind="squared", bound_B=1.0)
+        assert hash(loss) == hash(LossSpec(kind="squared", bound_B=1.0))
 
     def test_rows_are_a_private_read_only_copy(self):
         root = Dataset(features=np.zeros((4, 1)), labels=np.arange(4))

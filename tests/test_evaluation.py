@@ -37,7 +37,7 @@ from duallearn.models import (
 )
 from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
 from duallearn.rate import build_surrogate_lagrangian
-from duallearn.robust import AdversarialDataset, AttackConfig
+from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
 from helpers import dataset_risk
 
@@ -143,6 +143,7 @@ def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
 
 @pytest.mark.parametrize("kind", ["clamped-cross-entropy", "squared", "signed-score"])
 def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
+    import duallearn.models as models_mod
     import duallearn.robust as robust
 
     ds, _ = table(n=30, seed=2)
@@ -153,12 +154,17 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     adv = AdversarialDataset(ds, loss, attack)
     problem = Problem(objective_loss=CE, objective_dataset=ds,
                       constraints=(ConstraintSpec(loss=loss, threshold_c=0.2, dataset=adv),))
-    attacked = adv.realize(model)
+    attacked, _ = adv.attack(model)
 
     attacks = []
     original = robust.perturb_batch
     monkeypatch.setattr(robust, "perturb_batch",
                         lambda *a, **k: attacks.append(len(a[2])) or original(*a, **k))
+    forwarded = {models_mod: [], robust: []}
+    for mod in forwarded:
+        forward = mod.predict_batch
+        monkeypatch.setattr(mod, "predict_batch", lambda m, X, mod=mod, forward=forward:
+                            forwarded[mod].append(X is ds.features) or forward(m, X))
     ev = Evaluation(model)
     mu = DualState(np.array([0.7]))
     lag = empirical_lagrangian(ev, mu, problem)
@@ -168,35 +174,88 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     batch = ev.batch(adv, idx)
     g = grad_params(ev, [(1.0, CE, ds), (0.7, loss, adv), (0.7, loss, batch)])
     assert attacks == [len(ds)]
+    # the clean table once, for the objective and the attack alike; the
+    # attacked set and its rows are read from the attack
+    assert forwarded[models_mod] == [True]
+    assert True not in forwarded[robust]
+    monkeypatch.undo()
 
     assert bits(risk) == bits(own_risk(model, loss, attacked))
     assert bits(s) == bits([own_risk(model, loss, attacked) - 0.2])
     assert bits(lag) == bits(own_risk(model, CE, ds) + float(mu.mu @ s))
-    own_batch = adv.realize(model, idx)
+    own_batch, _ = adv.attack(model, idx)
     assert bits(batch.features) == bits(own_batch.features)
     assert bits(g) == bits(own_gradient(model, [(1.0, CE, ds), (0.7, loss, attacked),
                                                 (0.7, loss, own_batch)]))
 
 
-def test_attacked_set_is_read_from_the_attack_not_forwarded_again(monkeypatch):
+def test_a_minibatch_attack_is_read_from_the_attack_not_forwarded_again(monkeypatch):
     import duallearn.models as models_mod
 
     ds, _ = table(n=30, seed=5)
-    model = models(seed=6)[0]
+    model = models(seed=6)[2]
     attack = AttackConfig.pgd_training(0.2, clamp_box=(-1.0, 1.0), seed=2)
-    attacked = AdversarialDataset(ds, CE, attack).realize(model)
+    adv = AdversarialDataset(ds, CE, attack)
+    idx = np.array([3, 0, 17, 3])
+    ev = Evaluation(model)
+    batch = ev.batch(adv, idx)
     forwarded = []
     original = models_mod.predict_batch
     monkeypatch.setattr(models_mod, "predict_batch",
-                        lambda m, X: forwarded.append(m) or original(m, X))
-    risk = Evaluation(model).risk(CE, attacked)
-    assert forwarded == []
-    # an equal model that is another object forwards the rows itself
-    twin = ModelState(model.params, model.arch)
-    assert bits(Evaluation(twin).risk(CE, attacked)) == bits(risk)
-    assert forwarded == [twin]
+                        lambda m, X: forwarded.append(len(X)) or original(m, X))
+    risk = ev.risk(CE, batch)
+    grad = ev.param_grad(CE, batch)
     monkeypatch.undo()
-    assert bits(risk) == bits(own_risk(model, CE, attacked))
+    assert forwarded == []
+    own, _ = adv.attack(model, idx)
+    assert bits(batch.features) == bits(own.features)
+    assert bits(risk) == bits(own_risk(model, CE, own))
+    assert bits(grad) == bits(own_gradient(model, [(1.0, CE, own)]))
+
+
+def test_the_base_table_is_forwarded_once_whichever_term_reads_it_first(monkeypatch):
+    """The objective risk on a table, read before an attacked set over the
+    same table is realised: the attack starts from the objective's
+    predictions instead of forwarding the table again."""
+    import duallearn.models as models_mod
+    import duallearn.robust as robust
+
+    ds, _ = table(n=40, seed=17)
+    model = models(seed=18)[0]
+    adv = AdversarialDataset(ds, CE, AttackConfig(epsilon=0.2, clamp_box=(-1.0, 1.0)))
+    X_adv, _ = perturb_batch(model, CE, ds.features, ds.labels, adv.cfg)
+    want = (own_risk(model, CE, ds), dataset_risk(CE, predict_batch(model, X_adv), ds.labels))
+    clean = []
+    for mod in (models_mod, robust):
+        forward = mod.predict_batch
+        monkeypatch.setattr(mod, "predict_batch", lambda m, X, forward=forward:
+                            clean.append(X is ds.features) or forward(m, X))
+    ev = Evaluation(model)
+    got = (ev.risk(CE, ds), ev.risk(CE, adv))
+    monkeypatch.undo()
+    assert bits(got) == bits(want)
+    assert clean.count(True) == 1
+
+
+def test_equal_losses_that_are_distinct_objects_are_computed_once(monkeypatch):
+    import duallearn.models as models_mod
+
+    problem = fairness_shaped("rate-indicator")
+    twin = LossSpec(kind="rate-indicator", bound_B=1.0)
+    assert twin == problem.constraints[0].loss and twin is not problem.constraints[0].loss
+    model = models(seed=19)[1]
+    want = [own_risk(model, c.loss, c.dataset) for c in problem.constraints]
+    computed = []
+    original = models_mod.loss_values
+    monkeypatch.setattr(models_mod, "loss_values",
+                        lambda loss, P, y: computed.append(len(y)) or original(loss, P, y))
+    ev = Evaluation.of(model, problem.datasets)
+    got = [ev.risk(c.loss, c.dataset) for c in problem.constraints]
+    got_twin = [ev.risk(twin, c.dataset) for c in problem.constraints]
+    ev.risk(twin, problem.objective_dataset)
+    monkeypatch.undo()
+    assert computed == [len(problem.objective_dataset)]  # once for the one table
+    assert bits(got) == bits(want) and bits(got_twin) == bits(want)
 
 
 def test_no_constraints():
@@ -305,8 +364,7 @@ def lagrangian_terms(problem, mu):
 
 def distinct_terms(problem):
     """How many (set, loss) pairs the Lagrangian of `problem` backpropagates."""
-    return len({(id(ds), id(loss)) for _, loss, ds in lagrangian_terms(problem,
-                                                                        np.ones(problem.m))})
+    return len({(ds, loss) for _, loss, ds in lagrangian_terms(problem, np.ones(problem.m))})
 
 
 def random_mus(m, count=20, seed=0):

@@ -149,7 +149,7 @@ class TestBuildSurrogateLagrangian:
         c = build_surrogate_lagrangian(prob).constraints[0]
         want = LossSpec(kind="rate-sigmoid", bound_B=2.0, rate_shift=0.3, rate_slope=50.0)
         assert c.loss == want
-        assert c.reference.loss is c.loss  # equal surrogates are one object
+        assert c.reference.loss == c.loss
 
     def test_reference_term_substituted_too(self):
         rng = np.random.default_rng(3)

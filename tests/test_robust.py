@@ -224,9 +224,8 @@ def test_returned_predictions_are_those_of_the_returned_rows(name):
     assert P.tobytes() == predict_batch(model, X_adv).tobytes()
     ds = AdversarialDataset(Dataset(features=X, labels=y), CE, cfg)
     idx = np.array([3, 0, 41, 3])
-    for part in (ds.realize(model), ds.realize(model, idx)):
-        assert part.predicted_by is model
-        assert part.predictions.tobytes() == predict_batch(model, part.features).tobytes()
+    for part, P in (ds.attack(model), ds.attack(model, idx)):
+        assert P.tobytes() == predict_batch(model, part.features).tobytes()
 
 
 def test_zero_epsilon_is_the_identity():
@@ -238,7 +237,7 @@ def test_zero_epsilon_is_the_identity():
     base = Dataset(features=X, labels=y)
     constraint = ConstraintSpec(loss=CE, threshold_c=0.5,
                                 dataset=AdversarialDataset(base, CE, cfg))
-    realized = constraint.dataset.realize(model)
+    realized, _ = constraint.dataset.attack(model)
     assert np.array_equal(realized.features, base.features)
     assert np.array_equal(realized.labels, base.labels)
     problem = Problem(objective_loss=CE, objective_dataset=base, constraints=(constraint,))
@@ -258,9 +257,9 @@ def test_clean_rows_outside_the_box_are_refused():
 def test_realize_subset_equals_rows_of_full_realisation():
     model, X, y = logistic_case(4)
     ds = AdversarialDataset(Dataset(features=X, labels=y, name="base"), CE, ATTACKS[2])
-    full = ds.realize(model)
+    full, _ = ds.attack(model)
     idx = np.array([7, 0, 31, 12, 12, 39])
-    part = ds.realize(model, idx)
+    part, _ = ds.attack(model, idx)
     assert (len(ds), ds.n_features) == X.shape
     assert np.array_equal(part.features, full.features[idx])
     assert np.array_equal(part.labels, full.labels[idx])
