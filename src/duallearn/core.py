@@ -121,16 +121,22 @@ class Dataset:
 
     def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
         """The view of the `indices` rows, in that order; a subset of a view
-        is a view of the same root."""
+        is a view of the same root.
+
+        The rows come from a table that was checked when it was built, so
+        the view is assembled from them directly: read-only, with the
+        table's dtypes, and only the index list checked.
+        """
         idx = np.array(indices, dtype=int)
-        view = Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            name=name if name is not None else self.name,
-        )
+        if idx.ndim != 1 or idx.size == 0:
+            raise InputError(f"a subset needs a nonempty list of row indices, got shape {idx.shape}")
         root, rows = (self, idx) if self.root is None else (self.root, self.rows[idx])
-        object.__setattr__(view, "root", root)
-        object.__setattr__(view, "rows", _readonly(rows))
+        view = object.__new__(Dataset)
+        for attr, value in (("features", _readonly(self.features[idx])),
+                            ("labels", _readonly(self.labels[idx])),
+                            ("name", name if name is not None else self.name),
+                            ("root", root), ("rows", _readonly(rows))):
+            object.__setattr__(view, attr, value)
         return view
 
 
@@ -177,6 +183,12 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
+        # A spec keys the memos of `models.Evaluation`, so its value hash is
+        # computed once. The kind enters by its index: a str hash is salted
+        # per process, and a spec may be unpickled in another one.
+        object.__setattr__(self, "_hash", hash((LOSS_KINDS.index(self.kind), self.bound_B,
+                                                self.clamp_p_min, self.rate_shift,
+                                                self.rate_slope)))
         # before bound_B, which a cross-entropy loss derives from clamp_p_min
         if self.kind == "clamped-cross-entropy" and not (0.0 < self.clamp_p_min < 0.5):
             raise ConfigurationError("clamp_p_min must lie in (0, 1/2)")
@@ -200,6 +212,9 @@ class LossSpec:
             raise ConfigurationError(
                 f"{self.kind} takes values up to 1, so bound_B must be >= 1, got {self.bound_B}"
             )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def cross_entropy(cls, clamp_p_min: float = 1e-6) -> LossSpec:

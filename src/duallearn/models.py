@@ -184,6 +184,15 @@ def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
         raise InputError(
             f"features must be (N, {model.in_dim}), got shape {X.shape}"
         )
+    return _forward(model, X)
+
+
+def _forward(model: ModelState, X: np.ndarray) -> np.ndarray:
+    """`predict_batch` of a float array of shape (..., N, d): (..., N, k).
+
+    numpy multiplies a stack of matrices slice by slice, so each (N, d)
+    slice of X gets the bits `predict_batch` gives it on its own.
+    """
     arch = model.arch
     if isinstance(arch, LinearArch):
         W, b = _unpack_linear(model)
@@ -191,7 +200,7 @@ def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
     if isinstance(arch, LogisticArch):
         w = model.params[:-1]
         b = model.params[-1]
-        return stable_sigmoid(X @ w + b)[:, None]
+        return stable_sigmoid(X @ w + b)[..., None]
     _, acts, _ = _mlp_forward(model, X)
     return acts[-1]
 

@@ -15,7 +15,9 @@ the rows it picks come back with them. An `AdversarialDataset` is the
 constraint's dataset: it attacks its base set against whatever model a
 slack or gradient evaluation is made at and returns a plain `Dataset` with
 that model's predictions on it. A `models.Evaluation` keeps both for its one
-model, so nothing is cached across model states.
+model. The only thing cached across model states is an attacked set's corner
+table, keyed by the sign pattern of the weights: the base rows and their two
+corners, 3x the base features (96 KB on the shipped robust config).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .core import Dataset, LossSpec, loss_values
 from .errors import ConfigurationError, InputError
-from .models import LinearArch, LogisticArch, ModelState, grad_input_batch, predict_batch
+from .models import (LinearArch, LogisticArch, ModelState, _forward, grad_input_batch,
+                     predict_batch)
 
 
 @dataclass(frozen=True)
@@ -108,26 +111,23 @@ def _restart_starts(X0: np.ndarray, cfg: AttackConfig, sample_indices: np.ndarra
         yield _project(X0 + draws[:, r], X0, cfg)
 
 
-def _affine_weights(model: ModelState) -> np.ndarray | None:
-    """w when the model's one output is monotone in the score w . x + b, else None."""
+def _corner_signs(model: ModelState) -> np.ndarray | None:
+    """sign(w) when the model's one output is monotone in the score
+    w . x + b, else None."""
     arch = model.arch
     if isinstance(arch, LogisticArch):
-        return model.params[:-1]
+        return np.sign(model.params[:-1])
     if isinstance(arch, LinearArch) and arch.out_dim == 1:
-        return model.params[: arch.in_dim]
+        return np.sign(model.params[: arch.in_dim])
     return None
 
 
-def _corners(model: ModelState, w: np.ndarray, X0: np.ndarray, cfg: AttackConfig):
-    """The corners of each row's ball-and-box where w . x is largest and
-    smallest, with the model's predictions there; a coordinate with w_j = 0
-    stays put. With w all zero both corners are the clean rows, and a
-    candidate equal to the clean row never replaces it, so none is yielded."""
-    step = cfg.epsilon * np.sign(w)
-    if not step.any():
-        return
-    for X_adv in (_project(X0 + step, X0, cfg), _project(X0 - step, X0, cfg)):
-        yield X_adv, predict_batch(model, X_adv)
+def _corner_stack(X0: np.ndarray, signs: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """(3, N, d): the rows X0, then the corners of each row's ball-and-box
+    where w . x is largest and smallest for sign(w) = `signs`; a coordinate
+    with w_j = 0 stays put."""
+    step = cfg.epsilon * signs
+    return np.stack([X0, _project(X0 + step, X0, cfg), _project(X0 - step, X0, cfg)])
 
 
 def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,
@@ -148,19 +148,26 @@ def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,
 def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                   labels: np.ndarray, cfg: AttackConfig,
                   sample_indices: np.ndarray | None = None,
-                  clean_predictions: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  clean_predictions: np.ndarray | None = None,
+                  corners: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Attack every row of X at once.
 
     Returns (perturbed features, the model's predictions on them).
     `clean_predictions`, when given, is `predict_batch(model, X)` already
     computed by the caller, so the clean rows are not forwarded again. The
-    candidates are the two corners of an affine-score model, or else each
-    PGD restart's last iterate; starting from the clean row, a row moves to
-    a candidate only where its loss is strictly above the best so far.
-    Restart randomness is keyed by cfg.seed XOR the sample index, so attacks
-    are reproducible and independent of how samples are batched. Every clean
-    row must lie inside cfg.clamp_box, when one is declared; then projecting
-    onto the ball and then the box keeps each row inside both.
+    candidates are the two corners of an affine-score model, forwarded as
+    one stack, or else each PGD restart's last iterate. `corners`, when
+    given, is that stack for the model's sign pattern, [X; the two corners]
+    of shape (3, N, d), already built by the caller (an
+    `AdversarialDataset` gathers it from its table). Every candidate is
+    scored in one `loss_values` call, and each row keeps the first
+    candidate, clean row first, whose loss is the largest: a row moves only
+    where a candidate's loss is strictly above the clean one and every
+    earlier candidate's. Restart randomness is keyed by cfg.seed XOR the
+    sample index, so attacks are reproducible and independent of how
+    samples are batched. Every clean row must lie inside cfg.clamp_box, when
+    one is declared; then projecting onto the ball and then the box keeps
+    each row inside both.
     """
     X0 = np.asarray(X, dtype=float)
     y = np.asarray(labels)
@@ -172,21 +179,25 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                 f"{outside.size} clean rows lie outside the attack clamp_box [{lo}, {hi}] "
                 f"(first: row {int(outside[0])})"
             )
-    best_X = X0.copy()
-    best_P = predict_batch(model, X0) if clean_predictions is None else clean_predictions
-    if cfg.epsilon == 0.0:
-        return best_X, best_P
-    w = _affine_weights(model)
-    candidates = (_corners(model, w, X0, cfg) if w is not None
-                  else _pgd(model, loss, X0, y, cfg, sample_indices, best_P))
-    best_loss = loss_values(loss, best_P, y)
-    for X_adv, P in candidates:
-        cand_loss = loss_values(loss, P, y)
-        better = (cand_loss > best_loss)[:, None]
-        best_X = np.where(better, X_adv, best_X)
-        best_P = np.where(better, P, best_P)
-        best_loss = np.maximum(best_loss, cand_loss)
-    return best_X, best_P
+    signs = _corner_signs(model)
+    if signs is not None and signs.any() and cfg.epsilon > 0.0:
+        stack = _corner_stack(X0, signs, cfg) if corners is None else corners
+        if clean_predictions is None:
+            preds = _forward(model, stack)
+        else:
+            preds = np.concatenate([clean_predictions[None], _forward(model, stack[1:])])
+    else:
+        P0 = predict_batch(model, X0) if clean_predictions is None else clean_predictions
+        if cfg.epsilon == 0.0 or signs is not None:
+            # no ball, or w = 0: every candidate is the clean row itself
+            return X0.copy(), P0
+        cands = list(_pgd(model, loss, X0, y, cfg, sample_indices, P0))
+        stack = np.stack([X0, *(X_adv for X_adv, _ in cands)])
+        preds = np.stack([P0, *(P for _, P in cands)])
+    k, n = stack.shape[:2]
+    losses = loss_values(loss, preds.reshape(k * n, -1), np.concatenate([y] * k)).reshape(k, n)
+    best, rows = np.argmax(losses, axis=0), np.arange(n)
+    return stack[best, rows], preds[best, rows]
 
 
 class AdversarialDataset:
@@ -195,12 +206,20 @@ class AdversarialDataset:
     `attack` regenerates the set (or its `indices` rows) on every call and
     returns it as a plain `Dataset`, with the model's predictions there. Its
     length is that of `base`, so batches can be drawn before attacking.
+
+    The corners of an affine-score model depend on it only through the sign
+    pattern of its weights, so the set keeps the corner stack of its whole
+    base (see `perturb_batch`) for the latest sign pattern it was attacked
+    at, and builds it again only when that pattern changes.
     """
 
     def __init__(self, base: Dataset, loss: LossSpec, cfg: AttackConfig) -> None:
         self.base = base
         self.loss = loss
         self.cfg = cfg
+        # (sign pattern as bytes, its read-only (3, N, d) corner stack of the
+        # base), replaced whole so that a reader never sees one without the other
+        self._corners: tuple[bytes, np.ndarray] | None = None
 
     @property
     def name(self) -> str:
@@ -213,16 +232,29 @@ class AdversarialDataset:
     def __len__(self) -> int:
         return len(self.base)
 
+    def _corner_table(self, signs: np.ndarray) -> np.ndarray:
+        key = signs.tobytes()
+        cached = self._corners
+        if cached is None or cached[0] != key:
+            table = _corner_stack(self.base.features, signs, self.cfg)
+            table.setflags(write=False)
+            cached = self._corners = (key, table)
+        return cached[1]
+
     def attack(self, model: ModelState, indices: np.ndarray | None = None,
                clean_predictions: np.ndarray | None = None) -> tuple[Dataset, np.ndarray]:
         """(the base set, or its `indices` rows, attacked against `model`;
         the model's predictions there). `clean_predictions`, when given, are
         the model's predictions on the clean rows attacked, which are then
         not forwarded again (see `perturb_batch`)."""
-        X, y = self.base.features, self.base.labels
+        y = self.base.labels
+        signs = _corner_signs(model)
+        # the clean rows, then any candidates: gathered along axis 1 at once
+        stack = self.base.features[None] if signs is None else self._corner_table(signs)
         if indices is not None:
             indices = np.asarray(indices, dtype=int)
-            X, y = X[indices], y[indices]
-        X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices,
-                             clean_predictions=clean_predictions)
+            stack, y = stack.take(indices, axis=1), y[indices]
+        X, P = perturb_batch(model, self.loss, stack[0], y, self.cfg, sample_indices=indices,
+                             clean_predictions=clean_predictions,
+                             corners=None if signs is None else stack)
         return Dataset(features=X, labels=y, name=self.name), P

@@ -11,6 +11,7 @@ or drifts from its recorded outputs, fails here first.
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +87,25 @@ def test_the_main_commands_of_every_workload_match_the_reference(tmp_path, monke
             summary = run.normalized_summary(out)
             assert run.mismatches(summary, expected[label], run.RTOL, run.ATOL) == [], \
                 (workload, label)
+
+
+def test_the_tracer_runs_the_robust_set_up_command(tmp_path, monkeypatch):
+    """perfbench/tracer.py wraps every traced function and reads the row
+    arguments of some (it hashes each row of `predict_batch`'s and
+    `perturb_batch`'s feature matrix), so a traced function fed an array of
+    another shape fails here, not only in traced benchmark runs. The
+    robust set-up command attacks its whole set at the iterate its one
+    primal step reaches, through the exact two-corner attack."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load("run")
+    _, setup, _ = run.plan("robust_pgd", tmp_path / "cfg")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans), "--",
+         *setup, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans.read_text())
+    assert traced["coverage_problems"] == []
+    attacks = traced["names"].index("robust.perturb_batch")
+    assert any(span[0] == attacks for span in traced["spans"])

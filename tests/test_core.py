@@ -298,3 +298,54 @@ class TestDatasetViews:
         assert np.array_equal(view.rows, [0, 2])
         with pytest.raises(ValueError):
             view.rows[0] = 1
+
+    def test_a_view_keeps_the_dtypes_of_its_table_and_is_read_only(self):
+        for labels in (np.arange(5, dtype=np.int64), np.linspace(0.0, 1.0, 5)):
+            root = Dataset(features=np.arange(10.0).reshape(5, 2), labels=labels)
+            view = root.subset(np.array([3, 3, 0]), name="v")
+            assert view.name == "v" and len(view) == 3 and view.n_features == 2
+            assert view.features.dtype == root.features.dtype
+            assert view.labels.dtype == root.labels.dtype
+            assert view.features.tobytes() == root.features[[3, 3, 0]].tobytes()
+            assert view.labels.tobytes() == root.labels[[3, 3, 0]].tobytes()
+            for array in (view.features, view.labels):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+
+    @pytest.mark.parametrize("indices", [[], np.zeros(0, dtype=int), [[0, 1]]])
+    def test_a_view_needs_a_nonempty_list_of_rows(self, indices):
+        root = Dataset(features=np.zeros((4, 1)), labels=np.arange(4))
+        with pytest.raises(InputError, match="nonempty list of row indices"):
+            root.subset(indices)
+
+
+class TestLossSpecHash:
+    def test_equal_specs_built_apart_hash_equal_and_share_one_memo_entry(self):
+        from dataclasses import replace
+
+        from duallearn.models import Evaluation
+
+        a = LossSpec(kind="hinge", bound_B=2.0)
+        b = LossSpec(kind="hinge", bound_B=2.0)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(replace(a, bound_B=3.0)) == hash(LossSpec(kind="hinge", bound_B=3.0))
+        ds = Dataset(features=np.ones((3, 1)), labels=np.array([0, 1, 1]))
+        ev = Evaluation(identity_1d())
+        assert ev.risk(a, ds) == ev.risk(b, ds)
+        assert list(ev._risks) == [(ds, a)]
+
+    def test_the_hash_does_not_depend_on_the_process(self):
+        """A spec's hash is computed once, when it is built; an unpickled
+        spec keeps it, so it must not be salted per process like a str."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("from duallearn.core import LossSpec; "
+                "print(hash(LossSpec(kind='rate-sigmoid', bound_B=1.0, rate_shift=0.25)))")
+        hashes = set()
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=os.pathsep.join(sys.path))
+            hashes.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+        assert len(hashes) == 1

@@ -141,6 +141,24 @@ def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
         own_gradient(model, [(1.0, loss_of(kind), batch)]))
 
 
+def record_forwards(monkeypatch, mod, record):
+    """Call `record(X)` on every feature array that module `mod` forwards:
+    through `predict_batch`, and in `robust` also through the stacked
+    forward `models._forward` (which `models.predict_batch` itself calls)."""
+    names = ("predict_batch", "_forward") if mod.__name__ == "duallearn.robust" else (
+        "predict_batch",)
+    for name in names:
+        forward = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda m, X, forward=forward: record(X) or forward(m, X))
+
+
+def holds_rows(X, rows):
+    """Whether the feature array or stack X holds exactly `rows` in one slice."""
+    if X.shape[-2:] != rows.shape:
+        return False
+    return any(s.tobytes() == rows.tobytes() for s in X.reshape(-1, *rows.shape))
+
+
 @pytest.mark.parametrize("kind", ["clamped-cross-entropy", "squared", "signed-score"])
 def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     import duallearn.models as models_mod
@@ -162,9 +180,8 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
                         lambda *a, **k: attacks.append(len(a[2])) or original(*a, **k))
     forwarded = {models_mod: [], robust: []}
     for mod in forwarded:
-        forward = mod.predict_batch
-        monkeypatch.setattr(mod, "predict_batch", lambda m, X, mod=mod, forward=forward:
-                            forwarded[mod].append(X is ds.features) or forward(m, X))
+        record_forwards(monkeypatch, mod, lambda X, mod=mod: forwarded[mod].append(
+            holds_rows(X, ds.features) or holds_rows(X, attacked.features)))
     ev = Evaluation(model)
     mu = DualState(np.array([0.7]))
     lag = empirical_lagrangian(ev, mu, problem)
@@ -177,7 +194,7 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     # the clean table once, for the objective and the attack alike; the
     # attacked set and its rows are read from the attack
     assert forwarded[models_mod] == [True]
-    assert True not in forwarded[robust]
+    assert forwarded[robust] and True not in forwarded[robust]
     monkeypatch.undo()
 
     assert bits(risk) == bits(own_risk(model, loss, attacked))
@@ -227,9 +244,7 @@ def test_the_base_table_is_forwarded_once_whichever_term_reads_it_first(monkeypa
     want = (own_risk(model, CE, ds), dataset_risk(CE, predict_batch(model, X_adv), ds.labels))
     clean = []
     for mod in (models_mod, robust):
-        forward = mod.predict_batch
-        monkeypatch.setattr(mod, "predict_batch", lambda m, X, forward=forward:
-                            clean.append(X is ds.features) or forward(m, X))
+        record_forwards(monkeypatch, mod, lambda X: clean.append(holds_rows(X, ds.features)))
     ev = Evaluation(model)
     got = (ev.risk(CE, ds), ev.risk(CE, adv))
     monkeypatch.undo()
@@ -327,14 +342,24 @@ def test_robust_train_attacks_the_whole_set_once_per_iteration(monkeypatch):
     inner = InnerSolverConfig(epochs=1, batch_size=16, step_size=0.05)
     T = 8
     cfg = TrainConfig(iterations_T=T, dual_step_eta=2.0, inner=inner, seed=0)
-    attacked = []
+    attacked, stacked = [], []
     original = robust.perturb_batch
     monkeypatch.setattr(robust, "perturb_batch",
                         lambda *a, **k: attacked.append(len(a[2])) or original(*a, **k))
+    # every stacked forward, with the number of attacks begun before it
+    record_forwards(monkeypatch, robust, lambda X: X.ndim == 3 and stacked.append(
+        (X.shape, len(attacked))))
     trace, _, _ = train(problem, cfg, init_model(LogisticArch(3)))
     monkeypatch.undo()
 
     assert attacked.count(len(ds)) == T + 1  # the start point once, then one per iterate
+    # A whole-set attack starts from the evaluation's clean predictions, so
+    # it forwards the two corners of each row and never the clean table;
+    # the all-zero start point forwards none. A minibatch attack forwards
+    # its clean rows and their corners, once.
+    assert [shape for shape, _ in stacked].count((2, len(ds), 3)) == T
+    assert all(shape in ((2, len(ds), 3), (3, 16, 3)) for shape, _ in stacked)
+    assert len({at for _, at in stacked}) == len(stacked)  # one forward per attack
     assert np.any(trace.mu > 0.0)
     for theta, slack in zip(trace.thetas, trace.slacks):
         assert bits(slack) == bits(slacks(ModelState(theta, trace.arch), problem))

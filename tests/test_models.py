@@ -11,6 +11,7 @@ from duallearn.models import (
     MlpArch,
     ModelState,
     OptimizerState,
+    _forward,
     grad_params,
     init_model,
     load_model,
@@ -259,3 +260,19 @@ class TestPredictBatch:
         batch = predict_batch(model, X)
         for i in range(9):
             assert np.allclose(batch[i], row_predict(model, X[i]), rtol=1e-15)
+
+    @pytest.mark.parametrize("arch", ["logistic", "linear"])
+    def test_a_stack_is_forwarded_with_the_bits_of_each_slice_alone(self, arch):
+        """The attack forwards its candidates as one (k, n, d) stack: each
+        slice must get exactly the bits that `predict_batch` gives it."""
+        rng = np.random.default_rng(12)
+        for d in range(1, 10):
+            model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d, 1)
+            model = ModelState(rng.normal(0.0, 2.0, model_arch.n_params), model_arch)
+            for n in (*range(1, 40), 64, 127, 128, 129, 2000):
+                stack = rng.uniform(-3.0, 3.0, (3, n, d))
+                got = _forward(model, stack)
+                assert got.shape == (3, n, 1)
+                for k in range(3):
+                    want = predict_batch(model, np.array(stack[k]))
+                    assert got[k].tobytes() == want.tobytes(), (d, n, k)

@@ -175,18 +175,132 @@ def test_exact_attack_equals_the_vertex_maximum(kind, arch, boxed, d):
     assert np.all(np.abs(X_adv - X) <= cfg.epsilon + 1e-12)
 
 
+def corner_reference(model, loss, X, y, cfg):
+    """The two-corner attack written out plainly: the clean rows, then each
+    corner forwarded and scored on its own; a row moves only where a
+    corner's loss is strictly above the best so far. Returns (rows,
+    predictions, losses)."""
+    w = model.params[:-1] if isinstance(model.arch, LogisticArch) else model.params[:X.shape[1]]
+    step = cfg.epsilon * np.sign(w)
+    best_X, best_P = X.copy(), predict_batch(model, X)
+    best = loss_values(loss, best_P, y)
+    for corner in (_project(X + step, X, cfg), _project(X - step, X, cfg)):
+        P = predict_batch(model, corner)
+        cand = loss_values(loss, P, y)
+        better = cand > best
+        best_X[better], best_P[better] = corner[better], P[better]
+        best = np.maximum(best, cand)
+    return best_X, best_P, best
+
+
+@pytest.mark.parametrize("boxed", [True, False], ids=["box", "no-box"])
+@pytest.mark.parametrize("arch", ["linear", "logistic"])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_exact_attack_equals_the_per_corner_reference(d, arch, boxed):
+    """Every loss kind, on the whole set and on minibatches (n = 1 among
+    them), with and without the clean predictions: the same bits as the
+    per-corner loop, and the vertex maximum's losses."""
+    cfg = box_of(ATTACKS[1], boxed)
+    for seed, kind in enumerate(LOSS_KINDS):
+        model, X, y = affine_case(kind, arch, seed=10 * d + seed, n=33, d=d)
+        loss = scalar_loss(kind)
+        adv = AdversarialDataset(Dataset(features=X, labels=y), loss, cfg)
+        for idx in (None, np.array([5]), np.array([7, 0, 32, 7, 19])):
+            X0, y0 = (X, y) if idx is None else (X[idx], y[idx])
+            want_X, want_P, want_loss = corner_reference(model, loss, X0, y0, cfg)
+            assert want_loss.tobytes() == vertex_maximum(model, loss, X0, y0, cfg).tobytes()
+            P0 = predict_batch(model, X0)
+            for clean in (None, P0):
+                for got_X, got_P in (perturb_batch(model, loss, X0, y0, cfg,
+                                                   clean_predictions=clean),
+                                     adv.attack(model, idx, clean)):
+                    got_X = getattr(got_X, "features", got_X)
+                    assert got_X.tobytes() == want_X.tobytes(), (kind, idx)
+                    assert got_P.tobytes() == want_P.tobytes(), (kind, idx)
+                    assert loss_values(loss, got_P, y0).tobytes() == want_loss.tobytes()
+
+
+def test_the_corner_table_is_rebuilt_only_when_the_sign_pattern_changes(monkeypatch):
+    import duallearn.robust as robust_mod
+
+    _, X, y = logistic_case(8)
+    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, ATTACKS[1])
+    builds = []
+    original = robust_mod._corner_stack
+    monkeypatch.setattr(robust_mod, "_corner_stack",
+                        lambda X0, signs, cfg: builds.append(signs.tolist()) or original(X0, signs, cfg))
+    first = ModelState(np.array([1.0, -2.0, 0.5, 0.1]), LogisticArch(3))
+    same_signs = ModelState(np.array([3.0, -0.1, 2.5, -4.0]), LogisticArch(3))
+    flipped = ModelState(np.array([1.0, 2.0, 0.5, 0.1]), LogisticArch(3))
+    idx = np.array([1, 30, 1])
+    results = []
+    for model in (first, same_signs, flipped, first):
+        results.append((model, adv.attack(model), adv.attack(model, idx)))
+    monkeypatch.undo()
+    assert builds == [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]
+    for model, (full, P_full), (batch, P_batch) in results:
+        want_X, want_P, _ = corner_reference(model, CE, X, y, ATTACKS[1])
+        assert full.features.tobytes() == want_X.tobytes()
+        assert P_full.tobytes() == want_P.tobytes()
+        want_X, want_P, _ = corner_reference(model, CE, X[idx], y[idx], ATTACKS[1])
+        assert batch.features.tobytes() == want_X.tobytes()
+        assert P_batch.tobytes() == want_P.tobytes()
+
+
+def test_a_tie_keeps_the_clean_row():
+    """Row 0's clean probability of its true class is already below the
+    clamp, so its corner's cross-entropy equals its clean one: it stays.
+    Row 1 is inside the clamp, so its corner raises its loss: it moves."""
+    model = ModelState(np.array([40.0, 0.0]), LogisticArch(1))
+    X = np.array([[-0.9], [0.05]])
+    y = np.array([1, 1])
+    cfg = AttackConfig(epsilon=0.1, clamp_box=BOX)
+    clean = loss_values(CE, predict_batch(model, X), y)
+    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, cfg)
+    for X_adv, P in (perturb_batch(model, CE, X, y, cfg), adv.attack(model)):
+        X_adv = getattr(X_adv, "features", X_adv)
+        attacked = loss_values(CE, P, y)
+        assert attacked[0] == clean[0] == CE.bound_B
+        assert loss_values(CE, predict_batch(model, X_adv[:1] - 0.1), y[:1])[0] == clean[0]
+        assert X_adv[0].tobytes() == X[0].tobytes()
+        assert attacked[1] > clean[1] and X_adv[1, 0] == X[1, 0] - 0.1
+
+
+def test_an_attacked_set_that_is_not_finite_is_refused():
+    # the ball reaches past the largest float, and no box cuts it back
+    X = np.array([[1e308, 0.5], [-0.5, 0.5]])
+    y = np.array([0, 1])
+    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, AttackConfig(epsilon=1e308))
+    model = ModelState(np.array([1e-308, 1.0, 0.0]), LogisticArch(2))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="features must be finite"):
+        adv.attack(model)
+
+
 def test_exact_attack_leaves_zero_weight_coordinates_alone():
     _, X, y = logistic_case(5)
     model = ModelState(np.array([1.5, 0.0, -2.0, 0.3]), LogisticArch(3))
-    X_adv, _ = perturb_batch(model, CE, X, y, ATTACKS[1])
-    assert np.array_equal(X_adv[:, 1], X[:, 1])
-    assert not np.array_equal(X_adv[:, [0, 2]], X[:, [0, 2]])
+    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, ATTACKS[1])
+    idx = np.array([4, 0, 4, 39])
+    for X_adv, X0 in ((perturb_batch(model, CE, X, y, ATTACKS[1])[0], X),
+                      (adv.attack(model)[0].features, X),
+                      (adv.attack(model, idx)[0].features, X[idx])):
+        assert np.array_equal(X_adv[:, 1], X0[:, 1])
+        assert not np.array_equal(X_adv[:, [0, 2]], X0[:, [0, 2]])
+
+
+def record_forwards(monkeypatch, calls):
+    """Append the shape of every array the attack forwards to `calls`: 2-D
+    through `predict_batch`, stacked through the private `models._forward`."""
+    import duallearn.robust as robust_mod
+
+    for name in ("predict_batch", "_forward"):
+        forward = getattr(robust_mod, name)
+        monkeypatch.setattr(robust_mod, name, lambda m, rows, forward=forward:
+                            calls.append(rows.shape) or forward(m, rows))
 
 
 @pytest.mark.parametrize("arch", [LogisticArch(3), LinearArch(3, 1)], ids=["logistic", "linear"])
 def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arch, monkeypatch):
-    import duallearn.robust as robust_mod
-
     _, X, y = logistic_case(7)
     params = np.zeros(arch.n_params)
     params[-1] = 0.4  # both archs keep their bias last
@@ -194,15 +308,19 @@ def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arc
     loss = CE if isinstance(arch, LogisticArch) else LossSpec(kind="absolute", bound_B=4.0)
     labels = y if isinstance(arch, LogisticArch) else 2 * y - 1
     calls = []
-    original = robust_mod.predict_batch
-    monkeypatch.setattr(robust_mod, "predict_batch",
-                        lambda m, rows: calls.append(len(rows)) or original(m, rows))
+    record_forwards(monkeypatch, calls)
     X_adv, P = perturb_batch(model, loss, X, labels, ATTACKS[1])
-    assert calls == [len(X)]  # the clean rows only
+    assert calls == [X.shape]  # the clean rows only
     assert X_adv.tobytes() == X.tobytes()
-    assert P.tobytes() == original(model, X).tobytes()
+    assert P.tobytes() == predict_batch(model, X).tobytes()
     perturb_batch(model, loss, X, labels, ATTACKS[1], clean_predictions=P)
-    assert calls == [len(X)]
+    assert calls == [X.shape]
+    adv = AdversarialDataset(Dataset(features=X, labels=labels), loss, ATTACKS[1])
+    attacked, P_set = adv.attack(model, clean_predictions=P)
+    batch, _ = adv.attack(model, np.array([2, 0, 2]))
+    assert calls == [X.shape, (3, 3)]  # the minibatch's clean rows only
+    assert attacked.features.tobytes() == X.tobytes() and P_set.tobytes() == P.tobytes()
+    assert batch.features.tobytes() == X[[2, 0, 2]].tobytes()
 
 
 HANDOVER_MODELS = {
