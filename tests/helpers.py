@@ -25,6 +25,17 @@ def dataset_risk(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) ->
     return float(vals.sum()) / vals.shape[0]
 
 
+def record_forwards(monkeypatch, mod, record) -> None:
+    """Call `record(X)` on every feature array that module `mod` forwards:
+    through `predict_batch`, and in `robust` also through the stacked
+    forward `models._forward` (which `models.predict_batch` itself calls)."""
+    names = ("predict_batch", "_forward") if mod.__name__ == "duallearn.robust" else (
+        "predict_batch",)
+    for name in names:
+        forward = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda m, X, forward=forward: record(X) or forward(m, X))
+
+
 def row_predict(model: ModelState, x) -> np.ndarray:
     """`predict_batch` of one feature vector."""
     return predict_batch(model, np.asarray(x, dtype=float)[None, :])[0]

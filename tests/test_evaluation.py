@@ -39,7 +39,7 @@ from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks,
 from duallearn.rate import build_surrogate_lagrangian
 from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
-from helpers import dataset_risk
+from helpers import dataset_risk, record_forwards
 
 CE = LossSpec.cross_entropy()
 GROUPS = ("A", "B", "C", "D")
@@ -139,17 +139,6 @@ def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
     assert batch.root is problem.objective_dataset
     assert bits(grad_params(ev, [(1.0, loss_of(kind), batch)])) == bits(
         own_gradient(model, [(1.0, loss_of(kind), batch)]))
-
-
-def record_forwards(monkeypatch, mod, record):
-    """Call `record(X)` on every feature array that module `mod` forwards:
-    through `predict_batch`, and in `robust` also through the stacked
-    forward `models._forward` (which `models.predict_batch` itself calls)."""
-    names = ("predict_batch", "_forward") if mod.__name__ == "duallearn.robust" else (
-        "predict_batch",)
-    for name in names:
-        forward = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda m, X, forward=forward: record(X) or forward(m, X))
 
 
 def holds_rows(X, rows):

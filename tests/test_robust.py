@@ -31,6 +31,8 @@ from duallearn.robust import (
     perturb_batch,
 )
 
+from helpers import record_forwards
+
 CE = LossSpec.cross_entropy()
 BOX = (-1.0, 1.0)
 ATTACKS = [
@@ -288,27 +290,18 @@ def test_exact_attack_leaves_zero_weight_coordinates_alone():
         assert not np.array_equal(X_adv[:, [0, 2]], X0[:, [0, 2]])
 
 
-def record_forwards(monkeypatch, calls):
-    """Append the shape of every array the attack forwards to `calls`: 2-D
-    through `predict_batch`, stacked through the private `models._forward`."""
-    import duallearn.robust as robust_mod
-
-    for name in ("predict_batch", "_forward"):
-        forward = getattr(robust_mod, name)
-        monkeypatch.setattr(robust_mod, name, lambda m, rows, forward=forward:
-                            calls.append(rows.shape) or forward(m, rows))
-
-
 @pytest.mark.parametrize("arch", [LogisticArch(3), LinearArch(3, 1)], ids=["logistic", "linear"])
 def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arch, monkeypatch):
+    import duallearn.robust as robust_mod
+
     _, X, y = logistic_case(7)
     params = np.zeros(arch.n_params)
     params[-1] = 0.4  # both archs keep their bias last
     model = ModelState(params, arch)
     loss = CE if isinstance(arch, LogisticArch) else LossSpec(kind="absolute", bound_B=4.0)
     labels = y if isinstance(arch, LogisticArch) else 2 * y - 1
-    calls = []
-    record_forwards(monkeypatch, calls)
+    calls = []  # the shape of every array the attack forwards, 2-D or stacked
+    record_forwards(monkeypatch, robust_mod, lambda X: calls.append(X.shape))
     X_adv, P = perturb_batch(model, loss, X, labels, ATTACKS[1])
     assert calls == [X.shape]  # the clean rows only
     assert X_adv.tobytes() == X.tobytes()
