@@ -121,22 +121,16 @@ class Dataset:
 
     def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
         """The view of the `indices` rows, in that order; a subset of a view
-        is a view of the same root.
-
-        The rows come from a table that was checked when it was built, so
-        the view is assembled from them directly: read-only, with the
-        table's dtypes, and only the index list checked.
-        """
+        is a view of the same root."""
         idx = np.array(indices, dtype=int)
-        if idx.ndim != 1 or idx.size == 0:
-            raise InputError(f"a subset needs a nonempty list of row indices, got shape {idx.shape}")
+        view = Dataset(
+            features=self.features[idx],
+            labels=self.labels[idx],
+            name=name if name is not None else self.name,
+        )
         root, rows = (self, idx) if self.root is None else (self.root, self.rows[idx])
-        view = object.__new__(Dataset)
-        for attr, value in (("features", _readonly(self.features[idx])),
-                            ("labels", _readonly(self.labels[idx])),
-                            ("name", name if name is not None else self.name),
-                            ("root", root), ("rows", _readonly(rows))):
-            object.__setattr__(view, attr, value)
+        object.__setattr__(view, "root", root)
+        object.__setattr__(view, "rows", _readonly(rows))
         return view
 
 

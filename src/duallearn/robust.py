@@ -15,9 +15,7 @@ the rows it picks come back with them. An `AdversarialDataset` is the
 constraint's dataset: it attacks its base set against whatever model a
 slack or gradient evaluation is made at and returns a plain `Dataset` with
 that model's predictions on it. A `models.Evaluation` keeps both for its one
-model. The only thing cached across model states is an attacked set's corner
-table, keyed by the sign pattern of the weights: the base rows and their two
-corners, 3x the base features (96 KB on the shipped robust config).
+model, so nothing is cached across model states.
 """
 
 from __future__ import annotations
@@ -148,26 +146,22 @@ def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,
 def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
                   labels: np.ndarray, cfg: AttackConfig,
                   sample_indices: np.ndarray | None = None,
-                  clean_predictions: np.ndarray | None = None,
-                  corners: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  clean_predictions: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Attack every row of X at once.
 
     Returns (perturbed features, the model's predictions on them).
     `clean_predictions`, when given, is `predict_batch(model, X)` already
     computed by the caller, so the clean rows are not forwarded again. The
-    candidates are the two corners of an affine-score model, forwarded as
-    one stack, or else each PGD restart's last iterate. `corners`, when
-    given, is that stack for the model's sign pattern, [X; the two corners]
-    of shape (3, N, d), already built by the caller (an
-    `AdversarialDataset` gathers it from its table). Every candidate is
-    scored in one `loss_values` call, and each row keeps the first
-    candidate, clean row first, whose loss is the largest: a row moves only
-    where a candidate's loss is strictly above the clean one and every
-    earlier candidate's. Restart randomness is keyed by cfg.seed XOR the
-    sample index, so attacks are reproducible and independent of how
-    samples are batched. Every clean row must lie inside cfg.clamp_box, when
-    one is declared; then projecting onto the ball and then the box keeps
-    each row inside both.
+    candidates are the two corners of an affine-score model, or else each
+    PGD restart's last iterate; starting from the clean row, a row moves to
+    a candidate only where its loss is strictly above the best so far. The
+    corners are forwarded in one stack, with the clean rows unless their
+    predictions are given, scored in one `loss_values` call and picked by
+    one `argmax`, whose first maximum is that rule. Restart randomness is keyed by cfg.seed XOR the sample index,
+    so attacks are reproducible and independent of how samples are batched.
+    Every clean row must lie inside cfg.clamp_box, when one is declared;
+    then projecting onto the ball and then the box keeps each row inside
+    both.
     """
     X0 = np.asarray(X, dtype=float)
     y = np.asarray(labels)
@@ -181,23 +175,28 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
             )
     signs = _corner_signs(model)
     if signs is not None and signs.any() and cfg.epsilon > 0.0:
-        stack = _corner_stack(X0, signs, cfg) if corners is None else corners
+        stack = _corner_stack(X0, signs, cfg)
         if clean_predictions is None:
             preds = _forward(model, stack)
         else:
             preds = np.concatenate([clean_predictions[None], _forward(model, stack[1:])])
-    else:
-        P0 = predict_batch(model, X0) if clean_predictions is None else clean_predictions
-        if cfg.epsilon == 0.0 or signs is not None:
-            # no ball, or w = 0: every candidate is the clean row itself
-            return X0.copy(), P0
-        cands = list(_pgd(model, loss, X0, y, cfg, sample_indices, P0))
-        stack = np.stack([X0, *(X_adv for X_adv, _ in cands)])
-        preds = np.stack([P0, *(P for _, P in cands)])
-    k, n = stack.shape[:2]
-    losses = loss_values(loss, preds.reshape(k * n, -1), np.concatenate([y] * k)).reshape(k, n)
-    best, rows = np.argmax(losses, axis=0), np.arange(n)
-    return stack[best, rows], preds[best, rows]
+        k, n = stack.shape[:2]
+        losses = loss_values(loss, preds.reshape(k * n, -1), np.concatenate([y] * k)).reshape(k, n)
+        best, rows = np.argmax(losses, axis=0), np.arange(n)
+        return stack[best, rows], preds[best, rows]
+    best_X = X0.copy()
+    best_P = predict_batch(model, X0) if clean_predictions is None else clean_predictions
+    if cfg.epsilon == 0.0 or signs is not None:
+        # no ball, or w = 0: every candidate is the clean row itself
+        return best_X, best_P
+    best_loss = loss_values(loss, best_P, y)
+    for X_adv, P in _pgd(model, loss, X0, y, cfg, sample_indices, best_P):
+        cand_loss = loss_values(loss, P, y)
+        better = (cand_loss > best_loss)[:, None]
+        best_X = np.where(better, X_adv, best_X)
+        best_P = np.where(better, P, best_P)
+        best_loss = np.maximum(best_loss, cand_loss)
+    return best_X, best_P
 
 
 class AdversarialDataset:
@@ -206,20 +205,12 @@ class AdversarialDataset:
     `attack` regenerates the set (or its `indices` rows) on every call and
     returns it as a plain `Dataset`, with the model's predictions there. Its
     length is that of `base`, so batches can be drawn before attacking.
-
-    The corners of an affine-score model depend on it only through the sign
-    pattern of its weights, so the set keeps the corner stack of its whole
-    base (see `perturb_batch`) for the latest sign pattern it was attacked
-    at, and builds it again only when that pattern changes.
     """
 
     def __init__(self, base: Dataset, loss: LossSpec, cfg: AttackConfig) -> None:
         self.base = base
         self.loss = loss
         self.cfg = cfg
-        # (sign pattern as bytes, its read-only (3, N, d) corner stack of the
-        # base), replaced whole so that a reader never sees one without the other
-        self._corners: tuple[bytes, np.ndarray] | None = None
 
     @property
     def name(self) -> str:
@@ -232,29 +223,16 @@ class AdversarialDataset:
     def __len__(self) -> int:
         return len(self.base)
 
-    def _corner_table(self, signs: np.ndarray) -> np.ndarray:
-        key = signs.tobytes()
-        cached = self._corners
-        if cached is None or cached[0] != key:
-            table = _corner_stack(self.base.features, signs, self.cfg)
-            table.setflags(write=False)
-            cached = self._corners = (key, table)
-        return cached[1]
-
     def attack(self, model: ModelState, indices: np.ndarray | None = None,
                clean_predictions: np.ndarray | None = None) -> tuple[Dataset, np.ndarray]:
         """(the base set, or its `indices` rows, attacked against `model`;
         the model's predictions there). `clean_predictions`, when given, are
         the model's predictions on the clean rows attacked, which are then
         not forwarded again (see `perturb_batch`)."""
-        y = self.base.labels
-        signs = _corner_signs(model)
-        # the clean rows, then any candidates: gathered along axis 1 at once
-        stack = self.base.features[None] if signs is None else self._corner_table(signs)
+        X, y = self.base.features, self.base.labels
         if indices is not None:
             indices = np.asarray(indices, dtype=int)
-            stack, y = stack.take(indices, axis=1), y[indices]
-        X, P = perturb_batch(model, self.loss, stack[0], y, self.cfg, sample_indices=indices,
-                             clean_predictions=clean_predictions,
-                             corners=None if signs is None else stack)
+            X, y = X[indices], y[indices]
+        X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices,
+                             clean_predictions=clean_predictions)
         return Dataset(features=X, labels=y, name=self.name), P

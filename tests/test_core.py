@@ -312,12 +312,6 @@ class TestDatasetViews:
                 with pytest.raises(ValueError):
                     array[0] = 1
 
-    @pytest.mark.parametrize("indices", [[], np.zeros(0, dtype=int), [[0, 1]]])
-    def test_a_view_needs_a_nonempty_list_of_rows(self, indices):
-        root = Dataset(features=np.zeros((4, 1)), labels=np.arange(4))
-        with pytest.raises(InputError, match="nonempty list of row indices"):
-            root.subset(indices)
-
 
 class TestLossSpecHash:
     def test_equal_specs_built_apart_hash_equal_and_share_one_memo_entry(self):

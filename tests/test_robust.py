@@ -222,33 +222,6 @@ def test_stacked_exact_attack_equals_the_per_corner_reference(d, arch, boxed):
                     assert loss_values(loss, got_P, y0).tobytes() == want_loss.tobytes()
 
 
-def test_the_corner_table_is_rebuilt_only_when_the_sign_pattern_changes(monkeypatch):
-    import duallearn.robust as robust_mod
-
-    _, X, y = logistic_case(8)
-    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, ATTACKS[1])
-    builds = []
-    original = robust_mod._corner_stack
-    monkeypatch.setattr(robust_mod, "_corner_stack",
-                        lambda X0, signs, cfg: builds.append(signs.tolist()) or original(X0, signs, cfg))
-    first = ModelState(np.array([1.0, -2.0, 0.5, 0.1]), LogisticArch(3))
-    same_signs = ModelState(np.array([3.0, -0.1, 2.5, -4.0]), LogisticArch(3))
-    flipped = ModelState(np.array([1.0, 2.0, 0.5, 0.1]), LogisticArch(3))
-    idx = np.array([1, 30, 1])
-    results = []
-    for model in (first, same_signs, flipped, first):
-        results.append((model, adv.attack(model), adv.attack(model, idx)))
-    monkeypatch.undo()
-    assert builds == [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]
-    for model, (full, P_full), (batch, P_batch) in results:
-        want_X, want_P, _ = corner_reference(model, CE, X, y, ATTACKS[1])
-        assert full.features.tobytes() == want_X.tobytes()
-        assert P_full.tobytes() == want_P.tobytes()
-        want_X, want_P, _ = corner_reference(model, CE, X[idx], y[idx], ATTACKS[1])
-        assert batch.features.tobytes() == want_X.tobytes()
-        assert P_batch.tobytes() == want_P.tobytes()
-
-
 def test_a_tie_keeps_the_clean_row():
     """Row 0's clean probability of its true class is already below the
     clamp, so its corner's cross-entropy equals its clean one: it stays.
