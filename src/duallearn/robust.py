@@ -123,9 +123,17 @@ def _corner_signs(model: ModelState) -> np.ndarray | None:
 def _corner_stack(X0: np.ndarray, signs: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     """(3, N, d): the rows X0, then the corners of each row's ball-and-box
     where w . x is largest and smallest for sign(w) = `signs`; a coordinate
-    with w_j = 0 stays put."""
+    with w_j = 0 stays put. Each coordinate of x +/- epsilon * sign(w) is
+    already one of the ball's bounds (or x itself), so `_project` would only
+    clip it to the box."""
     step = cfg.epsilon * signs
-    return np.stack([X0, _project(X0 + step, X0, cfg), _project(X0 - step, X0, cfg)])
+    stack = np.empty((3, *X0.shape))
+    stack[0] = X0
+    np.add(X0, step, out=stack[1])
+    np.subtract(X0, step, out=stack[2])
+    if cfg.clamp_box is not None:
+        np.clip(stack[1:], cfg.clamp_box[0], cfg.clamp_box[1], out=stack[1:])
+    return stack
 
 
 def _pgd(model: ModelState, loss: LossSpec, X0: np.ndarray, y: np.ndarray,

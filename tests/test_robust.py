@@ -26,6 +26,7 @@ from duallearn.primaldual import TrainConfig, train
 from duallearn.robust import (
     AdversarialDataset,
     AttackConfig,
+    _corner_stack,
     _project,
     _restart_starts,
     perturb_batch,
@@ -220,6 +221,26 @@ def test_stacked_exact_attack_equals_the_per_corner_reference(d, arch, boxed):
                     assert got_X.tobytes() == want_X.tobytes(), (kind, idx)
                     assert got_P.tobytes() == want_P.tobytes(), (kind, idx)
                     assert loss_values(loss, got_P, y0).tobytes() == want_loss.tobytes()
+
+
+@pytest.mark.parametrize("box", [None, (-1e200, 1e200), (-0.5, 0.5)], ids=["no-box", "wide", "tight"])
+@pytest.mark.parametrize("epsilon", [1e-300, 0.1, 3.0, 1e250])
+def test_the_corners_are_the_projected_steps(epsilon, box):
+    """x +/- epsilon * sign(w) lies on the ball's bounds as `_project`
+    computes them, so clipping to the box alone gives the same bits, at
+    magnitudes where the steps round away and for signed zeros."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, (60, 4)) * 10.0 ** rng.integers(-300, 300, (60, 4))
+    X[:6] = [0.0, -0.0, 0.5, -0.5]
+    if box is not None:
+        X = np.clip(X, *box)
+    signs = np.array([1.0, -1.0, 0.0, 1.0])
+    cfg = AttackConfig(epsilon=epsilon, clamp_box=box)
+    step = epsilon * signs
+    want = [X, _project(X + step, X, cfg), _project(X - step, X, cfg)]
+    got = _corner_stack(X, signs, cfg)
+    for k in range(3):
+        assert got[k].tobytes() == want[k].tobytes(), k
 
 
 def test_a_tie_keeps_the_clean_row():
