@@ -70,7 +70,6 @@ from .primaldual import (
 )
 from .rate import (
     MarginReport,
-    build_surrogate_lagrangian,
     margin_check,
     surrogate_gap_bound,
 )

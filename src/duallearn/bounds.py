@@ -18,13 +18,19 @@ import numpy as np
 from .errors import InputError
 
 
+def _check_finite(name: str, value: float, minimum: float, strict: bool) -> None:
+    """Refuse a non-finite `value`, or one below (or, when strict, at) `minimum`."""
+    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+        relation = ">" if strict else ">="
+        raise InputError(f"{name} must be finite and {relation} {minimum:g}, got {value}")
+
+
 def _check_common(N: int, delta: float, B: float) -> None:
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta must lie in (0, 1), got {delta}")
-    if B <= 0:
-        raise InputError(f"B must be positive, got {B}")
+    _check_finite("B", B, 0.0, strict=True)
 
 
 def zeta_vc(N: int, d_vc: float, delta: float, B: float) -> float:
@@ -34,8 +40,7 @@ def zeta_vc(N: int, d_vc: float, delta: float, B: float) -> float:
     so large d_vc or N cannot overflow.
     """
     _check_common(N, delta, B)
-    if d_vc < 0:
-        raise InputError(f"d_vc must be >= 0, got {d_vc}")
+    _check_finite("d_vc", d_vc, 0.0, strict=False)
     log_term = math.log(4.0) + d_vc * math.log(2.0 * N) - math.log(delta)
     return B * math.sqrt((1.0 + log_term) / N)
 
@@ -44,8 +49,7 @@ def zeta_rademacher(N: int, R_N: float, delta: float, B: float) -> float:
     """Uniform-convergence radius from a Rademacher-complexity cap:
     2 B R_N + B sqrt(log(1/delta) / (2 N))."""
     _check_common(N, delta, B)
-    if R_N < 0:
-        raise InputError(f"R_N must be >= 0, got {R_N}")
+    _check_finite("R_N", R_N, 0.0, strict=False)
     return 2.0 * B * R_N + B * math.sqrt(math.log(1.0 / delta) / (2.0 * N))
 
 
@@ -77,12 +81,8 @@ def empirical_rademacher_stats(loss_matrix: np.ndarray, draws: int,
 
 def multiplier_bound(B: float, xi: float) -> float:
     """B / xi, an upper bound on every relevant optimal multiplier l1-norm."""
-    if B <= 0:
-        raise InputError(f"B must be positive, got {B}")
-    if xi <= 0:
-        raise InputError(
-            f"xi must be positive (no strictly feasible margin available), got {xi}"
-        )
+    _check_finite("B", B, 0.0, strict=True)
+    _check_finite("xi (the strictly feasible margin)", xi, 0.0, strict=True)
     return B / xi
 
 
@@ -121,10 +121,9 @@ def gap_report(zeta_per_constraint, Delta: float, M: float, nu: float,
     if len(zetas) == 0:
         raise InputError("zeta_per_constraint must be nonempty")
     for name, val in (("Delta", Delta), ("M", M), ("nu", nu)):
-        if val < 0 or not math.isfinite(val):
-            raise InputError(f"{name} must be finite and >= 0, got {val}")
-    if any(z < 0 for z in zetas):
-        raise InputError("zeta values must be >= 0")
+        _check_finite(name, val, 0.0, strict=False)
+    for i, z in enumerate(zetas):
+        _check_finite(f"zeta_per_constraint[{i}]", z, 0.0, strict=False)
     zeta_bar = max(zetas)
     gap = (1.0 + Delta) * (M * nu + zeta_bar)
     cap = None

@@ -6,13 +6,13 @@ Four commands over a single JSON config tree:
   with the ADAM inner solver, which resumes each dual iteration from the
   previous minimizer for ``inner.epochs`` passes; the library's enumeration
   solver takes an explicit candidate list, which a config does not give.
-  Rate indicators are swapped for their sigmoid surrogates (each with the
-  indicator's own ``rate_shift`` and ``rate_slope``) in the primal step
-  only. The run directory gets ``config_echo.json``,
-  ``trace.jsonl`` (a header line, then one JSON record per iteration),
-  ``thetas.npy`` when ``output.save_theta`` is on (every iterate's theta as
-  one (T, P) float64 array, named by the trace header; absent otherwise),
-  ``final_model.txt`` and ``summary.json``.
+  The gradient steps minimize the problem's surrogate, in which each rate
+  indicator is a sigmoid with the indicator's own ``rate_shift`` and
+  ``rate_slope``; slacks and the trace read the indicators. The run
+  directory gets ``config_echo.json``, ``trace.jsonl`` (a header line, then
+  one JSON record per iteration), ``thetas.npy`` when ``output.save_theta``
+  is on (every iterate's theta as one (T, P) float64 array, named by the
+  trace header; absent otherwise), ``final_model.txt`` and ``summary.json``.
 - ``eval``: nominal / adversarial / group-rate metrics for a saved model or
   for the randomized solution of a saved trace (``--trace`` reads
   ``thetas.npy`` through the trace header), written as ``config_echo.json``
@@ -70,7 +70,6 @@ from .primaldual import (
     save_trace,
     train,
 )
-from .rate import build_surrogate_lagrangian
 from .robust import AdversarialDataset, AttackConfig
 
 ENV_OUT = "DUALLEARN_OUT"
@@ -299,18 +298,13 @@ def cmd_train(args) -> int:
                                   keys=_DUAL_KEYS, inner=inner, seed=seed,
                                   save_theta=save_theta)
 
-    primal_problem = build_surrogate_lagrangian(problem)
-
     out = _out_dir(args, "train")
     echo = {"seed": seed, "problem": problem_echo, "model": model_echo,
             "inner": inner_echo, "dual": dual_echo, "attack": attack_echo,
             "output": {"save_theta": save_theta}}
     _write_json(out / "config_echo.json", echo)
 
-    trace, final_model, final_mu = train(
-        problem, tcfg, model,
-        primal_problem=None if primal_problem is problem else primal_problem,
-    )
+    trace, final_model, final_mu = train(problem, tcfg, model)
 
     save_trace(trace, out / "trace.jsonl",
                thetas_path=(out / "thetas.npy" if save_theta else None))

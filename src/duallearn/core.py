@@ -11,7 +11,8 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
@@ -156,8 +157,8 @@ class LossSpec:
       kind; it encodes linear expectation constraints such as E[y z] <= c.
     - ``rate-indicator``: 1 if z - rate_shift >= 0 else 0 (the boundary
       counts as the event). Its rate_slope and rate_shift define its
-      surrogate, the rate-sigmoid with the same fields that primal steps
-      minimize in its place (see `rate.build_surrogate_lagrangian`).
+      `surrogate`, the rate-sigmoid with the same fields that gradient steps
+      minimize in its place (see `Problem.surrogate`).
     - ``rate-sigmoid``: logistic(rate_slope * (z - rate_shift)), the smooth
       stand-in for rate-indicator used inside primal gradient steps. Per
       sample, |1(z >= s) - sigma(a (z - s))| = 1 - sigma(a |z - s|) with
@@ -229,6 +230,12 @@ class LossSpec:
             return None
         return 1
 
+    @property
+    def surrogate(self) -> LossSpec:
+        """What gradient steps minimize in this loss's place: the rate-sigmoid
+        with a rate-indicator's fields, the loss itself for every other kind."""
+        return replace(self, kind="rate-sigmoid") if self.kind == "rate-indicator" else self
+
 
 # A set a risk averages over: a table, or an attacked set realised against
 # each model (`robust.AdversarialDataset`).
@@ -286,7 +293,8 @@ class Problem:
         object.__setattr__(self, "datasets", tuple(sets))
         dims = {d.n_features for d in sets}
         if len(dims) != 1:
-            raise InputError(f"all problem datasets must share a feature dimension, got {sorted(dims)}")
+            raise InputError(
+                f"all problem datasets must share a feature dimension, got {sorted(dims)}")
 
     @property
     def m(self) -> int:
@@ -295,6 +303,21 @@ class Problem:
     @property
     def n_features(self) -> int:
         return self.objective_dataset.n_features
+
+    @cached_property
+    def surrogate(self) -> Problem:
+        """What the gradient solver minimizes: this problem with each constraint
+        and reference loss swapped for its `LossSpec.surrogate` (the objective
+        is kept), or the problem itself when none changes. Built once, so the
+        `Evaluation` memos, which key problems by identity, keep hitting."""
+        constraints = tuple(
+            replace(c, loss=c.loss.surrogate,
+                    reference=c.reference if c.reference is None
+                    else replace(c.reference, loss=c.reference.loss.surrogate))
+            for c in self.constraints)
+        if constraints == self.constraints:
+            return self
+        return replace(self, constraints=constraints)
 
 
 def _pm_labels(labels: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 The dual function value at a multiplier vector is the (approximate) minimum
 of the empirical Lagrangian over model parameters. An `InnerSolverConfig`
 with candidates is the exact enumeration over that finite list (ties break
-to the lowest index); without them it is seeded minibatch ADAM, which
-reports the best Lagrangian value it ever visited, and which a config
-trains with. Over a finite candidate list the dual function is the minimum
-of affine functions of mu, so its maximum over mu >= 0 is a linear
-program, which `oracle.dual_enumerate` solves exactly.
+to the lowest index); without them it is seeded minibatch ADAM on the
+problem's `surrogate`, which reports the best surrogate Lagrangian value it
+ever visited, and which a config trains with. Over a finite candidate list
+the dual function is the minimum of affine functions of mu, so its maximum
+over mu >= 0 is a linear program, which `oracle.dual_enumerate` solves
+exactly.
 
 The Lagrangian is a weighted sum of sample averages over views of a few
 tables, so a model is evaluated once: every function here takes a model or
@@ -26,6 +27,7 @@ same per-term gradients summed in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +90,8 @@ class InnerSolverConfig:
             raise ConfigurationError("gradient inner solver needs epochs >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1 when given")
-        if self.step_size <= 0:
-            raise ConfigurationError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigurationError(f"step_size must be positive and finite, got {self.step_size}")
 
 
 def slacks(at: ModelState | Evaluation, problem: Problem) -> np.ndarray:
@@ -155,12 +157,13 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
                       start: Evaluation, rng: np.random.Generator):
     """The gradient inner solver from the evaluated start point `start`.
 
-    Returns (value, evaluation) for the best fully evaluated iterate, with
-    value = empirical_lagrangian(evaluation). Every iterate is evaluated
-    once: a step reads its gradient from the current iterate's evaluation,
-    and the evaluation that scores an epoch's last iterate also serves the
-    next epoch's first step.
+    Returns (value, evaluation) for the best fully evaluated iterate of
+    `problem.surrogate`, with value = empirical_lagrangian(evaluation, dual,
+    problem.surrogate). Every iterate is evaluated once: a step reads its
+    gradient from the current iterate's evaluation, and the evaluation that
+    scores an epoch's last iterate also serves the next epoch's first step.
     """
+    problem = problem.surrogate
     n0 = len(problem.objective_dataset)
     bs = solver.batch_size
     whole = bs is None or bs >= n0
@@ -182,13 +185,13 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
 
 
 def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
-                  init: ModelState, seed: int = 0,
-                  rng: np.random.Generator | None = None):
+                  init: ModelState, rng: np.random.Generator | None = None):
     """Approximately minimize the Lagrangian at fixed multipliers.
 
-    Returns (value, minimizer) with value = empirical_lagrangian(minimizer).
-    Enumeration returns the exact argmin over candidates (lowest index on
-    ties); the gradient solver returns the best iterate it evaluated.
+    Returns (value, minimizer) with value = empirical_lagrangian(minimizer,
+    dual, problem). Enumeration returns the exact argmin over candidates
+    (lowest index on ties); the gradient solver, drawing from `rng`
+    (default_rng(0) when None), the best iterate of `problem.surrogate`.
     """
     if len(dual) != problem.m:
         raise InputError(
@@ -200,6 +203,6 @@ def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
         j = int(np.argmin(values))
         return float(values[j]), solver.candidates[j]
     if rng is None:
-        rng = np.random.default_rng(seed)
-    value, ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)
-    return value, ev.model
+        rng = np.random.default_rng(0)
+    _, ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)
+    return empirical_lagrangian(ev, dual, problem), ev.model

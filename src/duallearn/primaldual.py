@@ -8,10 +8,10 @@ each iteration from the previous minimizer, and its `epochs` choose how many
 passes it makes per dual update (one gives the alternating scheme). Each
 iterate is evaluated once (see `duallearn.lagrangian`): the slacks and
 objective of the trace are read from the evaluation the inner solver scored
-the iterate with, and the next iteration resumes from that evaluation. A trace holds one array per recorded
-quantity, row t for iteration t, and keeps every iterate's parameters so
-that the uniform mixture over them (the randomized solution) can be
-evaluated afterwards.
+the iterate with, and the next iteration resumes from that evaluation. A
+trace holds one array per recorded quantity, row t for iteration t, and
+keeps every iterate's parameters so that the uniform mixture over them (the
+randomized solution) can be evaluated afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Problem
 from .errors import ConfigurationError, DualLearnError, InputError
-from .lagrangian import DualState, InnerSolverConfig, enumeration_stats, gradient_minimize, slacks
+from .lagrangian import DualState, InnerSolverConfig, enumeration_stats, gradient_minimize
 from .models import (
     Arch,
     Evaluation,
@@ -102,36 +102,28 @@ def dual_update(dual: DualState, slack: np.ndarray, eta: float) -> DualState:
     s = np.asarray(slack, dtype=float)
     if s.shape != dual.mu.shape:
         raise InputError(f"slack shape {s.shape} does not match mu shape {dual.mu.shape}")
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise InputError(f"eta must be positive and finite, got {eta}")
     return DualState(np.maximum(0.0, dual.mu + eta * s))
 
 
-def train(problem: Problem, config: TrainConfig, init: ModelState,
-          primal_problem: Problem | None = None):
+def train(problem: Problem, config: TrainConfig, init: ModelState):
     """Run projected dual ascent and return (trace, final model, final multipliers).
 
-    `primal_problem`, when given, is what the inner solver minimizes (e.g. a
-    sigmoid-surrogate substitution of `problem`); slack evaluation and the
-    recorded Lagrangian always use the original `problem`, so dual updates
-    see the true constraint values. Deterministic for a fixed config seed.
-    Each iteration is written into row t of the trace's preallocated arrays;
+    The gradient inner solver minimizes `problem.surrogate`; enumeration
+    minimizes the true Lagrangian. Slacks, the objective and the recorded
+    Lagrangian always read `problem`, so dual updates see the true
+    constraint values. Deterministic for a fixed config seed. Each iteration
+    is written into row t of the trace's preallocated arrays;
     `config.save_theta` decides whether its parameters are kept.
 
-    A model is evaluated once: the true slacks and the objective are read
-    from the evaluation the gradient solver returns with its minimizer (the
-    same predictions under the original losses), and that evaluation is
-    handed back as the next iteration's start point, so the start point is
-    not evaluated again. Enumeration reads every iterate from
-    per-candidate tables computed once (see `enumeration_stats`), with one
-    evaluation per candidate for both problems. Under projected-adam the
+    A model is evaluated once. Each solver picks the evaluation of its
+    minimizer (enumeration holds one per candidate, tabulated once by
+    `enumeration_stats`); the slacks, objective and parameters are read from
+    it, and the gradient solver resumes from it. Under projected-adam the
     multipliers take an ADAM descent step on the negated slacks, projected
     onto mu >= 0.
     """
-    if primal_problem is None:
-        primal_problem = problem
-    if primal_problem.m != problem.m:
-        raise InputError("primal problem must have the same constraint count")
     n_params = init.arch.n_params
     if config.save_theta and n_params > SNAPSHOT_PARAM_LIMIT:
         raise ConfigurationError(
@@ -141,19 +133,14 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
 
     inner = config.inner
     if inner.candidates is not None:
-        if primal_problem is problem:
-            R_p, S_p = R_o, S_o = enumeration_stats(problem, inner.candidates)
-        else:
-            evals = [Evaluation(c) for c in inner.candidates]
-            R_p, S_p = enumeration_stats(primal_problem, evals)
-            R_o, S_o = enumeration_stats(problem, evals)
+        evals = [Evaluation(c) for c in inner.candidates]
+        R, S = enumeration_stats(problem, evals)
 
     T, m = config.iterations_T, problem.m
     seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(T)
     mu = DualState.zeros(m)
     dual_opt = (OptimizerState(step_size=config.dual_step_eta)
                 if config.dual_method == "projected-adam" else None)
-    model = init
     ev = Evaluation(init)
     trace = TrainTrace(objective=np.empty(T), slacks=np.empty((T, m)), mu=np.empty((T, m)),
                        lagrangian=np.empty(T), arch=init.arch,
@@ -162,17 +149,11 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
     for t in range(T):
         try:
             if inner.candidates is not None:
-                vals = R_p + S_p @ mu.mu if m else R_p
-                j = int(np.argmin(vals))
-                model_t = inner.candidates[j]
-                s = S_o[j]
-                obj = float(R_o[j])
+                ev = evals[int(np.argmin(R + S @ mu.mu if m else R))]
             else:
-                _, ev = gradient_minimize(mu, primal_problem, inner, ev,
+                _, ev = gradient_minimize(mu, problem, inner, ev,
                                           rng=np.random.default_rng(seeds[t]))
-                model_t = ev.model
-                s = slacks(ev, problem)
-                obj = ev.risk(problem.objective_loss, problem.objective_dataset)
+            obj, s = ev.stats(problem)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
         trace.objective[t] = obj
@@ -180,16 +161,15 @@ def train(problem: Problem, config: TrainConfig, init: ModelState,
         trace.mu[t] = mu.mu
         trace.lagrangian[t] = obj + float(mu.mu @ s) if m else obj
         if trace.thetas is not None:
-            trace.thetas[t] = model_t.params
+            trace.thetas[t] = ev.model.params
         if m:
             if dual_opt is None:
                 mu = dual_update(mu, s, config.dual_step_eta)
             else:
                 dual_opt, ascended = descent_step(dual_opt, mu.mu, -s)
                 mu = DualState(np.maximum(0.0, ascended))
-        model = model_t
 
-    return trace, model, mu
+    return trace, ev.model, mu
 
 
 def randomized_solution(trace: TrainTrace) -> RandomizedSolution:

@@ -1,18 +1,19 @@
-"""Rate (probability) constraints and their smooth sigmoid surrogates.
+"""Diagnostics of rate (probability) constraints and their sigmoid surrogates.
 
 A rate constraint bounds the frequency of a thresholded event of the model
 output. The indicator making up that frequency has no usable gradient, so
-primal steps minimize a Lagrangian in which the indicator is swapped for a
-steep sigmoid; dual updates keep using the true indicator slacks, so
-feasibility is always measured against the actual rate. The sigmoid is the
-indicator's own twin: a rate-sigmoid with the indicator's `rate_shift`,
-`rate_slope` and `bound_B`, so each indicator configures its surrogate.
+gradient steps minimize the problem's `surrogate`, in which each indicator
+is a steep sigmoid with its own `rate_shift`, `rate_slope` and `bound_B`
+(see `core.Problem.surrogate`); dual updates keep using the true indicator
+slacks, so feasibility is always measured against the actual rate. This
+module holds the diagnostics of that swap: how close samples sit to the
+threshold, and how far the swap can move the Lagrangian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,32 +38,6 @@ class MarginReport:
 
 def _is_rate(loss: LossSpec) -> bool:
     return loss.kind in ("rate-indicator", "rate-sigmoid")
-
-
-def build_surrogate_lagrangian(problem: Problem) -> Problem:
-    """Problem with every rate-indicator loss swapped for its surrogate.
-
-    The surrogate of a rate-indicator is the rate-sigmoid with the same
-    `rate_shift`, `rate_slope` and `bound_B`; it replaces the indicator on a
-    constraint and on its reference alike. Thresholds, datasets, and
-    reference structure are untouched; the result is meant for the primal
-    step only, while slack evaluation stays on the original problem.
-    Problems without rate indicators pass through unchanged. Equal
-    surrogates need not be one object: an evaluation keys losses by value.
-    """
-
-    def surrogate(loss: LossSpec) -> LossSpec:
-        return replace(loss, kind="rate-sigmoid") if loss.kind == "rate-indicator" else loss
-
-    new_constraints = []
-    for c in problem.constraints:
-        reference = c.reference
-        if reference is not None:
-            reference = replace(reference, loss=surrogate(reference.loss))
-        new_constraints.append(replace(c, loss=surrogate(c.loss), reference=reference))
-    if tuple(new_constraints) == problem.constraints:
-        return problem
-    return replace(problem, constraints=tuple(new_constraints))
 
 
 def surrogate_gap_bound(mu: DualState, tau: float, a: float) -> float:

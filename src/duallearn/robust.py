@@ -60,8 +60,8 @@ class AttackConfig:
             raise ConfigurationError("steps must be >= 1")
         if self.restarts < 1:
             raise ConfigurationError("restarts must be >= 1")
-        if self.step_size < 0:
-            raise ConfigurationError("step_size must be >= 0")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0):
+            raise ConfigurationError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.clamp_box is not None:
             lo, hi = self.clamp_box
             if not lo < hi:
@@ -165,8 +165,9 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
     a candidate only where its loss is strictly above the best so far. The
     corners are forwarded in one stack, with the clean rows unless their
     predictions are given, scored in one `loss_values` call and picked by
-    one `argmax`, whose first maximum is that rule. Restart randomness is keyed by cfg.seed XOR the sample index,
-    so attacks are reproducible and independent of how samples are batched.
+    one `argmax`, whose first maximum is that rule. Restart randomness is
+    keyed by cfg.seed XOR the sample index, so attacks are reproducible and
+    independent of how samples are batched.
     Every clean row must lie inside cfg.clamp_box, when one is declared;
     then projecting onto the ball and then the box keeps each row inside
     both.

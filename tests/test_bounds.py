@@ -1,6 +1,8 @@
 """The bound calculators against the independent formulas in
 fixtures/bounds_reference.py."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from duallearn.bounds import (
     zeta_rademacher,
     zeta_vc,
 )
+from duallearn.errors import InputError
 
 from fixtures.bounds_reference import (
     ref_empirical_rademacher_exact,
@@ -62,3 +65,19 @@ def test_closed_form_radii_and_gap_match_the_reference_on_random_inputs():
         report = gap_report(zetas, Delta, M, nu)
         assert report.gap_estimate == pytest.approx(ref_gap_estimate(zetas, Delta, M, nu),
                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("B", lambda v: zeta_vc(100, 2.0, 0.05, v)),
+    ("d_vc", lambda v: zeta_vc(100, v, 0.05, 1.0)),
+    ("B", lambda v: zeta_rademacher(100, 0.1, 0.05, v)),
+    ("R_N", lambda v: zeta_rademacher(100, v, 0.05, 1.0)),
+    ("B", lambda v: multiplier_bound(v, 0.1)),
+    ("xi", lambda v: multiplier_bound(1.0, v)),
+    ("zeta_per_constraint[1]", lambda v: gap_report([0.1, v], 1.0, 1.0, 1.0)),
+], ids=["zeta_vc-B", "zeta_vc-d_vc", "zeta_rademacher-B", "zeta_rademacher-R_N",
+        "multiplier_bound-B", "multiplier_bound-xi", "gap_report-zeta"])
+def test_non_finite_inputs_are_refused_by_name(name, call, value):
+    with pytest.raises(InputError, match=f"^{re.escape(name)} "):
+        call(value)

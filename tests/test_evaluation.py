@@ -36,7 +36,6 @@ from duallearn.models import (
     predict_batch,
 )
 from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
-from duallearn.rate import build_surrogate_lagrangian
 from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
 from helpers import dataset_risk, record_forwards
@@ -300,7 +299,6 @@ def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(monkeypat
     import duallearn.models as models_mod
 
     problem = fairness_train_problem()
-    primal = build_surrogate_lagrangian(problem)
     inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
     T = 25
     cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
@@ -308,7 +306,7 @@ def test_fairness_train_forwards_the_table_at_most_twice_per_iteration(monkeypat
     original = models_mod.predict_batch
     monkeypatch.setattr(models_mod, "predict_batch",
                         lambda model, X: forwarded.append(len(X)) or original(model, X))
-    trace, _, _ = train(problem, cfg, init_model(LogisticArch(3)), primal_problem=primal)
+    trace, _, _ = train(problem, cfg, init_model(LogisticArch(3)))
     monkeypatch.undo()
 
     assert len(forwarded) <= 2 * T
@@ -467,7 +465,6 @@ def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(monke
     import duallearn.models as models_mod
 
     problem = fairness_train_problem()
-    primal = build_surrogate_lagrangian(problem)
     inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
     T = 60
     cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
@@ -476,11 +473,11 @@ def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(monke
     original = models_mod._backprop
     monkeypatch.setattr(models_mod, "_backprop",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
-    trace, _, _ = train(problem, cfg, init, primal_problem=primal)
+    trace, _, _ = train(problem, cfg, init)
     monkeypatch.undo()
 
     thetas = [init.params, *trace.thetas]
     accepted = sum(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
-    terms = distinct_terms(primal)
+    terms = distinct_terms(problem.surrogate)
     assert accepted < T // 2  # the memo has kept iterates to pay on
     assert len(calls) <= (accepted + 1) * terms

@@ -8,7 +8,8 @@ from duallearn.core import (
     Problem,
     empirical_risk,
 )
-from duallearn.errors import ConfigurationError, InputError, SurrogateRequiredError
+from duallearn.errors import (ConfigurationError, DualLearnError, InputError,
+                              SurrogateRequiredError)
 from duallearn.lagrangian import (
     DualState,
     InnerSolverConfig,
@@ -18,6 +19,8 @@ from duallearn.lagrangian import (
 )
 from duallearn.models import LinearArch, LogisticArch, ModelState, init_model
 from duallearn.oracle import ecrm_enumerate, example1_problem
+from duallearn.primaldual import dual_update
+from duallearn.robust import AttackConfig
 
 from helpers import random_enumerable, row_loss, row_predict
 
@@ -207,7 +210,8 @@ class TestDualFunction:
         prob = Problem(objective_loss=ce, objective_dataset=ds)
         init = init_model(LogisticArch(2))
         solver = InnerSolverConfig(epochs=5, batch_size=8, step_size=0.1)
-        val, minimizer = dual_function(DualState.zeros(0), prob, solver, init, seed=1)
+        val, minimizer = dual_function(DualState.zeros(0), prob, solver, init,
+                                       rng=np.random.default_rng(1))
         init_val = empirical_risk(init, ce, ds)
         assert val <= init_val
         assert val == empirical_risk(minimizer, ce, ds)
@@ -218,8 +222,7 @@ class TestDualFunction:
         prob = Problem(objective_loss=zo, objective_dataset=ds)
         solver = InnerSolverConfig(epochs=1, step_size=0.1)
         with pytest.raises(SurrogateRequiredError):
-            dual_function(DualState.zeros(0), prob, solver,
-                          ModelState(np.array([1.0]), IDENT), seed=0)
+            dual_function(DualState.zeros(0), prob, solver, ModelState(np.array([1.0]), IDENT))
 
 
 class TestValidation:
@@ -238,3 +241,13 @@ class TestValidation:
     def test_gradient_needs_positive_epochs(self):
         with pytest.raises(ConfigurationError):
             InnerSolverConfig(epochs=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("step_size", lambda v: AttackConfig(epsilon=0.1, steps=5, step_size=v)),
+        ("step_size", lambda v: InnerSolverConfig(step_size=v)),
+        ("eta", lambda v: dual_update(DualState.zeros(1), np.zeros(1), v)),
+    ], ids=["attack", "inner", "dual_update"])
+    def test_non_finite_step_sizes_are_refused_by_name(self, field, build, value):
+        with pytest.raises(DualLearnError, match=f"^{field} must be"):
+            build(value)

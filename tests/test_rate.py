@@ -15,14 +15,25 @@ from duallearn.core import (
     loss_values,
 )
 from duallearn.errors import ConfigurationError, InputError
-from duallearn.lagrangian import DualState, InnerSolverConfig, slacks
-from duallearn.models import LogisticArch, ModelState, grad_params, init_model, predict_batch
-from duallearn.primaldual import TrainConfig, train
-from duallearn.rate import (
-    build_surrogate_lagrangian,
-    margin_check,
-    surrogate_gap_bound,
+from duallearn.lagrangian import (
+    DualState,
+    InnerSolverConfig,
+    dual_function,
+    empirical_lagrangian,
+    gradient_minimize,
+    slacks,
 )
+from duallearn.models import (
+    Evaluation,
+    LinearArch,
+    LogisticArch,
+    ModelState,
+    grad_params,
+    init_model,
+    predict_batch,
+)
+from duallearn.primaldual import TrainConfig, train
+from duallearn.rate import margin_check, surrogate_gap_bound
 
 from helpers import row_loss
 
@@ -93,17 +104,23 @@ class TestSigmoidSurrogate:
 
 
 class TestBuildSurrogateLagrangian:
+    """The surrogate problem the gradient solver minimizes (`Problem.surrogate`)."""
+
     def test_no_rate_constraints_pass_through(self):
         rng = np.random.default_rng(1)
         ds = Dataset(features=rng.uniform(-1, 1, (5, 2)), labels=rng.choice([0, 1], 5))
         prob = Problem(objective_loss=CE, objective_dataset=ds,
                        constraints=(ConstraintSpec(loss=CE, threshold_c=0.5, dataset=ds),))
-        assert build_surrogate_lagrangian(prob) is prob
+        assert prob.surrogate is prob
+        assert CE.surrogate is CE
 
     def test_fairness_substitution_at_threshold(self):
         # at f = 0.5 the indicator fires (1) but the surrogate reads 0.5
         prob = prob_with_rate_constraint()
-        sur = build_surrogate_lagrangian(prob)
+        sur = prob.surrogate
+        assert prob.surrogate is sur  # built once, so evaluation memos keep hitting
+        assert sur.surrogate is sur
+        assert sur.objective_loss is prob.objective_loss
         new_loss = sur.constraints[0].loss
         assert new_loss.kind == "rate-sigmoid"
         assert new_loss.rate_slope == 8.0
@@ -146,7 +163,7 @@ class TestBuildSurrogateLagrangian:
             constraints=(ConstraintSpec(loss=ind, threshold_c=0.01, dataset=ds.subset([0, 1]),
                                         reference=ReferenceTerm(loss=twin, dataset=ds)),),
         )
-        c = build_surrogate_lagrangian(prob).constraints[0]
+        c = prob.surrogate.constraints[0]
         want = LossSpec(kind="rate-sigmoid", bound_B=2.0, rate_shift=0.3, rate_slope=50.0)
         assert c.loss == want
         assert c.reference.loss == c.loss
@@ -160,15 +177,14 @@ class TestBuildSurrogateLagrangian:
             constraints=(ConstraintSpec(loss=IND, threshold_c=0.01, dataset=sub,
                                         reference=ReferenceTerm(loss=IND, dataset=ds)),),
         )
-        sur = build_surrogate_lagrangian(prob)
+        sur = prob.surrogate
         assert sur.constraints[0].loss.kind == "rate-sigmoid"
         assert sur.constraints[0].reference.loss.kind == "rate-sigmoid"
 
     def test_gradients_available_after_substitution(self):
         prob = prob_with_rate_constraint()
-        sur = build_surrogate_lagrangian(prob)
         model = init_model(LogisticArch(2))
-        terms = [(1.0, c.loss, c.dataset) for c in sur.constraints]
+        terms = [(1.0, c.loss, c.dataset) for c in prob.surrogate.constraints]
         g = grad_params(model, terms)
         assert np.all(np.isfinite(g))
 
@@ -233,14 +249,44 @@ class TestMarginCheck:
 
 class TestDualUsesIndicatorSlacks:
     def test_trace_slacks_are_indicator_based(self):
-        # training with the surrogate primal must still record true-rate slacks
+        # training steps on the surrogate but must still record true-rate slacks
         prob = prob_with_rate_constraint(threshold=0.3)
-        sur = build_surrogate_lagrangian(prob)
         inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.1)
         cfg = TrainConfig(iterations_T=6, dual_step_eta=1.0, inner=inner, seed=2)
-        trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)), primal_problem=sur)
+        trace, _, _ = train(prob, cfg, init_model(LogisticArch(2)))
         for theta, slack in zip(trace.thetas, trace.slacks):
             model = ModelState(theta, trace.arch)
             assert np.array_equal(slack, slacks(model, prob))
-            sur_slacks = slacks(model, sur)
+            sur_slacks = slacks(model, prob.surrogate)
             assert not np.array_equal(slack, sur_slacks)
+
+    def test_dual_function_returns_the_indicator_lagrangian_of_the_surrogate_minimizer(self):
+        prob = prob_with_rate_constraint(threshold=0.3)
+        mu = DualState(np.array([2.0]))
+        solver = InnerSolverConfig(epochs=3, batch_size=8, step_size=0.1)
+        init = init_model(LogisticArch(2))
+        val, minimizer = dual_function(mu, prob, solver, init, rng=np.random.default_rng(4))
+        _, want = gradient_minimize(mu, prob.surrogate, solver, Evaluation(init),
+                                    np.random.default_rng(4))
+        assert np.array_equal(minimizer.params, want.model.params)
+        assert val == empirical_lagrangian(minimizer, mu, prob)
+        assert val != empirical_lagrangian(minimizer, mu, prob.surrogate)
+
+    def test_enumeration_selects_by_the_indicator_lagrangian(self):
+        # every row scores z = w: `near` sits just under the shift, where the
+        # indicator reads 0 and its sigmoid about 0.48, so once mu exceeds
+        # about 4.6 the surrogate Lagrangian would prefer `far`
+        ds = Dataset(features=np.ones((4, 1)), labels=np.full(4, 0.49))
+        prob = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
+                       objective_dataset=ds,
+                       constraints=(ConstraintSpec(loss=IND, threshold_c=-1.0, dataset=ds),))
+        arch = LinearArch(1, 1, bias=False)
+        near, far = ModelState(np.array([0.49]), arch), ModelState(np.array([-1.0]), arch)
+        inner = InnerSolverConfig(candidates=(near, far))
+        cfg = TrainConfig(iterations_T=8, dual_step_eta=1.0, inner=inner)
+        trace, final, _ = train(prob, cfg, far)
+        assert final is near
+        assert np.all(trace.thetas == near.params)
+        mu = DualState(trace.mu[-1])
+        assert empirical_lagrangian(far, mu, prob.surrogate) < empirical_lagrangian(
+            near, mu, prob.surrogate)
