@@ -18,11 +18,10 @@ import numpy as np
 from .errors import InputError
 
 
-def _check_finite(name: str, value: float, minimum: float, strict: bool) -> None:
-    """Refuse a non-finite `value`, or one below (or, when strict, at) `minimum`."""
-    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
-        relation = ">" if strict else ">="
-        raise InputError(f"{name} must be finite and {relation} {minimum:g}, got {value}")
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a `value` that is not finite, is negative, or is zero when `positive`."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise InputError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
 def _check_common(N: int, delta: float, B: float) -> None:
@@ -30,7 +29,7 @@ def _check_common(N: int, delta: float, B: float) -> None:
         raise InputError(f"N must be >= 1, got {N}")
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta must lie in (0, 1), got {delta}")
-    _check_finite("B", B, 0.0, strict=True)
+    _check_finite("B", B, positive=True)
 
 
 def zeta_vc(N: int, d_vc: float, delta: float, B: float) -> float:
@@ -40,7 +39,7 @@ def zeta_vc(N: int, d_vc: float, delta: float, B: float) -> float:
     so large d_vc or N cannot overflow.
     """
     _check_common(N, delta, B)
-    _check_finite("d_vc", d_vc, 0.0, strict=False)
+    _check_finite("d_vc", d_vc)
     log_term = math.log(4.0) + d_vc * math.log(2.0 * N) - math.log(delta)
     return B * math.sqrt((1.0 + log_term) / N)
 
@@ -49,7 +48,7 @@ def zeta_rademacher(N: int, R_N: float, delta: float, B: float) -> float:
     """Uniform-convergence radius from a Rademacher-complexity cap:
     2 B R_N + B sqrt(log(1/delta) / (2 N))."""
     _check_common(N, delta, B)
-    _check_finite("R_N", R_N, 0.0, strict=False)
+    _check_finite("R_N", R_N)
     return 2.0 * B * R_N + B * math.sqrt(math.log(1.0 / delta) / (2.0 * N))
 
 
@@ -81,8 +80,8 @@ def empirical_rademacher_stats(loss_matrix: np.ndarray, draws: int,
 
 def multiplier_bound(B: float, xi: float) -> float:
     """B / xi, an upper bound on every relevant optimal multiplier l1-norm."""
-    _check_finite("B", B, 0.0, strict=True)
-    _check_finite("xi (the strictly feasible margin)", xi, 0.0, strict=True)
+    _check_finite("B", B, positive=True)
+    _check_finite("xi (the strictly feasible margin)", xi, positive=True)
     return B / xi
 
 
@@ -121,9 +120,9 @@ def gap_report(zeta_per_constraint, Delta: float, M: float, nu: float,
     if len(zetas) == 0:
         raise InputError("zeta_per_constraint must be nonempty")
     for name, val in (("Delta", Delta), ("M", M), ("nu", nu)):
-        _check_finite(name, val, 0.0, strict=False)
+        _check_finite(name, val)
     for i, z in enumerate(zetas):
-        _check_finite(f"zeta_per_constraint[{i}]", z, 0.0, strict=False)
+        _check_finite(f"zeta_per_constraint[{i}]", z)
     zeta_bar = max(zetas)
     gap = (1.0 + Delta) * (M * nu + zeta_bar)
     cap = None

@@ -394,7 +394,8 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
     """d(loss)/d(prediction) per sample, zero wherever a cap or clamp is active."""
     if not loss.differentiable:
         raise SurrogateRequiredError(
-            f"loss kind {loss.kind!r} has no gradient; substitute a surrogate first"
+            f"loss kind {loss.kind!r} has no gradient; gradient steps need a differentiable "
+            "loss (a problem's surrogate swaps only rate-indicator constraints)"
         )
     p = _check_predictions(loss, predictions)
     y = np.asarray(labels)
