@@ -24,11 +24,15 @@ def _check_finite(name: str, value: float, positive: bool = False) -> None:
         raise InputError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _check_common(N: int, delta: float, B: float) -> None:
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
-    if not (0.0 < delta < 1.0):
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     _check_finite("B", B, positive=True)
 
 
@@ -123,16 +127,22 @@ def gap_report(zeta_per_constraint, Delta: float, M: float, nu: float,
         _check_finite(name, val)
     for i, z in enumerate(zetas):
         _check_finite(f"zeta_per_constraint[{i}]", z)
+    for name, val in (("B", B), ("xi (the strictly feasible margin)", xi)):
+        if val is not None:
+            _check_finite(name, val, positive=True)
+    if delta is not None:
+        _check_delta(delta)
     zeta_bar = max(zetas)
     gap = (1.0 + Delta) * (M * nu + zeta_bar)
-    cap = None
-    if B is not None and xi is not None:
-        cap = multiplier_bound(B, xi)
+    cap = None if B is None or xi is None else multiplier_bound(B, xi)
     margins = None
     if thresholds_c is not None:
         cs = tuple(float(c) for c in thresholds_c)
         if len(cs) != len(zetas):
             raise InputError("thresholds_c length must match zeta_per_constraint")
+        for i, c in enumerate(cs):
+            if not math.isfinite(c):
+                raise InputError(f"thresholds_c[{i}] must be finite, got {c}")
         margins = tuple(c + z for c, z in zip(cs, zetas))
     return BoundsReport(zeta_per_constraint=zetas, zeta_bar=zeta_bar, Delta=Delta,
                         M=M, nu=nu, gap_estimate=gap, B=B, xi=xi, delta=delta,

@@ -318,7 +318,7 @@ def cmd_train(args) -> int:
         "final_lagrangian": float(trace.lagrangian[-1]),
         "final_slacks": [float(v) for v in final_slacks],
         "final_mu": [float(v) for v in final_mu.mu],
-        "feasible_at_end": bool(np.all(final_slacks <= 0.0)) if problem.m else True,
+        "feasible_at_end": bool(np.all(final_slacks <= 0.0)),
         "constraint_names": [c.name for c in problem.constraints],
         "projection_order": "ball-then-box" if attack_echo else None,
     }
@@ -329,27 +329,17 @@ def cmd_train(args) -> int:
 
 
 def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
-    terms = [(problem.objective_loss, problem.objective_dataset)]
-    for c in problem.constraints:
-        terms.append((c.loss, c.dataset))
-        if c.reference is not None:
-            terms.append((c.reference.loss, c.reference.dataset))
-    risks = iter(mixture_risks(sol, terms))
-    metrics = {"objective_risk": next(risks)}
+    risks = mixture_risks(sol, problem.terms)
+    term_risks = iter(risks[1:])
     cons = []
-    for c in problem.constraints:
-        risk = next(risks)
-        entry = {"name": c.name, "risk": risk, "threshold_c": c.threshold_c}
+    for c, slack in zip(problem.constraints, problem.slacks_of(risks).tolist()):
+        entry = {"name": c.name, "risk": next(term_risks), "threshold_c": c.threshold_c}
         if c.reference is not None:
-            ref = next(risks)
-            entry["reference_risk"] = ref
-            entry["slack"] = risk - ref - c.threshold_c
-        else:
-            entry["slack"] = risk - c.threshold_c
+            entry["reference_risk"] = next(term_risks)
+        entry["slack"] = slack
         cons.append(entry)
-    metrics["constraints"] = cons
-    metrics["max_slack"] = max((e["slack"] for e in cons), default=None)
-    return metrics
+    return {"objective_risk": risks[0], "constraints": cons,
+            "max_slack": max((e["slack"] for e in cons), default=None)}
 
 
 def cmd_eval(args) -> int:

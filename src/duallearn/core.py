@@ -273,28 +273,51 @@ class ConstraintSpec:
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Objective loss plus m >= 0 expectation constraints; compares and
-    hashes by identity, like its datasets."""
+    hashes by identity, like its datasets.
+
+    Its Lagrangian r_0 + sum_i mu_i (r_i - r_ref,i - c_i) is laid out here
+    alone: one risk per (loss, set) pair of `terms` (the objective's, then
+    each constraint's followed by its reference's), read by `slacks_of` and
+    `weights`; `datasets` holds the sets of `terms`.
+    """
 
     objective_loss: LossSpec
     objective_dataset: DatasetLike
     constraints: tuple[ConstraintSpec, ...] = field(default_factory=tuple)
     name: str = "problem"
-    # Every set the Lagrangian averages over: the objective's, then each
-    # constraint's and its reference's.
+    terms: tuple[tuple[LossSpec, DatasetLike], ...] = field(init=False, repr=False, compare=False)
     datasets: tuple[DatasetLike, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        sets = [self.objective_dataset]
+        terms = [(self.objective_loss, self.objective_dataset)]
+        slots = []  # per constraint: (index of its term, whether a reference follows, c)
         for c in self.constraints:
-            sets.append(c.dataset)
+            slots.append((len(terms), c.reference is not None, c.threshold_c))
+            terms.append((c.loss, c.dataset))
             if c.reference is not None:
-                sets.append(c.reference.dataset)
-        object.__setattr__(self, "datasets", tuple(sets))
-        dims = {d.n_features for d in sets}
+                terms.append((c.reference.loss, c.reference.dataset))
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "datasets", tuple(d for _, d in terms))
+        object.__setattr__(self, "_slots", tuple(slots))
+        dims = {d.n_features for d in self.datasets}
         if len(dims) != 1:
             raise InputError(
                 f"all problem datasets must share a feature dimension, got {sorted(dims)}")
+
+    def slacks_of(self, risks) -> np.ndarray:
+        """Slacks (r_i - r_ref,i) - c_i, or r_i - c_i without a reference, from one
+        risk per term, read-only; risks that are arrays stack along a new first axis."""
+        return _readonly(np.asarray([(risks[k] - risks[k + 1]) - c if ref else risks[k] - c
+                                     for k, ref, c in self._slots], dtype=float))
+
+    def weights(self, mu) -> list[float]:
+        """One weight per term at multipliers `mu`: 1 for the objective, mu_i
+        for constraint i and -mu_i for its reference."""
+        weights = [1.0]
+        for (_, ref, _), w in zip(self._slots, np.asarray(mu, float).tolist(), strict=True):
+            weights += (w, -w) if ref else (w,)
+        return weights
 
     @property
     def m(self) -> int:

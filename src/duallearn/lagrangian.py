@@ -4,18 +4,18 @@ The dual function value at a multiplier vector is the (approximate) minimum
 of the empirical Lagrangian over model parameters. An `InnerSolverConfig`
 with candidates is the exact enumeration over that finite list (ties break
 to the lowest index); without them it is seeded minibatch ADAM on the
-problem's `surrogate`, which reports the best surrogate Lagrangian value it
-ever visited, and which a config trains with. Over a finite candidate list
-the dual function is the minimum of affine functions of mu, so its maximum
-over mu >= 0 is a linear program, which `oracle.dual_enumerate` solves
-exactly.
+problem's `surrogate`, which returns its best iterate by surrogate
+Lagrangian and which a config trains with. Over a finite candidate list the
+dual function is the minimum of affine functions of mu, so its maximum over
+mu >= 0 is a linear program, which `oracle.dual_enumerate` solves exactly.
 
 The Lagrangian is a weighted sum of sample averages over views of a few
-tables, so a model is evaluated once: every function here takes a model or
-its `Evaluation` (one forward pass per table, see `duallearn.models`) and
-reads each risk and loss gradient from that evaluation. The gradient solver
-returns the evaluation of the iterate it returns, so a caller that resumes
-from that iterate does not evaluate it again.
+tables, one per `Problem.terms` entry (the objective, then each constraint
+followed by its reference, weighted 1, mu_i and -mu_i by `Problem.weights`),
+so every function here takes a model or its `Evaluation` (one forward pass
+per table, see `duallearn.models`) and reads each term's risk and loss
+gradient from it. The gradient solver returns the evaluation of its iterate,
+so a caller that resumes from that iterate does not evaluate it again.
 
 Each problem's objective risk and slack vector, and each term's parameter
 gradient, are memoised on the evaluation. Multipliers only weight them, so
@@ -107,8 +107,6 @@ def empirical_lagrangian(at: ModelState | Evaluation, dual: DualState, problem: 
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
     obj, s = Evaluation.of(at).stats(problem)
-    if problem.m == 0:
-        return obj
     return obj + float(dual.mu @ s)
 
 
@@ -139,17 +137,13 @@ def _batch_rows(n: int, batch_size: int | None, rng: np.random.Generator):
 def _gradient_terms(at: Evaluation, dual: DualState, problem: Problem,
                     obj_rows: np.ndarray | None, batch_size: int | None,
                     rng: np.random.Generator):
-    terms = [(1.0, problem.objective_loss, at.batch(problem.objective_dataset, obj_rows))]
-    for i, c in enumerate(problem.constraints):
-        w = float(dual.mu[i])
-        if w == 0.0:
-            continue
-        rows = _batch_rows(len(c.dataset), batch_size, rng)
-        terms.append((w, c.loss, at.batch(c.dataset, rows)))
-        if c.reference is not None:
-            ref_ds = c.reference.dataset
-            rows = _batch_rows(len(ref_ds), batch_size, rng)
-            terms.append((-w, c.reference.loss, at.batch(ref_ds, rows)))
+    """(weight, loss, batch) per nonzero-weight term, the objective's on `obj_rows`
+    and every other's on rows drawn from `rng` in term order."""
+    terms = []
+    for k, (w, (loss, dataset)) in enumerate(zip(problem.weights(dual.mu), problem.terms)):
+        if w != 0.0:
+            rows = obj_rows if k == 0 else _batch_rows(len(dataset), batch_size, rng)
+            terms.append((w, loss, at.batch(dataset, rows)))
     return terms
 
 
@@ -157,9 +151,9 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
                       start: Evaluation, rng: np.random.Generator):
     """The gradient inner solver from the evaluated start point `start`.
 
-    Returns (value, evaluation) for the best fully evaluated iterate of
-    `problem.surrogate`, with value = empirical_lagrangian(evaluation, dual,
-    problem.surrogate). Every iterate is evaluated once: a step reads its
+    Returns the evaluation of the iterate of `problem.surrogate` with the
+    lowest empirical_lagrangian(evaluation, dual, problem.surrogate) among
+    those fully evaluated. Every iterate is evaluated once: a step reads its
     gradient from the current iterate's evaluation, and the evaluation that
     scores an epoch's last iterate also serves the next epoch's first step.
     """
@@ -168,9 +162,8 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
     bs = solver.batch_size
     whole = bs is None or bs >= n0
     opt = OptimizerState(step_size=solver.step_size)
-    at = start
+    at = best = start
     best_val = empirical_lagrangian(start, dual, problem)
-    best = start
     for _ in range(solver.epochs):
         order = None if whole else rng.permutation(n0)
         for lo in range(0, n0, n0 if whole else bs):
@@ -181,7 +174,7 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
         val = empirical_lagrangian(at, dual, problem)
         if val < best_val:
             best_val, best = val, at
-    return best_val, best
+    return best
 
 
 def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
@@ -199,10 +192,10 @@ def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
         )
     if solver.candidates is not None:
         R, S = enumeration_stats(problem, solver.candidates)
-        values = R + S @ dual.mu if problem.m else R
+        values = R + S @ dual.mu
         j = int(np.argmin(values))
         return float(values[j]), solver.candidates[j]
     if rng is None:
         rng = np.random.default_rng(0)
-    _, ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)
+    ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)
     return empirical_lagrangian(ev, dual, problem), ev.model

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import from_config
-from .core import (ConstraintSpec, Dataset, DatasetLike, LossSpec, Problem, loss_pred_grads,
-                   loss_values, stable_sigmoid)
+from .core import (Dataset, DatasetLike, LossSpec, Problem, loss_pred_grads, loss_values,
+                   stable_sigmoid)
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -394,26 +394,15 @@ class Evaluation:
             self._grads[dataset, loss] = dparams
         return dparams
 
-    def constraint_risk(self, constraint: ConstraintSpec) -> float:
-        """Empirical constraint risk, minus the reference risk when one is attached."""
-        risk = self.risk(constraint.loss, constraint.dataset)
-        if constraint.reference is not None:
-            risk -= self.risk(constraint.reference.loss, constraint.reference.dataset)
-        return risk
-
     def stats(self, problem: Problem) -> tuple[float, np.ndarray]:
-        """(objective risk, slack vector) of `problem`, computed once per
-        problem; the slack vector, constraint risk minus threshold per
-        constraint, is read-only."""
+        """(objective risk, read-only slack vector) of `problem` from one risk
+        per `problem.terms` entry, computed once per problem."""
         hit = self._stats.get(problem)
         if hit is None:
             for d in problem.datasets:
                 self.realize(d)
-            obj = self.risk(problem.objective_loss, problem.objective_dataset)
-            slacks = np.asarray([self.constraint_risk(c) - c.threshold_c
-                                 for c in problem.constraints], dtype=float)
-            slacks.setflags(write=False)
-            hit = self._stats[problem] = (obj, slacks)
+            risks = [self.risk(loss, dataset) for loss, dataset in problem.terms]
+            hit = self._stats[problem] = (risks[0], problem.slacks_of(risks))
         return hit
 
 

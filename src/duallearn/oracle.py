@@ -259,16 +259,12 @@ def _example1_block_stats(N: int, seeds: list[int]):
     for t, seed in enumerate(seeds):
         tau[t], alpha[t], heads[t] = _example1_draws(N, seed)
     problem = _example1_instance(_example1_tables(tau, alpha, heads), "example1-block")
-    terms = [(problem.objective_loss, problem.objective_dataset)]
-    terms += [(c.loss, c.dataset) for c in problem.constraints]
-    risks = np.empty((len(terms), T, len(_EX1_CANDIDATES)))
+    risks = np.empty((len(problem.terms), T, len(_EX1_CANDIDATES)))
     for j, model in enumerate(_EX1_CANDIDATES):
-        for i, (loss, ds) in enumerate(terms):
+        for i, (loss, ds) in enumerate(problem.terms):
             values = loss_values(loss, predict_batch(model, ds.features), ds.labels)
             risks[i, :, j] = values.reshape(T, N).sum(axis=1) / N
-    thresholds = np.array([c.threshold_c for c in problem.constraints])
-    S = np.moveaxis(risks[1:], 0, -1) - thresholds
-    return risks[0], S, tau.sum(axis=1) / N
+    return risks[0], np.moveaxis(problem.slacks_of(risks), 0, -1), tau.sum(axis=1) / N
 
 
 def example1_trial(N: int, seed: int) -> dict:

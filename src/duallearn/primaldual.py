@@ -149,25 +149,23 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
     for t in range(T):
         try:
             if inner.candidates is not None:
-                ev = evals[int(np.argmin(R + S @ mu.mu if m else R))]
+                ev = evals[int(np.argmin(R + S @ mu.mu))]
             else:
-                _, ev = gradient_minimize(mu, problem, inner, ev,
-                                          rng=np.random.default_rng(seeds[t]))
+                ev = gradient_minimize(mu, problem, inner, ev, np.random.default_rng(seeds[t]))
             obj, s = ev.stats(problem)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
         trace.objective[t] = obj
         trace.slacks[t] = s
         trace.mu[t] = mu.mu
-        trace.lagrangian[t] = obj + float(mu.mu @ s) if m else obj
+        trace.lagrangian[t] = obj + float(mu.mu @ s)
         if trace.thetas is not None:
             trace.thetas[t] = ev.model.params
-        if m:
-            if dual_opt is None:
-                mu = dual_update(mu, s, config.dual_step_eta)
-            else:
-                dual_opt, ascended = descent_step(dual_opt, mu.mu, -s)
-                mu = DualState(np.maximum(0.0, ascended))
+        if dual_opt is None:
+            mu = dual_update(mu, s, config.dual_step_eta)
+        else:
+            dual_opt, ascended = descent_step(dual_opt, mu.mu, -s)
+            mu = DualState(np.maximum(0.0, ascended))
 
     return trace, ev.model, mu
 

@@ -55,7 +55,7 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigurationError("epsilon must be >= 0")
+            raise ConfigurationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if self.restarts < 1:
@@ -64,8 +64,8 @@ class AttackConfig:
             raise ConfigurationError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.clamp_box is not None:
             lo, hi = self.clamp_box
-            if not lo < hi:
-                raise ConfigurationError(f"clamp_box must satisfy lo < hi, got {self.clamp_box}")
+            if not lo < hi:  # also true of a NaN bound; an infinite one leaves its side open
+                raise ConfigurationError(f"clamp_box needs lo < hi and no NaN, got ({lo}, {hi})")
 
     @classmethod
     def fgsm(cls, epsilon: float, clamp_box=None, seed: int = 0) -> AttackConfig:

@@ -1,12 +1,13 @@
 """Shared builders for the test suite: the hand-solved convex toy, random
-small enumerable instances, one-row forms of the batch API, and the risk of
-precomputed predictions."""
+small enumerable instances, random problems with references, one-row forms
+of the batch API, and the risk of precomputed predictions."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
+from duallearn.core import (ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm,
+                            loss_values)
 from duallearn.models import LinearArch, ModelState, grad_input_batch, predict_batch
 from duallearn.oracle import EnumerableProblem
 
@@ -117,3 +118,46 @@ def random_enumerable(rng: np.random.Generator, n_candidates=None, m=None,
     candidates = tuple(ModelState(rng.uniform(-1.5, 1.5, size=d), arch)
                        for _ in range(n_candidates))
     return EnumerableProblem(problem=problem, candidates=candidates)
+
+
+def random_layout_problem(rng: np.random.Generator, m: int, references: bool) -> Problem:
+    """Random problem with m differentiable constraints over 3 features. Each
+    set is a table of its own or a view of the objective's table, and with
+    `references` each constraint has a reference with probability 2/3."""
+    def table(name):
+        n = int(rng.integers(4, 25))
+        return Dataset(features=rng.uniform(-1, 1, size=(n, 3)), labels=rng.choice([-1, 1], n),
+                       name=name)
+
+    base = table("base")
+
+    def dataset(name):
+        if rng.random() < 0.5:
+            return table(name)
+        n = int(rng.integers(1, len(base) + 1))
+        return base.subset(rng.choice(len(base), size=n, replace=False), name=name)
+
+    def loss():
+        return LossSpec(kind=str(rng.choice(["absolute", "signed-score", "squared", "hinge"])),
+                        bound_B=4.0)
+
+    constraints = []
+    for i in range(m):
+        reference = (ReferenceTerm(loss=loss(), dataset=dataset(f"r{i}"))
+                     if references and rng.random() < 2 / 3 else None)
+        constraints.append(ConstraintSpec(loss=loss(), threshold_c=float(rng.uniform(-0.5, 1.0)),
+                                          dataset=dataset(f"c{i}"), reference=reference,
+                                          name=f"c{i}"))
+    return Problem(objective_loss=loss(), objective_dataset=base, constraints=tuple(constraints))
+
+
+def random_mu(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Multipliers in [0, 2), each zero with probability 2/5."""
+    mu = rng.uniform(0.0, 2.0, size=m)
+    mu[rng.random(m) < 0.4] = 0.0
+    return mu
+
+
+def bits(x) -> list[int]:
+    """The float64 bit patterns of `x`, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()

@@ -67,7 +67,18 @@ def test_closed_form_radii_and_gap_match_the_reference_on_random_inputs():
                                                     rel=1e-12)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+GAP_REPORT_INPUTS = {
+    "Delta": lambda v: gap_report([0.1], v, 1.0, 1.0),
+    "M": lambda v: gap_report([0.1], 1.0, v, 1.0),
+    "nu": lambda v: gap_report([0.1], 1.0, 1.0, v),
+    "B": lambda v: gap_report([0.1], 1.0, 1.0, 1.0, B=v),
+    "xi": lambda v: gap_report([0.1], 1.0, 1.0, 1.0, xi=v),
+    "delta": lambda v: gap_report([0.1], 1.0, 1.0, 1.0, delta=v),
+    "thresholds_c[1]": lambda v: gap_report([0.1, 0.2], 1.0, 1.0, 1.0, thresholds_c=[0.0, v]),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name, call", [
     ("B", lambda v: zeta_vc(100, 2.0, 0.05, v)),
     ("d_vc", lambda v: zeta_vc(100, v, 0.05, 1.0)),
@@ -76,8 +87,32 @@ def test_closed_form_radii_and_gap_match_the_reference_on_random_inputs():
     ("B", lambda v: multiplier_bound(v, 0.1)),
     ("xi", lambda v: multiplier_bound(1.0, v)),
     ("zeta_per_constraint[1]", lambda v: gap_report([0.1, v], 1.0, 1.0, 1.0)),
+    *GAP_REPORT_INPUTS.items(),
 ], ids=["zeta_vc-B", "zeta_vc-d_vc", "zeta_rademacher-B", "zeta_rademacher-R_N",
-        "multiplier_bound-B", "multiplier_bound-xi", "gap_report-zeta"])
+        "multiplier_bound-B", "multiplier_bound-xi", "gap_report-zeta",
+        *(f"gap_report-{name}" for name in GAP_REPORT_INPUTS)])
 def test_non_finite_inputs_are_refused_by_name(name, call, value):
     with pytest.raises(InputError, match=f"^{re.escape(name)} "):
         call(value)
+
+
+@pytest.mark.parametrize("name", GAP_REPORT_INPUTS)
+def test_gap_report_refuses_a_negative_input_by_name_except_a_threshold(name):
+    """Each input of gap_report is checked on its own, whether or not the
+    others are given; only a threshold c_i may be negative."""
+    if name.startswith("thresholds_c"):
+        assert GAP_REPORT_INPUTS[name](-1.0).feasibility_margins == (0.1, -0.8)
+        return
+    with pytest.raises(InputError, match=f"^{re.escape(name)} "):
+        GAP_REPORT_INPUTS[name](-1.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+def test_gap_report_refuses_a_delta_outside_the_open_unit_interval(delta):
+    with pytest.raises(InputError, match=re.escape(f"delta must lie in (0, 1), got {delta}")):
+        gap_report([0.1], 1.0, 1.0, 1.0, delta=delta)
+
+
+def test_gap_report_with_every_optional_input_bad_names_the_first():
+    with pytest.raises(InputError, match="^B must be finite and > 0, got nan"):
+        gap_report([0.1], 1, 1, 1, B=np.nan, delta=np.nan, thresholds_c=[np.inf])

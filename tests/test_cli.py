@@ -12,7 +12,7 @@ import pytest
 from duallearn.cli import main
 from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
-from duallearn.models import ModelState
+from duallearn.models import LogisticArch, ModelState, init_model, save_model
 from duallearn.primaldual import load_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
@@ -380,23 +380,62 @@ def test_a_refused_command_makes_no_run_directory(tmp_path, capsys, command, con
 
 def test_the_commands_never_import_scipy(tmp_path):
     """Only the oracle's dual LP uses scipy, and it imports it when called:
-    importing it takes longer than a whole one-iteration run takes to set up."""
-    path, _ = derived_config(tmp_path, "fairness_train.json",
-                             set_key(["dual", "iterations_T"], 1))
+    importing it takes longer than a whole one-iteration run takes to set up.
+    Covers every command a benchmark workload runs: train, eval of a trace's
+    mixture, eval of a model under the pgd-evaluation attack, and example1."""
+    def one_iteration(save_theta):
+        def edit(cfg):
+            cfg["dual"]["iterations_T"] = 1
+            cfg["output"]["save_theta"] = save_theta
+        return edit
+
+    fair, _ = derived_config(tmp_path, "fairness_train.json", one_iteration(True))
+    robust, _ = derived_config(tmp_path, "robust_train.json",
+                               set_key(["attack", "preset"], "pgd-evaluation"))
+    (tmp_path / "model").mkdir()
+    save_model(init_model(LogisticArch(2), seed=0), tmp_path / "model" / "final_model.txt")
+    commands = [
+        ["train", "--config", str(fair), "--out", str(tmp_path / "train")],
+        ["eval", "--config", str(fair), "--trace", str(tmp_path / "train" / "trace.jsonl"),
+         "--out", str(tmp_path / "eval_trace")],
+        ["eval", "--config", str(robust), "--model", str(tmp_path / "model" / "final_model.txt"),
+         "--out", str(tmp_path / "eval_pgd")],
+        ["example1", "--n", "10", "--trials", "1", "--out", str(tmp_path / "example1")],
+    ]
     script = "\n".join([
         "import sys",
         "from duallearn.cli import main",
-        f"codes = [main(['train', '--config', {str(path)!r}, "
-        f"'--out', {str(tmp_path / 'train')!r}]),",
-        f"         main(['example1', '--n', '10', '--trials', '1', "
-        f"'--out', {str(tmp_path / 'example1')!r}])]",
+        f"codes = [main(args) for args in {commands!r}]",
         "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
     ])
     env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+@pytest.mark.parametrize("method", ["projected-ascent", "projected-adam"])
+def test_a_problem_without_constraints_trains_and_evaluates(tmp_path, method):
+    def edit(cfg):
+        cfg["problem"]["constraints"] = []
+        cfg["dual"].update(iterations_T=4, method=method)
+    path, _ = derived_config(tmp_path, "fairness_train.json", edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "train")]) == 0
+    summary = json.loads((tmp_path / "train" / "summary.json").read_text())
+    assert summary["final_slacks"] == [] and summary["final_mu"] == []
+    assert summary["feasible_at_end"] is True and summary["constraint_names"] == []
+    assert summary["final_lagrangian"] == summary["final_objective"]
+    trace = load_trace(tmp_path / "train" / "trace.jsonl")
+    assert trace.slacks.shape == trace.mu.shape == (4, 0)
+    assert trace.lagrangian.tolist() == trace.objective.tolist()
+
+    assert main(["eval", "--config", str(path), "--model",
+                 str(tmp_path / "train" / "final_model.txt"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    metrics = json.loads((tmp_path / "eval" / "summary.json").read_text())
+    assert metrics["constraints"] == [] and metrics["max_slack"] is None
+    assert metrics["objective_risk"] == summary["final_objective"]
 
 
 def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):

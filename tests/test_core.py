@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duallearn.core import (
+    ConstraintSpec,
     Dataset,
     LossSpec,
     Problem,
+    ReferenceTerm,
     empirical_risk,
     loss_values,
     stable_sigmoid,
@@ -17,7 +19,7 @@ from duallearn.errors import ConfigurationError, InputError
 from duallearn.models import LinearArch, ModelState
 from duallearn.oracle import example1_population_objective, example1_sample
 
-from helpers import dataset_risk, row_loss
+from helpers import bits, dataset_risk, random_layout_problem, random_mu, row_loss
 
 
 def identity_1d():
@@ -343,3 +345,64 @@ class TestLossSpecHash:
             hashes.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                       capture_output=True, text=True).stdout)
         assert len(hashes) == 1
+
+
+class TestProblemLayout:
+    """`Problem.terms`, `slacks_of` and `weights` against the walk over the
+    constraints that each of them replaces."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("references", [False, True])
+    @pytest.mark.parametrize("m", range(4))
+    def test_terms_slacks_and_weights_follow_the_constraints(self, m, references, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_layout_problem(rng, m, references)
+        want_terms = [(problem.objective_loss, problem.objective_dataset)]
+        for c in problem.constraints:
+            want_terms.append((c.loss, c.dataset))
+            if c.reference is not None:
+                want_terms.append((c.reference.loss, c.reference.dataset))
+        assert [(id(l), id(d)) for l, d in problem.terms] == \
+            [(id(l), id(d)) for l, d in want_terms]
+        assert [id(d) for d in problem.datasets] == [id(d) for _, d in want_terms]
+
+        risks = rng.uniform(-1.0, 1.0, size=len(want_terms)).tolist()
+        want_slacks, k = [], 1
+        for c in problem.constraints:
+            risk = risks[k]
+            if c.reference is not None:
+                k += 1
+                risk = risk - risks[k]
+            k += 1
+            want_slacks.append(risk - c.threshold_c)
+        got = problem.slacks_of(risks)
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert bits(got) == bits(want_slacks)
+        # risks may be arrays: their slacks stack along a new first axis
+        stacked = problem.slacks_of(np.array([risks, risks[::-1]]).T)
+        if m:
+            assert stacked.shape == (m, 2)
+            assert bits(stacked[:, 0]) == bits(want_slacks)
+
+        mu = random_mu(rng, m)
+        want_weights = [1.0]
+        for w, c in zip(mu.tolist(), problem.constraints):
+            want_weights += [w, -w] if c.reference is not None else [w]
+        assert bits(problem.weights(mu)) == bits(want_weights)
+
+    def test_a_problem_without_constraints_has_one_term_and_no_slacks(self):
+        ds = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))
+        problem = Problem(objective_loss=LossSpec.cross_entropy(), objective_dataset=ds)
+        assert problem.terms == ((problem.objective_loss, ds),)
+        assert problem.slacks_of([0.25]).shape == (0,)
+        assert problem.weights(np.zeros(0)) == [1.0]
+
+    def test_weights_refuse_a_multiplier_vector_of_another_length(self):
+        ds = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))
+        loss = LossSpec(kind="absolute", bound_B=4.0)
+        problem = Problem(objective_loss=loss, objective_dataset=ds, constraints=(
+            ConstraintSpec(loss=loss, threshold_c=0.1, dataset=ds,
+                           reference=ReferenceTerm(loss=loss, dataset=ds)),))
+        assert problem.weights([0.5]) == [1.0, 0.5, -0.5]
+        with pytest.raises(ValueError):
+            problem.weights([0.5, 1.0])

@@ -108,7 +108,8 @@ def test_group_views_with_references_read_exactly_their_own_risks(kind, model):
     want = [own_risk(model, c.loss, c.dataset) - own_risk(model, c.loss, table_ds)
             for c in problem.constraints]
     ev = Evaluation.of(model, problem.datasets)
-    assert bits([ev.constraint_risk(c) for c in problem.constraints]) == bits(want)
+    assert bits([ev.risk(c.loss, c.dataset) - ev.risk(c.reference.loss, c.reference.dataset)
+                 for c in problem.constraints]) == bits(want)
     want_slacks = [w - c.threshold_c for w, c in zip(want, problem.constraints)]
     assert bits(slacks(model, problem)) == bits(want_slacks)
     assert bits(slacks(ev, problem)) == bits(want_slacks)

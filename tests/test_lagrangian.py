@@ -13,16 +13,18 @@ from duallearn.errors import (ConfigurationError, DualLearnError, InputError,
 from duallearn.lagrangian import (
     DualState,
     InnerSolverConfig,
+    _gradient_terms,
     dual_function,
     empirical_lagrangian,
     slacks,
 )
-from duallearn.models import LinearArch, LogisticArch, ModelState, init_model
+from duallearn.models import Evaluation, LinearArch, LogisticArch, ModelState, init_model
 from duallearn.oracle import ecrm_enumerate, example1_problem
 from duallearn.primaldual import dual_update
 from duallearn.robust import AttackConfig
 
-from helpers import random_enumerable, row_loss, row_predict
+from helpers import (bits, random_enumerable, random_layout_problem, random_mu, row_loss,
+                     row_predict)
 
 ABS = LossSpec(kind="absolute", bound_B=4.0)
 SCORE = LossSpec(kind="signed-score", bound_B=4.0)
@@ -251,3 +253,45 @@ class TestValidation:
     def test_non_finite_step_sizes_are_refused_by_name(self, field, build, value):
         with pytest.raises(DualLearnError, match=f"^{field} must be"):
             build(value)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("references", [False, True])
+@pytest.mark.parametrize("m", range(4))
+def test_gradient_terms_draw_the_rows_of_a_walk_over_the_constraints(m, references, seed):
+    """A step's terms and minibatch rows are those of walking the constraints:
+    a zero multiplier skips its constraint and its reference, draws included."""
+    rng = np.random.default_rng(seed)
+    problem = random_layout_problem(rng, m, references)
+    mu = random_mu(rng, m)
+    ev = Evaluation(ModelState(rng.normal(size=4), LinearArch(3, 1)))
+    obj_rows = None if seed % 2 else rng.choice(len(problem.objective_dataset), size=3,
+                                                replace=False)
+    batch_size = int(rng.integers(3, 12))
+
+    def draw(walk_rng, dataset):
+        if len(dataset) <= batch_size:
+            return None
+        return walk_rng.choice(len(dataset), size=batch_size, replace=False)
+
+    walk_rng = np.random.default_rng(seed + 100)
+    want = [(1.0, problem.objective_loss, problem.objective_dataset, obj_rows)]
+    for w, c in zip(mu.tolist(), problem.constraints):
+        if w == 0.0:
+            continue
+        want.append((w, c.loss, c.dataset, draw(walk_rng, c.dataset)))
+        if c.reference is not None:
+            ref = c.reference
+            want.append((-w, ref.loss, ref.dataset, draw(walk_rng, ref.dataset)))
+
+    step_rng = np.random.default_rng(seed + 100)
+    got = _gradient_terms(ev, DualState(mu), problem, obj_rows, batch_size, step_rng)
+    assert len(got) == len(want)
+    for (weight, loss, batch), (w, want_loss, dataset, rows) in zip(got, want):
+        assert bits(weight) == bits(w) and loss is want_loss
+        if rows is None:
+            assert batch is dataset
+        else:
+            assert bits(batch.features) == bits(dataset.features[rows])
+            assert batch.labels.tolist() == dataset.labels[rows].tolist()
+    assert step_rng.bit_generator.state == walk_rng.bit_generator.state

@@ -266,8 +266,8 @@ class TestDualUsesIndicatorSlacks:
         solver = InnerSolverConfig(epochs=3, batch_size=8, step_size=0.1)
         init = init_model(LogisticArch(2))
         val, minimizer = dual_function(mu, prob, solver, init, rng=np.random.default_rng(4))
-        _, want = gradient_minimize(mu, prob.surrogate, solver, Evaluation(init),
-                                    np.random.default_rng(4))
+        want = gradient_minimize(mu, prob.surrogate, solver, Evaluation(init),
+                                 np.random.default_rng(4))
         assert np.array_equal(minimizer.params, want.model.params)
         assert val == empirical_lagrangian(minimizer, mu, prob)
         assert val != empirical_lagrangian(minimizer, mu, prob.surrogate)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from duallearn.core import (
     Problem,
     loss_values,
 )
-from duallearn.errors import InputError
+from duallearn.errors import ConfigurationError, InputError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function, slacks
 from duallearn.models import (
     LinearArch,
@@ -420,3 +421,27 @@ def test_restart_starts_match_the_per_restart_formula(restarts):
     for r, start in enumerate(starts):
         want = per_restart_start(X, cfg, r, sample_indices)
         assert np.array_equal(start.view(np.uint64), want.view(np.uint64))
+
+
+NAN_BOX = "clamp_box needs lo < hi and no NaN, got "
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": np.nan}, "epsilon must be finite and >= 0, got nan"),
+    ({"epsilon": np.inf}, "epsilon must be finite and >= 0, got inf"),
+    ({"epsilon": -np.inf}, "epsilon must be finite and >= 0, got -inf"),
+    ({"epsilon": -0.5}, "epsilon must be finite and >= 0, got -0.5"),
+    ({"clamp_box": (-np.inf, np.nan)}, NAN_BOX + "(-inf, nan)"),
+    ({"clamp_box": (np.nan, 1.0)}, NAN_BOX + "(nan, 1.0)"),
+    ({"clamp_box": (np.nan, np.nan)}, NAN_BOX + "(nan, nan)"),
+    ({"clamp_box": (1.0, -np.inf)}, NAN_BOX + "(1.0, -inf)"),
+    ({"clamp_box": (np.inf, np.inf)}, NAN_BOX + "(inf, inf)"),
+])
+def test_attack_config_names_a_value_that_is_not_finite(kwargs, message):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+        AttackConfig(**{"epsilon": 0.1, **kwargs})
+
+
+@pytest.mark.parametrize("box", [(-np.inf, np.inf), (-np.inf, 1.0), (0.0, np.inf)])
+def test_an_infinite_clamp_bound_leaves_that_side_open(box):
+    assert AttackConfig(epsilon=0.1, clamp_box=box).clamp_box == box
