@@ -291,15 +291,15 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         terms = [(self.objective_loss, self.objective_dataset)]
-        slots = []  # per constraint: (index of its term, whether a reference follows, c)
+        layout = []  # per constraint: (index of its term, whether a reference follows, c)
         for c in self.constraints:
-            slots.append((len(terms), c.reference is not None, c.threshold_c))
+            layout.append((len(terms), c.reference is not None, c.threshold_c))
             terms.append((c.loss, c.dataset))
             if c.reference is not None:
                 terms.append((c.reference.loss, c.reference.dataset))
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "datasets", tuple(d for _, d in terms))
-        object.__setattr__(self, "_slots", tuple(slots))
+        object.__setattr__(self, "_layout", tuple(layout))
         dims = {d.n_features for d in self.datasets}
         if len(dims) != 1:
             raise InputError(
@@ -309,13 +309,13 @@ class Problem:
         """Slacks (r_i - r_ref,i) - c_i, or r_i - c_i without a reference, from one
         risk per term, read-only; risks that are arrays stack along a new first axis."""
         return _readonly(np.asarray([(risks[k] - risks[k + 1]) - c if ref else risks[k] - c
-                                     for k, ref, c in self._slots], dtype=float))
+                                     for k, ref, c in self._layout], dtype=float))
 
     def weights(self, mu) -> list[float]:
         """One weight per term at multipliers `mu`: 1 for the objective, mu_i
         for constraint i and -mu_i for its reference."""
         weights = [1.0]
-        for (_, ref, _), w in zip(self._slots, np.asarray(mu, float).tolist(), strict=True):
+        for (_, ref, _), w in zip(self._layout, np.asarray(mu, float).tolist(), strict=True):
             weights += (w, -w) if ref else (w,)
         return weights
 

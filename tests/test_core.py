@@ -376,7 +376,7 @@ class TestProblemLayout:
             k += 1
             want_slacks.append(risk - c.threshold_c)
         got = problem.slacks_of(risks)
-        assert got.dtype == np.float64 and got.shape == (m,)
+        assert got.dtype == np.float64 and got.shape == (m,) and not got.flags.writeable
         assert bits(got) == bits(want_slacks)
         # risks may be arrays: their slacks stack along a new first axis
         stacked = problem.slacks_of(np.array([risks, risks[::-1]]).T)
@@ -389,13 +389,6 @@ class TestProblemLayout:
         for w, c in zip(mu.tolist(), problem.constraints):
             want_weights += [w, -w] if c.reference is not None else [w]
         assert bits(problem.weights(mu)) == bits(want_weights)
-
-    def test_a_problem_without_constraints_has_one_term_and_no_slacks(self):
-        ds = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))
-        problem = Problem(objective_loss=LossSpec.cross_entropy(), objective_dataset=ds)
-        assert problem.terms == ((problem.objective_loss, ds),)
-        assert problem.slacks_of([0.25]).shape == (0,)
-        assert problem.weights(np.zeros(0)) == [1.0]
 
     def test_weights_refuse_a_multiplier_vector_of_another_length(self):
         ds = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]))

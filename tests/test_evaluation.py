@@ -38,7 +38,7 @@ from duallearn.models import (
 from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
 from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
-from helpers import dataset_risk, record_forwards
+from helpers import bits, dataset_risk, record_forwards
 
 CE = LossSpec.cross_entropy()
 GROUPS = ("A", "B", "C", "D")
@@ -94,10 +94,6 @@ def own_gradient(model, terms):
         dparams, _ = _backprop(model, view.features, G, P, want_params=True, want_inputs=False)
         total += w * dparams
     return total
-
-
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
