@@ -161,8 +161,9 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
 
 
 def _build_datasets(specs: dict, base_dir: Path):
-    """Load every declared dataset; returns name -> (Dataset, groups or None)."""
-    out: dict[str, tuple[Dataset, tuple[str, ...] | None]] = {}
+    """Load every declared dataset; returns name -> (Dataset, its split by
+    group or None), each grouped dataset split once."""
+    out: dict[str, tuple[Dataset, dict[str, Dataset] | None]] = {}
     echo: dict[str, dict] = {}
     for name, spec in specs.items():
         ctx = f"problem.datasets.{name}."
@@ -184,19 +185,19 @@ def _build_datasets(specs: dict, base_dir: Path):
             groups = None
         else:
             raise ConfigurationError(f"{ctx}kind: unknown kind {kind!r}")
-        out[name] = (Dataset(features=ds.features, labels=ds.labels, name=name), groups)
+        ds = Dataset(features=ds.features, labels=ds.labels, name=name)
+        out[name] = (ds, None if groups is None else group_split(ds, groups))
     return out, echo
 
 
 def _dataset_ref(datasets, name: str, group: str | None, context: str) -> Dataset:
     if name not in datasets:
         raise ConfigurationError(f"{context}: unknown dataset {name!r}")
-    ds, groups = datasets[name]
+    ds, parts = datasets[name]
     if group is None:
         return ds
-    if groups is None:
+    if parts is None:
         raise ConfigurationError(f"{context}: dataset {name!r} has no group column")
-    parts = group_split(ds, groups)
     if group not in parts:
         raise ConfigurationError(f"{context}: dataset {name!r} has no group {group!r}")
     return parts[group]

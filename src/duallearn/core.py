@@ -307,9 +307,11 @@ class Problem:
 
     def slacks_of(self, risks) -> np.ndarray:
         """Slacks (r_i - r_ref,i) - c_i, or r_i - c_i without a reference, from one
-        risk per term, read-only; risks that are arrays stack along a new first axis."""
+        risk per term, read-only; risks that are arrays stack along a new first axis,
+        which keeps their shape when there are no constraints."""
         return _readonly(np.asarray([(risks[k] - risks[k + 1]) - c if ref else risks[k] - c
-                                     for k, ref, c in self._layout], dtype=float))
+                                     for k, ref, c in self._layout], dtype=float
+                                    ).reshape(len(self._layout), *np.shape(risks[0])))
 
     def weights(self, mu) -> list[float]:
         """One weight per term at multipliers `mu`: 1 for the objective, mu_i

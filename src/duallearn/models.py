@@ -1,19 +1,21 @@
 """Differentiable predictors with exact handwritten gradients.
 
 Three architectures: linear maps, logistic regression, and small MLPs with
-tanh (default) or relu hidden units and an optional sigmoid output. No
-autodiff framework is used anywhere -- the parameter and input gradients
-below are written out per architecture and validated against central finite
-differences in the test suite. An `Evaluation` is the one path from a model
-to risks and loss gradients: it forwards each table once and every term of
-a Lagrangian reads from it.
+tanh (default) or relu hidden units and an optional sigmoid output. Each is
+described as a stack of dense layers (`widths`, `bias`, `output`): a linear
+or logistic model is a network with one layer. No autodiff framework is used
+anywhere -- one forward pass and one backward pass serve every architecture,
+and their gradients are validated against central finite differences in the
+test suite. An `Evaluation` is the one path from a model to risks and loss
+gradients: it forwards each table once and every term of a Lagrangian reads
+from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,10 +36,15 @@ class LinearArch:
     bias: bool = True
 
     kind = "linear"
+    output = "linear"
 
     def __post_init__(self) -> None:
         if self.in_dim < 1 or self.out_dim < 1:
             raise ConfigurationError("linear dimensions must be >= 1")
+
+    @property
+    def widths(self) -> tuple[int, int]:
+        return (self.in_dim, self.out_dim)
 
     @property
     def n_params(self) -> int:
@@ -51,10 +58,16 @@ class LogisticArch:
     in_dim: int
 
     kind = "logistic"
+    bias = True
+    output = "sigmoid"
 
     def __post_init__(self) -> None:
         if self.in_dim < 1:
             raise ConfigurationError("logistic in_dim must be >= 1")
+
+    @property
+    def widths(self) -> tuple[int, int]:
+        return (self.in_dim, 1)
 
     @property
     def n_params(self) -> int:
@@ -75,6 +88,7 @@ class MlpArch:
     output: str = "linear"
 
     kind = "mlp"
+    bias = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -95,10 +109,17 @@ Arch = LinearArch | LogisticArch | MlpArch
 
 @dataclass(frozen=True)
 class ModelState:
-    """A flat parameter vector tied to its architecture descriptor."""
+    """A flat parameter vector tied to its architecture descriptor.
+
+    `layers` holds one (W, b) pair per dense layer, read-only views of the
+    parameters with W of shape (fan_out, fan_in); a layer without a bias
+    gets zeros as b.
+    """
 
     params: np.ndarray
     arch: Arch
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False,
+                                                             compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.params, dtype=float)
@@ -113,12 +134,20 @@ class ModelState:
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "params", p)
+        widths, bias = self.arch.widths, self.arch.bias
+        layers = []
+        pos = 0
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            W = p[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
+            pos += fan_out * fan_in
+            b = p[pos : pos + fan_out] if bias else np.zeros(fan_out)
+            pos += fan_out if bias else 0
+            layers.append((W, b))
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def in_dim(self) -> int:
-        if isinstance(self.arch, MlpArch):
-            return self.arch.widths[0]
-        return self.arch.in_dim
+        return self.arch.widths[0]
 
     def with_params(self, params: np.ndarray) -> ModelState:
         return ModelState(params=params, arch=self.arch)
@@ -138,45 +167,6 @@ def init_model(arch: Arch, seed: int = 0) -> ModelState:
     return ModelState(np.concatenate(chunks), arch)
 
 
-def _unpack_linear(model: ModelState) -> tuple[np.ndarray, np.ndarray]:
-    arch = model.arch
-    w_end = arch.out_dim * arch.in_dim
-    W = model.params[:w_end].reshape(arch.out_dim, arch.in_dim)
-    b = model.params[w_end:] if arch.bias else np.zeros(arch.out_dim)
-    return W, b
-
-
-def _unpack_mlp(model: ModelState) -> list[tuple[np.ndarray, np.ndarray]]:
-    arch = model.arch
-    layers = []
-    pos = 0
-    for fan_in, fan_out in zip(arch.widths[:-1], arch.widths[1:]):
-        W = model.params[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
-        pos += fan_out * fan_in
-        b = model.params[pos : pos + fan_out]
-        pos += fan_out
-        layers.append((W, b))
-    return layers
-
-
-def _mlp_forward(model: ModelState, X: np.ndarray):
-    """Forward pass caching layer inputs and pre-activations for backprop."""
-    arch = model.arch
-    layers = _unpack_mlp(model)
-    acts = [X]
-    pres = []
-    h = X
-    for li, (W, b) in enumerate(layers):
-        z = h @ W.T + b
-        pres.append(z)
-        if li < len(layers) - 1:
-            h = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            h = stable_sigmoid(z) if arch.output == "sigmoid" else z
-        acts.append(h)
-    return layers, acts, pres
-
-
 def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
     """Model outputs for an (N, d) feature matrix, as an (N, k) matrix."""
     X = np.asarray(X, dtype=float)
@@ -187,29 +177,22 @@ def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
     return _forward(model, X)
 
 
+def _hidden(arch: Arch, z: np.ndarray) -> np.ndarray:
+    return np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
+
+
 def _forward(model: ModelState, X: np.ndarray) -> np.ndarray:
     """`predict_batch` of a float array of shape (..., N, d): (..., N, k).
 
     numpy multiplies a stack of matrices slice by slice, so each (N, d)
     slice of X gets the bits `predict_batch` gives it on its own.
     """
-    arch = model.arch
-    if isinstance(arch, LinearArch):
-        W, b = _unpack_linear(model)
-        return X @ W.T + b
-    if isinstance(arch, LogisticArch):
-        w = model.params[:-1]
-        b = model.params[-1]
-        return stable_sigmoid(X @ w + b)[..., None]
-    _, acts, _ = _mlp_forward(model, X)
-    return acts[-1]
-
-
-def _mlp_hidden_grad(arch: MlpArch, z: np.ndarray) -> np.ndarray:
-    if arch.activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(float)
+    *hidden, (W, b) = model.layers
+    h = X
+    for Wh, bh in hidden:
+        h = _hidden(model.arch, h @ Wh.T + bh)
+    z = h @ W.T + b
+    return stable_sigmoid(z) if model.arch.output == "sigmoid" else z
 
 
 def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
@@ -218,51 +201,30 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
 
     Returns (param_grad or None, input_grads or None). G rows are per-sample
     gradients w.r.t. the model output (after any output squashing), and P
-    is `predict_batch(model, X)`, which the logistic model reads instead of
-    recomputing its sigmoid.
+    is `predict_batch(model, X)`: a sigmoid output's derivative P (1 - P) is
+    read from it, so only the hidden layers are forwarded again. A hidden
+    unit's derivative is read from its activation h: 1 - h^2 for tanh, and
+    h > 0 for relu.
     """
     arch = model.arch
-    dparams = None
-    dX = None
-    if isinstance(arch, LinearArch):
-        W, _ = _unpack_linear(model)
+    acts = [X]
+    for W, b in model.layers[:-1]:
+        acts.append(_hidden(arch, acts[-1] @ W.T + b))
+    delta = G * P * (1.0 - P) if arch.output == "sigmoid" else G
+    chunks: list[np.ndarray] = []
+    for li in range(len(model.layers) - 1, -1, -1):
+        W, _ = model.layers[li]
         if want_params:
-            dW = G.T @ X
-            parts = [dW.ravel()]
             if arch.bias:
-                parts.append(G.sum(axis=0))
-            dparams = np.concatenate(parts)
-        if want_inputs:
-            dX = G @ W
-    elif isinstance(arch, LogisticArch):
-        w = model.params[:-1]
-        p = P[:, 0]
-        ds = G[:, 0] * p * (1.0 - p)
-        if want_params:
-            dparams = np.concatenate([ds @ X, [ds.sum()]])
-        if want_inputs:
-            dX = ds[:, None] * w[None, :]
-    else:
-        layers, acts, pres = _mlp_forward(model, X)
-        if arch.output == "sigmoid":
-            p = acts[-1]
-            delta = G * p * (1.0 - p)
-        else:
-            delta = G
-        chunks: list[np.ndarray] = []
-        for li in range(len(layers) - 1, -1, -1):
-            W, _ = layers[li]
-            if want_params:
                 chunks.append(delta.sum(axis=0))
-                chunks.append((delta.T @ acts[li]).ravel())
+            chunks.append((delta.T @ acts[li]).ravel())
+        if li > 0 or want_inputs:
             delta = delta @ W
-            if li > 0:
-                delta = delta * _mlp_hidden_grad(arch, pres[li - 1])
-        if want_params:
-            dparams = np.concatenate(chunks[::-1])
-        if want_inputs:
-            dX = delta
-    return dparams, dX
+        if li > 0:
+            h = acts[li]
+            delta = delta * (1.0 - h * h if arch.activation == "tanh" else h > 0.0)
+    dparams = np.concatenate(chunks[::-1]) if want_params else None
+    return dparams, delta if want_inputs else None
 
 
 class Evaluation:

@@ -1,14 +1,16 @@
 """Shared builders for the test suite: the hand-solved convex toy, random
 small enumerable instances, random problems with references, one-row forms
-of the batch API, and the risk of precomputed predictions."""
+of the batch API, the risk of precomputed predictions, and closed forms of
+the linear and logistic passes."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from duallearn.core import (ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm,
-                            loss_values)
-from duallearn.models import LinearArch, ModelState, grad_input_batch, predict_batch
+                            loss_values, stable_sigmoid)
+from duallearn.models import (LinearArch, LogisticArch, ModelState, grad_input_batch,
+                              predict_batch)
 from duallearn.oracle import EnumerableProblem
 
 TOY_BOUND = 4.0
@@ -46,6 +48,30 @@ def row_grad_input(model: ModelState, loss: LossSpec, x, label) -> np.ndarray:
     """`grad_input_batch` of one (feature vector, label) row."""
     return grad_input_batch(model, loss, np.asarray(x, dtype=float)[None, :],
                             np.asarray([label]))[0]
+
+def closed_form_pass(model: ModelState, X: np.ndarray, G: np.ndarray):
+    """(predictions on X, which may be a (..., N, d) stack; parameter gradient
+    and input gradients of the upstream (N, k) matrix G on a 2-D X) of a
+    linear or logistic model, written out the way each was computed before
+    both became one-layer networks: the reference their bits are held to."""
+    arch = model.arch
+    if isinstance(arch, LogisticArch):
+        w, b = model.params[:-1], model.params[-1]
+        P = stable_sigmoid(X @ w + b)[..., None]
+        if X.ndim != 2:
+            return P, None, None
+        p = P[:, 0]
+        ds = G[:, 0] * p * (1.0 - p)
+        return P, np.concatenate([ds @ X, [ds.sum()]]), ds[:, None] * w[None, :]
+    w_end = arch.out_dim * arch.in_dim
+    W = model.params[:w_end].reshape(arch.out_dim, arch.in_dim)
+    b = model.params[w_end:] if arch.bias else np.zeros(arch.out_dim)
+    P = X @ W.T + b
+    if X.ndim != 2:
+        return P, None, None
+    parts = [(G.T @ X).ravel()] + ([G.sum(axis=0)] if arch.bias else [])
+    return P, np.concatenate(parts), G @ W
+
 
 # Hand-derived before implementation: objective (1/N) sum (theta - y_n)^2 over
 # labels with mean 1.0, one constraint theta <= 0.5 via a unit-score dataset.

@@ -463,3 +463,32 @@ def test_bad_example1_flags_are_named(tmp_path, capsys, args, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "trials.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_grouped_dataset_is_split_once_and_its_groups_are_shared(tmp_path, monkeypatch,
+                                                                  command):
+    import duallearn.cli as cli
+
+    def edit(cfg):
+        short_fairness(False)(cfg)
+        cfg["problem"]["constraints"][1]["group"] = "A"
+        cfg["problem"]["constraints"][2]["reference"] = {"dataset": "train", "group": "A"}
+
+    path, cfg = derived_config(tmp_path, "fairness_train.json", edit)
+    splits, problems = [], []
+    split, build = cli.group_split, cli._build_problem
+    monkeypatch.setattr(cli, "group_split", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(cli, "_build_problem",
+                        lambda *a: (lambda out: problems.append(out[0]) or out)(build(*a)))
+    model = tmp_path / "model.txt"
+    save_model(init_model(LogisticArch(in_dim=6)), model)
+    args = ["--model", str(model)] if command == "eval" else []
+    assert main([command, "--config", str(path), *args, "--out", str(tmp_path / "run")]) == 0
+    assert len(splits) == 1
+    (problem,) = problems
+    group_a = problem.constraints[0].dataset
+    assert group_a.name == "train[A]"
+    assert problem.constraints[1].dataset is group_a
+    assert problem.constraints[2].reference.dataset is group_a
+    assert problem.constraints[3].dataset.name == "train[D]"

@@ -378,11 +378,12 @@ class TestProblemLayout:
         got = problem.slacks_of(risks)
         assert got.dtype == np.float64 and got.shape == (m,) and not got.flags.writeable
         assert bits(got) == bits(want_slacks)
-        # risks may be arrays: their slacks stack along a new first axis
+        # risks may be arrays: their slacks stack along a new first axis, and
+        # keep the risks' shape when there are no constraints
         stacked = problem.slacks_of(np.array([risks, risks[::-1]]).T)
-        if m:
-            assert stacked.shape == (m, 2)
-            assert bits(stacked[:, 0]) == bits(want_slacks)
+        assert stacked.shape == (m, 2)
+        assert bits(stacked[:, 0]) == bits(want_slacks)
+        assert problem.slacks_of(np.zeros((len(want_terms), 4, 2))).shape == (m, 4, 2)
 
         mu = random_mu(rng, m)
         want_weights = [1.0]

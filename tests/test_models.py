@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duallearn.core import Dataset, LossSpec
+from duallearn.core import Dataset, LossSpec, loss_pred_grads
 from duallearn.errors import InputError, NumericError, SurrogateRequiredError
 from duallearn.models import (
     LinearArch,
@@ -11,7 +11,9 @@ from duallearn.models import (
     MlpArch,
     ModelState,
     OptimizerState,
+    _backprop,
     _forward,
+    grad_input_batch,
     grad_params,
     init_model,
     load_model,
@@ -20,7 +22,7 @@ from duallearn.models import (
     save_model,
 )
 
-from helpers import row_grad_input, row_loss, row_predict
+from helpers import bits, closed_form_pass, row_grad_input, row_loss, row_predict
 
 CE = LossSpec.cross_entropy()
 SQ = LossSpec(kind="squared", bound_B=100.0)
@@ -276,3 +278,40 @@ class TestPredictBatch:
                 for k in range(3):
                     want = predict_batch(model, np.array(stack[k]))
                     assert got[k].tobytes() == want.tobytes(), (d, n, k)
+
+
+class TestOneLayerNetworksKeepTheClosedFormBits:
+    """Linear and logistic models run through the one layer loop of every
+    architecture; each result must keep the bits of the closed forms in
+    `helpers.closed_form_pass`. The one exception: a logistic input gradient
+    may read +0.0 where the elementwise product gives -0.0."""
+
+    @pytest.mark.parametrize("arch", [
+        lambda d: LinearArch(d, 1, bias=True), lambda d: LinearArch(d, 1, bias=False),
+        lambda d: LinearArch(d, 3, bias=True), lambda d: LinearArch(d, 3, bias=False),
+        LogisticArch], ids=["linear-1", "linear-1-nobias", "linear-3", "linear-3-nobias",
+                            "logistic"])
+    def test_forward_backward_and_input_gradients(self, arch):
+        rng = np.random.default_rng(21)
+        for d in range(1, 10):
+            model_arch = arch(d)
+            logistic = isinstance(model_arch, LogisticArch)
+            # x + 0.0 turns -0.0 into +0.0 and keeps every other bit
+            signless = (lambda x: x + 0.0) if logistic else (lambda x: x)
+            model = ModelState(rng.normal(0.0, 2.0, model_arch.n_params), model_arch)
+            for n in (1, 2, 127, 128, 129, 1200, 2000):
+                X = rng.uniform(-3.0, 3.0, (n, d))
+                stack = rng.uniform(-3.0, 3.0, (3, n, d))
+                P = predict_batch(model, X)
+                G = rng.normal(size=P.shape)
+                want_P, want_dparams, want_dX = closed_form_pass(model, X, G)
+                assert bits(P) == bits(want_P), (d, n)
+                assert bits(_forward(model, stack)) == bits(closed_form_pass(model, stack, G)[0])
+                dparams, dX = _backprop(model, X, G, P, want_params=True, want_inputs=True)
+                assert bits(dparams) == bits(want_dparams), (d, n)
+                assert bits(signless(dX)) == bits(signless(want_dX)), (d, n)
+                if P.shape[1] == 1:
+                    loss, labels = (CE, rng.integers(0, 2, n)) if logistic else (SQ, X[:, 0])
+                    want = closed_form_pass(model, X, loss_pred_grads(loss, P, labels))[2]
+                    got = grad_input_batch(model, loss, X, labels)
+                    assert bits(signless(got)) == bits(signless(want)), (d, n)

@@ -239,6 +239,45 @@ class TestMarginCheck:
         listed = {i for (_, _, i) in report.violating_sample_indices}
         assert listed == {0, 2}
 
+    def test_references_and_mixed_constraints_against_a_walk(self):
+        # constraint 0: a rate constraint against a rate reference; 1: a rate
+        # constraint without one; 2: a non-rate constraint with a non-rate
+        # reference, which is not scanned
+        rng = np.random.default_rng(11)
+
+        def table(name, n):
+            return Dataset(features=rng.uniform(-2, 2, (n, 2)), labels=rng.choice([0, 1], n),
+                           name=name)
+
+        sq = LossSpec(kind="squared", bound_B=4.0)
+        ref_ind = LossSpec(kind="rate-indicator", bound_B=1.0, rate_shift=0.3)
+        sig = LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_shift=0.6, rate_slope=8.0)
+        prob = Problem(objective_loss=CE, objective_dataset=table("obj", 9), constraints=(
+            ConstraintSpec(loss=IND, threshold_c=0.1, dataset=table("a", 30),
+                           reference=ReferenceTerm(loss=ref_ind, dataset=table("r", 25))),
+            ConstraintSpec(loss=sig, threshold_c=0.1, dataset=table("b", 40)),
+            ConstraintSpec(loss=sq, threshold_c=0.5, dataset=table("c", 20),
+                           reference=ReferenceTerm(loss=sq, dataset=table("s", 15)))))
+        model = ModelState(np.array([0.9, -0.7, 0.2]), LogisticArch(2))
+
+        c0, c1, _ = prob.constraints
+        walk = [(0, "dataset", IND, c0.dataset), (0, "reference", ref_ind, c0.reference.dataset),
+                (1, "dataset", sig, c1.dataset)]
+        want_min, want = math.inf, []
+        for i, part, loss, ds in walk:
+            preds = predict_batch(model, ds.features)[:, 0]
+            for n, p in enumerate(preds.tolist()):
+                margin = abs(p - loss.rate_shift)
+                want_min = min(want_min, margin)
+                if margin < 0.05:
+                    want.append((i, part, n))
+
+        report = margin_check(model, prob, tau_min=0.05)
+        assert report.violating_sample_indices == tuple(want)
+        assert {part for i, part, _ in want} == {"dataset", "reference"}
+        assert {i for i, *_ in want} == {0, 1}
+        assert report.min_abs_margin_tau == want_min
+
     def test_requires_rate_constraints(self):
         rng = np.random.default_rng(4)
         ds = Dataset(features=rng.uniform(-1, 1, (5, 2)), labels=rng.choice([0, 1], 5))
