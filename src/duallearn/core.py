@@ -311,7 +311,7 @@ class Problem:
         which keeps their shape when there are no constraints."""
         return _readonly(np.asarray([(risks[k] - risks[k + 1]) - c if ref else risks[k] - c
                                      for k, ref, c in self._layout], dtype=float
-                                    ).reshape(len(self._layout), *np.shape(risks[0])))
+                                    ).reshape(len(self._layout), *np.asarray(risks[0]).shape))
 
     def weights(self, mu) -> list[float]:
         """One weight per term at multipliers `mu`: 1 for the objective, mu_i

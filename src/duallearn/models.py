@@ -187,10 +187,10 @@ def _forward(model: ModelState, X: np.ndarray) -> np.ndarray:
     numpy multiplies a stack of matrices slice by slice, so each (N, d)
     slice of X gets the bits `predict_batch` gives it on its own.
     """
-    *hidden, (W, b) = model.layers
     h = X
-    for Wh, bh in hidden:
-        h = _hidden(model.arch, h @ Wh.T + bh)
+    for W, b in model.layers[:-1]:
+        h = _hidden(model.arch, h @ W.T + b)
+    W, b = model.layers[-1]
     z = h @ W.T + b
     return stable_sigmoid(z) if model.arch.output == "sigmoid" else z
 
