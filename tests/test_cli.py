@@ -478,9 +478,14 @@ def test_a_grouped_dataset_is_split_once_and_its_groups_are_shared(tmp_path, mon
     path, cfg = derived_config(tmp_path, "fairness_train.json", edit)
     splits, problems = [], []
     split, build = cli.group_split, cli._build_problem
+
+    def build_and_keep(*args):
+        out = build(*args)
+        problems.append(out[0])
+        return out
+
     monkeypatch.setattr(cli, "group_split", lambda *a: splits.append(a) or split(*a))
-    monkeypatch.setattr(cli, "_build_problem",
-                        lambda *a: (lambda out: problems.append(out[0]) or out)(build(*a)))
+    monkeypatch.setattr(cli, "_build_problem", build_and_keep)
     model = tmp_path / "model.txt"
     save_model(init_model(LogisticArch(in_dim=6)), model)
     args = ["--model", str(model)] if command == "eval" else []
