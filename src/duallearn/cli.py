@@ -398,7 +398,8 @@ def cmd_example1(args) -> int:
     else:
         records = [r for n in ns for r in example1_trials(n, seeds)]
 
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(r, sort_keys=True)
+    lines = [encode(r) for r in records]
     (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
     summary = {"command": "example1", "trials": args.trials, "seed": args.seed, "per_N": {}}
     for n in ns:

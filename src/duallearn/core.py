@@ -50,11 +50,12 @@ def stable_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function, exact at large |x|.
 
     Branch-free: with e = exp(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e)
-    (that is, exp(x) / (1 + exp(x))) for x < 0, so exp never overflows.
+    (that is, exp(x) / (1 + exp(x))) for x < 0, so exp never overflows. One
+    division serves both branches: the numerator is picked before it.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -278,7 +279,8 @@ class Problem:
     Its Lagrangian r_0 + sum_i mu_i (r_i - r_ref,i - c_i) is laid out here
     alone: one risk per (loss, set) pair of `terms` (the objective's, then
     each constraint's followed by its reference's), read by `slacks_of` and
-    `weights`; `datasets` holds the sets of `terms`.
+    `weights`; `datasets` holds the sets of `terms`, and `constraint_terms`
+    names the constraint and part of each term after the objective.
     """
 
     objective_loss: LossSpec
@@ -312,6 +314,18 @@ class Problem:
         return _readonly(np.asarray([(risks[k] - risks[k + 1]) - c if ref else risks[k] - c
                                      for k, ref, c in self._layout], dtype=float
                                     ).reshape(len(self._layout), *np.asarray(risks[0]).shape))
+
+    @property
+    def constraint_terms(self) -> tuple[tuple[int, str, LossSpec, DatasetLike], ...]:
+        """Every term after the objective, in `terms` order, as (constraint
+        index, "dataset" or "reference", loss, set): the layout that
+        `slacks_of` and `weights` read."""
+        parts = []
+        for i, (k, ref, _) in enumerate(self._layout):
+            parts.append((i, "dataset", *self.terms[k]))
+            if ref:
+                parts.append((i, "reference", *self.terms[k + 1]))
+        return tuple(parts)
 
     def weights(self, mu) -> list[float]:
         """One weight per term at multipliers `mu`: 1 for the objective, mu_i
@@ -427,23 +441,23 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
     n, k = p.shape
     B = loss.bound_B
     kind = loss.kind
-    grads = np.zeros_like(p)
 
     if kind == "clamped-cross-entropy":
         lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
         if k == 1:
-            yi = y.astype(float)
-            p_true = np.where(yi == 1.0, p[:, 0], 1.0 - p[:, 0])
+            pos = y == 1
+            p_true = np.where(pos, p[:, 0], 1.0 - p[:, 0])
             inside = (p_true >= lo) & (p_true <= hi)
-            sign = np.where(yi == 1.0, 1.0, -1.0)
-            grads[:, 0] = np.where(inside, -sign / np.where(inside, p_true, 1.0), 0.0)
-        else:
-            yi = y.astype(int)
-            p_true = p[np.arange(n), yi]
-            inside = (p_true >= lo) & (p_true <= hi)
-            grads[np.arange(n), yi] = np.where(inside, -1.0 / np.where(inside, p_true, 1.0), 0.0)
+            g = np.where(pos, -1.0, 1.0) / np.where(inside, p_true, 1.0)
+            return np.where(inside, g, 0.0)[:, None]
+        yi = y.astype(int)
+        p_true = p[np.arange(n), yi]
+        inside = (p_true >= lo) & (p_true <= hi)
+        grads = np.zeros_like(p)
+        grads[np.arange(n), yi] = np.where(inside, -1.0 / np.where(inside, p_true, 1.0), 0.0)
         return grads
 
+    grads = np.zeros_like(p)
     z = p[:, 0]
     yf = y.astype(float)
     if kind == "squared":

@@ -47,9 +47,9 @@ class DualState:
         mu = np.asarray(self.mu, dtype=float)
         if mu.ndim != 1:
             raise InputError(f"mu must be a vector, got shape {mu.shape}")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise InputError("mu entries must be finite")
-        if np.any(mu < 0.0):
+        if (mu < 0.0).any():
             raise InputError("mu entries must be nonnegative")
         mu = mu.copy()
         mu.setflags(write=False)
@@ -148,8 +148,11 @@ def _gradient_terms(at: Evaluation, dual: DualState, problem: Problem,
 
 
 def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConfig,
-                      start: Evaluation, rng: np.random.Generator):
+                      start: Evaluation, rng: np.random.Generator | None):
     """The gradient inner solver from the evaluated start point `start`.
+
+    Minibatches are drawn from `rng`, which only a solver with a
+    `batch_size` reads (it may be None for a full-batch one).
 
     Returns the evaluation of the iterate of `problem.surrogate` with the
     lowest empirical_lagrangian(evaluation, dual, problem.surrogate) among

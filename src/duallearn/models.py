@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -239,10 +239,13 @@ class Evaluation:
     attacked from this evaluation's predictions on its clean base table, so
     the base is forwarded at most once, whichever term reads it first.
     Loss values and loss gradients are computed once per (table, loss), and
-    risks once per (set, loss). A view's risk is the mean of its rows
-    gathered from its table: the same elements in the same order as
-    evaluating the view on its own, so the reduction and its bits are
-    unchanged.
+    risks once per (set, loss). A view's risk is the mean over its rows, in
+    their order, of the values read from whichever forward covers them: the
+    root's or the view's own. The two forwards can give a row different
+    last bits (a matrix product's blocking depends on its row count), so a
+    view's risk or gradient can differ in its last bits with whether the
+    evaluation also realises the root. Outputs stay deterministic, because
+    the order in which sets are realised is fixed.
 
     Sets may be realised at any time; realising every set up front (see
     `of`) lets views find the root they share before anything is forwarded.
@@ -445,7 +448,7 @@ def optimizer_step(opt: OptimizerState, model: ModelState,
         raise InputError(
             f"gradient length {g.shape} does not match {model.params.shape} parameters"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite entries; step refused")
     opt, params = descent_step(opt, model.params, g)
     return opt, model.with_params(params)
@@ -468,7 +471,7 @@ def descent_step(opt: OptimizerState, x: np.ndarray,
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
     step = opt.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return replace(opt, m=m, v=v, t=t), x - step
+    return OptimizerState(opt.step_size, m, v, t), x - step
 
 
 # --- serialization -----------------------------------------------------------

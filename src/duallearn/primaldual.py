@@ -113,8 +113,12 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
     The gradient inner solver minimizes `problem.surrogate`; enumeration
     minimizes the true Lagrangian. Slacks, the objective and the recorded
     Lagrangian always read `problem`, so dual updates see the true
-    constraint values. Deterministic for a fixed config seed. Each iteration
-    is written into row t of the trace's preallocated arrays;
+    constraint values. Deterministic for a fixed config seed. Randomness is
+    built only for a solver that draws: a gradient solver with a
+    `batch_size` gets, at iteration t, a generator seeded by
+    SeedSequence(seed, spawn_key=(t,)), the t-th child of
+    SeedSequence(seed).spawn(T); full-batch and enumeration runs build none.
+    Each iteration is written into row t of the trace's preallocated arrays;
     `config.save_theta` decides whether its parameters are kept.
 
     A model is evaluated once. Each solver picks the evaluation of its
@@ -137,7 +141,7 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
         R, S = enumeration_stats(problem, evals)
 
     T, m = config.iterations_T, problem.m
-    seeds = np.random.SeedSequence(config.seed % (2 ** 63)).spawn(T)
+    entropy = config.seed % (2 ** 63)
     mu = DualState.zeros(m)
     dual_opt = (OptimizerState(step_size=config.dual_step_eta)
                 if config.dual_method == "projected-adam" else None)
@@ -151,7 +155,9 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
             if inner.candidates is not None:
                 ev = evals[int(np.argmin(R + S @ mu.mu))]
             else:
-                ev = gradient_minimize(mu, problem, inner, ev, np.random.default_rng(seeds[t]))
+                rng = (None if inner.batch_size is None else
+                       np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(t,))))
+                ev = gradient_minimize(mu, problem, inner, ev, rng)
             obj, s = ev.stats(problem)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
@@ -247,6 +253,8 @@ def recommend_hyperparams(B: float, m: int, zeta_bar: float, U0: float,
 
 _TRACE_KIND = "duallearn-trace"
 _TRACE_VERSION = 2
+# One encoder for every record: the bytes of json.dumps(obj, sort_keys=True).
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def save_trace(trace: TrainTrace, records_path: str | Path,
@@ -270,14 +278,13 @@ def save_trace(trace: TrainTrace, records_path: str | Path,
         if thetas_path.is_relative_to(records_path.parent):
             thetas_path = thetas_path.relative_to(records_path.parent)
         snapshots = {"file": str(thetas_path)}
-    lines = [json.dumps({"kind": _TRACE_KIND, "version": _TRACE_VERSION,
-                         "arch": arch_to_dict(trace.arch), "snapshots": snapshots},
-                        sort_keys=True)]
+    lines = [_JSON.encode({"kind": _TRACE_KIND, "version": _TRACE_VERSION,
+                           "arch": arch_to_dict(trace.arch), "snapshots": snapshots})]
     rows = zip(trace.objective.tolist(), trace.slacks.tolist(), trace.mu.tolist(),
                trace.lagrangian.tolist())
     for t, (objective, slack, mu, lagrangian) in enumerate(rows):
-        lines.append(json.dumps({"t": t, "objective": objective, "slacks": slack, "mu": mu,
-                                 "lagrangian": lagrangian}, sort_keys=True))
+        lines.append(_JSON.encode({"t": t, "objective": objective, "slacks": slack, "mu": mu,
+                                   "lagrangian": lagrangian}))
     records_path.write_text("\n".join(lines) + "\n")
 
 

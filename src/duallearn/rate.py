@@ -66,12 +66,7 @@ def margin_check(model: ModelState, problem: Problem, tau_min: float = 0.0) -> M
     """
     if tau_min < 0:
         raise InputError("tau_min must be >= 0")
-    parts = []
-    for i, c in enumerate(problem.constraints):
-        if _is_rate(c.loss):
-            parts.append((i, "dataset", c.loss, c.dataset))
-        if c.reference is not None and _is_rate(c.reference.loss):
-            parts.append((i, "reference", c.reference.loss, c.reference.dataset))
+    parts = [part for part in problem.constraint_terms if _is_rate(part[2])]
     if not parts:
         raise InputError("problem has no rate constraints to margin-check")
     ev = Evaluation.of(model, [ds_like for *_, ds_like in parts])

@@ -1,12 +1,14 @@
 """Shared builders for the test suite: the hand-solved convex toy, random
 small enumerable instances, random problems with references, one-row forms
 of the batch API, the risk of precomputed predictions, and closed forms of
-the linear and logistic passes."""
+the linear and logistic passes, bit references of replaced numerics, and
+counters of the randomness a run builds."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from duallearn import primaldual
 from duallearn.core import (ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm,
                             loss_values, stable_sigmoid)
 from duallearn.models import (LinearArch, LogisticArch, ModelState, grad_input_batch,
@@ -187,3 +189,71 @@ def random_mu(rng: np.random.Generator, m: int) -> np.ndarray:
 def bits(x) -> list[int]:
     """The float64 bit patterns of `x`, so that -0.0 and 0.0 differ."""
     return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def two_division_sigmoid(x):
+    """`stable_sigmoid` as it was written with one division per branch: the
+    reference its one-division form is held to, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
+
+
+def column_store_ce_grads(loss: LossSpec, predictions, labels) -> np.ndarray:
+    """The scalar cross-entropy prediction gradient as it was written (labels
+    cast to float and compared twice, a sign per row, the column stored into
+    zeros): the reference `loss_pred_grads` is held to, bit for bit."""
+    p = np.asarray(predictions, dtype=float)
+    yi = np.asarray(labels).astype(float)
+    lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
+    p_true = np.where(yi == 1.0, p[:, 0], 1.0 - p[:, 0])
+    inside = (p_true >= lo) & (p_true <= hi)
+    sign = np.where(yi == 1.0, 1.0, -1.0)
+    grads = np.zeros_like(p)
+    grads[:, 0] = np.where(inside, -sign / np.where(inside, p_true, 1.0), 0.0)
+    return grads
+
+
+class SeedingCounter:
+    """Counts the generators (`np.random.default_rng`) and seed sequences
+    (`np.random.SeedSequence`) built while it is installed, and the children
+    spawned from those sequences."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.generators = 0
+        self.sequences: list[np.random.SeedSequence] = []
+        default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
+
+        def counting_rng(*args, **kwargs):
+            self.generators += 1
+            return default_rng(*args, **kwargs)
+
+        def counting_sequence(*args, **kwargs):
+            self.sequences.append(seed_sequence(*args, **kwargs))
+            return self.sequences[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(np.random, "SeedSequence", counting_sequence)
+
+    def counts(self) -> dict[str, int]:
+        return {"generators": self.generators, "seed_sequences": len(self.sequences),
+                "spawned": sum(seq.n_children_spawned for seq in self.sequences)}
+
+
+def seed_from_spawned_children(monkeypatch, seed: int, T: int) -> list[int]:
+    """Make `train`'s gradient solver draw, at its t-th call, from
+    default_rng(SeedSequence(seed % 2**63).spawn(T)[t]), the generator each
+    iteration was given when every child was spawned up front. Returns a
+    list that holds the number of calls made so far."""
+    children = np.random.SeedSequence(seed % 2 ** 63).spawn(T)
+    calls = [0]
+    solve = primaldual.gradient_minimize
+
+    def spawned(dual, problem, solver, start, rng):
+        child = children[calls[0]]
+        calls[0] += 1
+        return solve(dual, problem, solver, start, np.random.default_rng(child))
+
+    monkeypatch.setattr(primaldual, "gradient_minimize", spawned)
+    return calls

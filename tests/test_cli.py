@@ -16,6 +16,7 @@ from duallearn.models import LogisticArch, ModelState, init_model, save_model
 from duallearn.primaldual import load_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
+from helpers import seed_from_spawned_children
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -413,6 +414,29 @@ def test_the_commands_never_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def minibatch(shipped_batch_size):
+    def edit(cfg):
+        cfg["dual"]["iterations_T"] = 12
+        if shipped_batch_size is None:
+            cfg["inner"]["batch_size"] = 64
+        assert cfg["inner"]["batch_size"] is not None
+    return edit
+
+
+@pytest.mark.parametrize("shipped, edit", [("robust_train.json", minibatch(128)),
+                                           ("fairness_train.json", minibatch(None))])
+def test_a_minibatch_run_draws_from_the_spawned_children(tmp_path, monkeypatch, shipped, edit):
+    """Each iteration's generator is built when it draws; the trace has the
+    bytes of a run that spawned every iteration's seed up front."""
+    path, cfg = derived_config(tmp_path, shipped, edit)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "lazy")]) == 0
+    calls = seed_from_spawned_children(monkeypatch, cfg["seed"], cfg["dual"]["iterations_T"])
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "spawned")]) == 0
+    assert calls == [12]
+    lazy, spawned = (tmp_path / run / "trace.jsonl" for run in ("lazy", "spawned"))
+    assert lazy.read_bytes() == spawned.read_bytes()
 
 
 @pytest.mark.parametrize("method", ["projected-ascent", "projected-adam"])

@@ -12,6 +12,7 @@ from duallearn.core import (
     Problem,
     ReferenceTerm,
     empirical_risk,
+    loss_pred_grads,
     loss_values,
     stable_sigmoid,
 )
@@ -19,7 +20,15 @@ from duallearn.errors import ConfigurationError, InputError
 from duallearn.models import LinearArch, ModelState
 from duallearn.oracle import example1_population_objective, example1_sample
 
-from helpers import bits, dataset_risk, random_layout_problem, random_mu, row_loss
+from helpers import (
+    bits,
+    column_store_ce_grads,
+    dataset_risk,
+    random_layout_problem,
+    random_mu,
+    row_loss,
+    two_division_sigmoid,
+)
 
 
 def identity_1d():
@@ -232,6 +241,76 @@ class TestStableSigmoid:
     def test_matrix_shape_kept(self):
         x = np.array([[-1.0, 0.0], [1.0, 800.0]])
         assert np.array_equal(stable_sigmoid(x), masked_sigmoid(x))
+
+
+# Signed zeros, infinities, NaN, the subnormal and the largest magnitudes, and
+# every decade from 1e-300 to 1e300 with a random mantissa, of both signs.
+_MAGNITUDES = np.random.default_rng(3).uniform(1.0, 10.0, 121) * 10.0 ** np.arange(-300, 305, 5)
+EDGE_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
+     1e300, -1e300, np.finfo(float).max, -np.finfo(float).max, 36.7, -36.7, 709.8, -745.2],
+    _MAGNITUDES, -_MAGNITUDES])
+
+
+class TestOneDivisionSigmoid:
+    """`stable_sigmoid` picks its numerator before one division; each branch
+    is the same IEEE operation as the two-division form it replaced."""
+
+    def test_bits_of_edge_values_and_every_decade(self):
+        x = np.concatenate([EDGE_FLOATS, np.random.default_rng(0).normal(0.0, 30.0, 10_000)])
+        got, want = stable_sigmoid(x), two_division_sigmoid(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_bits_of_scalars(self):
+        for x in EDGE_FLOATS:
+            got, want = stable_sigmoid(x), two_division_sigmoid(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+
+    def test_bits_of_a_matrix(self):
+        x = EDGE_FLOATS[:160].reshape(20, 8)
+        assert stable_sigmoid(x).tobytes() == two_division_sigmoid(x).tobytes()
+
+
+class TestScalarCrossEntropyGradient:
+    """The scalar cross-entropy gradient reads one label mask and one
+    division; its bits are those of the column-store form it replaced."""
+
+    @staticmethod
+    def predictions(loss):
+        lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
+        edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), np.nextafter(hi, 0.0),
+                 np.nextafter(hi, 1.0), 0.5, 1.0, 1.5, -0.5]
+        inside = np.random.default_rng(1).uniform(0.0, 1.0, 400)
+        return np.concatenate([EDGE_FLOATS, edges, inside])[:, None]
+
+    @pytest.mark.parametrize("clamp", [1e-6, 0.25])
+    @pytest.mark.parametrize("labels", [
+        lambda rng, n: rng.choice([0, 1], n),
+        lambda rng, n: rng.choice([0, 1], n).astype(np.int32),
+        lambda rng, n: rng.choice([0.0, 1.0], n),
+        lambda rng, n: rng.choice([0, 1], n).astype(bool),
+        lambda rng, n: rng.choice([0.0, 1.0, 2.0, -1.0, 0.5, 1.0 + 2e-16, np.nan, np.inf], n),
+        lambda rng, n: rng.choice([0, 1, 2, -1, 7], n),
+    ], ids=["int64", "int32", "float", "bool", "other-floats", "other-ints"])
+    def test_bits_match_the_column_store_form(self, clamp, labels):
+        loss = LossSpec.cross_entropy(clamp)
+        P = self.predictions(loss)
+        y = labels(np.random.default_rng(2), len(P))
+        got, want = loss_pred_grads(loss, P, y), column_store_ce_grads(loss, P, y)
+        assert got.shape == want.shape == P.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got) > 0
+
+    def test_each_label_takes_its_own_branch(self):
+        loss = LossSpec.cross_entropy()
+        P = self.predictions(loss)
+        for label in (0, 1, 1.0, 0.0, 2, -1.0):
+            y = np.full(len(P), label)
+            assert (loss_pred_grads(loss, P, y).tobytes()
+                    == column_store_ce_grads(loss, P, y).tobytes()), label
 
 
 class TestHingeIsRowWise:

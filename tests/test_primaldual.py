@@ -34,6 +34,7 @@ from duallearn.primaldual import (
 from helpers import (
     TOY_ARCH,
     TOY_BOUND,
+    SeedingCounter,
     convex_toy,
     toy_analytic,
     toy_candidates,
@@ -188,6 +189,37 @@ class TestTrain:
             train(prob, cfg, init_model(arch))
         trace, _, _ = train(prob, replace(cfg, save_theta=False), init_model(arch))
         assert trace.thetas is None and len(trace) == 1
+
+
+class TestRandomnessOnlyWhereDrawn:
+    """`train` builds a generator only for a gradient solver with a
+    `batch_size`, one per iteration, and spawns no seed sequence."""
+
+    def test_full_batch_and_enumeration_runs_build_no_generator(self, monkeypatch):
+        prob, init = small_gradient_problem(), init_model(LogisticArch(2))
+        full = TrainConfig(iterations_T=20, dual_step_eta=1.0, seed=3,
+                           inner=InnerSolverConfig(epochs=2, step_size=0.1))
+        cands = toy_candidates()
+        enum = TrainConfig(iterations_T=20, dual_step_eta=0.5, seed=3,
+                           inner=InnerSolverConfig(candidates=cands))
+        counter = SeedingCounter(monkeypatch)
+        train(prob, full, init)
+        train(convex_toy(), enum, cands[0])
+        assert counter.counts() == {"generators": 0, "seed_sequences": 0, "spawned": 0}
+
+    def test_a_minibatch_run_builds_one_generator_per_iteration(self, monkeypatch):
+        prob, init = small_gradient_problem(), init_model(LogisticArch(2))
+        cfg = TrainConfig(iterations_T=7, dual_step_eta=1.0, seed=2 ** 64 + 5,
+                          inner=InnerSolverConfig(epochs=2, batch_size=8, step_size=0.05))
+        counter = SeedingCounter(monkeypatch)
+        train(prob, cfg, init)
+        assert counter.counts() == {"generators": 7, "seed_sequences": 7, "spawned": 0}
+        # iteration t's sequence is the t-th child of the run seed's sequence
+        built = list(counter.sequences)
+        children = np.random.SeedSequence((2 ** 64 + 5) % 2 ** 63).spawn(7)
+        for seq, child in zip(built, children, strict=True):
+            assert seq.entropy == child.entropy and seq.spawn_key == child.spawn_key
+            assert np.array_equal(seq.generate_state(8), child.generate_state(8))
 
 
 class TestErgodicInvariants:
