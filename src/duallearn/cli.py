@@ -18,7 +18,11 @@ Four commands over a single JSON config tree:
   ``thetas.npy`` through the trace header), written as ``config_echo.json``
   and ``summary.json``.
 - ``example1``: pathology trials of the built-in hard instance, with the
-  fraction of trials landing on the doubled population objective.
+  fraction of trials landing on the doubled population objective. Trials run
+  in the blocks of `duallearn.oracle.example1_block_trials`, and each block's
+  records are written to ``trials.jsonl`` and counted for ``summary.json``
+  before the next block is computed, so a serial run's memory is bounded by
+  one block whatever the trial count. A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Configs are validated strictly, with the full key path in every error.
@@ -38,6 +42,7 @@ give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -384,32 +389,39 @@ def cmd_example1(args) -> int:
         raise ConfigurationError(f"--parallel-trials must be >= 1, got {args.parallel_trials}")
     out = _out_dir(args, "example1")
     seeds = range(args.seed, args.seed + args.trials)
+    # one job per block of trials, in record order: each block is written and
+    # counted before the next is taken, so no record outlives its block
+    jobs = [(n, seeds[i:i + example1_block_trials(n)])
+            for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
+    doubled, infeasible = dict.fromkeys(ns, 0), dict.fromkeys(ns, 0)
+    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(r, sort_keys=True)
+    pool = contextlib.nullcontext()
     if args.parallel_trials > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # one job per block of trials, in the order the serial path runs them
-        jobs = [(n, seeds[i:i + example1_block_trials(n)])
-                for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
-        with ProcessPoolExecutor(max_workers=args.parallel_trials,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            blocks = pool.map(example1_trials, *zip(*jobs))
-            records = [r for block in blocks for r in block]
-    else:
-        records = [r for n in ns for r in example1_trials(n, seeds)]
-
-    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(r, sort_keys=True)
-    lines = [encode(r) for r in records]
-    (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
-    summary = {"command": "example1", "trials": args.trials, "seed": args.seed, "per_N": {}}
-    for n in ns:
-        sub = [r for r in records if r["N"] == n]
-        doubled = sum(1 for r in sub if r["population_J"] == 0.125)
-        summary["per_N"][str(n)] = {
-            "trials": len(sub),
-            "fraction_population_J_doubled": doubled / len(sub),
-            "infeasible": sum(1 for r in sub if not r["feasible"]),
-        }
+        pool = ProcessPoolExecutor(max_workers=args.parallel_trials,
+                                   mp_context=multiprocessing.get_context("spawn"))
+    # written under another name and renamed when complete, so a failed run
+    # leaves no partial trials.jsonl
+    partial = out / "trials.jsonl.partial"
+    try:
+        with pool as workers, partial.open("w") as f:
+            blocks = (map if workers is None else workers.map)(example1_trials, *zip(*jobs))
+            for block in blocks:
+                n = block[0]["N"]
+                f.writelines(encode(r) + "\n" for r in block)
+                doubled[n] += sum(r["population_J"] == 0.125 for r in block)
+                infeasible[n] += sum(not r["feasible"] for r in block)
+                del block  # freed before the next block is computed
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(out / "trials.jsonl")
+    summary = {"command": "example1", "trials": args.trials, "seed": args.seed,
+               "per_N": {str(n): {"trials": args.trials,
+                                  "fraction_population_J_doubled": doubled[n] / args.trials,
+                                  "infeasible": infeasible[n]} for n in ns}}
     _write_json(out / "summary.json", summary)
     for n in ns:
         frac = summary["per_N"][str(n)]["fraction_population_J_doubled"]
@@ -502,10 +514,14 @@ def main(argv=None) -> int:
     p_eval.set_defaults(func=cmd_eval)
 
     p_ex = sub.add_parser("example1", help="pathology trials of the built-in hard instance")
-    p_ex.add_argument("--trials", type=int, default=1000)
+    p_ex.add_argument("--trials", type=int, default=1000,
+                      help="trials per sample size; records are written block by block, "
+                           "so memory is bounded by one block of trials")
     p_ex.add_argument("--n", default="10,100,1000", help="comma-separated sample sizes")
     p_ex.add_argument("--seed", type=int, default=0)
-    p_ex.add_argument("--parallel-trials", type=int, default=1)
+    p_ex.add_argument("--parallel-trials", type=int, default=1,
+                      help="worker processes that compute blocks of trials; the records "
+                           "are written in the serial order, with the serial bytes")
     p_ex.add_argument("--out", default=None)
     p_ex.set_defaults(func=cmd_example1)
 

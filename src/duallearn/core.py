@@ -401,10 +401,10 @@ def loss_values(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> 
     if kind == "clamped-cross-entropy":
         lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
         if k == 1:
-            yi = y.astype(float)
-            if not ((yi == 0.0) | (yi == 1.0)).all():
+            pos = y == 1
+            if not (pos | (y == 0)).all():
                 raise InputError("scalar cross-entropy predictions need {0, 1} labels")
-            p_true = np.where(yi == 1.0, p[:, 0], 1.0 - p[:, 0])
+            p_true = np.where(pos, p[:, 0], 1.0 - p[:, 0])
         else:
             yi = y.astype(int)
             if np.any(yi < 0) or np.any(yi >= k):
@@ -448,8 +448,8 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
             pos = y == 1
             p_true = np.where(pos, p[:, 0], 1.0 - p[:, 0])
             inside = (p_true >= lo) & (p_true <= hi)
-            g = np.where(pos, -1.0, 1.0) / np.where(inside, p_true, 1.0)
-            return np.where(inside, g, 0.0)[:, None]
+            g = np.divide(np.where(pos, -1.0, 1.0), p_true, out=np.zeros(n), where=inside)
+            return g[:, None]
         yi = y.astype(int)
         p_true = p[np.arange(n), yi]
         inside = (p_true >= lo) & (p_true <= hi)

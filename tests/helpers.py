@@ -11,6 +11,7 @@ import numpy as np
 from duallearn import primaldual
 from duallearn.core import (ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm,
                             loss_values, stable_sigmoid)
+from duallearn.errors import InputError
 from duallearn.models import (LinearArch, LogisticArch, ModelState, grad_input_batch,
                               predict_batch)
 from duallearn.oracle import EnumerableProblem
@@ -213,6 +214,19 @@ def column_store_ce_grads(loss: LossSpec, predictions, labels) -> np.ndarray:
     grads = np.zeros_like(p)
     grads[:, 0] = np.where(inside, -sign / np.where(inside, p_true, 1.0), 0.0)
     return grads
+
+
+def float_label_ce_values(loss: LossSpec, predictions, labels) -> np.ndarray:
+    """The scalar cross-entropy loss values as they were written (labels cast
+    to float and compared three times): the reference `loss_values` is held
+    to, bit for bit and error for error."""
+    p = np.asarray(predictions, dtype=float)
+    yi = np.asarray(labels).astype(float)
+    if not ((yi == 0.0) | (yi == 1.0)).all():
+        raise InputError("scalar cross-entropy predictions need {0, 1} labels")
+    lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
+    p_true = np.where(yi == 1.0, p[:, 0], 1.0 - p[:, 0])
+    return -np.log(np.minimum(np.maximum(p_true, lo), hi))
 
 
 class SeedingCounter:

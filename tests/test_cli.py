@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from duallearn.cli import main
 from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
+from duallearn.errors import InputError
 from duallearn.models import LogisticArch, ModelState, init_model, save_model
+from duallearn.oracle import example1_block_trials, example1_trials
 from duallearn.primaldual import load_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
@@ -470,6 +473,98 @@ def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):
     for name in ("trials.jsonl", "summary.json"):
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "parallel" / name).read_bytes(), name
+
+
+def example1_all_at_once(ns, trials, seed):
+    """The (trials.jsonl, summary.json) bytes of `example1` as it was written:
+    every record of every N held, encoded and joined, then counted per N."""
+    seeds = range(seed, seed + trials)
+    records = [r for n in ns for r in example1_trials(n, seeds)]
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    summary = {"command": "example1", "trials": trials, "seed": seed, "per_N": {}}
+    for n in ns:
+        sub = [r for r in records if r["N"] == n]
+        summary["per_N"][str(n)] = {
+            "trials": len(sub),
+            "fraction_population_J_doubled":
+                sum(1 for r in sub if r["population_J"] == 0.125) / len(sub),
+            "infeasible": sum(1 for r in sub if not r["feasible"]),
+        }
+    return ("\n".join(lines) + "\n").encode(), \
+        (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("ns, trials", [
+    ((1, 10, 1000), 1700),  # 1700 = 819 + 819 + 62 at N=10, 212 blocks of 8 + 4 at N=1000
+    ((10, 9000), 5),        # N=9000 runs blocks of one trial
+    ((100,), 200),          # a single N: 81 + 81 + 38
+    ((1,), 8200),           # one full block of 8192 and a short one
+])
+def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, ns, trials):
+    import duallearn.cli as cli
+
+    calls = []
+
+    def recorded(n, seeds):
+        calls.append((n, len(seeds)))
+        return example1_trials(n, seeds)
+
+    monkeypatch.setattr(cli, "example1_trials", recorded)
+    args = ["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials), "--seed", "3"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    want_trials, want_summary = example1_all_at_once(ns, trials, 3)
+    assert (tmp_path / "trials.jsonl").read_bytes() == want_trials
+    assert (tmp_path / "summary.json").read_bytes() == want_summary
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trials.jsonl"]
+    # never more seeds in one call than one block holds, every seed once
+    assert all(size <= example1_block_trials(n) for n, size in calls)
+    assert [n for n, _ in calls] == sorted((n for n, _ in calls), key=ns.index)
+    assert {n: sum(size for m, size in calls if m == n) for n in ns} == dict.fromkeys(ns, trials)
+
+
+def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
+    """Records are written block by block, so ten times the trials needs no
+    more memory than one block holds."""
+    def peak(trials: int) -> int:
+        tracemalloc.reset_peak()
+        assert main(["example1", "--n", "10,1000", "--trials", str(trials),
+                     "--out", str(tmp_path / str(trials))]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(1)  # lazy one-time state
+        few, many = peak(300), peak(3000)
+    finally:
+        tracemalloc.stop()
+    assert many <= 1.25 * few, (few, many)
+
+
+def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    import duallearn.cli as cli
+
+    calls = []
+
+    def third_block_fails(n, seeds):
+        calls.append(n)
+        if len(calls) == 3:
+            raise InputError("block three failed")
+        return example1_trials(n, seeds)
+
+    monkeypatch.setattr(cli, "example1_trials", third_block_fails)
+    args = ["example1", "--n", "1000", "--trials", "40"]
+    assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
+    assert "block three failed" in capsys.readouterr().err
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+    # a failed run leaves the outputs of an earlier run in its directory as they were
+    monkeypatch.setattr(cli, "example1_trials", example1_trials)
+    assert main([*args, "--out", str(tmp_path / "rerun")]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
+    calls.clear()
+    monkeypatch.setattr(cli, "example1_trials", third_block_fails)
+    assert main([*args, "--seed", "5", "--out", str(tmp_path / "rerun")]) == 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()} == before
 
 
 @pytest.mark.parametrize("args, message", [

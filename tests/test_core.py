@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from helpers import (
     bits,
     column_store_ce_grads,
     dataset_risk,
+    float_label_ce_values,
     random_layout_problem,
     random_mu,
     row_loss,
@@ -281,7 +283,8 @@ class TestScalarCrossEntropyGradient:
     def predictions(loss):
         lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
         edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), np.nextafter(hi, 0.0),
-                 np.nextafter(hi, 1.0), 0.5, 1.0, 1.5, -0.5]
+                 np.nextafter(hi, 1.0), 0.5, 1.0, 1.5, -0.5, np.nextafter(1.0, 0.0),
+                 np.nextafter(1.0, 2.0), 1.0 - 1e-300, 1.0 + 5e-324]
         inside = np.random.default_rng(1).uniform(0.0, 1.0, 400)
         return np.concatenate([EDGE_FLOATS, edges, inside])[:, None]
 
@@ -307,10 +310,63 @@ class TestScalarCrossEntropyGradient:
     def test_each_label_takes_its_own_branch(self):
         loss = LossSpec.cross_entropy()
         P = self.predictions(loss)
-        for label in (0, 1, 1.0, 0.0, 2, -1.0):
+        for label in (0, 1, 1.0, 0.0, 2, -1.0, True, False, np.nan):
             y = np.full(len(P), label)
             assert (loss_pred_grads(loss, P, y).tobytes()
                     == column_store_ce_grads(loss, P, y).tobytes()), label
+
+    def test_bits_at_zero_subnormal_and_non_finite_predictions(self):
+        # one masked division: p_true outside the clamp (0, the subnormals,
+        # NaN, the infinities) is never divided by and reads +0.0
+        loss = LossSpec.cross_entropy()
+        p = np.array([0.0, -0.0, 1e-300, 5e-324, np.nan, np.inf, -np.inf, 1.0, 0.5])
+        P = np.repeat(p, 4)[:, None]
+        for y in (np.tile([0, 1, 2, -1], len(p)), np.tile([0.0, 1.0, 2.0, np.nan], len(p)),
+                  np.tile([False, True, True, False], len(p))):
+            got = loss_pred_grads(loss, P, y)
+            assert got.tobytes() == column_store_ce_grads(loss, P, y).tobytes(), y.dtype
+            assert bits(got[P[:, 0] != 0.5, 0]) == [0] * (len(P) - 4)
+
+
+class TestScalarCrossEntropyValues:
+    """The scalar cross-entropy values read one label mask; their bits and
+    their label check are those of the float-cast form they replaced."""
+
+    @pytest.mark.parametrize("clamp", [1e-6, 0.25])
+    @pytest.mark.parametrize("labels", [
+        lambda rng, n: rng.choice([0, 1], n),
+        lambda rng, n: rng.choice([0, 1], n).astype(np.int32),
+        lambda rng, n: rng.choice([0, 1], n).astype(np.uint8),
+        lambda rng, n: rng.choice([0.0, 1.0], n),
+        lambda rng, n: rng.choice([0.0, 1.0], n).astype(np.float32),
+        lambda rng, n: rng.choice([0, 1], n).astype(bool),
+    ], ids=["int64", "int32", "uint8", "float", "float32", "bool"])
+    def test_bits_match_the_float_cast_form(self, clamp, labels):
+        loss = LossSpec.cross_entropy(clamp)
+        P = TestScalarCrossEntropyGradient.predictions(loss)
+        y = labels(np.random.default_rng(4), len(P))
+        got, want = loss_values(loss, P, y), float_label_ce_values(loss, P, y)
+        assert got.shape == want.shape == (len(P),)
+        assert got.tobytes() == want.tobytes()
+        assert len(np.unique(got)) > 100
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, 1.5, np.inf])
+    @pytest.mark.parametrize("dtype", [float, np.float32, object])
+    def test_labels_other_than_zero_or_one_are_refused_alike(self, bad, dtype):
+        loss = LossSpec.cross_entropy()
+        P = np.full((4, 1), 0.5)
+        y = np.array([0, 1, bad, 1], dtype=dtype)
+        message = "scalar cross-entropy predictions need {0, 1} labels"
+        with pytest.raises(InputError, match=re.escape(message)):
+            float_label_ce_values(loss, P, y)
+        with pytest.raises(InputError, match=re.escape(message)):
+            loss_values(loss, P, y)
+
+    def test_integer_labels_other_than_zero_or_one_are_refused(self):
+        loss = LossSpec.cross_entropy()
+        for bad in (2, -1, 7):
+            with pytest.raises(InputError, match="need {0, 1} labels"):
+                loss_values(loss, np.full((3, 1), 0.5), np.array([0, bad, 1]))
 
 
 class TestHingeIsRowWise:
