@@ -389,8 +389,7 @@ def cmd_example1(args) -> int:
         raise ConfigurationError(f"--parallel-trials must be >= 1, got {args.parallel_trials}")
     out = _out_dir(args, "example1")
     seeds = range(args.seed, args.seed + args.trials)
-    # one job per block of trials, in record order: each block is written and
-    # counted before the next is taken, so no record outlives its block
+    # one job per block of trials, in record order
     jobs = [(n, seeds[i:i + example1_block_trials(n)])
             for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
     doubled, infeasible = dict.fromkeys(ns, 0), dict.fromkeys(ns, 0)
@@ -410,7 +409,7 @@ def cmd_example1(args) -> int:
             blocks = (map if workers is None else workers.map)(example1_trials, *zip(*jobs))
             for block in blocks:
                 n = block[0]["N"]
-                f.writelines(encode(r) + "\n" for r in block)
+                f.write("\n".join(map(encode, block)) + "\n")
                 doubled[n] += sum(r["population_J"] == 0.125 for r in block)
                 infeasible[n] += sum(not r["feasible"] for r in block)
                 del block  # freed before the next block is computed
