@@ -10,9 +10,11 @@ parameter with twice the population objective. Its closed forms make it a
 sharp oracle for the rest of the library.
 
 Monte-Carlo trials of that instance run in blocks of about 8,192 rows per
-table. Each trial is still drawn from its own generator, in the order
-`example1_sample` draws, into its own row block of three shared tables, and
-each candidate is forwarded once per table. A trial's risk is then the sum
+table. Trial `seed` of N samples is row block `seed` of 3N doubles in one
+PCG64 stream per N, so a run of consecutive trials is one jump ahead and
+one draw, and different N draw from independent streams. Each trial fills
+its own row block of three shared tables, and each candidate is forwarded
+once per table. A trial's risk is then the sum
 of its N loss values, read as one row of a C-ordered (T, N) array, divided
 by N. Every prediction and loss value depends on its own row alone, and
 numpy reduces each such row as it reduces a length-N vector, so a trial's
@@ -32,17 +34,21 @@ from .lagrangian import enumeration_stats
 from .models import LinearArch, ModelState, predict_batch
 
 
-def _example1_draws(N: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One trial's (tau, alpha, heads) draws, each of length N."""
+def _example1_draws(N: int, seed: int, T: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (tau, alpha, heads) draws of trials seed, ..., seed + T - 1, each (T, N).
+
+    Trial s is row block s of 3N doubles u in the stream of
+    SeedSequence(0, spawn_key=(N,)): tau = u[0] - 1/2, alpha = u[1] / 4 and
+    heads = u[2] < 1/2, so one jump ahead reaches the first trial of a run.
+    """
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    tau = rng.uniform(-0.5, 0.5, size=N)
-    alpha = rng.uniform(0.0, 0.25, size=N)
-    heads = rng.integers(0, 2, size=N).astype(bool)
-    return tau, alpha, heads
+    bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
+    bits.advance(3 * N * seed)
+    u = np.random.Generator(bits).random((T, 3, N))
+    return u[:, 0] - 0.5, 0.25 * u[:, 1], u[:, 2] < 0.5
 
 
 def _example1_tables(tau: np.ndarray, alpha: np.ndarray,
@@ -70,7 +76,8 @@ def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     index, and the same tau appears in all three datasets at that index: the
     nominal sample is ([tau, -tau], -1) or ([0, alpha], +1) with equal
     probability, and the two constraint samples are ([-1, tau], +1) and
-    ([-tau, 1], +1).
+    ([-tau, 1], +1). `seed` is the trial's id in the draw stream of its N
+    (see `_example1_draws`), so every N draws independently.
     """
     return _example1_tables(*_example1_draws(N, seed))
 
@@ -240,11 +247,10 @@ def example1_trials(N: int, seeds) -> list[dict]:
         block = seeds[start:start + size]
         R, S, tau_bar = _example1_block_stats(N, block)
         index, value = constrained_argmin(R, S)
-        for t, seed in enumerate(block):
-            feasible = bool(value[t] != math.inf)
-            theta, J = _EX1_SCORED[index[t]] if feasible else (None, None)
-            records.append({"seed": seed, "N": N, "tau_bar": float(tau_bar[t]),
-                            "feasible": feasible,
+        for seed, mean, j, v in zip(block, tau_bar.tolist(), index.tolist(), value.tolist()):
+            feasible = v != math.inf
+            theta, J = _EX1_SCORED[j] if feasible else (None, None)
+            records.append({"seed": seed, "N": N, "tau_bar": mean, "feasible": feasible,
                             "theta_hat": None if theta is None else list(theta),
                             "population_J": J})
     return records
@@ -252,12 +258,14 @@ def example1_trials(N: int, seeds) -> list[dict]:
 
 def _example1_block_stats(N: int, seeds: list[int]):
     """(R, S, tau_bar) of one block of trials: R (T, J) holds each trial's
-    objective risks at the J candidates, S (T, J, m) its slack vectors."""
+    objective risks at the J candidates, S (T, J, m) its slack vectors. Each
+    maximal run of consecutive seeds is drawn with one call."""
     T = len(seeds)
     tau, alpha = np.empty((T, N)), np.empty((T, N))
     heads = np.empty((T, N), dtype=bool)
-    for t, seed in enumerate(seeds):
-        tau[t], alpha[t], heads[t] = _example1_draws(N, seed)
+    cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
+    for a, b in zip([0, *cuts], [*cuts, T]):
+        tau[a:b], alpha[a:b], heads[a:b] = _example1_draws(N, seeds[a], b - a)
     problem = _example1_instance(_example1_tables(tau, alpha, heads), "example1-block")
     risks = np.empty((len(problem.terms), T, len(_EX1_CANDIDATES)))
     for j, model in enumerate(_EX1_CANDIDATES):
