@@ -18,11 +18,14 @@ Four commands over a single JSON config tree:
   ``thetas.npy`` through the trace header), written as ``config_echo.json``
   and ``summary.json``.
 - ``example1``: pathology trials of the built-in hard instance, with the
-  fraction of trials landing on the doubled population objective. Trials run
-  in the blocks of `duallearn.oracle.example1_block_trials`, and each block's
-  records are written to ``trials.jsonl`` and counted for ``summary.json``
-  before the next block is computed, so a serial run's memory is bounded by
-  one block whatever the trial count. A run that fails writes neither file.
+  fraction of trials landing on the doubled population objective. Each
+  sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
+  own draw stream, so the sizes draw independently (a trial's ``seed`` in
+  ``trials.jsonl`` is its id in that stream). Trials run in the blocks of
+  `duallearn.oracle.example1_block_trials`, and each block's records are
+  written to ``trials.jsonl`` and counted for ``summary.json`` before the
+  next block is computed, so a serial run's memory is bounded by one block
+  whatever the trial count. A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Configs are validated strictly, with the full key path in every error.
@@ -517,7 +520,8 @@ def main(argv=None) -> int:
                       help="trials per sample size; records are written block by block, "
                            "so memory is bounded by one block of trials")
     p_ex.add_argument("--n", default="10,100,1000", help="comma-separated sample sizes")
-    p_ex.add_argument("--seed", type=int, default=0)
+    p_ex.add_argument("--seed", type=int, default=0,
+                      help="id of the first trial in each sample size's draw stream")
     p_ex.add_argument("--parallel-trials", type=int, default=1,
                       help="worker processes that compute blocks of trials; the records "
                            "are written in the serial order, with the serial bytes")
