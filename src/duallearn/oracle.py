@@ -14,11 +14,11 @@ table. Trial `seed` of N samples is row block `seed` of 3N doubles in one
 PCG64 stream per N, so a run of consecutive trials is one jump ahead and
 one draw, and different N draw from independent streams. Each trial fills
 its own row block of three shared tables, and each candidate is forwarded
-once per table. A trial's risk is then the sum
-of its N loss values, read as one row of a C-ordered (T, N) array, divided
-by N. Every prediction and loss value depends on its own row alone, and
-numpy reduces each such row as it reduces a length-N vector, so a trial's
-risks, slacks and record have the bits of enumerating it on its own.
+once per table. A trial's risk is then the sum of its N loss values, read
+as one row of a C-ordered (T, N) array, divided by N. Every prediction and
+loss value depends on its own row alone, and numpy reduces each such row as
+it reduces a length-N vector, so a trial's risks, slacks and record have
+the bits of enumerating it on its own.
 """
 
 from __future__ import annotations

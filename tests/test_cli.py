@@ -522,6 +522,25 @@ def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, n
     assert {n: sum(size for m, size in calls if m == n) for n in ns} == dict.fromkeys(ns, trials)
 
 
+def test_example1_builds_one_generator_per_block(tmp_path, monkeypatch):
+    built = []
+
+    def counted(make):
+        def build(*args, **kwargs):
+            built.append(make)
+            return make(*args, **kwargs)
+        return build
+
+    for name in ("PCG64", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    ns, trials = (10, 100, 1000), 4000
+    assert main(["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials),
+                 "--out", str(tmp_path)]) == 0
+    blocks = sum(math.ceil(trials / example1_block_trials(n)) for n in ns)
+    assert blocks == 5 + 50 + 500
+    assert len(built) == blocks  # not one per trial (12,000)
+
+
 def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
     """Records are written block by block, so ten times the trials needs no
     more memory than one block holds."""

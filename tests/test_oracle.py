@@ -1,11 +1,13 @@
-"""The exact dual LP of `oracle.dual_enumerate` on enumerable instances, and
-the blocked example1 trials against the per-trial enumeration."""
+"""The exact dual LP of `oracle.dual_enumerate` on enumerable instances, the
+blocked example1 trials against the per-trial enumeration, and the draw
+stream each trial reads."""
 
 import math
 
 import numpy as np
 import pytest
 
+from duallearn import oracle
 from duallearn.errors import InputError
 from duallearn.lagrangian import enumeration_stats
 from duallearn.oracle import (
@@ -124,6 +126,57 @@ def test_block_risks_and_slacks_have_the_bits_of_the_per_trial_evaluation(N):
         R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
         assert R[t].tobytes() == R_t.tobytes()
         assert S[t].tobytes() == S_t.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 3, 10])
+def test_records_do_not_depend_on_the_block_layout(monkeypatch, N):
+    seeds = range(4, 64)
+    records = example1_trials(N, seeds)
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
+    assert example1_block_trials(N) == max(1, 7 // N)
+    relaid = example1_trials(N, seeds)
+    assert relaid == records
+    assert [r["tau_bar"].hex() for r in relaid] == [r["tau_bar"].hex() for r in records]
+
+
+@pytest.mark.parametrize("N", [1, 10, 1000])
+def test_records_do_not_depend_on_the_first_seed_of_the_run(N):
+    assert example1_trials(N, range(37, 200)) == example1_trials(N, range(0, 200))[37:]
+
+
+@pytest.mark.parametrize("N", [1, 10, 1000])
+def test_block_draws_are_a_plain_prefix_of_the_stream_of_their_N(N):
+    """Trial s reads row block s of 3N doubles u of its N's stream, drawn here
+    without a jump ahead: tau = u[0] - 1/2, alpha = u[1] / 4, heads = u[2] < 1/2."""
+    seeds = range(3, 3 + example1_block_trials(N) + 2)  # crosses a block boundary
+    stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(N,)))
+    u = stream.random((seeds[-1] + 1, 3, N))
+    records = example1_trials(N, seeds)
+    for r in records:
+        tau, alpha, heads = u[r["seed"], 0] - 0.5, 0.25 * u[r["seed"], 1], u[r["seed"], 2] < 0.5
+        d0, d1, d2 = example1_sample(N, r["seed"])
+        nominal = np.where(heads[:, None], np.column_stack([np.zeros(N), alpha]),
+                           np.column_stack([tau, -tau]))
+        assert d0.features.tobytes() == nominal.tobytes()
+        assert d0.labels.tolist() == np.where(heads, 1, -1).tolist()
+        assert d1.features.tobytes() == np.column_stack([-np.ones(N), tau]).tobytes()
+        assert d2.features.tobytes() == np.column_stack([-tau, np.ones(N)]).tobytes()
+        assert r["tau_bar"].hex() == (float(tau.sum()) / N).hex()
+        assert r == per_trial_record(N, r["seed"])
+
+
+@pytest.mark.parametrize("N", [1, 10, 1000])
+def test_non_consecutive_seeds_equal_the_per_trial_path(N):
+    seeds = [5, 3, 4, 9, 10, 11, 11, 0, 40, 2]
+    assert example1_trials(N, seeds) == [per_trial_record(N, s) for s in seeds]
+
+
+def test_sample_sizes_draw_from_independent_streams():
+    # per-trial seeding made a seed's N = 10 draws the first 10 of its N = 100 draws
+    for seed in range(5):
+        tau10 = example1_sample(10, seed)[1].features[:, 1]
+        tau100 = example1_sample(100, seed)[1].features[:, 1]
+        assert not np.isin(tau10, tau100).any(), seed
 
 
 def test_an_example1_seed_below_zero_is_an_input_error():
