@@ -261,9 +261,11 @@ def _example1_block_stats(N: int, seeds: list[int]):
     objective risks at the J candidates, S (T, J, m) its slack vectors. Each
     maximal run of consecutive seeds is drawn with one call."""
     T = len(seeds)
+    tau, alpha = np.empty((T, N)), np.empty((T, N))
+    heads = np.empty((T, N), dtype=bool)
     cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
-    runs = [_example1_draws(N, seeds[a], b - a) for a, b in zip([0, *cuts], [*cuts, T])]
-    tau, alpha, heads = (np.concatenate(parts) for parts in zip(*runs))
+    for a, b in zip([0, *cuts], [*cuts, T]):
+        tau[a:b], alpha[a:b], heads[a:b] = _example1_draws(N, seeds[a], b - a)
     problem = _example1_instance(_example1_tables(tau, alpha, heads), "example1-block")
     risks = np.empty((len(problem.terms), T, len(_EX1_CANDIDATES)))
     for j, model in enumerate(_EX1_CANDIDATES):

@@ -153,7 +153,8 @@ def test_block_draws_are_a_plain_prefix_of_the_stream_of_their_N(N):
     u = stream.random((seeds[-1] + 1, 3, N))
     records = example1_trials(N, seeds)
     for r in records:
-        tau, alpha, heads = u[r["seed"], 0] - 0.5, 0.25 * u[r["seed"], 1], u[r["seed"], 2] < 0.5
+        block = u[r["seed"]]
+        tau, alpha, heads = block[0] - 0.5, 0.25 * block[1], block[2] < 0.5
         d0, d1, d2 = example1_sample(N, r["seed"])
         nominal = np.where(heads[:, None], np.column_stack([np.zeros(N), alpha]),
                            np.column_stack([tau, -tau]))
