@@ -150,6 +150,9 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
         raise ConfigurationError(
             "attack.clamp_lo and attack.clamp_hi must be given together: "
             "the clamp box needs both bounds")
+    # an inherited seed is the run seed modulo 2**63, as `train` derives its
+    # entropy, so that a negative run seed gives a valid one
+    seed %= 2 ** 63
     defaults = {"seed": seed, "step_size": lambda v: v["epsilon"]}
     preset = own.get("preset")
     if preset is not None:

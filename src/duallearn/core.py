@@ -51,19 +51,33 @@ def stable_sigmoid(x: np.ndarray | float) -> np.ndarray | float:
 
     Branch-free: with e = exp(-|x|), 1 / (1 + e) for x >= 0 and e / (1 + e)
     (that is, exp(x) / (1 + exp(x))) for x < 0, so exp never overflows. One
-    division serves both branches: the numerator is picked before it.
+    division serves both branches: the numerator is picked before it. The
+    temporaries are computed in place, each by the operation it replaced.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
+    if x.ndim == 0:
+        return float(stable_sigmoid(x[None])[0])
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass `cls` holding `values` as they
+    are, without its constructor's checks: for a state derived from checked
+    ones inside a loop."""
+    obj = object.__new__(cls)
+    for key, value in values.items():
+        object.__setattr__(obj, key, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +109,7 @@ class Dataset:
         labels = np.asarray(self.labels)
         if labels.dtype.kind not in "iuf":
             raise InputError(f"labels must be numeric, got dtype {labels.dtype}")
-        if labels.dtype.kind == "f":
-            labels = labels.astype(float)
-        else:
-            labels = labels.astype(np.int64)
+        labels = labels.astype(float if labels.dtype.kind == "f" else np.int64, copy=False)
         if feats.ndim != 2:
             raise InputError(f"features must be an (N, d) matrix, got shape {feats.shape}")
         if feats.shape[0] == 0:
@@ -123,17 +134,16 @@ class Dataset:
 
     def subset(self, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
         """The view of the `indices` rows, in that order; a subset of a view
-        is a view of the same root."""
+        is a view of the same root. Its rows are this set's, already
+        checked, so only the indices are."""
         idx = np.array(indices, dtype=int)
-        view = Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            name=name if name is not None else self.name,
-        )
+        if idx.ndim != 1 or idx.shape[0] == 0:
+            raise InputError(f"subset indices must be a nonempty vector, got shape {idx.shape}")
         root, rows = (self, idx) if self.root is None else (self.root, self.rows[idx])
-        object.__setattr__(view, "root", root)
-        object.__setattr__(view, "rows", _readonly(rows))
-        return view
+        return _unchecked(Dataset, features=_readonly(self.features[idx]),
+                          labels=_readonly(self.labels[idx]),
+                          name=self.name if name is None else name, root=root,
+                          rows=_readonly(rows))
 
 
 @dataclass(frozen=True)
@@ -334,6 +344,22 @@ class Problem:
         for (_, ref, _), w in zip(self._layout, np.asarray(mu, float).tolist(), strict=True):
             weights += (w, -w) if ref else (w,)
         return weights
+
+    @cached_property
+    def table_terms(self) -> tuple[tuple[DatasetLike, ...], tuple[tuple, ...]]:
+        """`terms` laid out once for one loss pass per (table, loss): (the
+        distinct sets of `terms`, groups), both in first-seen order. A group
+        is (source, loss, members): the terms whose loss equals `loss` and
+        whose set is `source` or a view of it, each member (term index, set,
+        its rows in `source` or None for all of it). A view's source is its
+        root; any other set (a table or an attacked set) is its own."""
+        groups: dict[tuple, list] = {}
+        for k, (loss, d) in enumerate(self.terms):
+            view = isinstance(d, Dataset) and d.root is not None
+            groups.setdefault((d.root if view else d, loss), []).append(
+                (k, d, d.rows if view else None))
+        return (tuple(dict.fromkeys(self.datasets)),
+                tuple((source, loss, tuple(members)) for (source, loss), members in groups.items()))
 
     @property
     def m(self) -> int:

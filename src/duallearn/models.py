@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import from_config
-from .core import (Dataset, DatasetLike, LossSpec, Problem, loss_pred_grads, loss_values,
-                   stable_sigmoid)
+from .core import (Dataset, DatasetLike, LossSpec, Problem, _unchecked, loss_pred_grads,
+                   loss_values, stable_sigmoid)
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -131,7 +131,18 @@ class ModelState:
             )
         if not np.isfinite(p).all():
             raise InputError("model parameters must be finite")
-        p = p.copy()
+        self._bind(p.copy())
+
+    @classmethod
+    def _of_fresh(cls, params: np.ndarray, arch: Arch) -> ModelState:
+        """The state of `params`, a new finite float vector of the
+        architecture's length that nothing else holds, taken as it is."""
+        state = _unchecked(cls, arch=arch)
+        state._bind(params)
+        return state
+
+    def _bind(self, p: np.ndarray) -> None:
+        """Hold `p` read-only as the parameters, and cut the layers from it."""
         p.setflags(write=False)
         object.__setattr__(self, "params", p)
         widths, bias = self.arch.widths, self.arch.bias
@@ -238,14 +249,22 @@ class Evaluation:
     on the rows it picks, and the evaluation keeps them. A whole set is
     attacked from this evaluation's predictions on its clean base table, so
     the base is forwarded at most once, whichever term reads it first.
-    Loss values and loss gradients are computed once per (table, loss), and
-    risks once per (set, loss). A view's risk is the mean over its rows, in
-    their order, of the values read from whichever forward covers them: the
-    root's or the view's own. The two forwards can give a row different
-    last bits (a matrix product's blocking depends on its row count), so a
-    view's risk or gradient can differ in its last bits with whether the
-    evaluation also realises the root. Outputs stay deterministic, because
-    the order in which sets are realised is fixed.
+    Loss values and loss gradients are computed once per (table, loss). A
+    view's risk is the mean over its rows, in their order, of the values
+    read from whichever forward covers them: the root's or the view's own.
+    The two forwards can give a row different last bits (a matrix product's
+    blocking depends on its row count), so a view's risk or gradient can
+    differ in its last bits with whether the evaluation also realises the
+    root. Outputs stay deterministic, because the order in which sets are
+    realised is fixed.
+
+    A problem is read through its layout (`Problem.table_terms`, built once
+    per problem): its terms grouped by the table they are cut from and by
+    loss. `stats` makes one `loss_values` pass per group and reads every
+    member's risk from it by the reduction `risk` uses, so each risk has
+    the bits of reading it on its own. A group whose root this evaluation
+    does not realise is read view by view, each from its own forward, as
+    `risk` reads it.
 
     Sets may be realised at any time; realising every set up front (see
     `of`) lets views find the root they share before anything is forwarded.
@@ -267,7 +286,6 @@ class Evaluation:
         self._realized: dict[DatasetLike, Dataset] = {}
         self._preds: dict[Dataset, np.ndarray] = {}
         self._rowwise: dict[tuple, np.ndarray] = {}
-        self._risks: dict[tuple[DatasetLike, LossSpec], float] = {}
         self._grads: dict[tuple[DatasetLike, LossSpec], np.ndarray] = {}
         self._stats: dict[Problem, tuple[float, np.ndarray]] = {}
 
@@ -333,14 +351,8 @@ class Evaluation:
 
     def risk(self, loss: LossSpec, dataset: DatasetLike) -> float:
         """Sample-average `loss` over the realised `dataset`."""
-        risk = self._risks.get((dataset, loss))
-        if risk is None:
-            table, rows = self._locate(self.realize(dataset))
-            vals = self._per_row(loss_values, loss, table)
-            if rows is not None:
-                vals = vals[rows]
-            risk = self._risks[dataset, loss] = float(vals.sum()) / vals.shape[0]
-        return risk
+        table, rows = self._locate(self.realize(dataset))
+        return _mean(self._per_row(loss_values, loss, table), rows)
 
     def param_grad(self, loss: LossSpec, dataset: DatasetLike) -> np.ndarray:
         """d(risk)/d(parameters) of `loss` on the realised `dataset`,
@@ -361,14 +373,37 @@ class Evaluation:
 
     def stats(self, problem: Problem) -> tuple[float, np.ndarray]:
         """(objective risk, read-only slack vector) of `problem` from one risk
-        per `problem.terms` entry, computed once per problem."""
+        per `problem.terms` entry, computed once per problem.
+
+        The sets are realised first, then each group of `problem.table_terms`
+        reads one `loss_values` pass over its source's realisation (see the
+        class docstring).
+        """
         hit = self._stats.get(problem)
         if hit is None:
-            for d in problem.datasets:
+            sets, groups = problem.table_terms
+            for d in sets:
                 self.realize(d)
-            risks = [self.risk(loss, dataset) for loss, dataset in problem.terms]
+            risks = [0.0] * len(problem.terms)
+            for source, loss, members in groups:
+                table = self._realized.get(source)
+                if table is None:
+                    for k, d, _ in members:
+                        risks[k] = self.risk(loss, d)
+                    continue
+                values = self._per_row(loss_values, loss, table)
+                for k, _, rows in members:
+                    risks[k] = _mean(values, rows)
             hit = self._stats[problem] = (risks[0], problem.slacks_of(risks))
         return hit
+
+
+def _mean(values: np.ndarray, rows: np.ndarray | None) -> float:
+    """The mean of `values`, or of its `rows` in their order: the one
+    reduction of every risk."""
+    if rows is None:
+        return float(values.sum()) / values.shape[0]
+    return float(values[rows].sum()) / rows.shape[0]
 
 
 WeightedLoss = tuple[float, LossSpec, DatasetLike]
@@ -437,12 +472,14 @@ class OptimizerState:
             raise ConfigurationError(f"step_size must be positive, got {self.step_size}")
         if self.t < 0:
             raise ConfigurationError("step counter must be >= 0")
+        if (self.m is None) != (self.v is None):
+            raise ConfigurationError("the moment vectors m and v are given together or not at all")
 
 
 def optimizer_step(opt: OptimizerState, model: ModelState,
                    gradient: np.ndarray) -> tuple[OptimizerState, ModelState]:
-    """One descent step; raises NumericError on non-finite gradients,
-    leaving both states untouched."""
+    """One descent step; raises NumericError on non-finite gradients or
+    parameters, leaving both states untouched."""
     g = np.asarray(gradient, dtype=float)
     if g.shape != model.params.shape:
         raise InputError(
@@ -451,27 +488,34 @@ def optimizer_step(opt: OptimizerState, model: ModelState,
     if not np.isfinite(g).all():
         raise NumericError("gradient contains non-finite entries; step refused")
     opt, params = descent_step(opt, model.params, g)
-    return opt, model.with_params(params)
+    if not np.isfinite(params).all():
+        raise NumericError("the step takes the parameters out of the finite range; "
+                           "step refused")
+    return opt, ModelState._of_fresh(params, model.arch)
 
 
 def descent_step(opt: OptimizerState, x: np.ndarray,
                  g: np.ndarray) -> tuple[OptimizerState, np.ndarray]:
     """One ADAM descent step on the array x along gradient g.
 
-    Returns the advanced state and x minus the step. Projected ascent on a
-    multiplier vector is this step on the negated gradient, then projection.
+    Returns the advanced state and x minus the step, a new array. Projected
+    ascent on a multiplier vector is this step on the negated gradient, then
+    projection. From an empty state the moments are (1 - beta) times the
+    gradient (and its square): the decayed zero moments would add zeros.
     """
-    m = opt.m if opt.m is not None else np.zeros_like(g)
-    v = opt.v if opt.v is not None else np.zeros_like(g)
-    if m.shape != g.shape or v.shape != g.shape:
-        raise InputError("optimizer moment vectors do not match the gradient length")
+    if opt.m is None:
+        m = (1.0 - ADAM_BETA1) * g
+        v = (1.0 - ADAM_BETA2) * g * g
+    else:
+        if opt.m.shape != g.shape or opt.v.shape != g.shape:
+            raise InputError("optimizer moment vectors do not match the gradient length")
+        m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
     t = opt.t + 1
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
     step = opt.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return OptimizerState(opt.step_size, m, v, t), x - step
+    return _unchecked(OptimizerState, step_size=opt.step_size, m=m, v=v, t=t), x - step
 
 
 # --- serialization -----------------------------------------------------------

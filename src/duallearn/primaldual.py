@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Problem
+from .core import Problem, _readonly, _unchecked
 from .errors import ConfigurationError, DualLearnError, InputError
 from .lagrangian import DualState, InnerSolverConfig, enumeration_stats, gradient_minimize
 from .models import (
@@ -171,7 +171,7 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
             mu = dual_update(mu, s, config.dual_step_eta)
         else:
             dual_opt, ascended = descent_step(dual_opt, mu.mu, -s)
-            mu = DualState(np.maximum(0.0, ascended))
+            mu = _unchecked(DualState, mu=_readonly(np.maximum(0.0, ascended, out=ascended)))
 
     return trace, ev.model, mu
 

@@ -247,6 +247,10 @@ def set_key(path, value):
     ("fairness_train.json", set_key(["problem", "constraints", 0, "name"], None),
      "config key problem.constraints[0].name"),
     ("fairness_train.json", set_key(["model", "init_seed"], None), "config key model.init_seed"),
+    # a negative attack seed, whichever model would read it
+    ("robust_train.json", set_key(["attack", "seed"], -3), "attack.seed must be >= 0, got -3"),
+    ("robust_train.json", lambda cfg: pgd_mlp(cfg, {"seed": -3}),
+     "attack.seed must be >= 0, got -3"),
     # a float for an int key, a bool for a number key
     ("fairness_train.json", set_key(["inner", "epochs"], 1.0),
      "config key inner.epochs must be an integer, got float"),
@@ -260,6 +264,26 @@ def test_the_derived_schema_refuses(tmp_path, capsys, shipped, edit, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def pgd_mlp(cfg, attack):
+    """The robust config shortened, with a (2, 4, 1) sigmoid MLP attacked by
+    the pgd-evaluation preset, plus the keys in `attack`."""
+    cfg["problem"]["datasets"]["synth"]["n"] = 60
+    cfg["dual"]["iterations_T"] = 2
+    cfg["model"] = {"arch": "mlp", "widths": [2, 4, 1], "output": "sigmoid", "init_seed": 0}
+    cfg["attack"] = {"preset": "pgd-evaluation", "epsilon": 0.8, **attack}
+
+
+@pytest.mark.parametrize("run_seed, attack_seed", [(-2, 2 ** 63 - 2), (5, 5)])
+def test_an_inherited_attack_seed_is_derived_like_the_entropy(tmp_path, run_seed, attack_seed):
+    """A run seed, negative too, gives the PGD restarts the seed `train`
+    derives its entropy from (the run seed modulo 2**63)."""
+    path, _ = derived_config(tmp_path, "robust_train.json", lambda cfg: pgd_mlp(cfg, {}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--seed", str(run_seed), "--out", str(out)]) == 0
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["seed"] == run_seed and echo["attack"]["seed"] == attack_seed
 
 
 def fairness_eval(tmp_path, *source):

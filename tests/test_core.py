@@ -436,6 +436,23 @@ class TestDatasetViews:
         with pytest.raises(ValueError):
             view.rows[0] = 1
 
+    @pytest.mark.parametrize("labels", [np.arange(6, dtype=np.int32), np.linspace(0.0, 1.0, 6)],
+                             ids=["int", "float"])
+    def test_a_minibatch_view_keeps_its_labels_is_read_only_and_carries_its_rows(self, labels):
+        from duallearn.models import Evaluation
+
+        root = Dataset(features=np.arange(12.0).reshape(6, 2), labels=labels)
+        assert root.labels.dtype == (np.int64 if labels.dtype.kind == "i" else np.float64)
+        group = root.subset([5, 1, 2, 4])
+        batch = Evaluation(ModelState(np.zeros(3), LinearArch(2))).batch(group, np.array([3, 0, 3]))
+        assert batch.root is root and batch.rows.tolist() == [4, 5, 4]
+        assert batch.labels.dtype == root.labels.dtype
+        assert batch.labels.tobytes() == root.labels[[4, 5, 4]].tobytes()
+        assert batch.features.tobytes() == root.features[[4, 5, 4]].tobytes()
+        for array in (batch.features, batch.labels, batch.rows):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     def test_a_view_keeps_the_dtypes_of_its_table_and_is_read_only(self):
         for labels in (np.arange(5, dtype=np.int64), np.linspace(0.0, 1.0, 5)):
             root = Dataset(features=np.arange(10.0).reshape(5, 2), labels=labels)
@@ -463,7 +480,7 @@ class TestLossSpecHash:
         ds = Dataset(features=np.ones((3, 1)), labels=np.array([0, 1, 1]))
         ev = Evaluation(identity_1d())
         assert ev.risk(a, ds) == ev.risk(b, ds)
-        assert list(ev._risks) == [(ds, a)]
+        assert list(ev._rowwise) == [(loss_values, ds, a)]
 
     def test_the_hash_does_not_depend_on_the_process(self):
         """A spec's hash is computed once, when it is built; an unpickled

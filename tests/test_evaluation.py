@@ -96,21 +96,70 @@ def own_gradient(model, terms):
     return total
 
 
-@pytest.mark.parametrize("kind", LOSS_KINDS)
-@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
-def test_group_views_with_references_read_exactly_their_own_risks(kind, model):
-    problem = fairness_shaped(kind)
-    table_ds = problem.objective_dataset
-    want = [own_risk(model, c.loss, c.dataset) - own_risk(model, c.loss, table_ds)
+def views_only(kind, seed=0):
+    """Objective and constraints on group views alone, one against a
+    reference on another view: the table is no term, so each view is read
+    from its own forward pass."""
+    ds, groups = table(seed=seed)
+    loss = loss_of(kind)
+    parts = group_split(ds, groups)
+    cons = (ConstraintSpec(loss=loss, threshold_c=0.1, dataset=parts["B"],
+                           reference=ReferenceTerm(loss=loss, dataset=parts["C"]), name="B"),
+            ConstraintSpec(loss=loss, threshold_c=0.2, dataset=parts["D"], name="D"))
+    return Problem(objective_loss=CE, objective_dataset=parts["A"], constraints=cons)
+
+
+def shared_terms(kind, seed=0):
+    """Terms that share (table, loss): two constraints on one view with
+    equal losses built apart, and references that read the objective's term."""
+    ds, groups = table(seed=seed)
+    loss = loss_of(kind)
+    twin = LossSpec(**{f: getattr(loss, f) for f in ("kind", "bound_B", "clamp_p_min")})
+    parts = group_split(ds, groups)
+    cons = (ConstraintSpec(loss=loss, threshold_c=0.1, dataset=parts["A"],
+                           reference=ReferenceTerm(loss=CE, dataset=ds), name="A"),
+            ConstraintSpec(loss=twin, threshold_c=0.3, dataset=parts["A"],
+                           reference=ReferenceTerm(loss=twin, dataset=ds), name="A again"))
+    return Problem(objective_loss=CE, objective_dataset=ds, constraints=cons)
+
+
+SHAPES = {"fairness": fairness_shaped, "views-only": views_only, "shared-terms": shared_terms}
+
+
+def constraint_values(risk, problem):
+    """Each constraint's risk less its reference's, from `risk(loss, set)`."""
+    return [risk(c.loss, c.dataset) if c.reference is None
+            else risk(c.loss, c.dataset) - risk(c.reference.loss, c.reference.dataset)
             for c in problem.constraints]
-    ev = Evaluation.of(model, problem.datasets)
-    assert bits([ev.risk(c.loss, c.dataset) - ev.risk(c.reference.loss, c.reference.dataset)
-                 for c in problem.constraints]) == bits(want)
+
+
+@pytest.mark.parametrize("kind, shape", [pytest.param(kind, "fairness", id=kind)
+                                         for kind in LOSS_KINDS] + [
+    pytest.param(kind, shape, id=f"{shape}-{kind}")
+    for shape in ("views-only", "shared-terms") for kind in LOSS_KINDS])
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
+def test_group_views_with_references_read_exactly_their_own_risks(kind, shape, model,
+                                                                  monkeypatch):
+    import duallearn.models as models_mod
+
+    problem = SHAPES[shape](kind)
+    want = constraint_values(lambda loss, ds: own_risk(model, loss, ds), problem)
     want_slacks = [w - c.threshold_c for w, c in zip(want, problem.constraints)]
+    forwarded = []
+    record_forwards(monkeypatch, models_mod, lambda X: forwarded.append(len(X)))
+    ev = Evaluation.of(model, problem.datasets)
+    got_slacks = slacks(ev, problem)  # the layout path, before any risk is read
+    monkeypatch.undo()
+    # one forward per table read: the root where it is a term, else each view itself
+    tables = {id(t): t for t in (d.root if any(d.root is e for e in problem.datasets) else d
+                                 for d in problem.datasets)}
+    assert sorted(forwarded) == sorted(len(t) for t in tables.values())
+    assert bits(got_slacks) == bits(want_slacks)
+    assert bits(constraint_values(ev.risk, problem)) == bits(want)
     assert bits(slacks(model, problem)) == bits(want_slacks)
-    assert bits(slacks(ev, problem)) == bits(want_slacks)
-    mu = DualState(np.array([0.5, 0.0, 1.25, 2.0]))
-    want_lag = own_risk(model, CE, table_ds) + float(mu.mu @ np.asarray(want_slacks))
+    mu = DualState(np.array([0.5, 0.0, 1.25, 2.0] if problem.m == 4 else [0.5, 1.25]))
+    want_lag = (own_risk(model, CE, problem.objective_dataset)
+                + float(mu.mu @ np.asarray(want_slacks)))
     assert bits(empirical_lagrangian(model, mu, problem)) == bits(want_lag)
     assert bits(empirical_lagrangian(ev, mu, problem)) == bits(want_lag)
     for c in problem.constraints:
@@ -478,3 +527,33 @@ def test_fairness_train_backpropagates_each_term_once_per_accepted_iterate(monke
     terms = distinct_terms(problem.surrogate)
     assert accepted < T // 2  # the memo has kept iterates to pay on
     assert len(calls) <= (accepted + 1) * terms
+
+
+def test_fairness_train_makes_one_loss_pass_per_table_and_loss_per_iterate(monkeypatch):
+    """Every evaluated iterate scores the whole table once per loss that the
+    surrogate or the true problem reads, and never a group view on its own."""
+    import duallearn.models as models_mod
+
+    problem = fairness_train_problem()
+    inner = InnerSolverConfig(epochs=1, batch_size=None, step_size=0.05)
+    T = 40
+    cfg = TrainConfig(iterations_T=T, dual_step_eta=0.05, inner=inner, seed=3)
+    init = init_model(LogisticArch(3))
+    passes = []
+    original = models_mod.loss_values
+    monkeypatch.setattr(models_mod, "loss_values", lambda loss, P, y: passes.append(
+        (P.tobytes(), len(y), loss)) or original(loss, P, y))
+    trace, _, _ = train(problem, cfg, init)
+    monkeypatch.undo()
+
+    ce, indicator = problem.objective_loss, problem.constraints[0].loss
+    sigmoid = problem.surrogate.constraints[0].loss
+    assert len(set(passes)) == len(passes)  # no (iterate, table, loss) twice
+    assert {n for _, n, _ in passes} == {len(problem.objective_dataset)}
+    per_loss = {loss: sum(1 for *_, pl in passes if pl == loss) for loss in (ce, sigmoid)}
+    # the start point, then the one step of each iteration: the surrogate
+    # scores every iterate, the true problem each one a dual step reads
+    assert per_loss == {ce: T + 1, sigmoid: T + 1}
+    kept = {theta.tobytes() for theta in trace.thetas}
+    assert sum(1 for *_, pl in passes if pl == indicator) == len(kept)
+    assert len(passes) == 2 * (T + 1) + len(kept)

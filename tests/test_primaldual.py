@@ -6,7 +6,7 @@ import pytest
 
 from duallearn import models
 from duallearn.core import ConstraintSpec, Dataset, LossSpec, Problem, empirical_risk
-from duallearn.errors import ConfigurationError, InputError
+from duallearn.errors import ConfigurationError, InputError, NumericError
 from duallearn.lagrangian import DualState, InnerSolverConfig, dual_function
 from duallearn.models import (
     Evaluation,
@@ -178,6 +178,33 @@ class TestTrain:
         cfg = TrainConfig(iterations_T=3, dual_step_eta=1.0, inner=inner, seed=0)
         with pytest.raises(Exception, match="iteration 0"):
             train(prob, cfg, ModelState(np.array([1.0]), TOY_ARCH))
+
+    def test_a_step_that_overflows_the_parameters_is_refused_naming_the_iteration(self):
+        """The first step moves the weight from 1 to about -1e308, the second
+        past the float range: the new parameters are checked, not trusted."""
+        ds = Dataset(features=np.ones((2, 1)), labels=np.ones(2))
+        prob = Problem(objective_loss=LossSpec(kind="signed-score", bound_B=1.7e308),
+                       objective_dataset=ds)
+        cfg = TrainConfig(iterations_T=4, dual_step_eta=1.0,
+                          inner=InnerSolverConfig(step_size=1e308), seed=0)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^iteration 1: the step takes the parameters out of"):
+            train(prob, cfg, ModelState(np.ones(1), LinearArch(1, bias=False)))
+
+    @pytest.mark.parametrize("eta", [0.05, 5.0, 1e6])
+    def test_projected_adam_mu_stays_nonnegative_and_finite(self, eta):
+        base = small_gradient_problem(seed=3)
+        rate = base.constraints[0]
+        prob = replace(base, constraints=(replace(rate, threshold_c=0.3),
+                                          replace(rate, threshold_c=0.9)))
+        inner = InnerSolverConfig(epochs=1, batch_size=8, step_size=0.1)
+        cfg = TrainConfig(iterations_T=30, dual_step_eta=eta, dual_method="projected-adam",
+                          inner=inner, seed=2)
+        trace, _, final_mu = train(prob, cfg, init_model(LogisticArch(2)))
+        assert np.any(trace.mu > 0.0) and np.any(trace.mu == 0.0)
+        for mu in (*trace.mu, final_mu.mu):
+            assert np.all(np.isfinite(mu)) and not np.any(np.signbit(mu))
+        assert not final_mu.mu.flags.writeable
 
     def test_param_limit_refuses_only_runs_that_keep_theta(self):
         arch = MlpArch((2, 50_000, 1), output="sigmoid")
