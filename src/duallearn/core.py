@@ -350,16 +350,18 @@ class Problem:
         """`terms` laid out once for one loss pass per (table, loss): (the
         distinct sets of `terms`, groups), both in first-seen order. A group
         is (source, loss, members): the terms whose loss equals `loss` and
-        whose set is `source` or a view of it, each member (term index, set,
-        its rows in `source` or None for all of it). A view's source is its
-        root; any other set (a table or an attacked set) is its own."""
-        groups: dict[tuple, list] = {}
+        whose set is `source` or a view of it, one member (term indices, set,
+        its rows in `source` or None for all of it) per distinct set. A
+        view's source is its root; any other set (a table or an attacked
+        set) is its own."""
+        groups: dict[tuple, dict] = {}
         for k, (loss, d) in enumerate(self.terms):
             view = isinstance(d, Dataset) and d.root is not None
-            groups.setdefault((d.root if view else d, loss), []).append(
-                (k, d, d.rows if view else None))
+            groups.setdefault((d.root if view else d, loss), {}).setdefault(d, []).append(k)
         return (tuple(dict.fromkeys(self.datasets)),
-                tuple((source, loss, tuple(members)) for (source, loss), members in groups.items()))
+                tuple((source, loss, tuple((tuple(ks), d, getattr(d, "rows", None))
+                                           for d, ks in sets.items()))
+                      for (source, loss), sets in groups.items()))
 
     @property
     def m(self) -> int:

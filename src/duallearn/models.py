@@ -387,13 +387,11 @@ class Evaluation:
             risks = [0.0] * len(problem.terms)
             for source, loss, members in groups:
                 table = self._realized.get(source)
-                if table is None:
-                    for k, d, _ in members:
-                        risks[k] = self.risk(loss, d)
-                    continue
-                values = self._per_row(loss_values, loss, table)
-                for k, _, rows in members:
-                    risks[k] = _mean(values, rows)
+                values = None if table is None else self._per_row(loss_values, loss, table)
+                for ks, d, rows in members:
+                    risk = self.risk(loss, d) if values is None else _mean(values, rows)
+                    for k in ks:
+                        risks[k] = risk
             hit = self._stats[problem] = (risks[0], problem.slacks_of(risks))
         return hit
 
@@ -402,8 +400,8 @@ def _mean(values: np.ndarray, rows: np.ndarray | None) -> float:
     """The mean of `values`, or of its `rows` in their order: the one
     reduction of every risk."""
     if rows is None:
-        return float(values.sum()) / values.shape[0]
-    return float(values[rows].sum()) / rows.shape[0]
+        return float(np.add.reduce(values)) / values.shape[0]
+    return float(np.add.reduce(values[rows])) / rows.shape[0]
 
 
 WeightedLoss = tuple[float, LossSpec, DatasetLike]
