@@ -28,6 +28,13 @@ Four commands over a single JSON config tree:
   whatever the trial count. A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
+Each command imports the modules it runs where it runs them, so a process
+loads only those: ``train`` and ``eval`` load the data, Lagrangian and
+dual-ascent modules, and the attack module only for a config with an
+``attack`` section; ``example1`` loads the oracle, and ``bounds`` the bound
+calculators. Importing this module loads only the config, core, errors and
+models modules it shares with all of them.
+
 Configs are validated strictly, with the full key path in every error.
 Each section that configures a dataclass (every loss and attack, the model
 architecture, the gradient inner solver, the dual schedule and the csv
@@ -52,15 +59,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .config import check, from_config, read, require
 from .core import LOSS_KINDS, ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
-from .data import CsvSchema, group_split, load_csv, synth_two_gaussians
 from .errors import ConfigurationError, DualLearnError
-from .lagrangian import InnerSolverConfig
 from .models import (
     arch_from_dict,
     arch_to_dict,
@@ -68,17 +73,10 @@ from .models import (
     load_model,
     save_model,
 )
-from .oracle import example1_block_trials, example1_trials
-from .primaldual import (
-    RandomizedSolution,
-    TrainConfig,
-    load_trace,
-    mixture_risks,
-    randomized_solution,
-    save_trace,
-    train,
-)
-from .robust import AdversarialDataset, AttackConfig
+
+if TYPE_CHECKING:
+    from .primaldual import RandomizedSolution
+    from .robust import AttackConfig
 
 ENV_OUT = "DUALLEARN_OUT"
 
@@ -132,17 +130,17 @@ def _build_loss(spec, path: str) -> tuple[LossSpec, dict]:
     return from_config(LossSpec, spec, path, defaults, **unread)
 
 
-_ATTACK_PRESETS = {
-    "pgd-training": AttackConfig.pgd_training,
-    "pgd-evaluation": AttackConfig.pgd_evaluation,
-    "fgsm": AttackConfig.fgsm,
-}
+# preset -> the AttackConfig constructor that makes it
+_ATTACK_PRESETS = {"pgd-training": "pgd_training", "pgd-evaluation": "pgd_evaluation",
+                   "fgsm": "fgsm"}
 _PRESET_KEYS = ("steps", "step_size", "restarts")
 # Attack keys that are not AttackConfig fields: the preset and the clamp box.
 _ATTACK_OWN = {"preset": str | None, "clamp_lo": float | None, "clamp_hi": float | None}
 
 
 def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
+    from .robust import AttackConfig
+
     own = read({k: v for k, v in spec.items() if k in _ATTACK_OWN}, _ATTACK_OWN, "attack.")
     rest = {k: v for k, v in spec.items() if k not in _ATTACK_OWN}
     lo, hi = own.get("clamp_lo"), own.get("clamp_hi")
@@ -163,7 +161,7 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
                 raise ConfigurationError(
                     f"attack.{key} cannot be combined with attack.preset {preset!r}, "
                     "which sets it")
-        made = _ATTACK_PRESETS[preset](
+        made = getattr(AttackConfig, _ATTACK_PRESETS[preset])(
             check(require(rest, "epsilon", "attack."), float, "attack.epsilon"))
         defaults = {"seed": seed, **{key: getattr(made, key) for key in _PRESET_KEYS}}
     cfg, echo = from_config(AttackConfig, rest, "attack.", defaults,
@@ -174,6 +172,8 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
 def _build_datasets(specs: dict, base_dir: Path):
     """Load every declared dataset; returns name -> (Dataset, its split by
     group or None), each grouped dataset split once."""
+    from .data import CsvSchema, group_split, load_csv, synth_two_gaussians
+
     out: dict[str, tuple[Dataset, dict[str, Dataset] | None]] = {}
     echo: dict[str, dict] = {}
     for name, spec in specs.items():
@@ -230,6 +230,8 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
         if spec.get("adversarial", False):
             if attack_cfg is None:
                 raise ConfigurationError(f"{ctx}.adversarial needs an attack section")
+            from .robust import AdversarialDataset
+
             ds = AdversarialDataset(ds, loss, attack_cfg)
         return loss, loss_echo, ds
 
@@ -266,7 +268,12 @@ def _build_problem(cfg: dict, base_dir: Path, seed: int):
 
 def _build_model(spec: dict, seed: int):
     arch = arch_from_dict({k: v for k, v in spec.items() if k != "init_seed"}, "model.", "arch")
-    init_seed = check(spec.get("init_seed", seed), int, "model.init_seed")
+    if "init_seed" in spec:
+        init_seed = check(spec["init_seed"], int, "model.init_seed")
+        if init_seed < 0:
+            raise ConfigurationError(f"model.init_seed must be >= 0, got {init_seed}")
+    else:
+        init_seed = seed % 2 ** 63  # inherited as attack.seed is
     return init_model(arch, seed=init_seed), {**arch_to_dict(arch, "arch"), "init_seed": init_seed}
 
 
@@ -300,6 +307,9 @@ def _load_config(args) -> tuple[dict, Path, int]:
 # --- commands ------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    from .lagrangian import InnerSolverConfig
+    from .primaldual import TrainConfig, save_trace, train
+
     cfg, base_dir, seed = _load_config(args)
     problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
     model, model_echo = _build_model(require(cfg, "model", ""), seed)
@@ -341,6 +351,8 @@ def cmd_train(args) -> int:
 
 
 def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
+    from .primaldual import mixture_risks
+
     risks = mixture_risks(sol, problem.terms)
     term_risks = iter(risks[1:])
     cons = []
@@ -355,11 +367,14 @@ def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
 
 
 def cmd_eval(args) -> int:
+    # a usage error is reported before the config is read
+    if (args.model is None) == (args.trace is None):
+        raise ConfigurationError("eval needs exactly one of --model or --trace")
+    from .primaldual import RandomizedSolution, load_trace, randomized_solution
+
     cfg, base_dir, seed = _load_config(args)
     problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
 
-    if (args.model is None) == (args.trace is None):
-        raise ConfigurationError("eval needs exactly one of --model or --trace")
     if args.model is not None:
         sol = RandomizedSolution(models=(load_model(args.model),))
         source = {"model": str(args.model)}
@@ -380,6 +395,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_example1(args) -> int:
+    from .oracle import example1_block_trials, example1_trials
+
     try:
         ns = [int(v) for v in args.n.split(",")]
     except ValueError:
@@ -435,6 +452,8 @@ def cmd_example1(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     cfg, _, _ = _load_config(args)
     b = require(cfg, "bounds", "")
     summary: dict = {"command": "bounds"}

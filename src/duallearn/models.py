@@ -135,8 +135,9 @@ class ModelState:
 
     @classmethod
     def _of_fresh(cls, params: np.ndarray, arch: Arch) -> ModelState:
-        """The state of `params`, a new finite float vector of the
-        architecture's length that nothing else holds, taken as it is."""
+        """The state of `params`, a finite float vector of the architecture's
+        length that nothing writes (a new one, or a row of a read-only
+        block), taken as it is."""
         state = _unchecked(cls, arch=arch)
         state._bind(params)
         return state

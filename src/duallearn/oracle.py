@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
 from .errors import ConfigurationError, InputError, NumericError
-from .lagrangian import enumeration_stats
 from .models import LinearArch, ModelState, predict_batch
 
 
@@ -163,6 +162,8 @@ def ecrm_enumerate(ep: EnumerableProblem) -> EcrmResult:
     """Among candidates with every empirical constraint risk <= c_i,
     return the one with minimal empirical objective (lowest index on ties).
     Infeasibility is a value, not an error: value becomes +inf."""
+    from .lagrangian import enumeration_stats
+
     j, value = constrained_argmin(*enumeration_stats(ep.problem, ep.candidates))
     if value == math.inf:
         return EcrmResult(feasible=False, value=math.inf)
@@ -205,6 +206,8 @@ def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
     takes to set up.
     """
     from scipy.optimize import linprog
+
+    from .lagrangian import enumeration_stats
 
     R, S = enumeration_stats(ep.problem, ep.candidates)
     res = linprog(R, A_ub=S.T, b_ub=np.zeros(ep.problem.m), A_eq=np.ones((1, len(R))),

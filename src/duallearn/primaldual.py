@@ -178,14 +178,25 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
 
 def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
     """Uniform mixture over all recorded iterates; refuses a trace that kept
-    no parameters."""
+    no parameters.
+
+    The (T, P) snapshot block is checked and copied once, read-only, and
+    iterate t's parameters are a view of its row t.
+    """
     if trace.thetas is None:
         raise InputError(
             "trace has no theta snapshots (the run had output.save_theta: false); "
             "a randomized solution needs every iterate"
         )
-    return RandomizedSolution(models=tuple(ModelState(params=theta, arch=trace.arch)
-                                           for theta in trace.thetas))
+    thetas = _readonly(np.array(trace.thetas, dtype=float))
+    if thetas.ndim != 2 or thetas.shape[1] != trace.arch.n_params:
+        raise InputError(f"theta snapshots must be (T, {trace.arch.n_params}), "
+                         f"got shape {thetas.shape}")
+    finite = np.isfinite(thetas).all(axis=1)
+    if not finite.all():
+        raise InputError(f"iteration {int(np.argmin(finite))}: model parameters must be finite")
+    return RandomizedSolution(models=tuple(ModelState._of_fresh(theta, trace.arch)
+                                           for theta in thetas))
 
 
 def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:

@@ -1,10 +1,16 @@
 """Shared builders for the test suite: the hand-solved convex toy, random
 small enumerable instances, random problems with references, one-row forms
 of the batch API, the risk of precomputed predictions, and closed forms of
-the linear and logistic passes, bit references of replaced numerics, and
-counters of the randomness a run builds."""
+the linear and logistic passes, bit references of replaced numerics,
+counters of the randomness a run builds, and the modules a command loads."""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -271,3 +277,22 @@ def seed_from_spawned_children(monkeypatch, seed: int, T: int) -> list[int]:
 
     monkeypatch.setattr(primaldual, "gradient_minimize", spawned)
     return calls
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_modules(args=None) -> list[str]:
+    """The duallearn and scipy modules loaded, in sorted order, by a fresh
+    interpreter that imports duallearn and then, given `args`, runs the
+    command `duallearn.cli.main(args)`, which must succeed."""
+    lines = ["import json, sys", "import duallearn"]
+    if args is not None:
+        lines += ["from duallearn.cli import main", f"code = main({list(args)!r})",
+                  "if code != 0: sys.exit(code)"]
+    lines.append("print(json.dumps(sorted(name for name in sys.modules "
+                 "if name.split('.')[0] in ('duallearn', 'scipy'))))")
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

@@ -19,7 +19,7 @@ from duallearn.oracle import example1_block_trials, example1_trials
 from duallearn.primaldual import load_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
-from helpers import seed_from_spawned_children
+from helpers import loaded_modules, seed_from_spawned_children
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -247,6 +247,9 @@ def set_key(path, value):
     ("fairness_train.json", set_key(["problem", "constraints", 0, "name"], None),
      "config key problem.constraints[0].name"),
     ("fairness_train.json", set_key(["model", "init_seed"], None), "config key model.init_seed"),
+    # a negative init seed, whichever model would read it
+    ("fairness_train.json", set_key(["model", "init_seed"], -1),
+     "model.init_seed must be >= 0, got -1"),
     # a negative attack seed, whichever model would read it
     ("robust_train.json", set_key(["attack", "seed"], -3), "attack.seed must be >= 0, got -3"),
     ("robust_train.json", lambda cfg: pgd_mlp(cfg, {"seed": -3}),
@@ -284,6 +287,29 @@ def test_an_inherited_attack_seed_is_derived_like_the_entropy(tmp_path, run_seed
     assert main(["train", "--config", str(path), "--seed", str(run_seed), "--out", str(out)]) == 0
     echo = json.loads((out / "config_echo.json").read_text())
     assert echo["seed"] == run_seed and echo["attack"]["seed"] == attack_seed
+
+
+@pytest.mark.parametrize("run_seed, init_seed", [(-2, 2 ** 63 - 2), (5, 5)])
+def test_an_inherited_init_seed_is_derived_like_the_entropy(tmp_path, run_seed, init_seed):
+    """An MLP without model.init_seed is initialised from the run seed
+    modulo 2**63, negative run seeds too, as it would be from that seed
+    given as its init_seed; the echo holds the derived seed."""
+    def mlp(**model):
+        def edit(cfg):
+            pgd_mlp(cfg, {})
+            del cfg["model"]["init_seed"]
+            cfg["model"].update(model)
+        return edit
+
+    inherited, given = tmp_path / "inherited", tmp_path / "given"
+    for out, model in ((inherited, {}), (given, {"init_seed": init_seed})):
+        path, _ = derived_config(tmp_path, "robust_train.json", mlp(**model))
+        assert main(["train", "--config", str(path), "--seed", str(run_seed),
+                     "--out", str(out)]) == 0
+    echo = json.loads((inherited / "config_echo.json").read_text())
+    assert echo["seed"] == run_seed and echo["model"]["init_seed"] == init_seed
+    for name in ("trace.jsonl", "final_model.txt", "config_echo.json"):
+        assert (inherited / name).read_bytes() == (given / name).read_bytes(), name
 
 
 def fairness_eval(tmp_path, *source):
@@ -406,41 +432,84 @@ def test_a_refused_command_makes_no_run_directory(tmp_path, capsys, command, con
     assert not (tmp_path / "run").exists()
 
 
-def test_the_commands_never_import_scipy(tmp_path):
-    """Only the oracle's dual LP uses scipy, and it imports it when called:
-    importing it takes longer than a whole one-iteration run takes to set up.
-    Covers every command a benchmark workload runs: train, eval of a trace's
-    mixture, eval of a model under the pgd-evaluation attack, and example1."""
-    def one_iteration(save_theta):
+@pytest.fixture(scope="module")
+def benchmark_command_modules(tmp_path_factory):
+    """{command: the modules `loaded_modules` reports for it} for the five
+    commands the benchmark workloads run, cut to one iteration or trial:
+    train and eval of a trace's mixture on the fairness config, train and
+    eval of its model under the pgd-evaluation attack on the robust config,
+    and example1."""
+    tmp_path = tmp_path_factory.mktemp("commands")
+
+    def one_iteration(save_theta, preset=None):
         def edit(cfg):
             cfg["dual"]["iterations_T"] = 1
             cfg["output"]["save_theta"] = save_theta
+            if preset is not None:
+                cfg["attack"]["preset"] = preset
         return edit
 
     fair, _ = derived_config(tmp_path, "fairness_train.json", one_iteration(True))
     robust, _ = derived_config(tmp_path, "robust_train.json",
-                               set_key(["attack", "preset"], "pgd-evaluation"))
-    (tmp_path / "model").mkdir()
-    save_model(init_model(LogisticArch(2), seed=0), tmp_path / "model" / "final_model.txt")
-    commands = [
-        ["train", "--config", str(fair), "--out", str(tmp_path / "train")],
-        ["eval", "--config", str(fair), "--trace", str(tmp_path / "train" / "trace.jsonl"),
-         "--out", str(tmp_path / "eval_trace")],
-        ["eval", "--config", str(robust), "--model", str(tmp_path / "model" / "final_model.txt"),
-         "--out", str(tmp_path / "eval_pgd")],
-        ["example1", "--n", "10", "--trials", "1", "--out", str(tmp_path / "example1")],
-    ]
-    script = "\n".join([
-        "import sys",
-        "from duallearn.cli import main",
-        f"codes = [main(args) for args in {commands!r}]",
-        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+                               one_iteration(False, "pgd-evaluation"))
+    commands = {
+        "fairness train": ["train", "--config", str(fair), "--out", str(tmp_path / "train")],
+        "fairness eval --trace": ["eval", "--config", str(fair), "--trace",
+                                  str(tmp_path / "train" / "trace.jsonl"),
+                                  "--out", str(tmp_path / "eval_trace")],
+        "robust train": ["train", "--config", str(robust), "--out", str(tmp_path / "robust")],
+        "robust eval --model": ["eval", "--config", str(robust), "--model",
+                                str(tmp_path / "robust" / "final_model.txt"),
+                                "--out", str(tmp_path / "eval_pgd")],
+        "example1": ["example1", "--n", "10", "--trials", "1",
+                     "--out", str(tmp_path / "example1")],
+    }
+    return {command: loaded_modules(args) for command, args in commands.items()}
+
+
+def test_the_commands_never_import_scipy(benchmark_command_modules):
+    """Only the oracle's dual LP uses scipy, and it imports it when called:
+    importing it takes longer than a whole one-iteration run takes to set up.
+    Covers every command a benchmark workload runs: train, eval of a trace's
+    mixture, eval of a model under the pgd-evaluation attack, and example1."""
+    for command, modules in benchmark_command_modules.items():
+        assert [name for name in modules if name.split(".")[0] == "scipy"] == [], command
+
+
+def test_each_command_loads_only_the_modules_it_runs(benchmark_command_modules):
+    """A command imports its modules where it runs them, and the robust
+    ones only for a config with an attack section."""
+    common = ["duallearn", "duallearn.cli", "duallearn.config", "duallearn.core",
+              "duallearn.errors", "duallearn.models"]
+    train = sorted([*common, "duallearn.data", "duallearn.lagrangian", "duallearn.primaldual"])
+    assert benchmark_command_modules == {
+        "fairness train": train,
+        "fairness eval --trace": train,
+        "robust train": sorted([*train, "duallearn.robust"]),
+        "robust eval --model": sorted([*train, "duallearn.robust"]),
+        "example1": sorted([*common, "duallearn.oracle"]),
+    }
+
+
+@pytest.mark.parametrize("config", ["shipped", "missing"])
+@pytest.mark.parametrize("source", [[], ["--model", "m.txt", "--trace", "t.jsonl"]])
+def test_eval_refuses_its_source_flags_before_reading_the_config(tmp_path, capsys,
+                                                                 monkeypatch, config, source):
+    """Neither or both of --model and --trace is a usage error, reported
+    before the config is read: no csv is loaded, and a missing config is
+    not what is reported."""
+    import duallearn.data as data
+
+    loaded = []
+    monkeypatch.setattr(data, "load_csv", lambda *a: loaded.append(a))
+    path = (derived_config(tmp_path, "fairness_train.json", short_run)[0]
+            if config == "shipped" else tmp_path / "missing.json")
+    assert main(["eval", "--config", str(path), *source, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: eval needs exactly one of --model or --trace" in err
+    assert "Traceback" not in err
+    assert loaded == []
+    assert not (tmp_path / "run").exists()
 
 
 def minibatch(shipped_batch_size):
@@ -525,7 +594,7 @@ def example1_all_at_once(ns, trials, seed):
     ((1,), 8200),           # one full block of 8192 and a short one
 ])
 def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, ns, trials):
-    import duallearn.cli as cli
+    import duallearn.oracle as oracle
 
     calls = []
 
@@ -533,7 +602,7 @@ def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, n
         calls.append((n, len(seeds)))
         return example1_trials(n, seeds)
 
-    monkeypatch.setattr(cli, "example1_trials", recorded)
+    monkeypatch.setattr(oracle, "example1_trials", recorded)
     args = ["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials), "--seed", "3"]
     assert main([*args, "--out", str(tmp_path)]) == 0
     want_trials, want_summary = example1_all_at_once(ns, trials, 3)
@@ -584,7 +653,7 @@ def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
 
 
 def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
-    import duallearn.cli as cli
+    import duallearn.oracle as oracle
 
     calls = []
 
@@ -594,18 +663,18 @@ def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
             raise InputError("block three failed")
         return example1_trials(n, seeds)
 
-    monkeypatch.setattr(cli, "example1_trials", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_trials", third_block_fails)
     args = ["example1", "--n", "1000", "--trials", "40"]
     assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
     assert "block three failed" in capsys.readouterr().err
     assert list((tmp_path / "fresh").iterdir()) == []
 
     # a failed run leaves the outputs of an earlier run in its directory as they were
-    monkeypatch.setattr(cli, "example1_trials", example1_trials)
+    monkeypatch.setattr(oracle, "example1_trials", example1_trials)
     assert main([*args, "--out", str(tmp_path / "rerun")]) == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
     calls.clear()
-    monkeypatch.setattr(cli, "example1_trials", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_trials", third_block_fails)
     assert main([*args, "--seed", "5", "--out", str(tmp_path / "rerun")]) == 1
     assert {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()} == before
 
@@ -631,6 +700,7 @@ def test_bad_example1_flags_are_named(tmp_path, capsys, args, message):
 def test_a_grouped_dataset_is_split_once_and_its_groups_are_shared(tmp_path, monkeypatch,
                                                                   command):
     import duallearn.cli as cli
+    import duallearn.data as data
 
     def edit(cfg):
         short_fairness(False)(cfg)
@@ -639,14 +709,14 @@ def test_a_grouped_dataset_is_split_once_and_its_groups_are_shared(tmp_path, mon
 
     path, cfg = derived_config(tmp_path, "fairness_train.json", edit)
     splits, problems = [], []
-    split, build = cli.group_split, cli._build_problem
+    split, build = data.group_split, cli._build_problem
 
     def build_and_keep(*args):
         out = build(*args)
         problems.append(out[0])
         return out
 
-    monkeypatch.setattr(cli, "group_split", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(data, "group_split", lambda *a: splits.append(a) or split(*a))
     monkeypatch.setattr(cli, "_build_problem", build_and_keep)
     model = tmp_path / "model.txt"
     save_model(init_model(LogisticArch(in_dim=6)), model)

@@ -330,6 +330,25 @@ class TestRandomizedSolution:
         assert [v.hex() for v in got] == [v.hex() for v in expected]
         assert sorted(calls) == sorted(m.params.tobytes() for m in (a, b, c))
 
+    def test_the_params_are_read_only_copies_of_the_trace_rows(self):
+        prob, trace = self._toy_trace(T=6)
+        rows = trace.thetas.copy()
+        sol = randomized_solution(trace)
+        assert [m.params.tobytes() for m in sol.models] == [row.tobytes() for row in rows]
+        assert not any(m.params.flags.writeable for m in sol.models)
+        trace.thetas[:] = 7.0  # a later write to the trace
+        assert [m.params.tobytes() for m in sol.models] == [row.tobytes() for row in rows]
+        loss, ds = prob.objective_loss, prob.objective_dataset
+        assert ([Evaluation(m).risk(loss, ds) for m in sol.models]
+                == [Evaluation(ModelState(row, trace.arch)).risk(loss, ds) for row in rows])
+
+    def test_a_non_finite_snapshot_names_its_iteration(self):
+        _, trace = self._toy_trace(T=5)
+        thetas = trace.thetas.copy()
+        thetas[3, 0], thetas[4, 0] = np.nan, np.inf
+        with pytest.raises(InputError, match="iteration 3: model parameters must be finite"):
+            randomized_solution(replace(trace, thetas=thetas))
+
     def test_trace_without_snapshots_names_save_theta(self, tmp_path):
         _, trace = self._toy_trace(T=3)
         save_trace(trace, tmp_path / "trace.jsonl")  # records only, no theta files
