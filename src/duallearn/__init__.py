@@ -23,9 +23,9 @@ _EXPORTS = {
     "oracle": ("DualEnumResult", "EcrmResult", "EnumerableProblem", "constrained_argmin",
                "dual_enumerate", "ecrm_enumerate", "example1_population_objective",
                "example1_problem", "example1_sample", "example1_trial", "example1_trials"),
-    "primaldual": ("RandomizedSolution", "TrainConfig", "TrainTrace", "dual_update",
-                   "load_trace", "mixture_risks", "randomized_solution",
-                   "recommend_hyperparams", "save_trace", "train"),
+    "primaldual": ("TrainConfig", "TrainTrace", "dual_update", "load_trace",
+                   "mixture_risks", "randomized_solution", "recommend_hyperparams",
+                   "save_trace", "train"),
     "rate": ("MarginReport", "margin_check", "surrogate_gap_bound"),
     "robust": ("AttackConfig",),
 }

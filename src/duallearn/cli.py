@@ -16,7 +16,9 @@ Four commands over a single JSON config tree:
 - ``eval``: nominal / adversarial / group-rate metrics for a saved model or
   for the randomized solution of a saved trace (``--trace`` reads
   ``thetas.npy`` through the trace header), written as ``config_echo.json``
-  and ``summary.json``.
+  and ``summary.json``. Both are one mixture path over a parameter block
+  (a model is its one row), and a block that does not fit the problem's
+  features is refused, naming its file.
 - ``example1``: pathology trials of the built-in hard instance, with the
   fraction of trials landing on the doubled population objective. Each
   sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
@@ -65,7 +67,7 @@ import numpy as np
 
 from .config import check, from_config, read, require
 from .core import LOSS_KINDS, ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
-from .errors import ConfigurationError, DualLearnError
+from .errors import ConfigurationError, DualLearnError, InputError
 from .models import (
     arch_from_dict,
     arch_to_dict,
@@ -75,7 +77,6 @@ from .models import (
 )
 
 if TYPE_CHECKING:
-    from .primaldual import RandomizedSolution
     from .robust import AttackConfig
 
 ENV_OUT = "DUALLEARN_OUT"
@@ -350,47 +351,43 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_metrics(sol: RandomizedSolution, problem: Problem) -> dict:
-    from .primaldual import mixture_risks
-
-    risks = mixture_risks(sol, problem.terms)
-    term_risks = iter(risks[1:])
-    cons = []
-    for c, slack in zip(problem.constraints, problem.slacks_of(risks).tolist()):
-        entry = {"name": c.name, "risk": next(term_risks), "threshold_c": c.threshold_c}
-        if c.reference is not None:
-            entry["reference_risk"] = next(term_risks)
-        entry["slack"] = slack
-        cons.append(entry)
-    return {"objective_risk": risks[0], "constraints": cons,
-            "max_slack": max((e["slack"] for e in cons), default=None)}
-
-
 def cmd_eval(args) -> int:
+    """Metrics of the uniform mixture over the one row of a saved model, or
+    over every iterate of a saved trace (`support` is their count)."""
     # a usage error is reported before the config is read
     if (args.model is None) == (args.trace is None):
         raise ConfigurationError("eval needs exactly one of --model or --trace")
-    from .primaldual import RandomizedSolution, load_trace, randomized_solution
+    from .primaldual import load_trace, mixture_risks, randomized_solution
 
     cfg, base_dir, seed = _load_config(args)
     problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
 
     if args.model is not None:
-        sol = RandomizedSolution(models=(load_model(args.model),))
+        path, model = args.model, load_model(args.model)
+        arch, thetas = model.arch, model.params[None]
         source = {"model": str(args.model)}
     else:
-        sol = randomized_solution(load_trace(args.trace))
-        source = {"trace": str(args.trace), "support": len(sol.models)}
+        path, trace = args.trace, load_trace(args.trace)
+        arch, thetas = trace.arch, randomized_solution(trace)
+        source = {"trace": str(args.trace), "support": len(thetas)}
+    if arch.widths[0] != problem.n_features:
+        raise InputError(f"{path}: the model takes {arch.widths[0]} features, but the "
+                         f"config's problem has {problem.n_features}")
 
     out = _out_dir(args, "eval")
     _write_json(out / "config_echo.json",
                 {"seed": seed, "problem": problem_echo, "attack": attack_echo,
                  "source": source})
-    metrics = _eval_metrics(sol, problem)
-    summary = {"command": "eval", "seed": seed, "source": source, **metrics}
-    _write_json(out / "summary.json", summary)
-    print(f"eval: objective risk {metrics['objective_risk']:.6g}; "
-          f"wrote {out}/summary.json")
+    risks = mixture_risks(arch, thetas, problem)
+    cons = [{"name": c.name, "threshold_c": c.threshold_c} for c in problem.constraints]
+    for (i, part, _, _), risk in zip(problem.constraint_terms, risks[1:]):
+        cons[i]["risk" if part == "dataset" else "reference_risk"] = risk
+    for entry, slack in zip(cons, problem.slacks_of(risks).tolist()):
+        entry["slack"] = slack
+    _write_json(out / "summary.json",
+                {"command": "eval", "seed": seed, "source": source, "objective_risk": risks[0],
+                 "constraints": cons, "max_slack": max((e["slack"] for e in cons), default=None)})
+    print(f"eval: objective risk {risks[0]:.6g}; wrote {out}/summary.json")
     return 0
 
 

@@ -17,7 +17,7 @@ per table, see `duallearn.models`) and reads each term's risk and loss
 gradient from it. The gradient solver returns the evaluation of its iterate,
 so a caller that resumes from that iterate does not evaluate it again.
 
-Each problem's objective risk and slack vector, and each term's parameter
+Each problem's per-term risks and slack vector, and each term's parameter
 gradient, are memoised on the evaluation. Multipliers only weight them, so
 an iterate kept across dual steps (a warm start whose step raised the
 Lagrangian) is not backpropagated again, and a memo hit has the bits of
@@ -106,8 +106,8 @@ def empirical_lagrangian(at: ModelState | Evaluation, dual: DualState, problem: 
         raise InputError(
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
-    obj, s = Evaluation.of(at).stats(problem)
-    return obj + float(dual.mu @ s)
+    risks, s = Evaluation.of(at).stats(problem)
+    return risks[0] + float(dual.mu @ s)
 
 
 def enumeration_stats(problem: Problem, candidates):
@@ -123,7 +123,8 @@ def enumeration_stats(problem: Problem, candidates):
     R = np.empty(len(candidates))
     S = np.empty((len(candidates), problem.m))
     for j, cand in enumerate(candidates):
-        R[j], S[j] = Evaluation.of(cand).stats(problem)
+        risks, S[j] = Evaluation.of(cand).stats(problem)
+        R[j] = risks[0]
     return R, S
 
 

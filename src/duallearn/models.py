@@ -161,9 +161,6 @@ class ModelState:
     def in_dim(self) -> int:
         return self.arch.widths[0]
 
-    def with_params(self, params: np.ndarray) -> ModelState:
-        return ModelState(params=params, arch=self.arch)
-
 
 def init_model(arch: Arch, seed: int = 0) -> ModelState:
     """Deterministic initial state: zeros for linear/logistic, seeded
@@ -271,7 +268,7 @@ class Evaluation:
     `of`) lets views find the root they share before anything is forwarded.
 
     Each (set, loss) term's parameter gradient (`param_grad`) and each
-    problem's objective risk and slack vector (`stats`) depend on the model
+    problem's per-term risks and slack vector (`stats`) depend on the model
     alone, so they are memoised too and returned read-only. An iterate kept
     across dual steps comes back with new multipliers, which only weight
     these results, in the same order: a memo hit has the bits of computing
@@ -288,7 +285,7 @@ class Evaluation:
         self._preds: dict[Dataset, np.ndarray] = {}
         self._rowwise: dict[tuple, np.ndarray] = {}
         self._grads: dict[tuple[DatasetLike, LossSpec], np.ndarray] = {}
-        self._stats: dict[Problem, tuple[float, np.ndarray]] = {}
+        self._stats: dict[Problem, tuple[tuple[float, ...], np.ndarray]] = {}
 
     @classmethod
     def of(cls, at, datasets: Sequence[DatasetLike] = ()) -> Evaluation:
@@ -372,9 +369,10 @@ class Evaluation:
             self._grads[dataset, loss] = dparams
         return dparams
 
-    def stats(self, problem: Problem) -> tuple[float, np.ndarray]:
-        """(objective risk, read-only slack vector) of `problem` from one risk
-        per `problem.terms` entry, computed once per problem.
+    def stats(self, problem: Problem) -> tuple[tuple[float, ...], np.ndarray]:
+        """(risks, read-only slack vector) of `problem`, computed once per
+        problem: one risk per `problem.terms` entry, in that order, so
+        `risks[0]` is the objective's.
 
         The sets are realised first, then each group of `problem.table_terms`
         reads one `loss_values` pass over its source's realisation (see the
@@ -393,7 +391,7 @@ class Evaluation:
                     risk = self.risk(loss, d) if values is None else _mean(values, rows)
                     for k in ks:
                         risks[k] = risk
-            hit = self._stats[problem] = (risks[0], problem.slacks_of(risks))
+            hit = self._stats[problem] = (tuple(risks), problem.slacks_of(risks))
         return hit
 
 

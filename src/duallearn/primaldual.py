@@ -11,7 +11,9 @@ objective of the trace are read from the evaluation the inner solver scored
 the iterate with, and the next iteration resumes from that evaluation. A
 trace holds one array per recorded quantity, row t for iteration t, and
 keeps every iterate's parameters so that the uniform mixture over them (the
-randomized solution) can be evaluated afterwards.
+randomized solution) can be evaluated afterwards. A mixture is its read-only
+(T, P) parameter block, row t the parameters of iterate t (a single model is
+a one-row block), and `mixture_risks` evaluates each distinct row once.
 """
 
 from __future__ import annotations
@@ -86,17 +88,6 @@ class TrainTrace:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class RandomizedSolution:
-    """Uniform mixture over the primal iterates of a trace."""
-
-    models: tuple[ModelState, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.models) == 0:
-            raise InputError("randomized solution needs a nonempty support")
-
-
 def dual_update(dual: DualState, slack: np.ndarray, eta: float) -> DualState:
     """Projected ascent step mu_i <- max(0, mu_i + eta * s_i)."""
     s = np.asarray(slack, dtype=float)
@@ -158,13 +149,13 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
                 rng = (None if inner.batch_size is None else
                        np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(t,))))
                 ev = gradient_minimize(mu, problem, inner, ev, rng)
-            obj, s = ev.stats(problem)
+            risks, s = ev.stats(problem)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err
-        trace.objective[t] = obj
+        trace.objective[t] = risks[0]
         trace.slacks[t] = s
         trace.mu[t] = mu.mu
-        trace.lagrangian[t] = obj + float(mu.mu @ s)
+        trace.lagrangian[t] = risks[0] + float(mu.mu @ s)
         if trace.thetas is not None:
             trace.thetas[t] = ev.model.params
         if dual_opt is None:
@@ -176,47 +167,50 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
     return trace, ev.model, mu
 
 
-def randomized_solution(trace: TrainTrace) -> RandomizedSolution:
-    """Uniform mixture over all recorded iterates; refuses a trace that kept
-    no parameters.
-
-    The (T, P) snapshot block is checked and copied once, read-only, and
-    iterate t's parameters are a view of its row t.
-    """
+def randomized_solution(trace: TrainTrace) -> np.ndarray:
+    """The uniform mixture over all recorded iterates as its read-only (T, P)
+    parameter block of `trace.arch`, checked and copied once; refuses a
+    trace that kept no parameters."""
     if trace.thetas is None:
         raise InputError(
             "trace has no theta snapshots (the run had output.save_theta: false); "
             "a randomized solution needs every iterate"
         )
     thetas = _readonly(np.array(trace.thetas, dtype=float))
-    if thetas.ndim != 2 or thetas.shape[1] != trace.arch.n_params:
-        raise InputError(f"theta snapshots must be (T, {trace.arch.n_params}), "
+    if thetas.ndim != 2 or thetas.shape[0] == 0 or thetas.shape[1] != trace.arch.n_params:
+        raise InputError(f"theta snapshots must be (T, {trace.arch.n_params}) with T >= 1, "
                          f"got shape {thetas.shape}")
+    _check_finite(thetas)
+    return thetas
+
+
+def _check_finite(thetas: np.ndarray, where: str = "") -> None:
+    """Refuse a parameter block with a non-finite entry, naming its first row."""
     finite = np.isfinite(thetas).all(axis=1)
     if not finite.all():
-        raise InputError(f"iteration {int(np.argmin(finite))}: model parameters must be finite")
-    return RandomizedSolution(models=tuple(ModelState._of_fresh(theta, trace.arch)
-                                           for theta in thetas))
+        raise InputError(f"{where}iteration {int(np.argmin(finite))}: "
+                         "model parameters must be finite")
 
 
-def mixture_risks(sol: RandomizedSolution, terms) -> list[float]:
-    """Risk of the uniform mixture on each (loss, dataset) term: the average
-    of the per-iterate risks.
+def mixture_risks(arch: Arch, thetas: np.ndarray, problem: Problem) -> list[float]:
+    """Risk of the uniform mixture over the rows of `thetas` on each
+    `problem.terms` entry: the mean of the per-iterate risks.
 
-    Each distinct model (same architecture and parameter bytes) is evaluated
-    once for all terms; an iterate that repeats one copies its risks, so the
-    per-iterate risks and their sums are those of evaluating every iterate.
+    `thetas` is a read-only (T, P) block of `arch` with finite rows, such as
+    `randomized_solution` returns. Each distinct row (by its bytes, first
+    seen first) is evaluated once through `Evaluation.stats`; a row that
+    repeats one copies its risks, so the T per-iterate risks of a term, summed
+    in iterate order, are those of evaluating every iterate.
     """
-    datasets = [dataset for _, dataset in terms]
-    risks = np.empty((len(terms), len(sol.models)))
-    distinct: dict[tuple, list[float]] = {}
-    for j, model in enumerate(sol.models):
-        key = (model.arch, model.params.tobytes())
+    risks = np.empty((len(problem.terms), thetas.shape[0]))
+    distinct: dict[bytes, tuple[float, ...]] = {}
+    for t, theta in enumerate(thetas):
+        key = theta.tobytes()
         column = distinct.get(key)
         if column is None:
-            ev = Evaluation.of(model, datasets)
-            column = distinct[key] = [ev.risk(loss, dataset) for loss, dataset in terms]
-        risks[:, j] = column
+            model = ModelState._of_fresh(theta, arch)
+            column = distinct[key] = Evaluation(model).stats(problem)[0]
+        risks[:, t] = column
     return [float(row.sum()) / row.shape[0] for row in risks]
 
 
@@ -304,8 +298,9 @@ def load_trace(records_path: str | Path) -> TrainTrace:
 
     The records must be the iterations t = 0..T-1 in order. The snapshot
     array is read once, without pickles, and must be float64 of shape
-    (T, the architecture's n_params). Any fault of the trace or its
-    snapshot file is an InputError naming the trace.
+    (T, the architecture's n_params) with finite rows. Any fault of the
+    trace or its snapshot file is an InputError naming the trace, and the
+    snapshot file too for a fault of its own.
     """
     records_path = Path(records_path)
     try:
@@ -339,6 +334,7 @@ def load_trace(records_path: str | Path) -> TrainTrace:
                     f"{path}: theta snapshots are {thetas.dtype} {thetas.shape}, expected "
                     f"float64 {shape} (records x architecture parameters)"
                 )
+            _check_finite(thetas, f"{path}: ")
             thetas.setflags(write=False)
 
         def column(key: str) -> np.ndarray:

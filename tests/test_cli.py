@@ -16,7 +16,7 @@ from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
 from duallearn.models import LogisticArch, ModelState, init_model, save_model
 from duallearn.oracle import example1_block_trials, example1_trials
-from duallearn.primaldual import load_trace
+from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
 from helpers import loaded_modules, seed_from_spawned_children
@@ -345,6 +345,70 @@ def test_a_bad_model_or_trace_file_is_an_input_error_naming_it(tmp_path, capsys,
     assert main(fairness_eval(tmp_path, flag, path)) == 1
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def saved_sources(tmp_path, thetas, arch):
+    """(a model file holding row 0 of `thetas`, a trace of every row with
+    its snapshot file) for `eval --model` and `eval --trace`."""
+    model_path = tmp_path / "model.txt"
+    save_model(ModelState(thetas[0], arch), model_path)
+    T = len(thetas)
+    trace = TrainTrace(objective=np.zeros(T), slacks=np.zeros((T, 1)), mu=np.zeros((T, 1)),
+                       lagrangian=np.zeros(T), arch=arch, thetas=thetas)
+    save_trace(trace, tmp_path / "trace.jsonl", tmp_path / "thetas.npy")
+    return str(model_path), str(tmp_path / "trace.jsonl")
+
+
+@pytest.mark.parametrize("shipped, preset", [("fairness_train.json", None),
+                                             ("robust_train.json", "pgd-evaluation")])
+def test_a_model_and_its_one_iterate_trace_evaluate_alike(tmp_path, shipped, preset):
+    """`eval --model` and `eval --trace` share one mixture path: a model and
+    the trace of one iterate with its parameters write the same summary,
+    apart from its source."""
+    def edit(cfg):
+        if preset is not None:
+            cfg["attack"]["preset"] = preset
+    path, cfg = derived_config(tmp_path, shipped, edit)
+    arch = LogisticArch(cfg["model"]["in_dim"])
+    thetas = np.random.default_rng(3).normal(size=(1, arch.n_params))
+    model, trace = saved_sources(tmp_path, thetas, arch)
+    summaries = {}
+    for flag, source in (("--model", model), ("--trace", trace)):
+        out = tmp_path / flag.strip("-")
+        assert main(["eval", "--config", str(path), flag, source, "--out", str(out)]) == 0
+        summaries[flag] = json.loads((out / "summary.json").read_text())
+    assert summaries["--model"].pop("source") == {"model": model}
+    assert summaries["--trace"].pop("source") == {"trace": trace, "support": 1}
+    assert summaries["--model"] == summaries["--trace"]
+
+
+@pytest.mark.parametrize("flag", ["--model", "--trace"])
+def test_a_model_that_does_not_fit_the_config_names_both_dimensions(tmp_path, capsys, flag):
+    """The fairness model (6 features) against the robust config (2)."""
+    arch = LogisticArch(6)
+    sources = dict(zip(("--model", "--trace"),
+                       saved_sources(tmp_path, np.zeros((2, arch.n_params)), arch)))
+    path, _ = derived_config(tmp_path, "robust_train.json", short_run)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(path), flag, sources[flag], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert (f"{sources[flag]}: the model takes 6 features, but the config's problem has 2"
+            in err)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_non_finite_snapshot_row_names_the_snapshot_file_and_its_iteration(tmp_path,
+                                                                             capsys):
+    arch = LogisticArch(6)
+    thetas = np.zeros((5, arch.n_params))
+    thetas[3, 2], thetas[4, 0] = np.nan, np.inf
+    _, trace = saved_sources(tmp_path, thetas, arch)
+    assert main(fairness_eval(tmp_path, "--trace", trace)) == 1
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'thetas.npy'}: iteration 3: model parameters must be finite"
+            in err)
     assert "Traceback" not in err
 
 

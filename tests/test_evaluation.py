@@ -35,7 +35,7 @@ from duallearn.models import (
     init_model,
     predict_batch,
 )
-from duallearn.primaldual import RandomizedSolution, TrainConfig, mixture_risks, train
+from duallearn.primaldual import TrainConfig, mixture_risks, train
 from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
 from helpers import bits, dataset_risk, record_forwards
@@ -323,11 +323,14 @@ def test_no_constraints():
 
 def test_mixture_risks_average_the_per_model_risks():
     problem = fairness_shaped("rate-indicator")
-    sol = RandomizedSolution(models=tuple(models(seed=6)[:2]) + (models(seed=7)[0],))
-    terms = [(problem.objective_loss, problem.objective_dataset)]
-    terms += [(c.loss, c.dataset) for c in problem.constraints]
-    for (loss, ds), got in zip(terms, mixture_risks(sol, terms)):
-        per_model = np.asarray([own_risk(m, loss, ds) for m in sol.models])
+    # a mixture is a block of one architecture's parameter rows
+    sol = [models(seed=seed)[0] for seed in (6, 7, 8)]
+    block = np.array([m.params for m in sol])
+    block.setflags(write=False)
+    risks = mixture_risks(sol[0].arch, block, problem)
+    assert len(risks) == len(problem.terms)
+    for (loss, ds), got in zip(problem.terms, risks):
+        per_model = np.asarray([own_risk(m, loss, ds) for m in sol])
         assert bits(got) == bits(float(per_model.sum()) / len(per_model))
 
 

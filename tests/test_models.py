@@ -38,8 +38,8 @@ def finite_diff_params(model, loss, ds, h=1e-5):
         hi, lo = p.copy(), p.copy()
         hi[i] += h
         lo[i] -= h
-        g[i] = (empirical_risk(model.with_params(hi), loss, ds)
-                - empirical_risk(model.with_params(lo), loss, ds)) / (2 * h)
+        g[i] = (empirical_risk(ModelState(hi, model.arch), loss, ds)
+                - empirical_risk(ModelState(lo, model.arch), loss, ds)) / (2 * h)
     return g
 
 

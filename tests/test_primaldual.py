@@ -18,7 +18,6 @@ from duallearn.models import (
 )
 from duallearn.oracle import EnumerableProblem, dual_enumerate
 from duallearn.primaldual import (
-    RandomizedSolution,
     TrainConfig,
     dual_update,
     ergodic_complementary_slackness,
@@ -292,17 +291,19 @@ class TestRandomizedSolution:
     def test_degenerate_single_iterate(self):
         prob, trace = self._toy_trace(T=1)
         sol = randomized_solution(trace)
-        assert len(sol.models) == 1
-        assert np.array_equal(sol.models[0].params, trace.thetas[0])
+        assert len(sol) == 1
+        assert np.array_equal(sol[0], trace.thetas[0])
 
     def test_mixture_risk_is_mean_of_iterate_risks(self):
         prob, trace = self._toy_trace(T=7)
         sol = randomized_solution(trace)
         loss = prob.objective_loss
         ds = prob.objective_dataset
-        per_iter = [empirical_risk(m, loss, ds) for m in sol.models]
+        per_iter = [empirical_risk(ModelState(p, trace.arch), loss, ds) for p in sol]
         direct = float(np.asarray(per_iter).sum()) / len(per_iter)
-        assert mixture_risks(sol, [(loss, ds)]) == [pytest.approx(direct, abs=1e-12)]
+        objective_only = Problem(objective_loss=loss, objective_dataset=ds)
+        assert (mixture_risks(trace.arch, sol, objective_only)
+                == [pytest.approx(direct, abs=1e-12)])
 
     def test_repeated_iterates_are_evaluated_once(self, monkeypatch):
         prob = small_gradient_problem()
@@ -314,9 +315,12 @@ class TestRandomizedSolution:
         sol_models = (a, twin, b, a, c, b, twin)
         terms = [(prob.objective_loss, prob.objective_dataset),
                  (prob.constraints[0].loss, prob.constraints[0].dataset)]
+        assert list(prob.terms) == terms
         per_model = np.array([[Evaluation(m).risk(loss, ds) for m in sol_models]
                               for loss, ds in terms])
         expected = [float(row.sum()) / row.shape[0] for row in per_model]
+        block = np.array([m.params for m in sol_models])
+        block.setflags(write=False)
 
         calls = []
         forward = models.predict_batch
@@ -326,7 +330,7 @@ class TestRandomizedSolution:
             return forward(model, X)
 
         monkeypatch.setattr(models, "predict_batch", counted)
-        got = mixture_risks(RandomizedSolution(models=sol_models), terms)
+        got = mixture_risks(arch, block, prob)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
         assert sorted(calls) == sorted(m.params.tobytes() for m in (a, b, c))
 
@@ -334,12 +338,12 @@ class TestRandomizedSolution:
         prob, trace = self._toy_trace(T=6)
         rows = trace.thetas.copy()
         sol = randomized_solution(trace)
-        assert [m.params.tobytes() for m in sol.models] == [row.tobytes() for row in rows]
-        assert not any(m.params.flags.writeable for m in sol.models)
+        assert [p.tobytes() for p in sol] == [row.tobytes() for row in rows]
+        assert not sol.flags.writeable
         trace.thetas[:] = 7.0  # a later write to the trace
-        assert [m.params.tobytes() for m in sol.models] == [row.tobytes() for row in rows]
+        assert [p.tobytes() for p in sol] == [row.tobytes() for row in rows]
         loss, ds = prob.objective_loss, prob.objective_dataset
-        assert ([Evaluation(m).risk(loss, ds) for m in sol.models]
+        assert ([Evaluation(ModelState(p, trace.arch)).risk(loss, ds) for p in sol]
                 == [Evaluation(ModelState(row, trace.arch)).risk(loss, ds) for row in rows])
 
     def test_a_non_finite_snapshot_names_its_iteration(self):
