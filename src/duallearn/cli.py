@@ -18,7 +18,8 @@ Four commands over a single JSON config tree:
   ``thetas.npy`` through the trace header), written as ``config_echo.json``
   and ``summary.json``. Both are one mixture path over a parameter block
   (a model is its one row), and a block that does not fit the problem's
-  features is refused, naming its file.
+  features or the prediction width of its losses is refused, naming its
+  file, before anything is written.
 - ``example1``: pathology trials of the built-in hard instance, with the
   fraction of trials landing on the doubled population objective. Each
   sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
@@ -27,7 +28,9 @@ Four commands over a single JSON config tree:
   `duallearn.oracle.example1_block_trials`, and each block's records are
   written to ``trials.jsonl`` and counted for ``summary.json`` before the
   next block is computed, so a serial run's memory is bounded by one block
-  whatever the trial count. A run that fails writes neither file.
+  whatever the trial count: its blocks of one N are drawn into one
+  workspace of one block, freed before the next N starts. A run that fails
+  writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Each command imports the modules it runs where it runs them, so a process
@@ -56,6 +59,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -373,6 +377,11 @@ def cmd_eval(args) -> int:
     if arch.widths[0] != problem.n_features:
         raise InputError(f"{path}: the model takes {arch.widths[0]} features, but the "
                          f"config's problem has {problem.n_features}")
+    for loss, _ in problem.terms:
+        if loss.prediction_dim not in (None, arch.widths[-1]):
+            raise InputError(f"{path}: the model gives {arch.widths[-1]} outputs, but loss "
+                             f"kind {loss.kind!r} of the config's problem takes "
+                             f"{loss.prediction_dim}")
 
     out = _out_dir(args, "eval")
     _write_json(out / "config_echo.json",
@@ -392,7 +401,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    from .oracle import example1_block_trials, example1_trials
+    from .oracle import example1_block_trials, example1_blocks, example1_trials
 
     try:
         ns = [int(v) for v in args.n.split(",")]
@@ -409,9 +418,6 @@ def cmd_example1(args) -> int:
         raise ConfigurationError(f"--parallel-trials must be >= 1, got {args.parallel_trials}")
     out = _out_dir(args, "example1")
     seeds = range(args.seed, args.seed + args.trials)
-    # one job per block of trials, in record order
-    jobs = [(n, seeds[i:i + example1_block_trials(n)])
-            for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
     doubled, infeasible = dict.fromkeys(ns, 0), dict.fromkeys(ns, 0)
     encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(r, sort_keys=True)
     pool = contextlib.nullcontext()
@@ -426,10 +432,18 @@ def cmd_example1(args) -> int:
     partial = out / "trials.jsonl.partial"
     try:
         with pool as workers, partial.open("w") as f:
-            blocks = (map if workers is None else workers.map)(example1_trials, *zip(*jobs))
+            if workers is None:
+                # each N's blocks share one workspace, freed before the next N
+                blocks = itertools.chain.from_iterable(example1_blocks(n, seeds) for n in ns)
+            else:
+                # one job per block of trials, in record order
+                jobs = [(n, seeds[i:i + example1_block_trials(n)])
+                        for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
+                blocks = workers.map(example1_trials, *zip(*jobs))
             for block in blocks:
                 n = block[0]["N"]
-                f.write("\n".join(map(encode, block)) + "\n")
+                # line by line: a joined copy of the block would sit beside its workspace
+                f.writelines(encode(r) + "\n" for r in block)
                 doubled[n] += sum(r["population_J"] == 0.125 for r in block)
                 infeasible[n] += sum(not r["feasible"] for r in block)
                 del block  # freed before the next block is computed

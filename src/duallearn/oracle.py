@@ -19,11 +19,21 @@ as one row of a C-ordered (T, N) array, divided by N. Every prediction and
 loss value depends on its own row alone, and numpy reduces each such row as
 it reduces a length-N vector, so a trial's risks, slacks and record have
 the bits of enumerating it on its own.
+
+The blocks of one N share one workspace, sized to one block: the draw
+buffer, the three feature tables, the label vectors and three (T, N)
+helpers. It is allocated with the N's first block, refilled in place by
+each block, and freed when the N's last block is done. Allocating and
+freeing about 1 MB per block instead made every block fault its pages in
+again, as glibc returns a freed heap top larger than 128 KiB to the
+kernel. The records hold Python values only, never a view of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,39 +43,77 @@ from .errors import ConfigurationError, InputError, NumericError
 from .models import LinearArch, ModelState, predict_batch
 
 
-def _example1_draws(N: int, seed: int, T: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (tau, alpha, heads) draws of trials seed, ..., seed + T - 1, each (T, N).
+def _example1_draws(N: int, seed: int, out: np.ndarray) -> None:
+    """Fill `out`, a C-ordered (T, 3, N) float array, with the draws u of
+    trials seed, ..., seed + T - 1.
 
     Trial s is row block s of 3N doubles u in the stream of
     SeedSequence(0, spawn_key=(N,)): tau = u[0] - 1/2, alpha = u[1] / 4 and
     heads = u[2] < 1/2, so one jump ahead reaches the first trial of a run.
     """
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
     bits.advance(3 * N * seed)
-    u = np.random.Generator(bits).random((T, 3, N))
-    return u[:, 0] - 0.5, 0.25 * u[:, 1], u[:, 2] < 0.5
+    np.random.Generator(bits).random(out=out)
 
 
-def _example1_tables(tau: np.ndarray, alpha: np.ndarray,
-                     heads: np.ndarray) -> tuple[Dataset, Dataset, Dataset]:
-    """The three datasets of draws of any shape, one row per draw in C order."""
-    tau, alpha, heads = tau.ravel(), alpha.ravel(), heads.ravel()
-    n = tau.shape[0]
-    X0, X1, X2 = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-    X0[:, 0], X0[:, 1] = np.where(heads, 0.0, tau), np.where(heads, alpha, -tau)
-    X1[:, 0], X1[:, 1] = -1.0, tau
-    X2[:, 0], X2[:, 1] = -tau, 1.0
-    y0 = np.where(heads, 1, -1)
-    ones = np.ones(n, dtype=np.int64)
-    return (
-        Dataset(features=X0, labels=y0, name="example1-nominal"),
-        Dataset(features=X1, labels=ones, name="example1-constraint-lo"),
-        Dataset(features=X2, labels=ones, name="example1-constraint-hi"),
-    )
+class _Example1Workspace:
+    """The buffers of blocks of up to T trials of N samples, allocated once
+    and refilled by each block: the draws u (T, 3, N), alpha (T, N), heads
+    (T, N), a scratch column (T, N), the three feature tables (T N, 2) and
+    the nominal and constant label vectors (T N,). A block of t trials
+    fills their first t trials, in C order, and wraps views of them in
+    checked datasets (see the module docstring for why they are reused).
+    """
+
+    def __init__(self, N: int, T: int):
+        if N < 1:
+            raise InputError(f"N must be >= 1, got {N}")
+        self.N = N
+        self.u = np.empty((T, 3, N))
+        self.alpha, self.col = np.empty((2, T, N))
+        self.heads = np.empty((T, N), dtype=bool)
+        self.X0, self.X1, self.X2 = (np.empty((T * N, 2)) for _ in range(3))
+        self.X1[:, 0], self.X2[:, 1] = -1.0, 1.0
+        self.y0 = np.empty(T * N, dtype=np.int64)
+        self.ones = np.ones(T * N, dtype=np.int64)
+
+    def fill(self, seeds: list[int]) -> tuple[tuple[Dataset, Dataset, Dataset], np.ndarray]:
+        """The three datasets of trials `seeds`, one row per draw in C order,
+        and each trial's mean of tau. Each maximal run of consecutive seeds is
+        drawn with one call."""
+        T, N = len(seeds), self.N
+        u, alpha, heads, col = self.u[:T], self.alpha[:T], self.heads[:T], self.col[:T]
+        cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
+        for a, b in zip([0, *cuts], [*cuts, T]):
+            _example1_draws(N, seeds[a], u[a:b])
+        np.multiply(u[:, 1], 0.25, out=alpha)
+        np.less(u[:, 2], 0.5, out=heads)
+        # (T, N) views of the tables' columns
+        X0, X1, X2 = (X[:T * N].reshape(T, N, 2) for X in (self.X0, self.X1, self.X2))
+        tau = np.subtract(u[:, 0], 0.5, out=col)
+        tau_bar = tau.sum(axis=1) / N
+        np.copyto(X1[..., 1], tau)
+        np.negative(tau, out=X2[..., 0])
+        # the nominal columns where(heads, 0, tau) and where(heads, alpha, -tau),
+        # selected in the contiguous `col`: numpy masks a strided column slowly
+        np.putmask(col, heads, 0.0)
+        np.copyto(X0[..., 0], col)
+        np.copyto(col, X2[..., 0])
+        np.putmask(col, heads, alpha)
+        np.copyto(X0[..., 1], col)
+        y0 = self.y0[:T * N]
+        np.multiply(heads.reshape(-1), 2, out=y0)  # where(heads, 1, -1)
+        np.subtract(y0, 1, out=y0)
+        tables = (
+            Dataset(features=self.X0[:T * N], labels=y0, name="example1-nominal"),
+            Dataset(features=self.X1[:T * N], labels=self.ones[:T * N],
+                    name="example1-constraint-lo"),
+            Dataset(features=self.X2[:T * N], labels=self.ones[:T * N],
+                    name="example1-constraint-hi"),
+        )
+        return tables, tau_bar
 
 
 def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -78,7 +126,7 @@ def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     ([-tau, 1], +1). `seed` is the trial's id in the draw stream of its N
     (see `_example1_draws`), so every N draws independently.
     """
-    return _example1_tables(*_example1_draws(N, seed))
+    return _Example1Workspace(N, 1).fill([seed])[0]
 
 
 def example1_population_objective(theta) -> float:
@@ -235,47 +283,66 @@ def example1_block_trials(N: int) -> int:
     return max(1, _BLOCK_ROWS // N)
 
 
-def example1_trials(N: int, seeds) -> list[dict]:
-    """One pathology trial per seed, in order: draw, enumerate, and score
+def example1_blocks(N: int, seeds) -> Iterator[list[dict]]:
+    """The records of one pathology trial per seed, in order, one list per
+    block of `example1_block_trials(N)` seeds: draw, enumerate, and score
     the selected parameter. Each record carries the empirical mean of tau,
     the selected parameter pair (None when no candidate is feasible) and its
-    population objective. Trials run in blocks of `example1_block_trials(N)`
-    (see the module docstring); each record has the bits of the per-trial
-    path `ecrm_enumerate(example1_problem(N, seed))`.
+    population objective, and has the bits of the per-trial path
+    `ecrm_enumerate(example1_problem(N, seed))` (see the module docstring).
+
+    Seeds are read one block at a time, and every block is drawn into one
+    workspace (see `_Example1Workspace`) sized to the first block, allocated
+    before it and freed when the generator ends; the records hold no array
+    of it.
     """
-    seeds = [int(s) for s in seeds]
     size = example1_block_trials(N)
+    seeds = iter(seeds)
+    block = [int(s) for s in itertools.islice(seeds, size)]
+    if block:
+        work = _Example1Workspace(N, len(block))
+    while block:
+        yield _example1_block_records(work, block)
+        block = [int(s) for s in itertools.islice(seeds, size)]
+
+
+def example1_trials(N: int, seeds) -> list[dict]:
+    """One pathology trial per seed, in order: the records of
+    `example1_blocks(N, seeds)`, flattened. Their blocks share one
+    workspace of at most one block (the draws, the three tables and the
+    labels; see the module docstring), freed before this returns."""
+    return [r for block in example1_blocks(N, seeds) for r in block]
+
+
+def _example1_block_records(work: _Example1Workspace, seeds: list[int]) -> list[dict]:
+    """The records of one block of trials, filled into `work`."""
+    R, S, tau_bar = _example1_block_stats(work, seeds)
+    index, value = constrained_argmin(R, S)
+    # the block's risks and slacks are not held beside its records
+    del R, S
     records = []
-    for start in range(0, len(seeds), size):
-        block = seeds[start:start + size]
-        R, S, tau_bar = _example1_block_stats(N, block)
-        index, value = constrained_argmin(R, S)
-        for seed, mean, j, v in zip(block, tau_bar.tolist(), index.tolist(), value.tolist()):
-            feasible = v != math.inf
-            theta, J = _EX1_SCORED[j] if feasible else (None, None)
-            records.append({"seed": seed, "N": N, "tau_bar": mean, "feasible": feasible,
-                            "theta_hat": None if theta is None else list(theta),
-                            "population_J": J})
+    for seed, mean, j, feasible in zip(seeds, tau_bar.tolist(), index.tolist(),
+                                       (value != math.inf).tolist()):
+        theta, J = _EX1_SCORED[j] if feasible else (None, None)
+        records.append({"seed": seed, "N": work.N, "tau_bar": mean, "feasible": feasible,
+                        "theta_hat": None if theta is None else list(theta),
+                        "population_J": J})
     return records
 
 
-def _example1_block_stats(N: int, seeds: list[int]):
-    """(R, S, tau_bar) of one block of trials: R (T, J) holds each trial's
-    objective risks at the J candidates, S (T, J, m) its slack vectors. Each
-    maximal run of consecutive seeds is drawn with one call."""
-    T = len(seeds)
-    tau, alpha = np.empty((T, N)), np.empty((T, N))
-    heads = np.empty((T, N), dtype=bool)
-    cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
-    for a, b in zip([0, *cuts], [*cuts, T]):
-        tau[a:b], alpha[a:b], heads[a:b] = _example1_draws(N, seeds[a], b - a)
-    problem = _example1_instance(_example1_tables(tau, alpha, heads), "example1-block")
+def _example1_block_stats(work: _Example1Workspace, seeds: list[int]):
+    """(R, S, tau_bar) of one block of trials, filled into `work`: R (T, J)
+    holds each trial's objective risks at the J candidates, S (T, J, m) its
+    slack vectors."""
+    T, N = len(seeds), work.N
+    tables, tau_bar = work.fill(seeds)
+    problem = _example1_instance(tables, "example1-block")
     risks = np.empty((len(problem.terms), T, len(_EX1_CANDIDATES)))
     for j, model in enumerate(_EX1_CANDIDATES):
         for i, (loss, ds) in enumerate(problem.terms):
             values = loss_values(loss, predict_batch(model, ds.features), ds.labels)
             risks[i, :, j] = values.reshape(T, N).sum(axis=1) / N
-    return risks[0], np.moveaxis(problem.slacks_of(risks), 0, -1), tau.sum(axis=1) / N
+    return risks[0], np.moveaxis(problem.slacks_of(risks), 0, -1), tau_bar
 
 
 def example1_trial(N: int, seed: int) -> dict:

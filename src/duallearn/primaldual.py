@@ -200,8 +200,12 @@ def mixture_risks(arch: Arch, thetas: np.ndarray, problem: Problem) -> list[floa
     `randomized_solution` returns. Each distinct row (by its bytes, first
     seen first) is evaluated once through `Evaluation.stats`; a row that
     repeats one copies its risks, so the T per-iterate risks of a term, summed
-    in iterate order, are those of evaluating every iterate.
+    in iterate order, are those of evaluating every iterate. Any other shape
+    is refused.
     """
+    if thetas.ndim != 2 or thetas.shape[0] == 0 or thetas.shape[1] != arch.n_params:
+        raise InputError(f"a mixture needs a (T, {arch.n_params}) parameter block with T >= 1 "
+                         f"for its architecture, got shape {thetas.shape}")
     risks = np.empty((len(problem.terms), thetas.shape[0]))
     distinct: dict[bytes, tuple[float, ...]] = {}
     for t, theta in enumerate(thetas):

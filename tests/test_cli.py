@@ -14,8 +14,8 @@ from duallearn.cli import main
 from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
-from duallearn.models import LogisticArch, ModelState, init_model, save_model
-from duallearn.oracle import example1_block_trials, example1_trials
+from duallearn.models import LinearArch, LogisticArch, ModelState, init_model, save_model
+from duallearn.oracle import example1_block_trials, example1_blocks, example1_trials
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
@@ -399,6 +399,21 @@ def test_a_model_that_does_not_fit_the_config_names_both_dimensions(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--model", "--trace"])
+def test_a_model_with_more_outputs_than_the_losses_take_is_refused_up_front(tmp_path, capsys,
+                                                                              flag):
+    """A two-output model against the fairness config, whose losses take one."""
+    arch = LinearArch(6, 2)
+    sources = dict(zip(("--model", "--trace"),
+                       saved_sources(tmp_path, np.zeros((2, arch.n_params)), arch)))
+    assert main(fairness_eval(tmp_path, flag, sources[flag])) == 1
+    err = capsys.readouterr().err
+    assert (f"{sources[flag]}: the model gives 2 outputs, but loss kind 'rate-indicator' "
+            "of the config's problem takes 1" in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_a_non_finite_snapshot_row_names_the_snapshot_file_and_its_iteration(tmp_path,
                                                                              capsys):
     arch = LogisticArch(6)
@@ -663,13 +678,14 @@ def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, n
     calls = []
 
     def recorded(n, seeds):
-        calls.append((n, len(seeds)))
-        return example1_trials(n, seeds)
+        for block in example1_blocks(n, seeds):
+            calls.append((n, len(block)))
+            yield block
 
-    monkeypatch.setattr(oracle, "example1_trials", recorded)
+    want_trials, want_summary = example1_all_at_once(ns, trials, 3)
+    monkeypatch.setattr(oracle, "example1_blocks", recorded)
     args = ["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials), "--seed", "3"]
     assert main([*args, "--out", str(tmp_path)]) == 0
-    want_trials, want_summary = example1_all_at_once(ns, trials, 3)
     assert (tmp_path / "trials.jsonl").read_bytes() == want_trials
     assert (tmp_path / "summary.json").read_bytes() == want_summary
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trials.jsonl"]
@@ -722,23 +738,24 @@ def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
     calls = []
 
     def third_block_fails(n, seeds):
-        calls.append(n)
-        if len(calls) == 3:
-            raise InputError("block three failed")
-        return example1_trials(n, seeds)
+        for block in example1_blocks(n, seeds):
+            calls.append(n)
+            if len(calls) == 3:
+                raise InputError("block three failed")
+            yield block
 
-    monkeypatch.setattr(oracle, "example1_trials", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_blocks", third_block_fails)
     args = ["example1", "--n", "1000", "--trials", "40"]
     assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
     assert "block three failed" in capsys.readouterr().err
     assert list((tmp_path / "fresh").iterdir()) == []
 
     # a failed run leaves the outputs of an earlier run in its directory as they were
-    monkeypatch.setattr(oracle, "example1_trials", example1_trials)
+    monkeypatch.setattr(oracle, "example1_blocks", example1_blocks)
     assert main([*args, "--out", str(tmp_path / "rerun")]) == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
     calls.clear()
-    monkeypatch.setattr(oracle, "example1_trials", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_blocks", third_block_fails)
     assert main([*args, "--seed", "5", "--out", str(tmp_path / "rerun")]) == 1
     assert {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()} == before
 

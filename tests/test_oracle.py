@@ -1,7 +1,8 @@
 """The exact dual LP of `oracle.dual_enumerate` on enumerable instances, the
-blocked example1 trials against the per-trial enumeration, and the draw
-stream each trial reads."""
+blocked example1 trials against the per-trial enumeration, the workspace
+their blocks are refilled in, and the draw stream each trial reads."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,13 @@ from duallearn.lagrangian import enumeration_stats
 from duallearn.oracle import (
     LP_FEASIBILITY_TOL,
     EnumerableProblem,
+    _Example1Workspace,
     _example1_block_stats,
     constrained_argmin,
     dual_enumerate,
     ecrm_enumerate,
     example1_block_trials,
+    example1_blocks,
     example1_population_objective,
     example1_problem,
     example1_sample,
@@ -120,7 +123,7 @@ def test_blocked_trials_equal_the_per_trial_path(N):
 @pytest.mark.parametrize("N", [1, 7, 100, 9000])
 def test_block_risks_and_slacks_have_the_bits_of_the_per_trial_evaluation(N):
     seeds = list(range(5, 5 + example1_block_trials(N)))
-    R, S, tau_bar = _example1_block_stats(N, seeds)
+    R, S, tau_bar = _example1_block_stats(_Example1Workspace(N, len(seeds)), seeds)
     for t in sorted({0, len(seeds) // 2, len(seeds) - 1}):
         ep = example1_problem(N, seeds[t])
         R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
@@ -170,6 +173,95 @@ def test_block_draws_are_a_plain_prefix_of_the_stream_of_their_N(N):
 def test_non_consecutive_seeds_equal_the_per_trial_path(N):
     seeds = [5, 3, 4, 9, 10, 11, 11, 0, 40, 2]
     assert example1_trials(N, seeds) == [per_trial_record(N, s) for s in seeds]
+
+
+def test_interleaved_sample_sizes_each_keep_their_own_workspace():
+    """Blocks of N = 10, 1000, 10 taken in turn: no generator's workspace
+    leaks into another's, and a block's records outlive its workspace's refill."""
+    seeds = range(2, 2 + 2 * example1_block_trials(10) + 3)
+    gens = [example1_blocks(10, seeds), example1_blocks(1000, seeds[:30]),
+            example1_blocks(10, seeds)]
+    got = [[] for _ in gens]
+    for blocks in itertools.zip_longest(*gens):  # one block of each in turn
+        for k, block in enumerate(blocks):
+            if block is not None:
+                got[k].append(block)
+    assert [len(blocks) for blocks in got] == [3, 4, 3]
+    assert [len(b) for b in got[1]] == [8, 8, 8, 6]
+    assert [r for b in got[0] for r in b] == [per_trial_record(10, s) for s in seeds]
+    assert [r for b in got[1] for r in b] == [per_trial_record(1000, s) for s in seeds[:30]]
+    assert got[2] == got[0]
+
+
+@pytest.mark.parametrize("N", [7, 100, 1000])
+def test_a_short_last_block_after_a_full_one_reuses_the_workspace(N):
+    size = example1_block_trials(N)
+    seeds = list(range(7, 7 + size + 2))
+    blocks = list(example1_blocks(N, seeds))
+    assert [len(b) for b in blocks] == [size, 2]
+    records = [r for b in blocks for r in b]
+    expected = [per_trial_record(N, s) for s in seeds]
+    assert records == expected
+    assert [r["tau_bar"].hex() for r in records] == [r["tau_bar"].hex() for r in expected]
+
+
+@pytest.mark.parametrize("N", [1, 7, 1000])
+def test_a_refilled_workspace_holds_each_blocks_own_tables_and_risks(N):
+    """Records barely depend on the nominal set, so its rows and the risks
+    are read directly: a full block, a short one with a gap, then a block of one."""
+    size = example1_block_trials(N)
+    work = _Example1Workspace(N, size)
+    for seeds in (list(range(3, 3 + size)), [50, 51, 9][:size], [2]):
+        tables, _ = work.fill(seeds)
+        R, S, _ = _example1_block_stats(work, seeds)
+        for t in sorted({0, len(seeds) // 2, len(seeds) - 1}):
+            rows = slice(t * N, (t + 1) * N)
+            for d, own in zip(tables, example1_sample(N, seeds[t])):
+                assert d.features[rows].tobytes() == own.features.tobytes()
+                assert d.labels[rows].tobytes() == own.labels.tobytes()
+            ep = example1_problem(N, seeds[t])
+            R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
+            assert R[t].tobytes() == R_t.tobytes()
+            assert S[t].tobytes() == S_t.tobytes()
+
+
+@pytest.mark.parametrize("N", [7, 100, 1000])
+def test_seed_lists_with_gaps_fill_the_workspace_run_by_run(N):
+    size = example1_block_trials(N)
+    seeds = [0, 1, 2, 9, 10, 30, *range(100, 100 + size), 4, 3, 3]
+    records = example1_trials(N, seeds)
+    assert records == [per_trial_record(N, s) for s in seeds]
+
+
+@pytest.mark.parametrize("N", [1, 3, 10])
+def test_a_small_block_layout_reuses_the_workspace_bit_for_bit(monkeypatch, N):
+    seeds = [*range(0, 23), 40, 41, 60]
+    expected = [per_trial_record(N, s) for s in seeds]
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 25)
+    assert example1_block_trials(N) == 25 // N
+    blocks = list(example1_blocks(N, seeds))
+    assert len(blocks) == math.ceil(len(seeds) / (25 // N))
+    records = [r for b in blocks for r in b]
+    assert records == expected
+    assert [r["tau_bar"].hex() for r in records] == [r["tau_bar"].hex() for r in expected]
+
+
+@pytest.mark.parametrize("N", [1, 10, 1000])
+def test_no_returned_array_views_the_workspace(N):
+    seeds = list(range(3, 3 + example1_block_trials(N)))
+    work = _Example1Workspace(N, len(seeds))
+    buffers = [v for v in vars(work).values() if isinstance(v, np.ndarray)]
+    assert len(buffers) == 9
+    tables, tau_bar = work.fill(seeds)
+    assert all(np.shares_memory(d.features, X)
+               for d, X in zip(tables, [work.X0, work.X1, work.X2]))
+    assert not any(np.shares_memory(tau_bar, b) for b in buffers)
+    for out in _example1_block_stats(work, seeds):
+        assert not any(np.shares_memory(out, b) for b in buffers)
+    for record in oracle._example1_block_records(work, seeds):
+        # plain Python values, so nothing a later block writes can reach them
+        assert all(isinstance(v, (int, float, list, type(None))) for v in record.values())
+        assert all(type(v) is float for v in record["theta_hat"] or [])
 
 
 def test_sample_sizes_draw_from_independent_streams():

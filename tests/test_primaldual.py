@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,17 @@ class TestRandomizedSolution:
         got = mixture_risks(arch, block, prob)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
         assert sorted(calls) == sorted(m.params.tobytes() for m in (a, b, c))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 2), (2, 4), (3,)])
+    def test_a_block_that_is_empty_or_of_another_width_is_refused(self, shape):
+        arch = LogisticArch(in_dim=2)
+        assert arch.n_params == 3
+        block = np.zeros(shape)
+        block.setflags(write=False)
+        with pytest.raises(InputError, match=re.escape(
+                f"a mixture needs a (T, 3) parameter block with T >= 1 for its "
+                f"architecture, got shape {shape}")):
+            mixture_risks(arch, block, small_gradient_problem())
 
     def test_the_params_are_read_only_copies_of_the_trace_rows(self):
         prob, trace = self._toy_trace(T=6)

@@ -50,6 +50,7 @@ ALLOWED = {
     "error paths, and config paths that no shipped config takes": (
         "bounds.zeta_rademacher",  # a bounds section with R_N instead of d_vc
         "cli._failing_module",  # names the module of a failed command
+        "oracle.example1_trials",  # one block per job of example1 --parallel-trials
         "core._pm_labels",  # hinge losses
         "models.Evaluation.risk",  # a view group whose whole table no term reads
     ),
