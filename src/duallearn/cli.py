@@ -282,6 +282,20 @@ def _build_model(spec: dict, seed: int):
     return init_model(arch, seed=init_seed), {**arch_to_dict(arch, "arch"), "init_seed": init_seed}
 
 
+def _check_model_fits(arch, problem, error, in_name: str, out_name: str) -> None:
+    """Refuse, by `error` naming `in_name` or `out_name`, a model whose input
+    width is not the problem's feature count or whose output width a loss of
+    the problem does not take; called before anything is written."""
+    if arch.widths[0] != problem.n_features:
+        raise error(f"{in_name}: the model takes {arch.widths[0]} features, but the "
+                    f"config's problem has {problem.n_features}")
+    for loss, _ in problem.terms:
+        if loss.prediction_dim not in (None, arch.widths[-1]):
+            raise error(f"{out_name}: the model gives {arch.widths[-1]} outputs, but loss "
+                        f"kind {loss.kind!r} of the config's problem takes "
+                        f"{loss.prediction_dim}")
+
+
 def _out_dir(args, command: str) -> Path:
     if args.out is not None:
         out = Path(args.out)
@@ -318,6 +332,11 @@ def cmd_train(args) -> int:
     cfg, base_dir, seed = _load_config(args)
     problem, problem_echo, attack_echo = _build_problem(cfg, base_dir, seed)
     model, model_echo = _build_model(require(cfg, "model", ""), seed)
+    # an MLP config gives both widths in model.widths; a logistic model's one
+    # output fits every loss
+    _check_model_fits(model.arch, problem, ConfigurationError,
+                      *(f"model.{key}" if key in model_echo else "model.widths"
+                        for key in ("in_dim", "out_dim")))
     inner, inner_echo = from_config(InnerSolverConfig, require(cfg, "inner", ""), "inner.",
                                     candidates=None)
     save_theta = cfg.get("output", {}).get("save_theta", True)
@@ -374,14 +393,7 @@ def cmd_eval(args) -> int:
         path, trace = args.trace, load_trace(args.trace)
         arch, thetas = trace.arch, randomized_solution(trace)
         source = {"trace": str(args.trace), "support": len(thetas)}
-    if arch.widths[0] != problem.n_features:
-        raise InputError(f"{path}: the model takes {arch.widths[0]} features, but the "
-                         f"config's problem has {problem.n_features}")
-    for loss, _ in problem.terms:
-        if loss.prediction_dim not in (None, arch.widths[-1]):
-            raise InputError(f"{path}: the model gives {arch.widths[-1]} outputs, but loss "
-                             f"kind {loss.kind!r} of the config's problem takes "
-                             f"{loss.prediction_dim}")
+    _check_model_fits(arch, problem, InputError, path, path)
 
     out = _out_dir(args, "eval")
     _write_json(out / "config_echo.json",

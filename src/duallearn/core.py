@@ -75,8 +75,7 @@ def _unchecked(cls, **values):
     are, without its constructor's checks: for a state derived from checked
     ones inside a loop."""
     obj = object.__new__(cls)
-    for key, value in values.items():
-        object.__setattr__(obj, key, value)
+    obj.__dict__.update(values)
     return obj
 
 
@@ -140,7 +139,8 @@ class Dataset:
         if idx.ndim != 1 or idx.shape[0] == 0:
             raise InputError(f"subset indices must be a nonempty vector, got shape {idx.shape}")
         root, rows = (self, idx) if self.root is None else (self.root, self.rows[idx])
-        return _unchecked(Dataset, features=_readonly(self.features[idx]),
+        # `take` copies the rows that indexing by `idx` would, with less overhead
+        return _unchecked(Dataset, features=_readonly(self.features.take(idx, axis=0)),
                           labels=_readonly(self.labels[idx]),
                           name=self.name if name is None else name, root=root,
                           rows=_readonly(rows))

@@ -128,23 +128,30 @@ def enumeration_stats(problem: Problem, candidates):
     return R, S
 
 
-def _batch_rows(n: int, batch_size: int | None, rng: np.random.Generator):
-    """Rows of a minibatch of an n-row set, or None when the batch is the whole set."""
-    if batch_size is None or n <= batch_size:
-        return None
-    return rng.choice(n, size=batch_size, replace=False)
-
-
-def _gradient_terms(at: Evaluation, dual: DualState, problem: Problem,
-                    obj_rows: np.ndarray | None, batch_size: int | None,
-                    rng: np.random.Generator):
-    """(weight, loss, batch) per nonzero-weight term, the objective's on `obj_rows`
-    and every other's on rows drawn from `rng` in term order."""
-    terms = []
+def _live_terms(problem: Problem, dual: DualState, batch_size: int | None):
+    """(weight, loss, set, rows to draw from) per term whose weight at `dual`
+    is nonzero, in term order: a zero multiplier skips its constraint and its
+    reference. A set of more than `batch_size` rows (other than the
+    objective's, whose rows the epoch's permutation cuts) draws `batch_size`
+    of them per step; the row count is None for a set used whole."""
+    live = []
     for k, (w, (loss, dataset)) in enumerate(zip(problem.weights(dual.mu), problem.terms)):
         if w != 0.0:
-            rows = obj_rows if k == 0 else _batch_rows(len(dataset), batch_size, rng)
-            terms.append((w, loss, at.batch(dataset, rows)))
+            n = len(dataset)
+            live.append((w, loss, dataset,
+                         None if k == 0 or batch_size is None or n <= batch_size else n))
+    return live
+
+
+def _step_terms(at: Evaluation, live, obj_rows: np.ndarray | None, batch_size: int | None,
+                rng: np.random.Generator):
+    """(weight, loss, batch) per live term: the objective's batch on `obj_rows`,
+    every other's on rows drawn from `rng` in term order."""
+    terms = []
+    for k, (w, loss, dataset, n) in enumerate(live):
+        rows = (obj_rows if k == 0 else
+                None if n is None else rng.choice(n, size=batch_size, replace=False))
+        terms.append((w, loss, at.batch(dataset, rows)))
     return terms
 
 
@@ -160,11 +167,20 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
     those fully evaluated. Every iterate is evaluated once: a step reads its
     gradient from the current iterate's evaluation, and the evaluation that
     scores an epoch's last iterate also serves the next epoch's first step.
+
+    The multipliers are fixed for the call, so the term weights, the terms
+    they keep and the row count each kept term draws from are laid out once
+    (`_live_terms`). A step then draws only its rows (the objective's cut
+    from the epoch's permutation, then every other kept set's from `rng` in
+    term order), reads `grad_params` of those batches from the current
+    iterate's evaluation, takes one `optimizer_step` and evaluates the new
+    iterate afresh.
     """
     problem = problem.surrogate
     n0 = len(problem.objective_dataset)
     bs = solver.batch_size
     whole = bs is None or bs >= n0
+    live = _live_terms(problem, dual, bs)
     opt = OptimizerState(step_size=solver.step_size)
     at = best = start
     best_val = empirical_lagrangian(start, dual, problem)
@@ -172,7 +188,7 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
         order = None if whole else rng.permutation(n0)
         for lo in range(0, n0, n0 if whole else bs):
             rows = None if whole else order[lo : lo + bs]
-            g = grad_params(at, _gradient_terms(at, dual, problem, rows, bs, rng))
+            g = grad_params(at, _step_terms(at, live, rows, bs, rng))
             opt, model = optimizer_step(opt, at.model, g)
             at = Evaluation(model)
         val = empirical_lagrangian(at, dual, problem)

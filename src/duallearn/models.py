@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import from_config
-from .core import (Dataset, DatasetLike, LossSpec, Problem, _unchecked, loss_pred_grads,
-                   loss_values, stable_sigmoid)
+from .core import (Dataset, DatasetLike, LossSpec, Problem, _readonly, _unchecked,
+                   loss_pred_grads, loss_values, stable_sigmoid)
 from .errors import ConfigurationError, InputError, NumericError
 
 
@@ -131,35 +131,34 @@ class ModelState:
             )
         if not np.isfinite(p).all():
             raise InputError("model parameters must be finite")
-        self._bind(p.copy())
+        p = _readonly(p.copy())
+        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "layers", _cut_layers(p, self.arch))
 
     @classmethod
     def _of_fresh(cls, params: np.ndarray, arch: Arch) -> ModelState:
         """The state of `params`, a finite float vector of the architecture's
         length that nothing writes (a new one, or a row of a read-only
-        block), taken as it is."""
-        state = _unchecked(cls, arch=arch)
-        state._bind(params)
-        return state
-
-    def _bind(self, p: np.ndarray) -> None:
-        """Hold `p` read-only as the parameters, and cut the layers from it."""
-        p.setflags(write=False)
-        object.__setattr__(self, "params", p)
-        widths, bias = self.arch.widths, self.arch.bias
-        layers = []
-        pos = 0
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            W = p[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
-            pos += fan_out * fan_in
-            b = p[pos : pos + fan_out] if bias else np.zeros(fan_out)
-            pos += fan_out if bias else 0
-            layers.append((W, b))
-        object.__setattr__(self, "layers", tuple(layers))
+        block), taken as it is and held read-only."""
+        return _unchecked(cls, params=_readonly(params), arch=arch,
+                          layers=_cut_layers(params, arch))
 
     @property
     def in_dim(self) -> int:
         return self.arch.widths[0]
+
+
+def _cut_layers(p: np.ndarray, arch: Arch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (W, b) views of each dense layer of `arch` in the parameter vector `p`."""
+    widths, bias = arch.widths, arch.bias
+    layers = []
+    pos = 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        end = pos + fan_out * fan_in
+        b = p[end : end + fan_out] if bias else np.zeros(fan_out)
+        layers.append((p[pos:end].reshape(fan_out, fan_in), b))
+        pos = end + fan_out if bias else end
+    return tuple(layers)
 
 
 def init_model(arch: Arch, seed: int = 0) -> ModelState:
@@ -225,7 +224,7 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
         W, _ = model.layers[li]
         if want_params:
             if arch.bias:
-                chunks.append(delta.sum(axis=0))
+                chunks.append(np.add.reduce(delta, axis=0))  # what delta.sum calls
             chunks.append((delta.T @ acts[li]).ravel())
         if li > 0 or want_inputs:
             delta = delta @ W
@@ -362,7 +361,7 @@ class Evaluation:
             preds = self._table_predictions(table)
             grads = self._per_row(loss_pred_grads, loss, table)
             if rows is not None:
-                preds, grads = preds[rows], grads[rows]
+                preds, grads = preds.take(rows, axis=0), grads.take(rows, axis=0)
             dparams, _ = _backprop(self.model, ds.features, grads / len(ds), preds,
                                    want_params=True, want_inputs=False)
             dparams.setflags(write=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, LossSpec, loss_values
+from .core import Dataset, LossSpec, _readonly, _unchecked, loss_values
 from .errors import ConfigurationError, InputError
 from .models import (LinearArch, LogisticArch, ModelState, _forward, grad_input_batch,
                      predict_batch)
@@ -191,10 +191,12 @@ def perturb_batch(model: ModelState, loss: LossSpec, X: np.ndarray,
             preds = _forward(model, stack)
         else:
             preds = np.concatenate([clean_predictions[None], _forward(model, stack[1:])])
-        k, n = stack.shape[:2]
-        losses = loss_values(loss, preds.reshape(k * n, -1), np.concatenate([y] * k)).reshape(k, n)
-        best, rows = np.argmax(losses, axis=0), np.arange(n)
-        return stack[best, rows], preds[best, rows]
+        k, n, d = stack.shape
+        preds = preds.reshape(k * n, -1)
+        losses = loss_values(loss, preds, np.concatenate([y] * k)).reshape(k, n)
+        # each row's pick, as a row of the (k n)-row tables
+        picks = losses.argmax(axis=0) * n + np.arange(n)
+        return stack.reshape(k * n, d).take(picks, axis=0), preds.take(picks, axis=0)
     best_X = X0.copy()
     best_P = predict_batch(model, X0) if clean_predictions is None else clean_predictions
     if cfg.epsilon == 0.0 or signs is not None:
@@ -243,7 +245,15 @@ class AdversarialDataset:
         X, y = self.base.features, self.base.labels
         if indices is not None:
             indices = np.asarray(indices, dtype=int)
-            X, y = X[indices], y[indices]
+            if indices.ndim != 1 or indices.shape[0] == 0:
+                raise InputError(f"attack indices must be a nonempty vector, got shape "
+                                 f"{indices.shape}")
+            X, y = X.take(indices, axis=0), y[indices]
         X, P = perturb_batch(model, self.loss, X, y, self.cfg, sample_indices=indices,
                              clean_predictions=clean_predictions)
-        return Dataset(features=X, labels=y, name=self.name), P
+        # the labels are the base's, already checked; a huge ball can still
+        # push a feature past the largest float
+        if not np.isfinite(X).all():
+            raise InputError("dataset features must be finite")
+        return _unchecked(Dataset, features=_readonly(X), labels=_readonly(y),
+                          name=self.name), P

@@ -414,6 +414,68 @@ def test_a_model_with_more_outputs_than_the_losses_take_is_refused_up_front(tmp_
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"arch": "linear", "in_dim": 5, "out_dim": 1},
+     "model.in_dim: the model takes 5 features, but the config's problem has 6"),
+    ({"arch": "linear", "in_dim": 6, "out_dim": 2},
+     "model.out_dim: the model gives 2 outputs, but loss kind 'rate-indicator' of the "
+     "config's problem takes 1"),
+    ({"arch": "mlp", "widths": [6, 3, 2]},
+     "model.widths: the model gives 2 outputs, but loss kind 'rate-indicator' of the "
+     "config's problem takes 1"),
+], ids=["in_dim", "out_dim", "mlp-widths"])
+def test_train_refuses_a_model_that_does_not_fit_before_writing(tmp_path, capsys, model,
+                                                                message):
+    """A config whose model the problem cannot take is a config error naming
+    the model key, and nothing is written."""
+    def edit(cfg):
+        cfg["dual"]["iterations_T"] = 3
+        cfg["model"] = model
+    path, _ = derived_config(tmp_path, "fairness_train.json", edit)
+    out = tmp_path / "train"
+    out.mkdir()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_robust_train_checks_its_sets_and_weighs_its_terms_a_fixed_number_of_times(
+        tmp_path, monkeypatch):
+    """A robust `train` builds checked datasets a fixed number of times,
+    whatever its numbers of steps and iterations, and lays out the term
+    weights once per inner-solver call, not once per step."""
+    import duallearn.primaldual as primaldual
+    from duallearn.core import Dataset, Problem
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted("checked sets", Dataset.__post_init__))
+    monkeypatch.setattr(Problem, "weights", counted("weights", Problem.weights))
+    monkeypatch.setattr(primaldual, "gradient_minimize",
+                        counted("solves", primaldual.gradient_minimize))
+    checked = []
+    for T, batch_size in ((2, 128), (5, 128), (3, 32)):  # 16 or 63 steps per iteration
+        def edit(cfg):
+            cfg["dual"]["iterations_T"] = T
+            cfg["inner"]["batch_size"] = batch_size
+        path, _ = derived_config(tmp_path, "robust_train.json", edit)
+        counts.update({"checked sets": 0, "weights": 0, "solves": 0})
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / f"T{T}-b{batch_size}")]) == 0
+        assert counts["solves"] == T
+        assert counts["weights"] == T
+        checked.append(counts["checked sets"])
+    assert checked == [2] * 3  # the synthetic table, then its copy under its config name
+
+
 def test_a_non_finite_snapshot_row_names_the_snapshot_file_and_its_iteration(tmp_path,
                                                                              capsys):
     arch = LogisticArch(6)

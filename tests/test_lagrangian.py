@@ -6,22 +6,27 @@ from duallearn.core import (
     Dataset,
     LossSpec,
     Problem,
+    ReferenceTerm,
     empirical_risk,
 )
+from duallearn.data import group_split
 from duallearn.errors import (ConfigurationError, DualLearnError, InputError,
                               SurrogateRequiredError)
 from duallearn.lagrangian import (
     DualState,
     InnerSolverConfig,
-    _gradient_terms,
+    _live_terms,
+    _step_terms,
     dual_function,
     empirical_lagrangian,
+    gradient_minimize,
     slacks,
 )
-from duallearn.models import Evaluation, LinearArch, LogisticArch, ModelState, init_model
+from duallearn.models import (Evaluation, LinearArch, LogisticArch, MlpArch, ModelState,
+                              OptimizerState, grad_params, init_model, optimizer_step)
 from duallearn.oracle import ecrm_enumerate, example1_problem
 from duallearn.primaldual import dual_update
-from duallearn.robust import AttackConfig
+from duallearn.robust import AdversarialDataset, AttackConfig
 
 from helpers import (bits, random_enumerable, random_layout_problem, random_mu, row_loss,
                      row_predict)
@@ -285,7 +290,8 @@ def test_gradient_terms_draw_the_rows_of_a_walk_over_the_constraints(m, referenc
             want.append((-w, ref.loss, ref.dataset, draw(walk_rng, ref.dataset)))
 
     step_rng = np.random.default_rng(seed + 100)
-    got = _gradient_terms(ev, DualState(mu), problem, obj_rows, batch_size, step_rng)
+    got = _step_terms(ev, _live_terms(problem, DualState(mu), batch_size), obj_rows, batch_size,
+                      step_rng)
     assert len(got) == len(want)
     for (weight, loss, batch), (w, want_loss, dataset, rows) in zip(got, want):
         assert bits(weight) == bits(w) and loss is want_loss
@@ -295,3 +301,100 @@ def test_gradient_terms_draw_the_rows_of_a_walk_over_the_constraints(m, referenc
             assert bits(batch.features) == bits(dataset.features[rows])
             assert batch.labels.tolist() == dataset.labels[rows].tolist()
     assert step_rng.bit_generator.state == walk_rng.bit_generator.state
+
+
+def reference_minimize(dual, problem, solver, start, rng):
+    """`gradient_minimize` from public pieces, one step at a time: walk the
+    terms, skip a zero weight, cut the objective's rows from the epoch's
+    permutation and draw every other set's rows from `rng` in term order;
+    `grad_params` of the batches read from the current iterate's evaluation,
+    one `optimizer_step`, and a fresh `Evaluation` of the new iterate, which
+    scores the epoch when it is the epoch's last."""
+    problem = problem.surrogate
+    n0 = len(problem.objective_dataset)
+    bs = solver.batch_size
+    whole = bs is None or bs >= n0
+    opt = OptimizerState(step_size=solver.step_size)
+    at = best = start
+    best_val = empirical_lagrangian(start, dual, problem)
+    for _ in range(solver.epochs):
+        order = None if whole else rng.permutation(n0)
+        for lo in range(0, n0, n0 if whole else bs):
+            terms = []
+            for k, (w, (loss, d)) in enumerate(zip(problem.weights(dual.mu), problem.terms)):
+                if w == 0.0:
+                    continue
+                if k == 0:
+                    rows = None if whole else order[lo : lo + bs]
+                elif bs is None or len(d) <= bs:
+                    rows = None
+                else:
+                    rows = rng.choice(len(d), size=bs, replace=False)
+                terms.append((w, loss, at.batch(d, rows)))
+            opt, model = optimizer_step(opt, at.model, grad_params(at, terms))
+            at = Evaluation(model)
+        val = empirical_lagrangian(at, dual, problem)
+        if val < best_val:
+            best_val, best = val, at
+    return best
+
+
+def step_table(n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(features=rng.uniform(-1.0, 1.0, (n, 3)), labels=rng.choice([0, 1], n),
+                 name="table")
+    return ds, tuple("ABCD"[i] for i in rng.integers(0, 4, n))
+
+
+def robust_step_problem(attack):
+    """CE objective on a table, an attacked CE constraint on it and a plain
+    CE constraint on one of its group views."""
+    ds, groups = step_table()
+    ce = LossSpec.cross_entropy()
+    return Problem(objective_loss=ce, objective_dataset=ds, constraints=(
+        ConstraintSpec(loss=ce, threshold_c=0.4, dataset=AdversarialDataset(ds, ce, attack)),
+        ConstraintSpec(loss=ce, threshold_c=0.5, dataset=group_split(ds, groups)["A"])))
+
+
+def fairness_step_problem():
+    """Rate-indicator constraints on group views, each against the whole table."""
+    ds, groups = step_table(seed=1)
+    rate = LossSpec(kind="rate-indicator", bound_B=1.0)
+    parts = group_split(ds, groups)
+    return Problem(objective_loss=LossSpec.cross_entropy(), objective_dataset=ds,
+                   constraints=tuple(ConstraintSpec(loss=rate, threshold_c=0.05, dataset=parts[g],
+                                                    reference=ReferenceTerm(loss=rate,
+                                                                            dataset=ds), name=g)
+                                     for g in "ABCD"))
+
+
+STEP_CASES = {
+    "logistic-exact": (lambda: robust_step_problem(AttackConfig(epsilon=0.3,
+                                                                clamp_box=(-1.0, 1.0))),
+                       LogisticArch(3)),
+    "mlp-pgd": (lambda: robust_step_problem(AttackConfig(epsilon=0.3, steps=3, step_size=0.1,
+                                                         restarts=2, clamp_box=(-1.0, 1.0),
+                                                         seed=5)),
+                MlpArch((3, 4, 1), output="sigmoid")),
+    "fairness": (fairness_step_problem, LogisticArch(3)),
+}
+
+
+@pytest.mark.parametrize("batch_size", [None, 16, 13])
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_gradient_minimize_takes_the_steps_of_its_public_pieces(case, batch_size):
+    """Parameters and the generator's final state equal, bit for bit, those of
+    the one-step-at-a-time reference, at multipliers with and without zeros."""
+    build, arch = STEP_CASES[case]
+    problem = build()
+    solver = InnerSolverConfig(epochs=3, batch_size=batch_size, step_size=0.1)
+    for k, mu in enumerate(([0.0] * problem.m, [0.7] + [0.0] * (problem.m - 1),
+                            [0.0] + [1.3] * (problem.m - 1), [0.4, 0.0, 2.0, 0.0][:problem.m],
+                            [1.1, 0.6, 0.3, 0.9][:problem.m])):
+        dual = DualState(np.array(mu))
+        init = ModelState(np.random.default_rng(k).normal(size=arch.n_params), arch)
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = gradient_minimize(dual, problem, solver, Evaluation(init), got_rng)
+        want = reference_minimize(dual, problem, solver, Evaluation(init), want_rng)
+        assert bits(got.model.params) == bits(want.model.params)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

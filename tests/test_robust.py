@@ -269,8 +269,20 @@ def test_an_attacked_set_that_is_not_finite_is_refused():
     y = np.array([0, 1])
     adv = AdversarialDataset(Dataset(features=X, labels=y), CE, AttackConfig(epsilon=1e308))
     model = ModelState(np.array([1e-308, 1.0, 0.0]), LogisticArch(2))
-    with np.errstate(over="ignore"), pytest.raises(InputError, match="features must be finite"):
-        adv.attack(model)
+    for indices in (None, np.array([1, 0])):  # the whole set, and a minibatch of it
+        with np.errstate(over="ignore"), pytest.raises(InputError,
+                                                       match="features must be finite"):
+            adv.attack(model, indices)
+
+
+@pytest.mark.parametrize("indices", [np.array([], dtype=int), np.array([[0, 1]])],
+                         ids=["empty", "matrix"])
+def test_attack_indices_must_be_a_nonempty_vector(indices):
+    _, X, y = logistic_case(5)
+    adv = AdversarialDataset(Dataset(features=X, labels=y), CE, ATTACKS[1])
+    model = ModelState(np.array([1.5, 0.0, -2.0, 0.3]), LogisticArch(3))
+    with pytest.raises(InputError, match="attack indices must be a nonempty vector"):
+        adv.attack(model, indices)
 
 
 def test_exact_attack_leaves_zero_weight_coordinates_alone():
