@@ -25,12 +25,14 @@ Four commands over a single JSON config tree:
   sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
   own draw stream, so the sizes draw independently (a trial's ``seed`` in
   ``trials.jsonl`` is its id in that stream). Trials run in the blocks of
-  `duallearn.oracle.example1_block_trials`, and each block's records are
-  written to ``trials.jsonl`` and counted for ``summary.json`` before the
-  next block is computed, so a serial run's memory is bounded by one block
-  whatever the trial count: its blocks of one N are drawn into one
-  workspace of one block, freed before the next N starts. A run that fails
-  writes neither file.
+  `duallearn.oracle.example1_block_trials`, each block's risks read in
+  closed form from its draws, with the bits of the library's evaluation
+  path (`oracle.example1_problem` and `oracle.ecrm_enumerate`), which the
+  tests compare them against. Each block's records are written to
+  ``trials.jsonl`` and counted for ``summary.json`` before the next block
+  is computed, so a serial run's memory is bounded by one block whatever
+  the trial count: a block's draws are freed before its records are built.
+  A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Each command imports the modules it runs where it runs them, so a process
@@ -445,7 +447,6 @@ def cmd_example1(args) -> int:
     try:
         with pool as workers, partial.open("w") as f:
             if workers is None:
-                # each N's blocks share one workspace, freed before the next N
                 blocks = itertools.chain.from_iterable(example1_blocks(n, seeds) for n in ns)
             else:
                 # one job per block of trials, in record order
@@ -454,7 +455,7 @@ def cmd_example1(args) -> int:
                 blocks = workers.map(example1_trials, *zip(*jobs))
             for block in blocks:
                 n = block[0]["N"]
-                # line by line: a joined copy of the block would sit beside its workspace
+                # line by line: a joined copy of its lines would sit beside the records
                 f.writelines(encode(r) + "\n" for r in block)
                 doubled[n] += sum(r["population_J"] == 0.125 for r in block)
                 infeasible[n] += sum(not r["feasible"] for r in block)

@@ -9,24 +9,24 @@ version almost surely excludes the population optimum, selecting a
 parameter with twice the population objective. Its closed forms make it a
 sharp oracle for the rest of the library.
 
-Monte-Carlo trials of that instance run in blocks of about 8,192 rows per
-table. Trial `seed` of N samples is row block `seed` of 3N doubles in one
-PCG64 stream per N, so a run of consecutive trials is one jump ahead and
-one draw, and different N draw from independent streams. Each trial fills
-its own row block of three shared tables, and each candidate is forwarded
-once per table. A trial's risk is then the sum of its N loss values, read
-as one row of a C-ordered (T, N) array, divided by N. Every prediction and
-loss value depends on its own row alone, and numpy reduces each such row as
-it reduces a length-N vector, so a trial's risks, slacks and record have
-the bits of enumerating it on its own.
+Monte-Carlo trials of that instance run in blocks of about 8,192 samples
+(T trials of N samples each). Trial `seed` of N samples is row block `seed`
+of 3N doubles in one PCG64 stream per N, so a run of consecutive trials is
+one jump ahead and one draw, and different N draw from independent streams.
+Every loss value of a trial is known exactly from its draws, so a block
+reads its risks in closed form (see `_example1_block_stats`), without
+feature tables or forward passes: each risk is the sum of one row of a
+C-ordered (T, N) array of loss values, divided by N. numpy reduces each
+such row as it reduces a length-N vector, so a trial's risks, slacks and
+record have the bits of enumerating it on its own through
+`example1_problem` and `ecrm_enumerate`, the library's evaluation path,
+which the tests compare the blocks against.
 
-The blocks of one N share one workspace, sized to one block: the draw
-buffer, the three feature tables, the label vectors and three (T, N)
-helpers. It is allocated with the N's first block, refilled in place by
-each block, and freed when the N's last block is done. Allocating and
-freeing about 1 MB per block instead made every block fault its pages in
-again, as glibc returns a freed heap top larger than 128 KiB to the
-kernel. The records hold Python values only, never a view of it.
+A block's draws and its (T, N) arrays are allocated with the block and
+freed before its records are built, so a run holds one or the other, never
+both; the records hold Python values only. Buffers kept for all blocks of
+an N would sit beside every block's records, and at under 400 KB a block
+faults no more pages for allocating its own.
 """
 
 from __future__ import annotations
@@ -38,82 +38,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSpec, Dataset, LossSpec, Problem, loss_values
+from .core import ConstraintSpec, Dataset, LossSpec, Problem
 from .errors import ConfigurationError, InputError, NumericError
-from .models import LinearArch, ModelState, predict_batch
+from .models import LinearArch, ModelState
 
 
-def _example1_draws(N: int, seed: int, out: np.ndarray) -> None:
-    """Fill `out`, a C-ordered (T, 3, N) float array, with the draws u of
-    trials seed, ..., seed + T - 1.
+def _example1_draws(N: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, alpha, heads) of trials `seeds`, each a C-ordered (T, N) array
+    with row t for trial seeds[t].
 
     Trial s is row block s of 3N doubles u in the stream of
     SeedSequence(0, spawn_key=(N,)): tau = u[0] - 1/2, alpha = u[1] / 4 and
-    heads = u[2] < 1/2, so one jump ahead reaches the first trial of a run.
+    heads = u[2] < 1/2. Each maximal run of consecutive seeds is one jump
+    ahead and one draw.
     """
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
-    bits.advance(3 * N * seed)
-    np.random.Generator(bits).random(out=out)
-
-
-class _Example1Workspace:
-    """The buffers of blocks of up to T trials of N samples, allocated once
-    and refilled by each block: the draws u (T, 3, N), alpha (T, N), heads
-    (T, N), a scratch column (T, N), the three feature tables (T N, 2) and
-    the nominal and constant label vectors (T N,). A block of t trials
-    fills their first t trials, in C order, and wraps views of them in
-    checked datasets (see the module docstring for why they are reused).
-    """
-
-    def __init__(self, N: int, T: int):
-        if N < 1:
-            raise InputError(f"N must be >= 1, got {N}")
-        self.N = N
-        self.u = np.empty((T, 3, N))
-        self.alpha, self.col = np.empty((2, T, N))
-        self.heads = np.empty((T, N), dtype=bool)
-        self.X0, self.X1, self.X2 = (np.empty((T * N, 2)) for _ in range(3))
-        self.X1[:, 0], self.X2[:, 1] = -1.0, 1.0
-        self.y0 = np.empty(T * N, dtype=np.int64)
-        self.ones = np.ones(T * N, dtype=np.int64)
-
-    def fill(self, seeds: list[int]) -> tuple[tuple[Dataset, Dataset, Dataset], np.ndarray]:
-        """The three datasets of trials `seeds`, one row per draw in C order,
-        and each trial's mean of tau. Each maximal run of consecutive seeds is
-        drawn with one call."""
-        T, N = len(seeds), self.N
-        u, alpha, heads, col = self.u[:T], self.alpha[:T], self.heads[:T], self.col[:T]
-        cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
-        for a, b in zip([0, *cuts], [*cuts, T]):
-            _example1_draws(N, seeds[a], u[a:b])
-        np.multiply(u[:, 1], 0.25, out=alpha)
-        np.less(u[:, 2], 0.5, out=heads)
-        # (T, N) views of the tables' columns
-        X0, X1, X2 = (X[:T * N].reshape(T, N, 2) for X in (self.X0, self.X1, self.X2))
-        tau = np.subtract(u[:, 0], 0.5, out=col)
-        tau_bar = tau.sum(axis=1) / N
-        np.copyto(X1[..., 1], tau)
-        np.negative(tau, out=X2[..., 0])
-        # the nominal columns where(heads, 0, tau) and where(heads, alpha, -tau),
-        # selected in the contiguous `col`: numpy masks a strided column slowly
-        np.putmask(col, heads, 0.0)
-        np.copyto(X0[..., 0], col)
-        np.copyto(col, X2[..., 0])
-        np.putmask(col, heads, alpha)
-        np.copyto(X0[..., 1], col)
-        y0 = self.y0[:T * N]
-        np.multiply(heads.reshape(-1), 2, out=y0)  # where(heads, 1, -1)
-        np.subtract(y0, 1, out=y0)
-        tables = (
-            Dataset(features=self.X0[:T * N], labels=y0, name="example1-nominal"),
-            Dataset(features=self.X1[:T * N], labels=self.ones[:T * N],
-                    name="example1-constraint-lo"),
-            Dataset(features=self.X2[:T * N], labels=self.ones[:T * N],
-                    name="example1-constraint-hi"),
-        )
-        return tables, tau_bar
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
+    T = len(seeds)
+    u = np.empty((T, 3, N))
+    cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
+    for a, b in zip([0, *cuts], [*cuts, T]):
+        if seeds[a] < 0:
+            raise InputError(f"seed must be >= 0, got {seeds[a]}")
+        bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
+        bits.advance(3 * N * seeds[a])
+        np.random.Generator(bits).random(out=u[a:b])
+    return u[:, 0] - 0.5, u[:, 1] * 0.25, u[:, 2] < 0.5
 
 
 def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -126,7 +76,16 @@ def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     ([-tau, 1], +1). `seed` is the trial's id in the draw stream of its N
     (see `_example1_draws`), so every N draws independently.
     """
-    return _Example1Workspace(N, 1).fill([seed])[0]
+    tau, alpha, heads = (a[0] for a in _example1_draws(N, [seed]))
+    ones = np.ones(N, dtype=np.int64)
+    return (
+        Dataset(features=np.column_stack([np.where(heads, 0.0, tau), np.where(heads, alpha, -tau)]),
+                labels=np.where(heads, 1, -1), name="example1-nominal"),
+        Dataset(features=np.column_stack([np.full(N, -1.0), tau]), labels=ones,
+                name="example1-constraint-lo"),
+        Dataset(features=np.column_stack([-tau, np.ones(N)]), labels=ones,
+                name="example1-constraint-hi"),
+    )
 
 
 def example1_population_objective(theta) -> float:
@@ -142,29 +101,35 @@ def example1_population_objective(theta) -> float:
 
 
 _EX1_ARCH = LinearArch(in_dim=2, out_dim=1, bias=False)
-_EX1_BOUND = 4.0  # comfortably above any achievable |score| for unit-box candidates
+# Above the largest |score| of the candidates on the instance's rows, 1.5, so
+# no loss is capped; `_example1_block_stats` reads the losses uncapped.
+_EX1_BOUND = 4.0
 _EX1_ABS = LossSpec(kind="absolute", bound_B=_EX1_BOUND)
 _EX1_SCORE = LossSpec(kind="signed-score", bound_B=_EX1_BOUND)
+_EX1_THRESHOLDS = (-1.0, 1.0)  # c of score-lo and score-hi
+# `_example1_block_stats` computes the risks of exactly these two candidates.
 _EX1_CANDIDATES = tuple(ModelState(np.asarray(c, dtype=float), _EX1_ARCH)
                         for c in ((1.0, 1.0), (1.0, 0.0)))
 
 
-def _example1_instance(tables, name: str) -> Problem:
-    d0, d1, d2 = tables
-    return Problem(
+def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "EnumerableProblem":
+    """The pathological instance over a drawn sample set, ready to enumerate.
+
+    With `ecrm_enumerate`, this is the library's evaluation path of one
+    trial: the reference that the tests compare the closed-form block
+    risks of `example1_blocks` against, bit for bit.
+    """
+    d0, d1, d2 = example1_sample(N, seed)
+    lo, hi = _EX1_THRESHOLDS
+    problem = Problem(
         objective_loss=_EX1_ABS,
         objective_dataset=d0,
         constraints=(
-            ConstraintSpec(loss=_EX1_SCORE, threshold_c=-1.0, dataset=d1, name="score-lo"),
-            ConstraintSpec(loss=_EX1_SCORE, threshold_c=1.0, dataset=d2, name="score-hi"),
+            ConstraintSpec(loss=_EX1_SCORE, threshold_c=lo, dataset=d1, name="score-lo"),
+            ConstraintSpec(loss=_EX1_SCORE, threshold_c=hi, dataset=d2, name="score-hi"),
         ),
-        name=name,
+        name=f"example1-N{N}-seed{seed}",
     )
-
-
-def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "EnumerableProblem":
-    """The pathological instance over a drawn sample set, ready to enumerate."""
-    problem = _example1_instance(example1_sample(N, seed), f"example1-N{N}-seed{seed}")
     return EnumerableProblem(problem=problem, candidates=candidates)
 
 
@@ -270,7 +235,7 @@ def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
                           weights=np.maximum(res.x, 0.0))
 
 
-_BLOCK_ROWS = 8192  # rows per table in one block of example1 trials
+_BLOCK_ROWS = 8192  # samples (trials times N) in one block of example1 trials
 # Each candidate's parameters and population objective, as a record holds them.
 _EX1_SCORED = tuple((tuple(float(v) for v in c.params), example1_population_objective(c.params))
                     for c in _EX1_CANDIDATES)
@@ -285,38 +250,34 @@ def example1_block_trials(N: int) -> int:
 
 def example1_blocks(N: int, seeds) -> Iterator[list[dict]]:
     """The records of one pathology trial per seed, in order, one list per
-    block of `example1_block_trials(N)` seeds: draw, enumerate, and score
-    the selected parameter. Each record carries the empirical mean of tau,
-    the selected parameter pair (None when no candidate is feasible) and its
-    population objective, and has the bits of the per-trial path
-    `ecrm_enumerate(example1_problem(N, seed))` (see the module docstring).
+    block of `example1_block_trials(N)` seeds: draw, read the risks in closed
+    form, select, and score the selected parameter. Each record carries the
+    empirical mean of tau, the selected parameter pair (None when no
+    candidate is feasible) and its population objective, and has the bits of
+    the library's evaluation path `ecrm_enumerate(example1_problem(N, seed))`,
+    the reference the tests compare it against (see the module docstring).
 
-    Seeds are read one block at a time, and every block is drawn into one
-    workspace (see `_Example1Workspace`) sized to the first block, allocated
-    before it and freed when the generator ends; the records hold no array
-    of it.
+    Seeds are read one block at a time. A block's draws are freed before
+    its records are built, and the records hold no array.
     """
     size = example1_block_trials(N)
     seeds = iter(seeds)
     block = [int(s) for s in itertools.islice(seeds, size)]
-    if block:
-        work = _Example1Workspace(N, len(block))
     while block:
-        yield _example1_block_records(work, block)
+        yield _example1_block_records(N, block)
         block = [int(s) for s in itertools.islice(seeds, size)]
 
 
 def example1_trials(N: int, seeds) -> list[dict]:
     """One pathology trial per seed, in order: the records of
-    `example1_blocks(N, seeds)`, flattened. Their blocks share one
-    workspace of at most one block (the draws, the three tables and the
-    labels; see the module docstring), freed before this returns."""
+    `example1_blocks(N, seeds)`, flattened, with the bits of the library's
+    evaluation path `ecrm_enumerate(example1_problem(N, seed))`."""
     return [r for block in example1_blocks(N, seeds) for r in block]
 
 
-def _example1_block_records(work: _Example1Workspace, seeds: list[int]) -> list[dict]:
-    """The records of one block of trials, filled into `work`."""
-    R, S, tau_bar = _example1_block_stats(work, seeds)
+def _example1_block_records(N: int, seeds: list[int]) -> list[dict]:
+    """The records of one block of trials."""
+    R, S, tau_bar = _example1_block_stats(N, seeds)
     index, value = constrained_argmin(R, S)
     # the block's risks and slacks are not held beside its records
     del R, S
@@ -324,25 +285,45 @@ def _example1_block_records(work: _Example1Workspace, seeds: list[int]) -> list[
     for seed, mean, j, feasible in zip(seeds, tau_bar.tolist(), index.tolist(),
                                        (value != math.inf).tolist()):
         theta, J = _EX1_SCORED[j] if feasible else (None, None)
-        records.append({"seed": seed, "N": work.N, "tau_bar": mean, "feasible": feasible,
+        records.append({"seed": seed, "N": N, "tau_bar": mean, "feasible": feasible,
                         "theta_hat": None if theta is None else list(theta),
                         "population_J": J})
     return records
 
 
-def _example1_block_stats(work: _Example1Workspace, seeds: list[int]):
-    """(R, S, tau_bar) of one block of trials, filled into `work`: R (T, J)
-    holds each trial's objective risks at the J candidates, S (T, J, m) its
-    slack vectors."""
-    T, N = len(seeds), work.N
-    tables, tau_bar = work.fill(seeds)
-    problem = _example1_instance(tables, "example1-block")
-    risks = np.empty((len(problem.terms), T, len(_EX1_CANDIDATES)))
-    for j, model in enumerate(_EX1_CANDIDATES):
-        for i, (loss, ds) in enumerate(problem.terms):
-            values = loss_values(loss, predict_batch(model, ds.features), ds.labels)
-            risks[i, :, j] = values.reshape(T, N).sum(axis=1) / N
-    return risks[0], np.moveaxis(problem.slacks_of(risks), 0, -1), tau_bar
+def _example1_block_stats(N: int, seeds: list[int]):
+    """(R, S, tau_bar) of one block of trials: R (T, J) holds each trial's
+    objective risks at the J candidates, S (T, J, m) its slack vectors,
+    risk - c as `Problem.slacks_of` computes them.
+
+    The risks are read in closed form from the draws. Every entry of the
+    candidates [1, 1] and [1, 0] is 0 or 1, so each score is one rounding
+    of a sum of exact products, whatever the order of the matrix product,
+    and no |score| reaches `_EX1_BOUND`. On the rows ([tau, -tau], -1) or
+    ([0, alpha], +1), ([-1, tau], +1) and ([-tau, 1], +1), candidate [1, 1]
+    has the loss values where(heads, alpha, 0), tau - 1 and 1 - tau, and
+    candidate [1, 0] where(heads, 0, |tau|), exactly -1 and -tau; the mean
+    of -tau is -tau_bar, up to the sign of a zero, which the slack's - 1
+    removes. Every mean is the sum of one row of a contiguous (T, N) array,
+    divided by N, as the per-trial path reduces it; each array is written
+    into one scratch array `col`.
+    """
+    T = len(seeds)
+    tau, alpha, heads = _example1_draws(N, seeds)
+    tau_bar = tau.sum(axis=1) / N
+    col = np.empty_like(tau)
+    R = np.empty((T, 2))
+    R[:, 0] = np.multiply(alpha, heads, out=col).sum(axis=1) / N
+    np.abs(tau, out=col)
+    np.putmask(col, heads, 0.0)
+    R[:, 1] = col.sum(axis=1) / N
+    S = np.empty((T, 2, 2))  # the constraint risks, then their slacks
+    S[:, 0, 0] = np.subtract(tau, 1.0, out=col).sum(axis=1) / N
+    S[:, 0, 1] = np.subtract(1.0, tau, out=col).sum(axis=1) / N
+    S[:, 1, 0] = -1.0
+    np.negative(tau_bar, out=S[:, 1, 1])
+    np.subtract(S, _EX1_THRESHOLDS, out=S)
+    return R, S, tau_bar
 
 
 def example1_trial(N: int, seed: int) -> dict:

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duallearn import core, models
 from duallearn.cli import main
 from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
 from duallearn.models import LinearArch, LogisticArch, ModelState, init_model, save_model
-from duallearn.oracle import example1_block_trials, example1_blocks, example1_trials
+from duallearn.oracle import (ecrm_enumerate, example1_block_trials, example1_blocks,
+                              example1_problem, example1_trials)
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
@@ -774,6 +776,31 @@ def test_example1_builds_one_generator_per_block(tmp_path, monkeypatch):
     blocks = sum(math.ceil(trials / example1_block_trials(n)) for n in ns)
     assert blocks == 5 + 50 + 500
     assert len(built) == blocks  # not one per trial (12,000)
+
+
+def test_example1_runs_no_forward_pass_or_loss_evaluation(tmp_path, monkeypatch):
+    """The trials read their risks in closed form from the draws: no block
+    forwards a candidate or evaluates a loss (forwarding both candidates over
+    three tables per block made 3,330 calls of each)."""
+    calls = dict.fromkeys(("predict_batch", "loss_values"), 0)
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name, f in (("predict_batch", models.predict_batch), ("loss_values", core.loss_values)):
+        # every module's binding, so no caller in the package escapes the count
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "duallearn"]:
+            if getattr(module, name, None) is f:
+                monkeypatch.setattr(module, name, counted(name, f))
+    ecrm_enumerate(example1_problem(10, 0))  # the library path is counted
+    assert min(calls.values()) > 0
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["example1", "--n", "10,100,1000", "--trials", "4000",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == {"predict_batch": 0, "loss_values": 0}
 
 
 def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):

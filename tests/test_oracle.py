@@ -1,6 +1,6 @@
 """The exact dual LP of `oracle.dual_enumerate` on enumerable instances, the
-blocked example1 trials against the per-trial enumeration, the workspace
-their blocks are refilled in, and the draw stream each trial reads."""
+blocked example1 trials and their closed-form risks against the per-trial
+enumeration, and the draw stream each trial reads."""
 
 import itertools
 import math
@@ -11,11 +11,12 @@ import pytest
 from duallearn import oracle
 from duallearn.errors import InputError
 from duallearn.lagrangian import enumeration_stats
+from duallearn.models import LinearArch, predict_batch
 from duallearn.oracle import (
     LP_FEASIBILITY_TOL,
     EnumerableProblem,
-    _Example1Workspace,
     _example1_block_stats,
+    _example1_draws,
     constrained_argmin,
     dual_enumerate,
     ecrm_enumerate,
@@ -120,15 +121,40 @@ def test_blocked_trials_equal_the_per_trial_path(N):
         assert block == 1  # a block of 9000 rows is larger than 8192
 
 
-@pytest.mark.parametrize("N", [1, 7, 100, 9000])
-def test_block_risks_and_slacks_have_the_bits_of_the_per_trial_evaluation(N):
-    seeds = list(range(5, 5 + example1_block_trials(N)))
-    R, S, tau_bar = _example1_block_stats(_Example1Workspace(N, len(seeds)), seeds)
-    for t in sorted({0, len(seeds) // 2, len(seeds) - 1}):
+@pytest.mark.parametrize("start", [5, 4001])
+@pytest.mark.parametrize("N", [1, 7, 10, 100, 1000, 9000])
+def test_block_risks_and_slacks_have_the_bits_of_the_per_trial_evaluation(N, start):
+    """The closed-form risks of a block against `enumeration_stats` of each
+    trial's own problem; every trial of a block at N = 10, three elsewhere."""
+    seeds = list(range(start, start + example1_block_trials(N)))
+    R, S, tau_bar = _example1_block_stats(N, seeds)
+    rows = range(len(seeds)) if N == 10 else sorted({0, len(seeds) // 2, len(seeds) - 1})
+    for t in rows:
         ep = example1_problem(N, seeds[t])
         R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
         assert R[t].tobytes() == R_t.tobytes()
         assert S[t].tobytes() == S_t.tobytes()
+        tau = ep.problem.constraints[0].dataset.features[:, 1]
+        assert tau_bar[t].hex() == (float(tau.sum()) / N).hex()
+
+
+def test_the_closed_form_block_risks_hold_for_the_instances_candidates():
+    """`_example1_block_stats` reads the losses of two fixed candidates on
+    the instance's rows without forwarding them, and uncapped."""
+    why = "the closed form of oracle._example1_block_stats assumes "
+    candidates = oracle._EX1_CANDIDATES
+    assert [c.params.tolist() for c in candidates] == [[1.0, 1.0], [1.0, 0.0]], (
+        why + "the candidates [1, 1] and [1, 0]")
+    assert all(c.arch == LinearArch(in_dim=2, out_dim=1, bias=False) for c in candidates), (
+        why + "a bias-free LinearArch(2, 1)")
+    # the rows' extremes: tau in [-1/2, 1/2], alpha in [0, 1/4]
+    rows = np.array([[t, -t] for t in (-0.5, 0.5)] + [[0.0, 0.25]]
+                    + [[-1.0, t] for t in (-0.5, 0.5)] + [[-t, 1.0] for t in (-0.5, 0.5)])
+    largest = max(float(np.abs(predict_batch(c, rows)).max()) for c in candidates)
+    assert largest == 1.5
+    assert largest < oracle._EX1_BOUND, why + "that no |score| reaches the loss cap"
+    assert oracle._EX1_ABS.bound_B == oracle._EX1_SCORE.bound_B == oracle._EX1_BOUND, (
+        why + "that both losses are capped at _EX1_BOUND")
 
 
 @pytest.mark.parametrize("N", [1, 3, 10])
@@ -175,9 +201,9 @@ def test_non_consecutive_seeds_equal_the_per_trial_path(N):
     assert example1_trials(N, seeds) == [per_trial_record(N, s) for s in seeds]
 
 
-def test_interleaved_sample_sizes_each_keep_their_own_workspace():
-    """Blocks of N = 10, 1000, 10 taken in turn: no generator's workspace
-    leaks into another's, and a block's records outlive its workspace's refill."""
+def test_interleaved_sample_sizes_each_keep_their_own_records():
+    """Blocks of N = 10, 1000, 10 taken in turn: no generator's draws leak
+    into another's, and a block's records outlive the next block."""
     seeds = range(2, 2 + 2 * example1_block_trials(10) + 3)
     gens = [example1_blocks(10, seeds), example1_blocks(1000, seeds[:30]),
             example1_blocks(10, seeds)]
@@ -194,7 +220,7 @@ def test_interleaved_sample_sizes_each_keep_their_own_workspace():
 
 
 @pytest.mark.parametrize("N", [7, 100, 1000])
-def test_a_short_last_block_after_a_full_one_reuses_the_workspace(N):
+def test_a_short_last_block_after_a_full_one_has_the_per_trial_bits(N):
     size = example1_block_trials(N)
     seeds = list(range(7, 7 + size + 2))
     blocks = list(example1_blocks(N, seeds))
@@ -206,19 +232,23 @@ def test_a_short_last_block_after_a_full_one_reuses_the_workspace(N):
 
 
 @pytest.mark.parametrize("N", [1, 7, 1000])
-def test_a_refilled_workspace_holds_each_blocks_own_tables_and_risks(N):
-    """Records barely depend on the nominal set, so its rows and the risks
-    are read directly: a full block, a short one with a gap, then a block of one."""
+def test_each_blocks_draws_and_risks_are_its_own_trials(N):
+    """A full block, a short one with a gap, then a block of one: each
+    block's draws are the rows of its trials in the stream of its N, and
+    its risks are each trial's own."""
     size = example1_block_trials(N)
-    work = _Example1Workspace(N, size)
-    for seeds in (list(range(3, 3 + size)), [50, 51, 9][:size], [2]):
-        tables, _ = work.fill(seeds)
-        R, S, _ = _example1_block_stats(work, seeds)
+    blocks = (list(range(3, 3 + size)), [50, 51, 9][:size], [2])
+    stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(N,)))
+    u = stream.random((max(map(max, blocks)) + 1, 3, N))
+    for seeds in blocks:
+        tau, alpha, heads = _example1_draws(N, seeds)
+        assert tau.flags.c_contiguous and tau.shape == alpha.shape == heads.shape == (len(seeds), N)
+        R, S, _ = _example1_block_stats(N, seeds)
         for t in sorted({0, len(seeds) // 2, len(seeds) - 1}):
-            rows = slice(t * N, (t + 1) * N)
-            for d, own in zip(tables, example1_sample(N, seeds[t])):
-                assert d.features[rows].tobytes() == own.features.tobytes()
-                assert d.labels[rows].tobytes() == own.labels.tobytes()
+            block = u[seeds[t]]
+            assert tau[t].tobytes() == (block[0] - 0.5).tobytes()
+            assert alpha[t].tobytes() == (0.25 * block[1]).tobytes()
+            assert heads[t].tolist() == (block[2] < 0.5).tolist()
             ep = example1_problem(N, seeds[t])
             R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
             assert R[t].tobytes() == R_t.tobytes()
@@ -226,7 +256,7 @@ def test_a_refilled_workspace_holds_each_blocks_own_tables_and_risks(N):
 
 
 @pytest.mark.parametrize("N", [7, 100, 1000])
-def test_seed_lists_with_gaps_fill_the_workspace_run_by_run(N):
+def test_seed_lists_with_gaps_are_drawn_run_by_run(N):
     size = example1_block_trials(N)
     seeds = [0, 1, 2, 9, 10, 30, *range(100, 100 + size), 4, 3, 3]
     records = example1_trials(N, seeds)
@@ -234,7 +264,7 @@ def test_seed_lists_with_gaps_fill_the_workspace_run_by_run(N):
 
 
 @pytest.mark.parametrize("N", [1, 3, 10])
-def test_a_small_block_layout_reuses_the_workspace_bit_for_bit(monkeypatch, N):
+def test_a_small_block_layout_keeps_the_per_trial_bits(monkeypatch, N):
     seeds = [*range(0, 23), 40, 41, 60]
     expected = [per_trial_record(N, s) for s in seeds]
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", 25)
@@ -247,19 +277,10 @@ def test_a_small_block_layout_reuses_the_workspace_bit_for_bit(monkeypatch, N):
 
 
 @pytest.mark.parametrize("N", [1, 10, 1000])
-def test_no_returned_array_views_the_workspace(N):
+def test_block_records_hold_plain_python_values(N):
     seeds = list(range(3, 3 + example1_block_trials(N)))
-    work = _Example1Workspace(N, len(seeds))
-    buffers = [v for v in vars(work).values() if isinstance(v, np.ndarray)]
-    assert len(buffers) == 9
-    tables, tau_bar = work.fill(seeds)
-    assert all(np.shares_memory(d.features, X)
-               for d, X in zip(tables, [work.X0, work.X1, work.X2]))
-    assert not any(np.shares_memory(tau_bar, b) for b in buffers)
-    for out in _example1_block_stats(work, seeds):
-        assert not any(np.shares_memory(out, b) for b in buffers)
-    for record in oracle._example1_block_records(work, seeds):
-        # plain Python values, so nothing a later block writes can reach them
+    for record in oracle._example1_block_records(N, seeds):
+        # no numpy scalar or view of a block's arrays
         assert all(isinstance(v, (int, float, list, type(None))) for v in record.values())
         assert all(type(v) is float for v in record["theta_hat"] or [])
 
