@@ -28,10 +28,13 @@ Four commands over a single JSON config tree:
   `duallearn.oracle.example1_block_trials`, each block's risks read in
   closed form from its draws, with the bits of the library's evaluation
   path (`oracle.example1_problem` and `oracle.ecrm_enumerate`), which the
-  tests compare them against. Each block's records are written to
-  ``trials.jsonl`` and counted for ``summary.json`` before the next block
-  is computed, so a serial run's memory is bounded by one block whatever
-  the trial count: a block's draws are freed before its records are built.
+  tests compare them against. Each block comes back as its
+  ``trials.jsonl`` lines, rendered from its columns with the bytes of
+  ``json.dumps(record, sort_keys=True)`` (see `duallearn.oracle`), and its
+  counts for ``summary.json``; its lines are written with one
+  ``writelines`` before the next block is computed, so a serial run's
+  memory is bounded by one block whatever the trial count, and the
+  ``--parallel-trials`` workers return the same blocks to the same writer.
   A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
@@ -415,7 +418,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    from .oracle import example1_block_trials, example1_blocks, example1_trials
+    from .oracle import example1_block_lines, example1_block_trials, example1_lines
 
     try:
         ns = [int(v) for v in args.n.split(",")]
@@ -433,7 +436,6 @@ def cmd_example1(args) -> int:
     out = _out_dir(args, "example1")
     seeds = range(args.seed, args.seed + args.trials)
     doubled, infeasible = dict.fromkeys(ns, 0), dict.fromkeys(ns, 0)
-    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(r, sort_keys=True)
     pool = contextlib.nullcontext()
     if args.parallel_trials > 1:
         import multiprocessing
@@ -447,19 +449,17 @@ def cmd_example1(args) -> int:
     try:
         with pool as workers, partial.open("w") as f:
             if workers is None:
-                blocks = itertools.chain.from_iterable(example1_blocks(n, seeds) for n in ns)
+                blocks = itertools.chain.from_iterable(example1_lines(n, seeds) for n in ns)
             else:
                 # one job per block of trials, in record order
                 jobs = [(n, seeds[i:i + example1_block_trials(n)])
                         for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
-                blocks = workers.map(example1_trials, *zip(*jobs))
-            for block in blocks:
-                n = block[0]["N"]
-                # line by line: a joined copy of its lines would sit beside the records
-                f.writelines(encode(r) + "\n" for r in block)
-                doubled[n] += sum(r["population_J"] == 0.125 for r in block)
-                infeasible[n] += sum(not r["feasible"] for r in block)
-                del block  # freed before the next block is computed
+                blocks = workers.map(example1_block_lines, *zip(*jobs))
+            for n, lines, block_doubled, block_infeasible in blocks:
+                f.writelines(lines)
+                doubled[n] += block_doubled
+                infeasible[n] += block_infeasible
+                del lines  # freed before the next block is computed
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

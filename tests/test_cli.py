@@ -16,7 +16,7 @@ from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
 from duallearn.models import LinearArch, LogisticArch, ModelState, init_model, save_model
-from duallearn.oracle import (ecrm_enumerate, example1_block_trials, example1_blocks,
+from duallearn.oracle import (ecrm_enumerate, example1_block_trials, example1_lines,
                               example1_problem, example1_trials)
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
@@ -742,12 +742,12 @@ def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, n
     calls = []
 
     def recorded(n, seeds):
-        for block in example1_blocks(n, seeds):
-            calls.append((n, len(block)))
+        for block in example1_lines(n, seeds):
+            calls.append((n, len(block[1])))
             yield block
 
     want_trials, want_summary = example1_all_at_once(ns, trials, 3)
-    monkeypatch.setattr(oracle, "example1_blocks", recorded)
+    monkeypatch.setattr(oracle, "example1_lines", recorded)
     args = ["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials), "--seed", "3"]
     assert main([*args, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trials.jsonl").read_bytes() == want_trials
@@ -803,19 +803,49 @@ def test_example1_runs_no_forward_pass_or_loss_evaluation(tmp_path, monkeypatch)
     assert calls == {"predict_batch": 0, "loss_values": 0}
 
 
+def test_example1_encodes_json_only_for_its_summary(tmp_path, monkeypatch):
+    """Trial lines are rendered from each block's columns, not encoded record
+    by record: a full run makes one JSONEncoder.encode call, for summary.json
+    (encoding each record made 12,000)."""
+    calls = []
+    encode = json.JSONEncoder.encode
+
+    def counted(self, obj):
+        calls.append(obj)
+        return encode(self, obj)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counted)
+    json.dumps({"seed": 0}, sort_keys=True)  # the way json.dumps encodes is counted
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["example1", "--n", "10,100,1000", "--trials", "4000",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert calls[0]["command"] == "example1"
+    assert (tmp_path / "summary.json").read_text() == \
+        json.dumps(calls[0], sort_keys=True, indent=2) + "\n"
+
+
 def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
-    """Records are written block by block, so ten times the trials needs no
-    more memory than one block holds."""
+    """Trial lines are written block by block, so ten times the trials needs
+    no more memory than one block holds. Both runs span several full blocks at
+    every N (3 and 30 blocks of 819 trials at N = 10, 307 and 3,071 of 8 at
+    N = 1000), so the ratio compares runs that hold the same largest block.
+    Each peak is taken above the memory held when its run starts, which
+    neither run allocates."""
+    block = example1_block_trials(10)
+
     def peak(trials: int) -> int:
         tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         assert main(["example1", "--n", "10,1000", "--trials", str(trials),
                      "--out", str(tmp_path / str(trials))]) == 0
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - held
 
     tracemalloc.start()
     try:
         peak(1)  # lazy one-time state
-        few, many = peak(300), peak(3000)
+        few, many = peak(3 * block), peak(30 * block)
     finally:
         tracemalloc.stop()
     assert many <= 1.25 * few, (few, many)
@@ -827,24 +857,24 @@ def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
     calls = []
 
     def third_block_fails(n, seeds):
-        for block in example1_blocks(n, seeds):
+        for block in example1_lines(n, seeds):
             calls.append(n)
             if len(calls) == 3:
                 raise InputError("block three failed")
             yield block
 
-    monkeypatch.setattr(oracle, "example1_blocks", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_lines", third_block_fails)
     args = ["example1", "--n", "1000", "--trials", "40"]
     assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
     assert "block three failed" in capsys.readouterr().err
     assert list((tmp_path / "fresh").iterdir()) == []
 
     # a failed run leaves the outputs of an earlier run in its directory as they were
-    monkeypatch.setattr(oracle, "example1_blocks", example1_blocks)
+    monkeypatch.setattr(oracle, "example1_lines", example1_lines)
     assert main([*args, "--out", str(tmp_path / "rerun")]) == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
     calls.clear()
-    monkeypatch.setattr(oracle, "example1_blocks", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_lines", third_block_fails)
     assert main([*args, "--seed", "5", "--out", str(tmp_path / "rerun")]) == 1
     assert {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()} == before
 

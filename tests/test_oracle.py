@@ -3,6 +3,7 @@ blocked example1 trials and their closed-form risks against the per-trial
 enumeration, and the draw stream each trial reads."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -283,6 +284,48 @@ def test_block_records_hold_plain_python_values(N):
         # no numpy scalar or view of a block's arrays
         assert all(isinstance(v, (int, float, list, type(None))) for v in record.values())
         assert all(type(v) is float for v in record["theta_hat"] or [])
+
+
+# tau_bar values whose JSON text is easy to get wrong: both zeros, the
+# smallest subnormals, and values that take 17 significant digits
+AWKWARD_TAU_BARS = (-0.0, 0.0, 5e-324, -5e-324, 0.10950873311612586, -0.01869241397467971,
+                    0.30000000000000004, -0.49999999999999994, 1.2345678901234567e-300)
+
+
+@pytest.mark.parametrize("N", [1, 10, 9000])
+def test_trial_lines_are_the_json_of_their_records(monkeypatch, N):
+    """Each of the three outcomes, the infeasible one included, which the
+    shipped instance never produces, rendered from forced block columns:
+    every line is json.dumps of its record, sorted, with a newline."""
+    shapes = [(True, [1.0, 1.0], 0.0625), (True, [1.0, 0.0], 0.125), (False, None, None)]
+    outcomes = [k for k in range(len(shapes)) for _ in AWKWARD_TAU_BARS]
+    tau_bar = list(AWKWARD_TAU_BARS) * len(shapes)
+    seeds = [0, 7, 2**40, *range(100, 100 + len(outcomes) - 3)]
+    monkeypatch.setattr(oracle, "_example1_block_outcomes",
+                        lambda n, s: (list(tau_bar), list(outcomes)))
+    records = oracle._example1_block_records(N, seeds)
+    n, lines, doubled, infeasible = oracle.example1_block_lines(N, seeds)
+    assert [(r["feasible"], r["theta_hat"], r["population_J"]) for r in records] == \
+        [shapes[k] for k in outcomes]
+    assert [r["tau_bar"].hex() for r in records] == [t.hex() for t in tau_bar]
+    assert [(r["seed"], r["N"]) for r in records] == [(s, N) for s in seeds]
+    assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in records]
+    assert (n, doubled, infeasible) == (N, len(AWKWARD_TAU_BARS), len(AWKWARD_TAU_BARS))
+
+
+@pytest.mark.parametrize("N", [1, 10, 1000, 9000])
+def test_block_lines_are_the_json_of_the_block_records(N):
+    seeds = range(5, 5 + example1_block_trials(N) + 1)  # a full block and one more trial
+    records = example1_trials(N, seeds)
+    blocks = list(oracle.example1_lines(N, seeds))
+    assert [n for n, *_ in blocks] == [N, N]
+    assert [line for _, lines, _, _ in blocks for line in lines] == \
+        [json.dumps(r, sort_keys=True) + "\n" for r in records]
+    assert sum(b[2] for b in blocks) == sum(r["population_J"] == 0.125 for r in records)
+    assert sum(b[3] for b in blocks) == sum(not r["feasible"] for r in records)
+    # a range of seeds, as a pooled job passes it, is one block of the same lines
+    assert oracle.example1_block_lines(N, seeds[:3])[1] == \
+        [json.dumps(r, sort_keys=True) + "\n" for r in records[:3]]
 
 
 def test_sample_sizes_draw_from_independent_streams():

@@ -32,9 +32,10 @@ ALLOWED = {
     "library API, called by the oracle, the benchmark's tracer and the tests": (
         "__init__.__dir__", "core.empirical_risk", "lagrangian.dual_function",
         "lagrangian.enumeration_stats", "lagrangian.slacks", "models.Evaluation.predictions",
-        "oracle.EnumerableProblem.__post_init__", "oracle.dual_enumerate",
-        "oracle.ecrm_enumerate", "oracle.example1_problem", "oracle.example1_sample",
-        "oracle.example1_trial", "primaldual.TrainTrace.__len__",
+        "oracle.EnumerableProblem.__post_init__", "oracle._example1_block_records",
+        "oracle._example1_draws", "oracle.dual_enumerate", "oracle.ecrm_enumerate",
+        "oracle.example1_blocks", "oracle.example1_problem", "oracle.example1_sample",
+        "oracle.example1_trial", "oracle.example1_trials", "primaldual.TrainTrace.__len__",
     ),
     "the run report's diagnostics, which have no command yet": (
         "bounds.empirical_rademacher_stats", "primaldual.ergodic_complementary_slackness",
@@ -50,7 +51,6 @@ ALLOWED = {
     "error paths, and config paths that no shipped config takes": (
         "bounds.zeta_rademacher",  # a bounds section with R_N instead of d_vc
         "cli._failing_module",  # names the module of a failed command
-        "oracle.example1_trials",  # one block per job of example1 --parallel-trials
         "core._pm_labels",  # hinge losses
         "models.Evaluation.risk",  # a view group whose whole table no term reads
     ),
