@@ -24,18 +24,22 @@ Four commands over a single JSON config tree:
   fraction of trials landing on the doubled population objective. Each
   sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
   own draw stream, so the sizes draw independently (a trial's ``seed`` in
-  ``trials.jsonl`` is its id in that stream). Trials run in the blocks of
-  `duallearn.oracle.example1_block_trials`, each block's risks read in
-  closed form from its draws, with the bits of the library's evaluation
-  path (`oracle.example1_problem` and `oracle.ecrm_enumerate`), which the
-  tests compare them against. Each block comes back as its
-  ``trials.jsonl`` lines, rendered from its columns with the bytes of
-  ``json.dumps(record, sort_keys=True)`` (see `duallearn.oracle`), and its
-  counts for ``summary.json``; its lines are written with one
-  ``writelines`` before the next block is computed, so a serial run's
-  memory is bounded by one block whatever the trial count, and the
-  ``--parallel-trials`` workers return the same blocks to the same writer.
-  A run that fails writes neither file.
+  ``trials.jsonl`` is its id in that stream). Trials run in blocks of
+  `duallearn.oracle.example1_block_trials` (512 at every N), each block
+  drawn through slabs of at most 8,192 samples, one reused buffer, and its
+  risks read in closed form from its draws, with the bits of the library's
+  evaluation path (`oracle.example1_problem` and `oracle.ecrm_enumerate`),
+  which the tests compare them against. A block is one selection, one
+  rendering, one write and one ``--parallel-trials`` job: it comes back as
+  its ``trials.jsonl`` lines, rendered from its columns with the bytes of
+  ``json.dumps(record, sort_keys=True)``, and its counts for
+  ``summary.json``; its lines are written with one ``writelines`` before
+  the next block is computed, so a serial run's memory is bounded by one
+  block whatever the trial count, and the ``--parallel-trials`` workers
+  return the same blocks to the same writer. A 4,000-trial run at N = 10,
+  100 and 1000 is 24 blocks; the `duallearn.oracle` docstring splits its
+  trial work into draws, closed-form stats, selection, line rendering and
+  the write. A run that fails writes neither file.
 - ``bounds``: assemble the generalization-bound report from declared inputs.
 
 Each command imports the modules it runs where it runs them, so a process

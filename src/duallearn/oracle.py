@@ -9,18 +9,25 @@ version almost surely excludes the population optimum, selecting a
 parameter with twice the population objective. Its closed forms make it a
 sharp oracle for the rest of the library.
 
-Monte-Carlo trials of that instance run in blocks of about 8,192 samples
-(T trials of N samples each). Trial `seed` of N samples is row block `seed`
-of 3N doubles in one PCG64 stream per N, so a run of consecutive trials is
-one jump ahead and one draw, and different N draw from independent streams.
+Monte-Carlo trials of that instance run in blocks of `_EX1_BLOCK_TRIALS`
+(512) trials at every sample size N. A block is the unit that pays the
+fixed costs: one draw stream per run of consecutive seeds, one selection,
+one rendering of its lines, one write, and one `--parallel-trials` job.
+Its draws go through slabs of at most `_BLOCK_ROWS` (8,192) samples,
+`max(1, 8192 // N)` trials, which bound its memory. Trial `seed` of N
+samples is row block `seed` of 3N doubles in one PCG64 stream per N, so a
+run of consecutive trials is one jump ahead, however many slabs it spans,
+and different N draw from independent streams.
+
 Every loss value of a trial is known exactly from its draws, so a block
 reads its risks in closed form (see `_example1_block_stats`), without
 feature tables or forward passes: each risk is the sum of one row of a
-C-ordered (T, N) array of loss values, divided by N. numpy reduces each
-such row as it reduces a length-N vector, so a trial's risks, slacks and
-record have the bits of enumerating it on its own through
-`example1_problem` and `ecrm_enumerate`, the library's evaluation path,
-which the tests compare the blocks against.
+C-ordered (k, N) array of loss values in a slab, divided by N. numpy
+reduces each such row as it reduces a length-N vector, and the division
+is elementwise, so a trial's risks, slacks and record have the bits of
+enumerating it on its own through `example1_problem` and
+`ecrm_enumerate`, the library's evaluation path, which the tests compare
+the blocks against, whatever the block and slab sizes.
 
 A block is computed once, as two columns: each trial's tau_bar and its
 outcome (candidate [1, 1], candidate [1, 0] or none feasible). It is
@@ -29,15 +36,18 @@ rendered two ways from them: as records (`example1_blocks`,
 lines (`example1_lines`, `example1_block_lines`) for the `example1`
 command, which builds no record and runs no JSON encoder per trial. In
 one process on a 2-vCPU virtual machine, the trials of
-``example1 --n 10,100,1000 --trials 4000`` split into draws 38 ms,
-closed-form stats 48 ms, selection 11 ms, line rendering 13 ms and the
-write 6 ms.
+``example1 --n 10,100,1000 --trials 4000`` run as 24 blocks and split
+into draws 30 ms, closed-form stats 42 ms, selection under 5 ms, line
+rendering 9-12 ms and the write 2 ms, 87-90 ms in all.
 
-A block's draws and its (T, N) arrays are allocated with the block and
-freed before its records or lines are built, so a run holds one or the
-other, never both; the records and lines hold Python values only. Buffers
-kept for all blocks of an N would sit beside every block's lines, and at
-under 400 KB a block faults no more pages for allocating its own.
+A block allocates its slab (at most 8,192 samples of three uniforms, tau,
+a scratch column and heads, about 330 KB) and its columns (about 45 KB)
+on entry, reuses the slab for every slab of trials, and frees both before
+its records or lines are built, so a run holds one or the other, never
+both; the records and lines hold Python values only, at most 512 trials'
+worth. Buffers kept across the blocks of an N would sit beside every
+block's lines, and saved at most about 20 of that run's 5,300 minor page
+faults.
 """
 
 from __future__ import annotations
@@ -54,32 +64,40 @@ from .errors import ConfigurationError, InputError, NumericError
 from .models import LinearArch, ModelState
 
 
-def _example1_uniforms(N: int, seeds: list[int]) -> np.ndarray:
-    """The C-ordered (T, 3, N) uniforms u of trials `seeds`, with row t for
-    trial seeds[t]: trial s is row block s of 3N doubles in the stream of
-    SeedSequence(0, spawn_key=(N,)). Each maximal run of consecutive seeds
-    is one jump ahead and one draw.
+def _example1_slabs(N: int, seeds: list[int], size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The uniforms of trials `seeds`, drawn `size` trials at a time into one
+    C-ordered (min(size, T), 3, N) buffer, which every slab reuses: yields
+    (t, u), u[i] the (3, N) uniforms of trial seeds[t + i], each u valid
+    until the next is drawn. Trial s is row block s of 3N doubles in the
+    stream of SeedSequence(0, spawn_key=(N,)); each maximal run of
+    consecutive seeds is one stream, jumped ahead once, whichever slabs it
+    spans.
     """
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     T = len(seeds)
-    u = np.empty((T, 3, N))
-    cuts = [t for t in range(1, T) if seeds[t] != seeds[t - 1] + 1]
-    for a, b in zip([0, *cuts], [*cuts, T]):
-        if seeds[a] < 0:
-            raise InputError(f"seed must be >= 0, got {seeds[a]}")
-        bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
-        bits.advance(3 * N * seeds[a])
-        np.random.Generator(bits).random(out=u[a:b])
-    return u
+    runs = {t for t in range(T) if t == 0 or seeds[t] != seeds[t - 1] + 1}
+    u = np.empty((min(size, T), 3, N))
+    cuts = sorted(runs.union(range(0, T, size)))
+    for a, b in zip(cuts, [*cuts[1:], T]):
+        if a in runs:
+            if seeds[a] < 0:
+                raise InputError(f"seed must be >= 0, got {seeds[a]}")
+            bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
+            bits.advance(3 * N * seeds[a])
+            draw = np.random.Generator(bits).random
+        start = a - a % size
+        draw(out=u[a - start:b - start])
+        if b == T or b % size == 0:
+            yield start, u[:b - start]
 
 
 def _example1_draws(N: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, alpha, heads) of trials `seeds`, each a (T, N) array with row t
     for trial seeds[t]: tau = u[0] - 1/2, alpha = u[1] / 4 and
-    heads = u[2] < 1/2 of the trial's uniforms (see `_example1_uniforms`).
+    heads = u[2] < 1/2 of the trial's uniforms (see `_example1_slabs`).
     """
-    u = _example1_uniforms(N, seeds)
+    ((_, u),) = _example1_slabs(N, seeds, len(seeds))
     return u[:, 0] - 0.5, u[:, 1] * 0.25, u[:, 2] < 0.5
 
 
@@ -252,7 +270,11 @@ def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
                           weights=np.maximum(res.x, 0.0))
 
 
-_BLOCK_ROWS = 8192  # samples (trials times N) in one block of example1 trials
+# example1 trials in one block, at every N; a run holds at most this many
+# trials' lines. Blocks of 819 or 1,024 trials were no faster in one process,
+# and more lines per block raise the peak memory.
+_EX1_BLOCK_TRIALS = 512
+_BLOCK_ROWS = 8192  # samples (trials times N) in one slab of a block's draws
 # Each outcome of a trial as a record holds it: (feasible, theta_hat,
 # population_J) of each candidate, then of no feasible candidate.
 _EX1_OUTCOMES = (*((True, [float(v) for v in c.params],
@@ -269,9 +291,19 @@ _EX1_OUTCOME_JSON = tuple(
 
 
 def example1_block_trials(N: int) -> int:
-    """How many example1 trials of N samples `example1_trials` runs as one block."""
+    """How many example1 trials of N samples `example1_trials` runs as one
+    block: `_EX1_BLOCK_TRIALS` at every N. A block is one selection, one
+    rendering of its records or lines and one `--parallel-trials` job; its
+    draws go through slabs of `_example1_slab_trials(N)` trials, at most
+    `_BLOCK_ROWS` samples, one reused buffer for the whole block."""
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
+    return _EX1_BLOCK_TRIALS
+
+
+def _example1_slab_trials(N: int) -> int:
+    """How many example1 trials of N samples one slab of a block draws at
+    most: as many as fit in `_BLOCK_ROWS` samples, and at least one."""
     return max(1, _BLOCK_ROWS // N)
 
 
@@ -294,8 +326,8 @@ def example1_blocks(N: int, seeds) -> Iterator[list[dict]]:
     the library's evaluation path `ecrm_enumerate(example1_problem(N, seed))`,
     the reference the tests compare it against (see the module docstring).
 
-    Seeds are read one block at a time. A block's draws are freed before
-    its records are built, and the records hold no array.
+    Seeds are read one block at a time. A block's slab and columns are
+    freed before its records are built, and the records hold no array.
     """
     for block in _example1_seed_blocks(N, seeds):
         yield _example1_block_records(N, block)
@@ -370,25 +402,39 @@ def _example1_block_stats(N: int, seeds: list[int]):
     has the loss values where(heads, alpha, 0), tau - 1 and 1 - tau, and
     candidate [1, 0] where(heads, 0, |tau|), exactly -1 and -tau; the mean
     of -tau is -tau_bar, up to the sign of a zero, which the slack's - 1
-    removes. Every mean is the sum of one row of a contiguous (T, N) array,
-    divided by N, as the per-trial path reduces it; each array is written
-    into one scratch array `col`. Two means are exact transforms of others:
-    alpha is u[1] / 4, and scaling by a power of two commutes with every
-    rounding of the sum, and the sum of 1 - tau is exactly minus that of
-    tau - 1, as rounding to nearest is symmetric and that sum is never 0.
+    removes. Two means are exact transforms of others: alpha is u[1] / 4,
+    and scaling by a power of two commutes with every rounding of the sum,
+    and the sum of 1 - tau is exactly minus that of tau - 1, as rounding to
+    nearest is symmetric and that sum is never 0.
+
+    The trials are drawn through slabs of `_example1_slab_trials(N)` (see
+    `_example1_slabs`). Each sum is of one row of a C-ordered (k, N) array
+    in one of the slab's scratch arrays, as the per-trial path reduces it,
+    and lands in a column of the block's (4, T) sums; the means are those
+    columns scaled elementwise, which does not depend on the slabs.
     """
     T = len(seeds)
-    u = _example1_uniforms(N, seeds)
-    tau, heads = u[:, 0] - 0.5, u[:, 2] < 0.5
-    tau_bar = tau.sum(axis=1) / N
-    col = np.empty_like(tau)
+    sums = np.empty((4, T))  # tau, u[1] * heads, where(heads, 0, |tau|), tau - 1
+    size = _example1_slab_trials(N)
+    tau_s, col_s = np.empty((2, min(size, T), N))
+    heads_s = np.empty((min(size, T), N), dtype=bool)
+    for t, u in _example1_slabs(N, seeds, size):
+        k = len(u)
+        tau, col, heads = tau_s[:k], col_s[:k], heads_s[:k]
+        np.subtract(u[:, 0], 0.5, out=tau)
+        np.less(u[:, 2], 0.5, out=heads)
+        tau.sum(axis=1, out=sums[0, t:t + k])
+        np.multiply(u[:, 1], heads, out=col).sum(axis=1, out=sums[1, t:t + k])
+        np.abs(tau, out=col)
+        np.putmask(col, heads, 0.0)
+        col.sum(axis=1, out=sums[2, t:t + k])
+        np.subtract(tau, 1.0, out=col).sum(axis=1, out=sums[3, t:t + k])
+    tau_bar = sums[0] / N
     R = np.empty((T, 2))
-    R[:, 0] = np.multiply(u[:, 1], heads, out=col).sum(axis=1) * 0.25 / N
-    np.abs(tau, out=col)
-    np.putmask(col, heads, 0.0)
-    R[:, 1] = col.sum(axis=1) / N
+    R[:, 0] = sums[1] * 0.25 / N
+    R[:, 1] = sums[2] / N
     S = np.empty((T, 2, 2))  # the constraint risks, then their slacks
-    S[:, 0, 0] = np.subtract(tau, 1.0, out=col).sum(axis=1) / N
+    S[:, 0, 0] = sums[3] / N
     np.negative(S[:, 0, 0], out=S[:, 0, 1])
     S[:, 1, 0] = -1.0
     np.negative(tau_bar, out=S[:, 1, 1])

@@ -702,8 +702,9 @@ def test_a_problem_without_constraints_trains_and_evaluates(tmp_path, method):
 
 
 def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):
-    # blocks of 150 trials (N=1), of 819 (N=10, one short block) and of 8 (N=1000)
-    args = ["example1", "--n", "1,10,1000", "--trials", "150", "--seed", "9"]
+    # three jobs per N, 512 + 512 + 76 trials, drawn through slabs of 512
+    # trials (N = 1 and 10) and of 8 (N = 1000)
+    args = ["example1", "--n", "1,10,1000", "--trials", "1100", "--seed", "9"]
     assert main([*args, "--out", str(tmp_path / "serial")]) == 0
     assert main([*args, "--parallel-trials", "2", "--out", str(tmp_path / "parallel")]) == 0
     for name in ("trials.jsonl", "summary.json"):
@@ -731,10 +732,10 @@ def example1_all_at_once(ns, trials, seed):
 
 
 @pytest.mark.parametrize("ns, trials", [
-    ((1, 10, 1000), 1700),  # 1700 = 819 + 819 + 62 at N=10, 212 blocks of 8 + 4 at N=1000
-    ((10, 9000), 5),        # N=9000 runs blocks of one trial
-    ((100,), 200),          # a single N: 81 + 81 + 38
-    ((1,), 8200),           # one full block of 8192 and a short one
+    ((1, 10, 1000), 1700),  # 1700 = 3 * 512 + 164 at every N, slabs of 8 at N=1000
+    ((10, 9000), 5),        # N=9000 draws slabs of one trial
+    ((100,), 200),          # a single N and a single block: slabs of 81 + 81 + 38
+    ((1,), 8200),           # 16 full blocks of 512 and a short one of 8
 ])
 def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, ns, trials):
     import duallearn.oracle as oracle
@@ -774,8 +775,8 @@ def test_example1_builds_one_generator_per_block(tmp_path, monkeypatch):
     assert main(["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials),
                  "--out", str(tmp_path)]) == 0
     blocks = sum(math.ceil(trials / example1_block_trials(n)) for n in ns)
-    assert blocks == 5 + 50 + 500
-    assert len(built) == blocks  # not one per trial (12,000)
+    assert blocks == 3 * math.ceil(4000 / 512) == 24
+    assert len(built) == blocks  # not one per slab (5 + 50 + 500) or per trial (12,000)
 
 
 def test_example1_runs_no_forward_pass_or_loss_evaluation(tmp_path, monkeypatch):
@@ -829,8 +830,8 @@ def test_example1_encodes_json_only_for_its_summary(tmp_path, monkeypatch):
 def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
     """Trial lines are written block by block, so ten times the trials needs
     no more memory than one block holds. Both runs span several full blocks at
-    every N (3 and 30 blocks of 819 trials at N = 10, 307 and 3,071 of 8 at
-    N = 1000), so the ratio compares runs that hold the same largest block.
+    every N (3 and 30 blocks of 512 trials), so the ratio compares runs that
+    hold the same largest block.
     Each peak is taken above the memory held when its run starts, which
     neither run allocates."""
     block = example1_block_trials(10)
@@ -864,7 +865,7 @@ def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
             yield block
 
     monkeypatch.setattr(oracle, "example1_lines", third_block_fails)
-    args = ["example1", "--n", "1000", "--trials", "40"]
+    args = ["example1", "--n", "1000", "--trials", str(2 * example1_block_trials(1000) + 1)]
     assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
     assert "block three failed" in capsys.readouterr().err
     assert list((tmp_path / "fresh").iterdir()) == []

@@ -118,8 +118,9 @@ def test_blocked_trials_equal_the_per_trial_path(N):
         assert r["tau_bar"].hex() == expected["tau_bar"].hex()
     assert example1_trials(N, seeds[:block]) == records[:block]
     assert example1_trial(N, seeds[-1]) == records[-1]
+    assert block == 512  # at every N
     if N == 9000:
-        assert block == 1  # a block of 9000 rows is larger than 8192
+        assert oracle._example1_slab_trials(N) == 1  # a slab of 9000 rows is larger than 8192
 
 
 @pytest.mark.parametrize("start", [5, 4001])
@@ -162,8 +163,10 @@ def test_the_closed_form_block_risks_hold_for_the_instances_candidates():
 def test_records_do_not_depend_on_the_block_layout(monkeypatch, N):
     seeds = range(4, 64)
     records = example1_trials(N, seeds)
+    monkeypatch.setattr(oracle, "_EX1_BLOCK_TRIALS", 5)
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
-    assert example1_block_trials(N) == max(1, 7 // N)
+    assert example1_block_trials(N) == 5
+    assert oracle._example1_slab_trials(N) == max(1, 7 // N)
     relaid = example1_trials(N, seeds)
     assert relaid == records
     assert [r["tau_bar"].hex() for r in relaid] == [r["tau_bar"].hex() for r in records]
@@ -205,18 +208,20 @@ def test_non_consecutive_seeds_equal_the_per_trial_path(N):
 def test_interleaved_sample_sizes_each_keep_their_own_records():
     """Blocks of N = 10, 1000, 10 taken in turn: no generator's draws leak
     into another's, and a block's records outlive the next block."""
-    seeds = range(2, 2 + 2 * example1_block_trials(10) + 3)
-    gens = [example1_blocks(10, seeds), example1_blocks(1000, seeds[:30]),
+    size = example1_block_trials(10)
+    seeds = range(2, 2 + 2 * size + 3)
+    gens = [example1_blocks(10, seeds), example1_blocks(1000, seeds[:size + 6]),
             example1_blocks(10, seeds)]
     got = [[] for _ in gens]
     for blocks in itertools.zip_longest(*gens):  # one block of each in turn
         for k, block in enumerate(blocks):
             if block is not None:
                 got[k].append(block)
-    assert [len(blocks) for blocks in got] == [3, 4, 3]
-    assert [len(b) for b in got[1]] == [8, 8, 8, 6]
+    assert [len(blocks) for blocks in got] == [3, 2, 3]
+    assert [len(b) for b in got[1]] == [size, 6]
     assert [r for b in got[0] for r in b] == [per_trial_record(10, s) for s in seeds]
-    assert [r for b in got[1] for r in b] == [per_trial_record(1000, s) for s in seeds[:30]]
+    assert [r for b in got[1] for r in b] == \
+        [per_trial_record(1000, s) for s in seeds[:size + 6]]
     assert got[2] == got[0]
 
 
@@ -268,13 +273,94 @@ def test_seed_lists_with_gaps_are_drawn_run_by_run(N):
 def test_a_small_block_layout_keeps_the_per_trial_bits(monkeypatch, N):
     seeds = [*range(0, 23), 40, 41, 60]
     expected = [per_trial_record(N, s) for s in seeds]
+    monkeypatch.setattr(oracle, "_EX1_BLOCK_TRIALS", 6)
     monkeypatch.setattr(oracle, "_BLOCK_ROWS", 25)
-    assert example1_block_trials(N) == 25 // N
+    assert example1_block_trials(N) == 6
+    assert oracle._example1_slab_trials(N) == 25 // N
     blocks = list(example1_blocks(N, seeds))
-    assert len(blocks) == math.ceil(len(seeds) / (25 // N))
+    assert len(blocks) == math.ceil(len(seeds) / 6)
     records = [r for b in blocks for r in b]
     assert records == expected
     assert [r["tau_bar"].hex() for r in records] == [r["tau_bar"].hex() for r in expected]
+
+
+def assert_block_has_the_per_trial_bits(N, seeds):
+    """One block's closed-form risks, slacks, tau_bar and records against
+    each of its trials enumerated on its own."""
+    R, S, tau_bar = _example1_block_stats(N, seeds)
+    records = oracle._example1_block_records(N, seeds)
+    for t, seed in enumerate(seeds):
+        ep = example1_problem(N, seed)
+        R_t, S_t = enumeration_stats(ep.problem, ep.candidates)
+        assert R[t].tobytes() == R_t.tobytes(), (N, seed)
+        assert S[t].tobytes() == S_t.tobytes(), (N, seed)
+        expected = per_trial_record(N, seed)
+        assert records[t] == expected
+        assert tau_bar[t].hex() == records[t]["tau_bar"].hex() == expected["tau_bar"].hex()
+
+
+@pytest.mark.parametrize("N, size", [(3, 4), (1000, 8), (10, 1), (2, 50)])
+def test_slabs_are_the_stream_rows_of_their_trials(N, size):
+    """Every slab but the last holds `size` trials, and the slabs in turn
+    are the rows of their seeds in the stream of their N, runs that cross a
+    slab boundary and gaps inside a slab included."""
+    seeds = [7, 8, 9, 2, 3, 11, 12, 13, 14, 15, 0, 0]
+    stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(N,)))
+    u = stream.random((max(seeds) + 1, 3, N))
+    got = []
+    for t, slab in oracle._example1_slabs(N, seeds, size):
+        assert t == len(got) and len(slab) == min(size, len(seeds) - t)
+        assert slab.flags.c_contiguous
+        got.extend(slab.copy())
+    assert np.array(got).tobytes() == u[seeds].tobytes()
+
+
+@pytest.mark.parametrize("N, rows", [(9000, None), (4097, None), (10, 10), (10, 19)])
+def test_slabs_of_one_trial_have_the_per_trial_bits(monkeypatch, N, rows):
+    """N above half of `_BLOCK_ROWS`, or a smaller `_BLOCK_ROWS`, draws one
+    trial per slab."""
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+    assert oracle._example1_slab_trials(N) == 1
+    assert_block_has_the_per_trial_bits(N, [3, 4, 5, 9, 0])
+
+
+@pytest.mark.parametrize("N, rows", [(100, None), (7, 35)])
+def test_a_block_that_ends_mid_slab_has_the_per_trial_bits(monkeypatch, N, rows):
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+    size, slab = example1_block_trials(N), oracle._example1_slab_trials(N)
+    assert 1 < slab < size and size % slab != 0  # 6 * 81 + 26 and 102 * 5 + 2 trials
+    assert_block_has_the_per_trial_bits(N, list(range(11, 11 + size)))
+
+
+def test_a_short_last_block_across_slabs_has_the_per_trial_bits(monkeypatch):
+    monkeypatch.setattr(oracle, "_EX1_BLOCK_TRIALS", 9)
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 20)  # slabs of 2 trials at N = 10
+    seeds = range(30, 44)
+    blocks = list(example1_blocks(10, seeds))
+    assert [len(b) for b in blocks] == [9, 5]  # the short block is slabs of 2, 2 and 1
+    assert [r for b in blocks for r in b] == [per_trial_record(10, s) for s in seeds]
+    assert_block_has_the_per_trial_bits(10, list(seeds[9:]))
+
+
+@pytest.mark.parametrize("N, rows", [(1000, None), (10, 40)])
+def test_a_gap_inside_a_slab_starts_a_stream_there(monkeypatch, N, rows):
+    """Slabs of 8 trials (N = 1000) and of 4 (N = 10, with a smaller
+    `_BLOCK_ROWS`): the seeds jump ahead and back inside the first slab,
+    repeat one, then run on across slab boundaries. Each run of consecutive
+    seeds is one stream, whichever slabs it spans."""
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+    slab = oracle._example1_slab_trials(N)
+    seeds = [0, 1, 5, 6, 3, 3, 40, *range(20, 20 + 2 * slab + 1)]
+    runs = 6  # [0, 1], [5, 6], [3], [3], [40] and [20, ...]
+    built = []
+    make = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or make(*a))
+    _example1_block_stats(N, seeds)
+    assert len(built) == runs
+    assert_block_has_the_per_trial_bits(N, seeds)
 
 
 @pytest.mark.parametrize("N", [1, 10, 1000])
