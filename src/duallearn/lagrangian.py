@@ -14,8 +14,10 @@ tables, one per `Problem.terms` entry (the objective, then each constraint
 followed by its reference, weighted 1, mu_i and -mu_i by `Problem.weights`),
 so every function here takes a model or its `Evaluation` (one forward pass
 per table, see `duallearn.models`) and reads each term's risk and loss
-gradient from it. The gradient solver returns the evaluation of its iterate,
-so a caller that resumes from that iterate does not evaluate it again.
+gradient from it. Only a scored iterate is an evaluation (the gradient
+solver's minibatch iterates between scored ones are parameter vectors), and
+the solver returns the evaluation of its best one, so a caller that resumes
+from it does not evaluate it again.
 
 Each problem's per-term risks and slack vector, and each term's parameter
 gradient, are memoised on the evaluation. Multipliers only weight them, so
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Problem
+from .core import Dataset, Problem, loss_pred_grads
 from .errors import ConfigurationError, InputError
-from .models import Evaluation, ModelState, OptimizerState, grad_params, optimizer_step
+from .models import Evaluation, ModelState, OptimizerState, _forward, _risk_grad, optimizer_step
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,11 @@ class InnerSolverConfig:
 
     With `candidates`, the exact enumeration solver scans that list.
     Otherwise `epochs` passes of minibatch ADAM (`batch_size` rows a step,
-    all of them when None, at `step_size`) keep the best fully-evaluated
-    iterate, which is not certified optimal since the landscape may be
-    non-convex. In training each dual iteration resumes from the previous
-    minimizer, so `epochs=1` alternates one primal epoch with one dual step.
+    all of them when None, at `step_size`) keep the best scored iterate
+    (the start or an epoch's last), which is not certified optimal since
+    the landscape may be non-convex. In training each dual iteration
+    resumes from the previous minimizer, so `epochs=1` alternates one primal
+    epoch with one dual step.
     """
 
     epochs: int = 1
@@ -143,16 +146,38 @@ def _live_terms(problem: Problem, dual: DualState, batch_size: int | None):
     return live
 
 
-def _step_terms(at: Evaluation, live, obj_rows: np.ndarray | None, batch_size: int | None,
-                rng: np.random.Generator):
-    """(weight, loss, batch) per live term: the objective's batch on `obj_rows`,
-    every other's on rows drawn from `rng` in term order."""
-    terms = []
-    for k, (w, loss, dataset, n) in enumerate(live):
-        rows = (obj_rows if k == 0 else
-                None if n is None else rng.choice(n, size=batch_size, replace=False))
-        terms.append((w, loss, at.batch(dataset, rows)))
-    return terms
+def _step_rows(live, obj_rows: np.ndarray | None, batch_size: int | None,
+               rng: np.random.Generator) -> list:
+    """The rows each live term reads at a step: the objective's `obj_rows`,
+    every other's drawn from `rng` in term order, None for a set used whole."""
+    return [obj_rows if k == 0 else
+            None if n is None else rng.choice(n, size=batch_size, replace=False)
+            for k, (_, _, _, n) in enumerate(live)]
+
+
+def _step_gradient(model: ModelState, live, rows, ev: Evaluation | None = None) -> np.ndarray:
+    """A step's gradient at `model` over the live terms, summed in term order,
+    each from its batch's (features, labels, predictions) arrays. `ev` is the
+    scored evaluation of `model` at an epoch's first step, whose realised
+    sets and predictions the batches are cut from (a set used whole reads
+    its memoised gradient); at a later step each batch's rows are forwarded,
+    or attacked, at `model`."""
+    total = np.zeros(model.arch.n_params)
+    for (w, loss, d, _), r in zip(live, rows):
+        if ev is not None and r is None:
+            total += w * ev.param_grad(loss, d)
+            continue
+        if ev is not None:
+            ds, P = ev.realize(d), ev.predictions(d).take(r, axis=0)
+            X, y = ds.features.take(r, axis=0), ds.labels.take(r)
+        elif isinstance(d, Dataset):
+            X, y = (d.features, d.labels) if r is None else (d.features.take(r, axis=0),
+                                                             d.labels.take(r))
+            P = _forward(model, X)
+        else:
+            X, y, P = d.attacked_rows(model, r)
+        total += w * _risk_grad(model, X, loss_pred_grads(loss, P, y), P)
+    return total
 
 
 def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConfig,
@@ -164,17 +189,17 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
 
     Returns the evaluation of the iterate of `problem.surrogate` with the
     lowest empirical_lagrangian(evaluation, dual, problem.surrogate) among
-    those fully evaluated. Every iterate is evaluated once: a step reads its
-    gradient from the current iterate's evaluation, and the evaluation that
-    scores an epoch's last iterate also serves the next epoch's first step.
+    those scored: the start and each epoch's last iterate. Only these are
+    evaluated; the iterates between are parameter vectors.
 
     The multipliers are fixed for the call, so the term weights, the terms
     they keep and the row count each kept term draws from are laid out once
-    (`_live_terms`). A step then draws only its rows (the objective's cut
-    from the epoch's permutation, then every other kept set's from `rng` in
-    term order), reads `grad_params` of those batches from the current
-    iterate's evaluation, takes one `optimizer_step` and evaluates the new
-    iterate afresh.
+    (`_live_terms`). A step draws only its rows (the objective's cut from
+    the epoch's permutation, then every other kept set's from `rng` in term
+    order) and takes one `optimizer_step` on the gradient its batches' arrays
+    give (`_step_gradient`). An epoch's first step is taken at the scored
+    iterate, so a set used whole reads that evaluation's memoised gradient:
+    a full-batch step is the scored iterate's per-term gradients summed.
     """
     problem = problem.surrogate
     n0 = len(problem.objective_dataset)
@@ -186,11 +211,12 @@ def gradient_minimize(dual: DualState, problem: Problem, solver: InnerSolverConf
     best_val = empirical_lagrangian(start, dual, problem)
     for _ in range(solver.epochs):
         order = None if whole else rng.permutation(n0)
+        model = at.model
         for lo in range(0, n0, n0 if whole else bs):
-            rows = None if whole else order[lo : lo + bs]
-            g = grad_params(at, _step_terms(at, live, rows, bs, rng))
-            opt, model = optimizer_step(opt, at.model, g)
-            at = Evaluation(model)
+            rows = _step_rows(live, None if whole else order[lo : lo + bs], bs, rng)
+            g = _step_gradient(model, live, rows, None if lo else at)
+            opt, model = optimizer_step(opt, model, g)
+        at = Evaluation(model)
         val = empirical_lagrangian(at, dual, problem)
         if val < best_val:
             best_val, best = val, at

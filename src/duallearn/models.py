@@ -235,8 +235,18 @@ def _backprop(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray,
     return dparams, delta if want_inputs else None
 
 
+def _risk_grad(model: ModelState, X: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """d(mean loss)/d(parameters) over the rows X, from the loss gradients G
+    with respect to the model's predictions P there."""
+    return _backprop(model, X, G / G.shape[0], P, want_params=True, want_inputs=False)[0]
+
+
 class Evaluation:
     """One model evaluated once; every risk and loss gradient reads from it.
+
+    Only a scored iterate gets one: between two scored iterates, minibatch
+    steps move a bare parameter vector and take their gradients from arrays
+    (`_risk_grad`, the kernel `param_grad` uses too).
 
     The evaluation realises each model-dependent set once (one attack per
     `robust.AdversarialDataset`) and runs one `predict_batch` per table: a root
@@ -299,26 +309,15 @@ class Evaluation:
         """`dataset` realised against the model, once per evaluation."""
         ds = self._realized.get(dataset)
         if ds is None:
-            ds = self._realized[dataset] = (
-                dataset if isinstance(dataset, Dataset)
-                else self._attack(dataset, None, self._table_predictions(dataset.base)))
+            if isinstance(dataset, Dataset):
+                ds = dataset
+            else:  # attacked from the clean base's predictions; the attack's are kept
+                ds, preds = dataset.attack(
+                    self.model, clean_predictions=self._table_predictions(dataset.base))
+                self._preds[ds] = preds
+            self._realized[dataset] = ds
             if ds.root is None:
                 self._realized[ds] = ds
-        return ds
-
-    def batch(self, dataset: DatasetLike, indices: np.ndarray | None) -> DatasetLike:
-        """`dataset` itself, or its `indices` rows realised against the model:
-        cut from this evaluation's realisation of it when there is one."""
-        if indices is None:
-            return dataset
-        ds = self._realized.get(dataset, dataset)
-        return ds.subset(indices) if isinstance(ds, Dataset) else self._attack(dataset, indices)
-
-    def _attack(self, dataset, indices, clean_predictions=None) -> Dataset:
-        """The model-dependent `dataset`, or its `indices` rows, attacked
-        against the model; the attack's predictions are kept as the set's."""
-        ds, preds = dataset.attack(self.model, indices, clean_predictions)
-        self._preds[ds] = preds
         return ds
 
     def _locate(self, ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
@@ -362,10 +361,8 @@ class Evaluation:
             grads = self._per_row(loss_pred_grads, loss, table)
             if rows is not None:
                 preds, grads = preds.take(rows, axis=0), grads.take(rows, axis=0)
-            dparams, _ = _backprop(self.model, ds.features, grads / len(ds), preds,
-                                   want_params=True, want_inputs=False)
-            dparams.setflags(write=False)
-            self._grads[dataset, loss] = dparams
+            dparams = self._grads[dataset, loss] = _readonly(
+                _risk_grad(self.model, ds.features, grads, preds))
         return dparams
 
     def stats(self, problem: Problem) -> tuple[tuple[float, ...], np.ndarray]:

@@ -12,10 +12,11 @@ maps with several outputs) is attacked by iterated signed-gradient ascent
 Either way the clean sample competes as a candidate, so an attack never
 reports a loss below the unperturbed one, and the model's predictions on
 the rows it picks come back with them. An `AdversarialDataset` is the
-constraint's dataset: it attacks its base set against whatever model a
-slack or gradient evaluation is made at and returns a plain `Dataset` with
-that model's predictions on it. A `models.Evaluation` keeps both for its one
-model, so nothing is cached across model states.
+constraint's dataset: it attacks its base set, or some rows of it, against
+whatever model a slack or gradient is read at. A scored iterate's
+`models.Evaluation` keeps the whole attacked set with its predictions; a
+minibatch step at a bare parameter vector uses its rows' arrays once
+(`attacked_rows`). Nothing is cached across model states.
 """
 
 from __future__ import annotations
@@ -242,6 +243,14 @@ class AdversarialDataset:
         the model's predictions there). `clean_predictions`, when given, are
         the model's predictions on the clean rows attacked, which are then
         not forwarded again (see `perturb_batch`)."""
+        X, y, P = self.attacked_rows(model, indices, clean_predictions)
+        return _unchecked(Dataset, features=_readonly(X), labels=_readonly(y),
+                          name=self.name), P
+
+    def attacked_rows(self, model: ModelState, indices: np.ndarray | None = None,
+                      clean_predictions: np.ndarray | None = None):
+        """`attack` as arrays: (features, labels, predictions), with no
+        `Dataset` built around them."""
         X, y = self.base.features, self.base.labels
         if indices is not None:
             indices = np.asarray(indices, dtype=int)
@@ -255,5 +264,4 @@ class AdversarialDataset:
         # push a feature past the largest float
         if not np.isfinite(X).all():
             raise InputError("dataset features must be finite")
-        return _unchecked(Dataset, features=_readonly(X), labels=_readonly(y),
-                          name=self.name), P
+        return X, y, P

@@ -446,8 +446,13 @@ def test_train_refuses_a_model_that_does_not_fit_before_writing(tmp_path, capsys
 def test_robust_train_checks_its_sets_and_weighs_its_terms_a_fixed_number_of_times(
         tmp_path, monkeypatch):
     """A robust `train` builds checked datasets a fixed number of times,
-    whatever its numbers of steps and iterations, and lays out the term
-    weights once per inner-solver call, not once per step."""
+    whatever its numbers of steps and iterations, lays out the term weights
+    once per inner-solver call, not once per step, and evaluates only the
+    iterates it scores: the initial model and each epoch's last iterate.
+    Its loss gradients cover exactly the rows of the step batches (the
+    objective's epoch, and batch_size drawn rows a step for the attacked
+    set once its multiplier is positive), never a whole table."""
+    import duallearn.lagrangian as lagrangian
     import duallearn.primaldual as primaldual
     from duallearn.core import Dataset, Problem
 
@@ -459,23 +464,37 @@ def test_robust_train_checks_its_sets_and_weighs_its_terms_a_fixed_number_of_tim
             return fn(*args, **kwargs)
         return wrapped
 
+    weighted, grad_rows = [], []
+    solve, pred_grads = primaldual.gradient_minimize, core.loss_pred_grads
     monkeypatch.setattr(Dataset, "__post_init__", counted("checked sets", Dataset.__post_init__))
     monkeypatch.setattr(Problem, "weights", counted("weights", Problem.weights))
+    monkeypatch.setattr(models.Evaluation, "__init__",
+                        counted("evaluations", models.Evaluation.__init__))
     monkeypatch.setattr(primaldual, "gradient_minimize",
-                        counted("solves", primaldual.gradient_minimize))
+                        lambda dual, *a: weighted.append(dual.mu[0] > 0.0) or solve(dual, *a))
+    for mod in (models, lagrangian):
+        monkeypatch.setattr(mod, "loss_pred_grads",
+                            lambda loss, P, y: grad_rows.append(len(y)) or pred_grads(loss, P, y))
     checked = []
     for T, batch_size in ((2, 128), (5, 128), (3, 32)):  # 16 or 63 steps per iteration
         def edit(cfg):
             cfg["dual"]["iterations_T"] = T
             cfg["inner"]["batch_size"] = batch_size
         path, _ = derived_config(tmp_path, "robust_train.json", edit)
-        counts.update({"checked sets": 0, "weights": 0, "solves": 0})
+        counts.update({"checked sets": 0, "weights": 0, "evaluations": 0})
+        weighted.clear()
+        grad_rows.clear()
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / f"T{T}-b{batch_size}")]) == 0
-        assert counts["solves"] == T
+        assert len(weighted) == T
         assert counts["weights"] == T
+        assert counts["evaluations"] == T + 1
+        steps = -(-2000 // batch_size)
+        assert max(grad_rows) <= batch_size
+        assert sum(grad_rows) == sum(2000 + steps * batch_size * w for w in weighted)
         checked.append(counts["checked sets"])
     assert checked == [2] * 3  # the synthetic table, then its copy under its config name
+    assert any(weighted)  # the last run weighs the attacked set
 
 
 def test_a_non_finite_snapshot_row_names_the_snapshot_file_and_its_iteration(tmp_path,

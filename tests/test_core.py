@@ -439,12 +439,10 @@ class TestDatasetViews:
     @pytest.mark.parametrize("labels", [np.arange(6, dtype=np.int32), np.linspace(0.0, 1.0, 6)],
                              ids=["int", "float"])
     def test_a_minibatch_view_keeps_its_labels_is_read_only_and_carries_its_rows(self, labels):
-        from duallearn.models import Evaluation
-
         root = Dataset(features=np.arange(12.0).reshape(6, 2), labels=labels)
         assert root.labels.dtype == (np.int64 if labels.dtype.kind == "i" else np.float64)
         group = root.subset([5, 1, 2, 4])
-        batch = Evaluation(ModelState(np.zeros(3), LinearArch(2))).batch(group, np.array([3, 0, 3]))
+        batch = group.subset(np.array([3, 0, 3]))
         assert batch.root is root and batch.rows.tolist() == [4, 5, 4]
         assert batch.labels.dtype == root.labels.dtype
         assert batch.labels.tobytes() == root.labels[[4, 5, 4]].tobytes()

@@ -180,7 +180,7 @@ def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
     ev = Evaluation.of(model, problem.datasets)
     empirical_lagrangian(ev, DualState.zeros(4), problem)  # fill it, then read gradients
     assert bits(grad_params(ev, terms)) == bits(want)
-    batch = ev.batch(problem.constraints[0].dataset, np.array([3, 0, 5, 5]))
+    batch = ev.realize(problem.constraints[0].dataset).subset(np.array([3, 0, 5, 5]))
     assert batch.root is problem.objective_dataset
     assert bits(grad_params(ev, [(1.0, loss_of(kind), batch)])) == bits(
         own_gradient(model, [(1.0, loss_of(kind), batch)]))
@@ -222,7 +222,7 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
     s = slacks(ev, problem)
     risk = empirical_risk(ev, loss, adv)
     idx = np.array([4, 1, 29, 4])
-    batch = ev.batch(adv, idx)
+    batch = ev.realize(adv).subset(idx)
     g = grad_params(ev, [(1.0, CE, ds), (0.7, loss, adv), (0.7, loss, batch)])
     assert attacks == [len(ds)]
     # the clean table once, for the objective and the attack alike; the
@@ -241,26 +241,27 @@ def test_adversarial_set_is_attacked_once_and_read_exactly(kind, monkeypatch):
 
 
 def test_a_minibatch_attack_is_read_from_the_attack_not_forwarded_again(monkeypatch):
-    import duallearn.models as models_mod
+    """A step between scored iterates attacks its drawn rows at the bare
+    parameters and backpropagates from the attack's own predictions."""
+    import duallearn.lagrangian as lagrangian
 
     ds, _ = table(n=30, seed=5)
     model = models(seed=6)[2]
     attack = AttackConfig.pgd_training(0.2, clamp_box=(-1.0, 1.0), seed=2)
     adv = AdversarialDataset(ds, CE, attack)
     idx = np.array([3, 0, 17, 3])
-    ev = Evaluation(model)
-    batch = ev.batch(adv, idx)
     forwarded = []
-    original = models_mod.predict_batch
-    monkeypatch.setattr(models_mod, "predict_batch",
+    original = lagrangian._forward
+    monkeypatch.setattr(lagrangian, "_forward",
                         lambda m, X: forwarded.append(len(X)) or original(m, X))
-    risk = ev.risk(CE, batch)
-    grad = ev.param_grad(CE, batch)
+    grad = lagrangian._step_gradient(model, [(1.0, CE, adv, len(adv))], [idx])
     monkeypatch.undo()
     assert forwarded == []
-    own, _ = adv.attack(model, idx)
-    assert bits(batch.features) == bits(own.features)
-    assert bits(risk) == bits(own_risk(model, CE, own))
+    own, own_P = adv.attack(model, idx)
+    X, y, P = adv.attacked_rows(model, idx)
+    assert bits(X) == bits(own.features)
+    assert bits(y) == bits(own.labels)
+    assert bits(P) == bits(own_P)
     assert bits(grad) == bits(own_gradient(model, [(1.0, CE, own)]))
 
 
@@ -441,7 +442,7 @@ def random_mus(m, count=20, seed=0):
 def test_a_reused_evaluation_reads_the_gradient_and_lagrangian_of_a_fresh_one(model):
     problem = memo_problem()
     ev = Evaluation(model)
-    batch = ev.batch(problem.constraints[1].dataset, np.array([2, 0, 2]))
+    batch = problem.constraints[1].dataset.subset(np.array([2, 0, 2]))
     for mu in random_mus(problem.m):
         terms = lagrangian_terms(problem, mu) + [(0.5, CE, batch)]
         dual = DualState(mu)
@@ -487,7 +488,7 @@ def test_memo_keys_are_held_so_their_ids_are_not_reused():
     for k in range(40):
         assert bits(slacks(ev, problem(k))) == bits(slacks(model, problem(k)))
         rows = rng.choice(len(ds), 5, replace=False)
-        terms = [(1.0, loss, ev.batch(ds, rows))]
+        terms = [(1.0, loss, ds.subset(rows))]
         assert bits(grad_params(ev, terms)) == bits(
             own_gradient(model, [(1.0, loss, ds.subset(rows))]))
 

@@ -16,14 +16,14 @@ from duallearn.lagrangian import (
     DualState,
     InnerSolverConfig,
     _live_terms,
-    _step_terms,
+    _step_rows,
     dual_function,
     empirical_lagrangian,
     gradient_minimize,
     slacks,
 )
 from duallearn.models import (Evaluation, LinearArch, LogisticArch, MlpArch, ModelState,
-                              OptimizerState, grad_params, init_model, optimizer_step)
+                              OptimizerState, init_model, optimizer_step)
 from duallearn.oracle import ecrm_enumerate, example1_problem
 from duallearn.primaldual import dual_update
 from duallearn.robust import AdversarialDataset, AttackConfig
@@ -290,26 +290,30 @@ def test_gradient_terms_draw_the_rows_of_a_walk_over_the_constraints(m, referenc
             want.append((-w, ref.loss, ref.dataset, draw(walk_rng, ref.dataset)))
 
     step_rng = np.random.default_rng(seed + 100)
-    got = _step_terms(ev, _live_terms(problem, DualState(mu), batch_size), obj_rows, batch_size,
-                      step_rng)
-    assert len(got) == len(want)
-    for (weight, loss, batch), (w, want_loss, dataset, rows) in zip(got, want):
-        assert bits(weight) == bits(w) and loss is want_loss
-        if rows is None:
-            assert batch is dataset
+    live = _live_terms(problem, DualState(mu), batch_size)
+    got = _step_rows(live, obj_rows, batch_size, step_rng)
+    assert len(live) == len(got) == len(want)
+    for (weight, loss, dataset, _), rows, (w, want_loss, want_set, want_rows) in zip(live, got,
+                                                                                    want):
+        assert bits(weight) == bits(w) and loss is want_loss and dataset is want_set
+        if want_rows is None:
+            assert rows is None
         else:
-            assert bits(batch.features) == bits(dataset.features[rows])
-            assert batch.labels.tolist() == dataset.labels[rows].tolist()
+            assert rows.tolist() == want_rows.tolist()
     assert step_rng.bit_generator.state == walk_rng.bit_generator.state
 
 
 def reference_minimize(dual, problem, solver, start, rng):
     """`gradient_minimize` from public pieces, one step at a time: walk the
     terms, skip a zero weight, cut the objective's rows from the epoch's
-    permutation and draw every other set's rows from `rng` in term order;
-    `grad_params` of the batches read from the current iterate's evaluation,
-    one `optimizer_step`, and a fresh `Evaluation` of the new iterate, which
-    scores the epoch when it is the epoch's last."""
+    permutation and draw every other set's rows from `rng` in term order.
+    An epoch's first step reads each term's `param_grad` from the scored
+    evaluation, on the set it realised or that set's drawn rows
+    (`Dataset.subset`); every later step reads it from a fresh `Evaluation`
+    of the bare iterate per term, on the set's rows (`Dataset.subset`) or
+    their attack (`AdversarialDataset.attack`). The weighted gradients are
+    summed in term order, one `optimizer_step` is taken, and a fresh
+    `Evaluation` scores each epoch's last iterate."""
     problem = problem.surrogate
     n0 = len(problem.objective_dataset)
     bs = solver.batch_size
@@ -319,8 +323,9 @@ def reference_minimize(dual, problem, solver, start, rng):
     best_val = empirical_lagrangian(start, dual, problem)
     for _ in range(solver.epochs):
         order = None if whole else rng.permutation(n0)
+        model = at.model
         for lo in range(0, n0, n0 if whole else bs):
-            terms = []
+            grads = []
             for k, (w, (loss, d)) in enumerate(zip(problem.weights(dual.mu), problem.terms)):
                 if w == 0.0:
                     continue
@@ -330,9 +335,18 @@ def reference_minimize(dual, problem, solver, start, rng):
                     rows = None
                 else:
                     rows = rng.choice(len(d), size=bs, replace=False)
-                terms.append((w, loss, at.batch(d, rows)))
-            opt, model = optimizer_step(opt, at.model, grad_params(at, terms))
-            at = Evaluation(model)
+                if lo == 0:
+                    g = at.param_grad(loss, d if rows is None else at.realize(d).subset(rows))
+                elif isinstance(d, AdversarialDataset):
+                    g = Evaluation(model).param_grad(loss, d.attack(model, rows)[0])
+                else:
+                    g = Evaluation(model).param_grad(loss, d if rows is None else d.subset(rows))
+                grads.append(w * g)
+            total = np.zeros(model.arch.n_params)
+            for g in grads:
+                total += g
+            opt, model = optimizer_step(opt, model, total)
+        at = Evaluation(model)
         val = empirical_lagrangian(at, dual, problem)
         if val < best_val:
             best_val, best = val, at
@@ -368,6 +382,17 @@ def fairness_step_problem():
                                      for g in "ABCD"))
 
 
+def shared_small_set_problem():
+    """Two CE constraints on one 10-row view of the table, which every
+    tested batch size uses whole, so both terms read one (set, loss)."""
+    ds, _ = step_table(seed=2)
+    ce = LossSpec.cross_entropy()
+    small = ds.subset(np.arange(0, 40, 4), name="small")
+    return Problem(objective_loss=ce, objective_dataset=ds, constraints=(
+        ConstraintSpec(loss=ce, threshold_c=0.3, dataset=small),
+        ConstraintSpec(loss=LossSpec.cross_entropy(), threshold_c=0.6, dataset=small)))
+
+
 STEP_CASES = {
     "logistic-exact": (lambda: robust_step_problem(AttackConfig(epsilon=0.3,
                                                                 clamp_box=(-1.0, 1.0))),
@@ -377,6 +402,12 @@ STEP_CASES = {
                                                          seed=5)),
                 MlpArch((3, 4, 1), output="sigmoid")),
     "fairness": (fairness_step_problem, LogisticArch(3)),
+    "shared-small-set": (shared_small_set_problem, LogisticArch(3)),
+    "mlp-fairness": (fairness_step_problem, MlpArch((3, 5, 1), output="sigmoid")),
+    "linear-pgd": (lambda: robust_step_problem(AttackConfig(epsilon=0.25, steps=4, step_size=0.1,
+                                                            restarts=3, clamp_box=(-1.0, 1.0),
+                                                            seed=9)),
+                   LinearArch(3, 2)),
 }
 
 

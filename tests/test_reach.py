@@ -31,7 +31,7 @@ CUT_ITERATIONS = 5
 ALLOWED = {
     "library API, called by the oracle, the benchmark's tracer and the tests": (
         "__init__.__dir__", "core.empirical_risk", "lagrangian.dual_function",
-        "lagrangian.enumeration_stats", "lagrangian.slacks", "models.Evaluation.predictions",
+        "lagrangian.enumeration_stats", "lagrangian.slacks", "models.grad_params",
         "oracle.EnumerableProblem.__post_init__", "oracle._example1_block_records",
         "oracle._example1_draws", "oracle.dual_enumerate", "oracle.ecrm_enumerate",
         "oracle.example1_blocks", "oracle.example1_problem", "oracle.example1_sample",
