@@ -27,7 +27,6 @@ LOSS_KINDS = (
     "zero-one",
     "clamped-cross-entropy",
     "squared",
-    "hinge",
     "absolute",
     "signed-score",
     "rate-indicator",
@@ -39,7 +38,6 @@ LOSS_KINDS = (
 DIFFERENTIABLE_KINDS = (
     "clamped-cross-entropy",
     "squared",
-    "hinge",
     "absolute",
     "signed-score",
     "rate-sigmoid",
@@ -150,19 +148,15 @@ class Dataset:
 class LossSpec:
     """A bounded loss function applied to (prediction, label) pairs.
 
-    Kinds and their values on a prediction vector z with label y:
+    Kinds and their values on a model's one output z with label y:
 
-    - ``zero-one``: 1 if the predicted class differs from y. Vector
-      predictions classify by argmax; scalar predictions are read as
+    - ``zero-one``: 1 if the predicted class differs from y, with z read as
       P(class 1) and thresholded at 0.5.
     - ``clamped-cross-entropy``: -log of the probability assigned to the
-      true class, with probabilities clamped to [p_min, 1 - p_min] so the
-      loss stays in [0, -log p_min]. Scalar predictions are P(class 1).
+      true class, with z read as P(class 1) and the probabilities clamped to
+      [p_min, 1 - p_min] so the loss stays in [0, -log p_min]; labels are
+      0 or 1.
     - ``squared``: (z - y)^2, capped at bound_B.
-    - ``hinge``: max(0, 1 - y z), capped at bound_B, with label 0 read as
-      -1 and every other label as itself, row by row: {0, 1} labels become
-      {-1, +1}, {-1, +1} labels are unchanged, and a row's value never
-      depends on the other rows of its set.
     - ``absolute``: |y z|, capped at bound_B.
     - ``signed-score``: y z clipped to [-bound_B, bound_B]. The one signed
       kind; it encodes linear expectation constraints such as E[y z] <= c.
@@ -233,13 +227,6 @@ class LossSpec:
     @property
     def differentiable(self) -> bool:
         return self.kind in DIFFERENTIABLE_KINDS
-
-    @property
-    def prediction_dim(self) -> int | None:
-        """Required prediction dimension, or None when any dimension works."""
-        if self.kind in ("zero-one", "clamped-cross-entropy"):
-            return None
-        return 1
 
     @property
     def surrogate(self) -> LossSpec:
@@ -387,65 +374,42 @@ class Problem:
         return replace(self, constraints=constraints)
 
 
-def _pm_labels(labels: np.ndarray) -> np.ndarray:
-    """Row-wise hinge labels: 0 becomes -1, every other label is kept."""
-    y = labels.astype(float)
-    return np.where(y == 0.0, -1.0, y)
-
-
 def _check_predictions(loss: LossSpec, predictions: np.ndarray) -> np.ndarray:
     p = np.asarray(predictions, dtype=float)
     if p.ndim != 2:
-        raise InputError(f"predictions must be an (N, k) matrix, got shape {p.shape}")
-    want = loss.prediction_dim
-    if want is not None and p.shape[1] != want:
+        raise InputError(f"predictions must be an (N, 1) matrix, got shape {p.shape}")
+    if p.shape[1] != 1:
         raise InputError(
-            f"loss kind {loss.kind!r} expects {want}-dimensional predictions, got {p.shape[1]}"
+            f"loss kind {loss.kind!r} expects 1-dimensional predictions, got {p.shape[1]}"
         )
     return p
 
 
 def loss_values(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample loss values for an (N, k) prediction matrix.
+    """Per-sample loss values for an (N, 1) prediction matrix.
 
     Every kind except signed-score maps into [0, bound_B]; signed-score maps
     into [-bound_B, bound_B].
     """
     p = _check_predictions(loss, predictions)
     y = np.asarray(labels)
-    n, k = p.shape
+    n = p.shape[0]
     if y.shape != (n,):
         raise InputError(f"labels shape {y.shape} does not match {n} predictions")
     B = loss.bound_B
     kind = loss.kind
+    z = p[:, 0]
 
     if kind == "zero-one":
-        if k == 1:
-            pred_class = (p[:, 0] >= 0.5).astype(float)
-        else:
-            pred_class = np.argmax(p, axis=1).astype(float)
-        return (pred_class != y.astype(float)).astype(float)
-
+        return ((z >= 0.5).astype(float) != y.astype(float)).astype(float)
     if kind == "clamped-cross-entropy":
-        lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
-        if k == 1:
-            pos = y == 1
-            if not (pos | (y == 0)).all():
-                raise InputError("scalar cross-entropy predictions need {0, 1} labels")
-            p_true = np.where(pos, p[:, 0], 1.0 - p[:, 0])
-        else:
-            yi = y.astype(int)
-            if np.any(yi < 0) or np.any(yi >= k):
-                raise InputError(f"class labels must lie in [0, {k}) for {k}-way predictions")
-            p_true = p[np.arange(n), yi]
-        return -np.log(np.minimum(np.maximum(p_true, lo), hi))
-
-    z = p[:, 0]
+        pos = y == 1
+        if not (pos | (y == 0)).all():
+            raise InputError("scalar cross-entropy predictions need {0, 1} labels")
+        p_true = np.where(pos, z, 1.0 - z)
+        return -np.log(np.minimum(np.maximum(p_true, loss.clamp_p_min), 1.0 - loss.clamp_p_min))
     if kind == "squared":
         return np.minimum((z - y.astype(float)) ** 2, B)
-    if kind == "hinge":
-        ypm = _pm_labels(y)
-        return np.minimum(np.maximum(0.0, 1.0 - ypm * z), B)
     if kind == "absolute":
         return np.minimum(np.abs(y.astype(float) * z), B)
     if kind == "signed-score":
@@ -466,35 +430,22 @@ def loss_pred_grads(loss: LossSpec, predictions: np.ndarray, labels: np.ndarray)
         )
     p = _check_predictions(loss, predictions)
     y = np.asarray(labels)
-    n, k = p.shape
     B = loss.bound_B
     kind = loss.kind
+    z = p[:, 0]
 
     if kind == "clamped-cross-entropy":
-        lo, hi = loss.clamp_p_min, 1.0 - loss.clamp_p_min
-        if k == 1:
-            pos = y == 1
-            p_true = np.where(pos, p[:, 0], 1.0 - p[:, 0])
-            inside = (p_true >= lo) & (p_true <= hi)
-            g = np.divide(np.where(pos, -1.0, 1.0), p_true, out=np.zeros(n), where=inside)
-            return g[:, None]
-        yi = y.astype(int)
-        p_true = p[np.arange(n), yi]
-        inside = (p_true >= lo) & (p_true <= hi)
-        grads = np.zeros_like(p)
-        grads[np.arange(n), yi] = np.where(inside, -1.0 / np.where(inside, p_true, 1.0), 0.0)
-        return grads
+        pos = y == 1
+        p_true = np.where(pos, z, 1.0 - z)
+        inside = (p_true >= loss.clamp_p_min) & (p_true <= 1.0 - loss.clamp_p_min)
+        g = np.divide(np.where(pos, -1.0, 1.0), p_true, out=np.zeros(p.shape[0]), where=inside)
+        return g[:, None]
 
     grads = np.zeros_like(p)
-    z = p[:, 0]
     yf = y.astype(float)
     if kind == "squared":
         r = z - yf
         grads[:, 0] = np.where(r * r < B, 2.0 * r, 0.0)
-    elif kind == "hinge":
-        ypm = _pm_labels(y)
-        h = 1.0 - ypm * z
-        grads[:, 0] = np.where((h > 0.0) & (h < B), -ypm, 0.0)
     elif kind == "absolute":
         s = yf * z
         grads[:, 0] = np.where(np.abs(s) < B, yf * np.sign(s), 0.0)

@@ -1,14 +1,14 @@
 """Differentiable predictors with exact handwritten gradients.
 
-Three architectures: linear maps, logistic regression, and small MLPs with
-tanh (default) or relu hidden units and an optional sigmoid output. Each is
-described as a stack of dense layers (`widths`, `bias`, `output`): a linear
-or logistic model is a network with one layer. No autodiff framework is used
-anywhere -- one forward pass and one backward pass serve every architecture,
-and their gradients are validated against central finite differences in the
-test suite. An `Evaluation` is the one path from a model to risks and loss
-gradients: it forwards each table once and every term of a Lagrangian reads
-from it.
+Three architectures, each with one output: linear scores, logistic
+regression, and small MLPs with tanh (default) or relu hidden units and an
+optional sigmoid output. Each is described as a stack of dense layers
+(`widths`, `bias`, `output`): a linear or logistic model is a network with
+one layer. No autodiff framework is used anywhere -- one forward pass and
+one backward pass serve every architecture, and their gradients are
+validated against central finite differences in the test suite. An
+`Evaluation` is the one path from a model to risks and loss gradients: it
+forwards each table once and every term of a Lagrangian reads from it.
 """
 
 from __future__ import annotations
@@ -29,26 +29,26 @@ from .errors import ConfigurationError, InputError, NumericError
 
 @dataclass(frozen=True)
 class LinearArch:
-    """y = W x (+ b), mapping in_dim -> out_dim."""
+    """y = w . x (+ b), a real score of in_dim features."""
 
     in_dim: int
-    out_dim: int = 1
-    bias: bool = True
+    # keyword-only, so that a second positional number is not read as the bias
+    bias: bool = field(default=True, kw_only=True)
 
     kind = "linear"
     output = "linear"
 
     def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigurationError("linear dimensions must be >= 1")
+        if self.in_dim < 1:
+            raise ConfigurationError("linear in_dim must be >= 1")
 
     @property
     def widths(self) -> tuple[int, int]:
-        return (self.in_dim, self.out_dim)
+        return (self.in_dim, 1)
 
     @property
     def n_params(self) -> int:
-        return self.out_dim * self.in_dim + (self.out_dim if self.bias else 0)
+        return self.in_dim + self.bias
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ class LogisticArch:
 
 @dataclass(frozen=True)
 class MlpArch:
-    """Fully connected layers `widths[0] -> ... -> widths[-1]`.
+    """Fully connected layers `widths[0] -> ... -> widths[-1]`, with one
+    output: `widths[-1]` is 1.
 
     Hidden activations are tanh by default (relu available); the output is
     linear unless `output="sigmoid"`, which squashes to (0, 1) for
@@ -94,6 +95,9 @@ class MlpArch:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ConfigurationError(f"mlp widths must be >= 2 positive layers, got {self.widths}")
+        if self.widths[-1] != 1:
+            raise ConfigurationError(
+                f"mlp widths must end in 1 (every model has one output), got {self.widths}")
         if self.activation not in ("tanh", "relu"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.output not in ("linear", "sigmoid"):
@@ -176,7 +180,7 @@ def init_model(arch: Arch, seed: int = 0) -> ModelState:
 
 
 def predict_batch(model: ModelState, X: np.ndarray) -> np.ndarray:
-    """Model outputs for an (N, d) feature matrix, as an (N, k) matrix."""
+    """Model outputs for an (N, d) feature matrix, as an (N, 1) matrix."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise InputError(
@@ -190,7 +194,7 @@ def _hidden(arch: Arch, z: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: ModelState, X: np.ndarray) -> np.ndarray:
-    """`predict_batch` of a float array of shape (..., N, d): (..., N, k).
+    """`predict_batch` of a float array of shape (..., N, d): (..., N, 1).
 
     numpy multiplies a stack of matrices slice by slice, so each (N, d)
     slice of X gets the bits `predict_batch` gives it on its own.
@@ -340,7 +344,7 @@ class Evaluation:
         return values
 
     def predictions(self, dataset: DatasetLike) -> np.ndarray:
-        """Model outputs on the realised `dataset`, as an (N, k) matrix."""
+        """Model outputs on the realised `dataset`, as an (N, 1) matrix."""
         table, rows = self._locate(self.realize(dataset))
         preds = self._table_predictions(table)
         return preds if rows is None else preds[rows]

@@ -135,7 +135,7 @@ def example1_population_objective(theta) -> float:
     return abs(t[0] - t[1]) / 8.0 + abs(t[1]) / 16.0
 
 
-_EX1_ARCH = LinearArch(in_dim=2, out_dim=1, bias=False)
+_EX1_ARCH = LinearArch(in_dim=2, bias=False)
 # Above the largest |score| of the candidates on the instance's rows, 1.5, so
 # no loss is capped; `_example1_block_stats` reads the losses uncapped.
 _EX1_BOUND = 4.0

@@ -2,13 +2,13 @@
 
 An attack maximizes a loss over the l-infinity ball around each sample,
 intersected with the feature box when one is declared. For a model whose
-output is monotone in an affine score z = w . x + b (logistic, or linear
-with one output) the maximum is exact: every scalar loss kind is
-quasiconvex in that output, and over the ball-and-box z ranges between the
-two corners x -/+ epsilon * sign(w), clipped to the box, so the larger of
-the two corner losses is the worst case. Every other model (MLPs, linear
-maps with several outputs) is attacked by iterated signed-gradient ascent
-(FGSM/PGD) with projection back onto the ball and then into the box.
+output is monotone in an affine score z = w . x + b (logistic or linear)
+the maximum is exact: every loss kind is quasiconvex in that output, and
+over the ball-and-box z ranges between the two corners
+x -/+ epsilon * sign(w), clipped to the box, so the larger of the two
+corner losses is the worst case. An MLP is attacked by iterated
+signed-gradient ascent (FGSM/PGD) with projection back onto the ball and
+then into the box.
 Either way the clean sample competes as a candidate, so an attack never
 reports a loss below the unperturbed one, and the model's predictions on
 the rows it picks come back with them. An `AdversarialDataset` is the
@@ -118,7 +118,7 @@ def _corner_signs(model: ModelState) -> np.ndarray | None:
     arch = model.arch
     if isinstance(arch, LogisticArch):
         return np.sign(model.params[:-1])
-    if isinstance(arch, LinearArch) and arch.out_dim == 1:
+    if isinstance(arch, LinearArch):
         return np.sign(model.params[: arch.in_dim])
     return None
 

@@ -60,7 +60,7 @@ def row_grad_input(model: ModelState, loss: LossSpec, x, label) -> np.ndarray:
 
 def closed_form_pass(model: ModelState, X: np.ndarray, G: np.ndarray):
     """(predictions on X, which may be a (..., N, d) stack; parameter gradient
-    and input gradients of the upstream (N, k) matrix G on a 2-D X) of a
+    and input gradients of the upstream (N, 1) matrix G on a 2-D X) of a
     linear or logistic model, written out the way each was computed before
     both became one-layer networks: the reference their bits are held to."""
     arch = model.arch
@@ -72,9 +72,8 @@ def closed_form_pass(model: ModelState, X: np.ndarray, G: np.ndarray):
         p = P[:, 0]
         ds = G[:, 0] * p * (1.0 - p)
         return P, np.concatenate([ds @ X, [ds.sum()]]), ds[:, None] * w[None, :]
-    w_end = arch.out_dim * arch.in_dim
-    W = model.params[:w_end].reshape(arch.out_dim, arch.in_dim)
-    b = model.params[w_end:] if arch.bias else np.zeros(arch.out_dim)
+    W = model.params[None, :arch.in_dim]
+    b = model.params[arch.in_dim:] if arch.bias else np.zeros(1)
     P = X @ W.T + b
     if X.ndim != 2:
         return P, None, None
@@ -88,7 +87,7 @@ def closed_form_pass(model: ModelState, X: np.ndarray, G: np.ndarray):
 #   theta* = 0.5, mu* = 2 (1 - 0.5) = 1, P* = 0.25 + var(y).
 TOY_LABELS = np.array([0.8, 1.2, 1.0, 1.0, 0.9, 1.1, 0.95, 1.05])
 TOY_THRESHOLD = 0.5
-TOY_ARCH = LinearArch(in_dim=1, out_dim=1, bias=False)
+TOY_ARCH = LinearArch(in_dim=1, bias=False)
 
 
 def toy_var() -> float:
@@ -127,7 +126,7 @@ def random_enumerable(rng: np.random.Generator, n_candidates=None, m=None,
     d = int(rng.integers(1, 4))
     n_candidates = n_candidates or int(rng.integers(2, 6))
     m = m if m is not None else int(rng.integers(1, 4))
-    arch = LinearArch(in_dim=d, out_dim=1, bias=False)
+    arch = LinearArch(in_dim=d, bias=False)
     B = 4.0
 
     def random_dataset(name):
@@ -173,7 +172,7 @@ def random_layout_problem(rng: np.random.Generator, m: int, references: bool) ->
         return base.subset(rng.choice(len(base), size=n, replace=False), name=name)
 
     def loss():
-        return LossSpec(kind=str(rng.choice(["absolute", "signed-score", "squared", "hinge"])),
+        return LossSpec(kind=str(rng.choice(["absolute", "signed-score", "squared"])),
                         bound_B=4.0)
 
     constraints = []

@@ -15,7 +15,7 @@ from duallearn.cli import main
 from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
-from duallearn.models import LinearArch, LogisticArch, ModelState, init_model, save_model
+from duallearn.models import LogisticArch, MlpArch, ModelState, init_model, save_model
 from duallearn.oracle import (ecrm_enumerate, example1_block_trials, example1_lines,
                               example1_problem, example1_trials)
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
@@ -240,6 +240,16 @@ def set_key(path, value):
     ("fairness_train.json", set_key(["problem", "objective", "loss"],
                                     {"kind": "bogus", "rate_slope": 2.0}),
      "problem.objective.loss.kind: unknown loss kind 'bogus'"),
+    ("robust_train.json", set_key(["problem", "objective", "loss"],
+                                  {"kind": "hinge", "bound_B": 1.0}),
+     "problem.objective.loss.kind: unknown loss kind 'hinge'"),
+    # an objective that the gradient steps cannot minimize
+    ("robust_train.json", set_key(["problem", "objective", "loss"],
+                                  {"kind": "zero-one", "bound_B": 1.0}),
+     "problem.objective.loss.kind: loss kind 'zero-one' has no gradient"),
+    ("fairness_train.json", set_key(["problem", "objective", "loss"],
+                                    {"kind": "rate-indicator", "bound_B": 1.0}),
+     "problem.objective.loss.kind: loss kind 'rate-indicator' has no gradient"),
     # null where the key takes none
     ("fairness_train.json", set_key(["inner", "epochs"], None), "config key inner.epochs"),
     ("fairness_train.json", set_key(["dual", "method"], None), "config key dual.method"),
@@ -404,28 +414,27 @@ def test_a_model_that_does_not_fit_the_config_names_both_dimensions(tmp_path, ca
 @pytest.mark.parametrize("flag", ["--model", "--trace"])
 def test_a_model_with_more_outputs_than_the_losses_take_is_refused_up_front(tmp_path, capsys,
                                                                               flag):
-    """A two-output model against the fairness config, whose losses take one."""
-    arch = LinearArch(6, 2)
+    """Files whose header is a two-output MLP, against the fairness config:
+    every model has one output, so the header itself is refused."""
+    arch = MlpArch((6, 3, 1))
     sources = dict(zip(("--model", "--trace"),
                        saved_sources(tmp_path, np.zeros((2, arch.n_params)), arch)))
+    for path in map(Path, sources.values()):
+        path.write_text(path.read_text().replace('"widths": [6, 3, 1]', '"widths": [6, 3, 2]'))
     assert main(fairness_eval(tmp_path, flag, sources[flag])) == 1
     err = capsys.readouterr().err
-    assert (f"{sources[flag]}: the model gives 2 outputs, but loss kind 'rate-indicator' "
-            "of the config's problem takes 1" in err)
+    assert (f"{sources[flag]}: mlp widths must end in 1 (every model has one output), "
+            "got (6, 3, 2)" in err)
     assert "Traceback" not in err
     assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("model, message", [
-    ({"arch": "linear", "in_dim": 5, "out_dim": 1},
+    ({"arch": "linear", "in_dim": 5},
      "model.in_dim: the model takes 5 features, but the config's problem has 6"),
-    ({"arch": "linear", "in_dim": 6, "out_dim": 2},
-     "model.out_dim: the model gives 2 outputs, but loss kind 'rate-indicator' of the "
-     "config's problem takes 1"),
     ({"arch": "mlp", "widths": [6, 3, 2]},
-     "model.widths: the model gives 2 outputs, but loss kind 'rate-indicator' of the "
-     "config's problem takes 1"),
-], ids=["in_dim", "out_dim", "mlp-widths"])
+     "mlp widths must end in 1 (every model has one output), got (6, 3, 2)"),
+], ids=["in_dim", "mlp-widths"])
 def test_train_refuses_a_model_that_does_not_fit_before_writing(tmp_path, capsys, model,
                                                                 message):
     """A config whose model the problem cannot take is a config error naming

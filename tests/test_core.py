@@ -34,17 +34,17 @@ from helpers import (
 
 
 def identity_1d():
-    return ModelState(np.array([1.0]), LinearArch(1, 1, bias=False))
+    return ModelState(np.array([1.0]), LinearArch(1, bias=False))
 
 
 class TestEvalLoss:
     def test_zero_one_correct_classification(self):
         zo = LossSpec(kind="zero-one", bound_B=1.0)
-        assert row_loss(zo, [0.1, 0.9, 0.2], 1) == 0.0
-        assert row_loss(zo, [0.1, 0.9, 0.2], 0) == 1.0
-        # scalar predictions are P(class 1), thresholded at 0.5
+        # predictions are P(class 1), thresholded at 0.5
         assert row_loss(zo, [0.7], 1) == 0.0
         assert row_loss(zo, [0.7], 0) == 1.0
+        assert row_loss(zo, [0.5], 1) == 0.0
+        assert row_loss(zo, [0.2], 0) == 0.0
 
     def test_cross_entropy_half(self):
         ce = LossSpec.cross_entropy()
@@ -78,13 +78,17 @@ class TestEvalLoss:
             loss_values(LossSpec.cross_entropy(), np.full((3, 1), 0.5), y)
 
     def test_dimension_mismatch(self):
-        sq = LossSpec(kind="squared", bound_B=4.0)
-        with pytest.raises(InputError):
-            row_loss(sq, [0.1, 0.2], 1.0)
+        # every kind takes one output, the classification kinds too
+        for loss in (LossSpec(kind="squared", bound_B=4.0), LossSpec(kind="zero-one", bound_B=1.0),
+                     LossSpec.cross_entropy()):
+            with pytest.raises(InputError, match=f"loss kind '{loss.kind}' expects "
+                                                 "1-dimensional predictions, got 3"):
+                row_loss(loss, [0.1, 0.9, 0.2], 1)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LossSpec(kind="logcosh", bound_B=1.0)
+    @pytest.mark.parametrize("kind", ["logcosh", "hinge"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ConfigurationError, match=f"unknown loss kind '{kind}'"):
+            LossSpec(kind=kind, bound_B=1.0)
 
     def test_cross_entropy_bound_consistency_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -117,7 +121,7 @@ class TestEmpiricalRisk:
     def test_example1_monte_carlo_matches_closed_form(self):
         # 1e6 draws vs the closed-form population objective at [1, 1]
         d0, _, _ = example1_sample(1_000_000, seed=11)
-        model = ModelState(np.array([1.0, 1.0]), LinearArch(2, 1, bias=False))
+        model = ModelState(np.array([1.0, 1.0]), LinearArch(2, bias=False))
         loss = LossSpec(kind="absolute", bound_B=4.0)
         risk = empirical_risk(model, loss, d0)
         assert abs(risk - example1_population_objective([1.0, 1.0])) < 0.01
@@ -155,8 +159,8 @@ class TestEmpiricalRisk:
         assert a == b
 
 
-_KINDS = st.sampled_from(["zero-one", "clamped-cross-entropy", "squared", "hinge",
-                          "absolute", "rate-indicator", "rate-sigmoid"])
+_KINDS = st.sampled_from(["zero-one", "clamped-cross-entropy", "squared", "absolute",
+                          "rate-indicator", "rate-sigmoid"])
 
 
 class TestBoundedness:
@@ -207,7 +211,7 @@ class TestDatasetInvariants:
 
     def test_dataset_risk_matches_loop(self):
         rng = np.random.default_rng(0)
-        loss = LossSpec(kind="hinge", bound_B=4.0)
+        loss = LossSpec(kind="squared", bound_B=4.0)
         P = rng.uniform(-2, 2, (20, 1))
         y = rng.choice([0, 1], 20)
         by_hand = sum(row_loss(loss, P[i], y[i]) for i in range(20)) / 20
@@ -369,36 +373,6 @@ class TestScalarCrossEntropyValues:
                 loss_values(loss, np.full((3, 1), 0.5), np.array([0, bad, 1]))
 
 
-class TestHingeIsRowWise:
-    HINGE = LossSpec(kind="hinge", bound_B=4.0)
-
-    def test_row_value_does_not_depend_on_its_set(self):
-        z = np.full((3, 1), 0.3)
-        y = np.array([0, 1, 2])
-        in_full = loss_values(self.HINGE, z, y)
-        in_view = loss_values(self.HINGE, z[:2], y[:2])
-        # label 0 reads as -1 in both sets: 1 - (-1)(0.3)
-        assert in_full[0] == in_view[0] == pytest.approx(1.3, abs=1e-15)
-        assert in_full[1] == in_view[1]
-        assert in_full[2] == pytest.approx(0.4, abs=1e-15)  # label 2 is kept: 1 - 2(0.3)
-        assert row_loss(self.HINGE, [0.3], 0) == in_full[0]
-
-    def test_minibatch_rows_match_the_full_set(self):
-        rng = np.random.default_rng(3)
-        z = rng.uniform(-2.0, 2.0, (30, 1))
-        y = rng.choice([-1, 0, 1, 2], 30)
-        full = loss_values(self.HINGE, z, y)
-        for idx in (np.arange(5), np.nonzero(y <= 0)[0], np.nonzero(y == 0)[0]):
-            assert np.array_equal(loss_values(self.HINGE, z[idx], y[idx]), full[idx])
-
-    def test_binary_and_signed_labels_unchanged(self):
-        z = np.array([[0.3], [-0.4], [1.5]])
-        for y, ypm in ((np.array([0, 1, 1]), np.array([-1.0, 1.0, 1.0])),
-                       (np.array([-1, 1, -1]), np.array([-1.0, 1.0, -1.0]))):
-            want = np.minimum(np.maximum(0.0, 1.0 - ypm * z[:, 0]), 4.0)
-            assert np.array_equal(loss_values(self.HINGE, z, y), want)
-
-
 class TestDatasetViews:
     def test_subset_records_its_root_rows(self):
         root = Dataset(features=np.arange(12.0).reshape(6, 2), labels=np.arange(6), name="t")
@@ -471,10 +445,10 @@ class TestLossSpecHash:
 
         from duallearn.models import Evaluation
 
-        a = LossSpec(kind="hinge", bound_B=2.0)
-        b = LossSpec(kind="hinge", bound_B=2.0)
+        a = LossSpec(kind="absolute", bound_B=2.0)
+        b = LossSpec(kind="absolute", bound_B=2.0)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert hash(replace(a, bound_B=3.0)) == hash(LossSpec(kind="hinge", bound_B=3.0))
+        assert hash(replace(a, bound_B=3.0)) == hash(LossSpec(kind="absolute", bound_B=3.0))
         ds = Dataset(features=np.ones((3, 1)), labels=np.array([0, 1, 1]))
         ev = Evaluation(identity_1d())
         assert ev.risk(a, ds) == ev.risk(b, ds)

@@ -409,8 +409,8 @@ def memo_problem():
     ds = problem.objective_dataset
     attack = AttackConfig(epsilon=0.2, steps=2, step_size=0.1,
                           clamp_box=(-1.0, 1.0), seed=0)
-    adv = ConstraintSpec(loss=loss_of("hinge"), threshold_c=0.3,
-                         dataset=AdversarialDataset(ds, loss_of("hinge"), attack), name="adv")
+    adv = ConstraintSpec(loss=loss_of("squared"), threshold_c=0.3,
+                         dataset=AdversarialDataset(ds, loss_of("squared"), attack), name="adv")
     return Problem(objective_loss=CE, objective_dataset=ds,
                    constraints=problem.constraints + (adv,))
 

@@ -33,7 +33,7 @@ from helpers import (bits, random_enumerable, random_layout_problem, random_mu, 
 
 ABS = LossSpec(kind="absolute", bound_B=4.0)
 SCORE = LossSpec(kind="signed-score", bound_B=4.0)
-IDENT = LinearArch(1, 1, bias=False)
+IDENT = LinearArch(1, bias=False)
 
 
 def scalar_ds(values, labels=None, name="ds"):
@@ -269,7 +269,7 @@ def test_gradient_terms_draw_the_rows_of_a_walk_over_the_constraints(m, referenc
     rng = np.random.default_rng(seed)
     problem = random_layout_problem(rng, m, references)
     mu = random_mu(rng, m)
-    ev = Evaluation(ModelState(rng.normal(size=4), LinearArch(3, 1)))
+    ev = Evaluation(ModelState(rng.normal(size=4), LinearArch(3)))
     obj_rows = None if seed % 2 else rng.choice(len(problem.objective_dataset), size=3,
                                                 replace=False)
     batch_size = int(rng.integers(3, 12))
@@ -404,10 +404,10 @@ STEP_CASES = {
     "fairness": (fairness_step_problem, LogisticArch(3)),
     "shared-small-set": (shared_small_set_problem, LogisticArch(3)),
     "mlp-fairness": (fairness_step_problem, MlpArch((3, 5, 1), output="sigmoid")),
-    "linear-pgd": (lambda: robust_step_problem(AttackConfig(epsilon=0.25, steps=4, step_size=0.1,
-                                                            restarts=3, clamp_box=(-1.0, 1.0),
-                                                            seed=9)),
-                   LinearArch(3, 2)),
+    "mlp-linear-pgd": (lambda: robust_step_problem(AttackConfig(epsilon=0.25, steps=4,
+                                                                step_size=0.1, restarts=3,
+                                                                clamp_box=(-1.0, 1.0), seed=9)),
+                       MlpArch((3, 4, 1))),
 }
 
 

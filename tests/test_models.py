@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duallearn.core import Dataset, LossSpec, loss_pred_grads
-from duallearn.errors import InputError, NumericError, SurrogateRequiredError
+from duallearn.errors import ConfigurationError, InputError, NumericError, SurrogateRequiredError
 from duallearn.models import (
     LinearArch,
     LogisticArch,
@@ -55,12 +55,17 @@ def finite_diff_input(model, loss, x, label, h=1e-5):
 
 
 class TestPredict:
-    def test_linear_identity(self):
-        arch = LinearArch(3, 3)
-        params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
-        model = ModelState(params, arch)
-        x = np.array([0.3, -1.2, 2.0])
-        assert np.array_equal(row_predict(model, x), x)
+    def test_linear_score_reads_the_weights_then_the_bias(self):
+        model = ModelState(np.array([2.0, -1.0, 0.5, 0.25]), LinearArch(3))
+        assert np.array_equal(row_predict(model, np.array([0.5, 1.0, 2.0])), [1.25])
+
+    def test_every_architecture_has_one_output(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"widths must end in 1 \(every model has one output\), "
+                                 r"got \(4, 8, 2\)"):
+            MlpArch((4, 8, 2))
+        with pytest.raises(TypeError):
+            LinearArch(3, 2)  # a bias only by keyword
 
     def test_logistic_zero_weights(self):
         model = init_model(LogisticArch(4))
@@ -99,7 +104,7 @@ class TestPredict:
 class TestGradParams:
     def test_linear_squared_analytic(self):
         # single sample: d/dtheta (theta.x - y)^2 = 2 (theta.x - y) x
-        arch = LinearArch(2, 1, bias=False)
+        arch = LinearArch(2, bias=False)
         theta = np.array([0.7, -0.3])
         model = ModelState(theta, arch)
         x = np.array([1.5, 2.0])
@@ -149,7 +154,7 @@ class TestGradInput:
     def test_linear_score_analytic(self):
         # with the signed-score loss, l = y theta.x, so grad_x = y theta;
         # feeding label -1 realizes l = -theta.x with gradient -theta
-        arch = LinearArch(3, 1, bias=False)
+        arch = LinearArch(3, bias=False)
         theta = np.array([0.5, -1.0, 2.0])
         model = ModelState(theta, arch)
         g = row_grad_input(model, SCORE, np.array([0.2, 0.3, -0.1]), -1)
@@ -174,7 +179,7 @@ class TestGradInput:
 class TestOptimizer:
     def test_adam_first_step_hand_computed(self):
         # t=1 bias correction collapses to g / (|g| + eps)
-        model = ModelState(np.zeros(1), LinearArch(1, 1, bias=False))
+        model = ModelState(np.zeros(1), LinearArch(1, bias=False))
         opt = OptimizerState(step_size=1e-3)
         _, model2 = optimizer_step(opt, model, np.array([1.0]))
         expected = -1e-3 * 1.0 / (1.0 + 1e-8)
@@ -182,7 +187,7 @@ class TestOptimizer:
         assert model2.params[0] == pytest.approx(-1e-3, abs=1e-10)
 
     def test_nan_gradient_rejected_state_unchanged(self):
-        model = ModelState(np.array([1.0, 2.0]), LinearArch(2, 1, bias=False))
+        model = ModelState(np.array([1.0, 2.0]), LinearArch(2, bias=False))
         opt = OptimizerState(step_size=1e-3)
         with pytest.raises(NumericError):
             optimizer_step(opt, model, np.array([np.nan, 0.0]))
@@ -190,7 +195,7 @@ class TestOptimizer:
         assert opt.t == 0 and opt.m is None
 
     def test_adam_moment_shapes_checked(self):
-        model = ModelState(np.zeros(2), LinearArch(2, 1, bias=False))
+        model = ModelState(np.zeros(2), LinearArch(2, bias=False))
         opt = OptimizerState(step_size=1e-3, m=np.zeros(3), v=np.zeros(3))
         with pytest.raises(InputError):
             optimizer_step(opt, model, np.zeros(2))
@@ -205,7 +210,7 @@ class TestDeterminismAndInit:
         assert not np.array_equal(a.params, c.params)
 
     def test_glorot_scale_and_zero_biases(self):
-        arch = MlpArch((4, 8, 2))
+        arch = MlpArch((4, 8, 1))
         model = init_model(arch, seed=0)
         limit1 = math.sqrt(6.0 / 12.0)
         W1 = model.params[:32]
@@ -214,7 +219,7 @@ class TestDeterminismAndInit:
         assert np.array_equal(b1, np.zeros(8))
 
     def test_linear_and_logistic_start_at_zero(self):
-        assert np.array_equal(init_model(LinearArch(3, 2)).params, np.zeros(8))
+        assert np.array_equal(init_model(LinearArch(3)).params, np.zeros(4))
         assert np.array_equal(init_model(LogisticArch(3)).params, np.zeros(4))
 
     def test_training_loop_bit_identical(self):
@@ -251,12 +256,12 @@ class TestSerialization:
 
     def test_param_count_validated(self):
         with pytest.raises(InputError):
-            ModelState(np.zeros(3), LinearArch(2, 1, bias=False))
+            ModelState(np.zeros(3), LinearArch(2, bias=False))
 
 
 class TestPredictBatch:
     def test_matches_single_predictions(self):
-        model = init_model(MlpArch((2, 5, 2)), seed=3)
+        model = init_model(MlpArch((2, 5, 1)), seed=3)
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, (9, 2))
         batch = predict_batch(model, X)
@@ -269,7 +274,7 @@ class TestPredictBatch:
         slice must get exactly the bits that `predict_batch` gives it."""
         rng = np.random.default_rng(12)
         for d in range(1, 10):
-            model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d, 1)
+            model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d)
             model = ModelState(rng.normal(0.0, 2.0, model_arch.n_params), model_arch)
             for n in (*range(1, 40), 64, 127, 128, 129, 2000):
                 stack = rng.uniform(-3.0, 3.0, (3, n, d))
@@ -287,10 +292,8 @@ class TestOneLayerNetworksKeepTheClosedFormBits:
     may read +0.0 where the elementwise product gives -0.0."""
 
     @pytest.mark.parametrize("arch", [
-        lambda d: LinearArch(d, 1, bias=True), lambda d: LinearArch(d, 1, bias=False),
-        lambda d: LinearArch(d, 3, bias=True), lambda d: LinearArch(d, 3, bias=False),
-        LogisticArch], ids=["linear-1", "linear-1-nobias", "linear-3", "linear-3-nobias",
-                            "logistic"])
+        lambda d: LinearArch(d, bias=True), lambda d: LinearArch(d, bias=False),
+        LogisticArch], ids=["linear-1", "linear-1-nobias", "logistic"])
     def test_forward_backward_and_input_gradients(self, arch):
         rng = np.random.default_rng(21)
         for d in range(1, 10):
@@ -310,8 +313,7 @@ class TestOneLayerNetworksKeepTheClosedFormBits:
                 dparams, dX = _backprop(model, X, G, P, want_params=True, want_inputs=True)
                 assert bits(dparams) == bits(want_dparams), (d, n)
                 assert bits(signless(dX)) == bits(signless(want_dX)), (d, n)
-                if P.shape[1] == 1:
-                    loss, labels = (CE, rng.integers(0, 2, n)) if logistic else (SQ, X[:, 0])
-                    want = closed_form_pass(model, X, loss_pred_grads(loss, P, labels))[2]
-                    got = grad_input_batch(model, loss, X, labels)
-                    assert bits(signless(got)) == bits(signless(want)), (d, n)
+                loss, labels = (CE, rng.integers(0, 2, n)) if logistic else (SQ, X[:, 0])
+                want = closed_form_pass(model, X, loss_pred_grads(loss, P, labels))[2]
+                got = grad_input_batch(model, loss, X, labels)
+                assert bits(signless(got)) == bits(signless(want)), (d, n)

@@ -147,8 +147,8 @@ def test_the_closed_form_block_risks_hold_for_the_instances_candidates():
     candidates = oracle._EX1_CANDIDATES
     assert [c.params.tolist() for c in candidates] == [[1.0, 1.0], [1.0, 0.0]], (
         why + "the candidates [1, 1] and [1, 0]")
-    assert all(c.arch == LinearArch(in_dim=2, out_dim=1, bias=False) for c in candidates), (
-        why + "a bias-free LinearArch(2, 1)")
+    assert all(c.arch == LinearArch(in_dim=2, bias=False) for c in candidates), (
+        why + "a bias-free LinearArch(2)")
     # the rows' extremes: tau in [-1/2, 1/2], alpha in [0, 1/4]
     rows = np.array([[t, -t] for t in (-0.5, 0.5)] + [[0.0, 0.25]]
                     + [[-1.0, t] for t in (-0.5, 0.5)] + [[-t, 1.0] for t in (-0.5, 0.5)])

@@ -215,7 +215,7 @@ class TestMarginCheck:
         prob = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
                        objective_dataset=ds,
                        constraints=(ConstraintSpec(loss=IND, threshold_c=0.5, dataset=ds),))
-        model = ModelState(np.array([1.0]), LinearArch(1, 1, bias=False))
+        model = ModelState(np.array([1.0]), LinearArch(1, bias=False))
         return prob, model
 
     def test_clear_margins(self):
@@ -319,7 +319,7 @@ class TestDualUsesIndicatorSlacks:
         prob = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
                        objective_dataset=ds,
                        constraints=(ConstraintSpec(loss=IND, threshold_c=-1.0, dataset=ds),))
-        arch = LinearArch(1, 1, bias=False)
+        arch = LinearArch(1, bias=False)
         near, far = ModelState(np.array([0.49]), arch), ModelState(np.array([-1.0]), arch)
         inner = InnerSolverConfig(candidates=(near, far))
         cfg = TrainConfig(iterations_T=8, dual_step_eta=1.0, inner=inner)

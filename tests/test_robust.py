@@ -129,7 +129,7 @@ def affine_case(kind, arch, seed, n=30, d=3):
         y = rng.uniform(0.0, 1.0, n)
     else:
         y = rng.choice([0, 1], n)
-    model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d, 1)
+    model_arch = LogisticArch(d) if arch == "logistic" else LinearArch(d)
     model = ModelState(rng.normal(0.0, 1.5, model_arch.n_params), model_arch)
     return model, X, y
 
@@ -297,7 +297,7 @@ def test_exact_attack_leaves_zero_weight_coordinates_alone():
         assert not np.array_equal(X_adv[:, [0, 2]], X0[:, [0, 2]])
 
 
-@pytest.mark.parametrize("arch", [LogisticArch(3), LinearArch(3, 1)], ids=["logistic", "linear"])
+@pytest.mark.parametrize("arch", [LogisticArch(3), LinearArch(3)], ids=["logistic", "linear"])
 def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arch, monkeypatch):
     import duallearn.robust as robust_mod
 
@@ -325,8 +325,8 @@ def test_an_all_zero_weight_model_is_attacked_without_forwarding_its_corners(arc
 
 HANDOVER_MODELS = {
     "logistic": (LogisticArch(3), ATTACKS[1]),
-    "linear-1": (LinearArch(3, 1), ATTACKS[1]),
-    "linear-2": (LinearArch(3, 2), ATTACKS[2]),
+    "linear-1": (LinearArch(3), ATTACKS[1]),
+    "mlp-linear": (MlpArch((3, 4, 1)), ATTACKS[2]),
     "mlp": (MlpArch((3, 4, 1), output="sigmoid"), ATTACKS[2]),
 }
 
@@ -387,7 +387,7 @@ def test_realize_subset_equals_rows_of_full_realisation():
 def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
     # objective prefers theta = 1; the attacked score theta * (x + eps) is
     # capped at 0.5, so the constraint binds and mu leaves zero
-    arch = LinearArch(in_dim=1, out_dim=1, bias=False)
+    arch = LinearArch(in_dim=1, bias=False)
     obj = Dataset(features=np.ones((6, 1)), labels=np.linspace(0.8, 1.2, 6), name="obj")
     con = Dataset(features=np.full((5, 1), 0.5), labels=np.ones(5, dtype=np.int64),
                   name="con")
