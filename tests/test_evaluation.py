@@ -65,7 +65,17 @@ def models(seed=1):
         ModelState(rng.normal(0.0, 1.0, 4), LogisticArch(3)),
         ModelState(rng.normal(0.0, 1.0, 4), LinearArch(3)),
         init_model(MlpArch((3, 5, 1), output="sigmoid"), seed=seed),
+        init_model(MlpArch((3, 4, 1), activation="relu"), seed=seed),
     ]
+
+
+def model_id(model):
+    """The architecture's kind; an MLP with a linear output names its
+    activation too, to tell it from the sigmoid one."""
+    arch = model.arch
+    if arch.kind == "mlp" and arch.output == "linear":
+        return f"mlp-{arch.activation}-linear"
+    return arch.kind
 
 
 def fairness_shaped(kind, seed=0):
@@ -137,7 +147,7 @@ def constraint_values(risk, problem):
                                          for kind in LOSS_KINDS] + [
     pytest.param(kind, shape, id=f"{shape}-{kind}")
     for shape in ("views-only", "shared-terms") for kind in LOSS_KINDS])
-@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
+@pytest.mark.parametrize("model", models(), ids=model_id)
 def test_group_views_with_references_read_exactly_their_own_risks(kind, shape, model,
                                                                   monkeypatch):
     import duallearn.models as models_mod
@@ -169,7 +179,7 @@ def test_group_views_with_references_read_exactly_their_own_risks(kind, shape, m
 
 
 @pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
-@pytest.mark.parametrize("model", models(), ids=lambda m: m.arch.kind)
+@pytest.mark.parametrize("model", models(), ids=model_id)
 def test_gradient_terms_read_exactly_their_own_backprops(kind, model):
     problem = fairness_shaped(kind)
     terms = [(1.0, CE, problem.objective_dataset)]
@@ -438,7 +448,7 @@ def random_mus(m, count=20, seed=0):
     return mus
 
 
-@pytest.mark.parametrize("model", models(seed=11), ids=lambda m: m.arch.kind)
+@pytest.mark.parametrize("model", models(seed=11), ids=model_id)
 def test_a_reused_evaluation_reads_the_gradient_and_lagrangian_of_a_fresh_one(model):
     problem = memo_problem()
     ev = Evaluation(model)

@@ -55,6 +55,11 @@ def finite_diff_input(model, loss, x, label, h=1e-5):
 
 
 class TestPredict:
+    def test_linear_identity(self):
+        model = ModelState(np.array([1.0, 0.0]), LinearArch(1))
+        for x in (0.3, -1.2, 2.0):
+            assert np.array_equal(row_predict(model, np.array([x])), [x])
+
     def test_linear_score_reads_the_weights_then_the_bias(self):
         model = ModelState(np.array([2.0, -1.0, 0.5, 0.25]), LinearArch(3))
         assert np.array_equal(row_predict(model, np.array([0.5, 1.0, 2.0])), [1.25])
