@@ -22,7 +22,7 @@ _EXPORTS = {
                "optimizer_step", "save_model"),
     "oracle": ("DualEnumResult", "EcrmResult", "EnumerableProblem", "constrained_argmin",
                "dual_enumerate", "ecrm_enumerate", "example1_population_objective",
-               "example1_problem", "example1_sample", "example1_trial", "example1_trials"),
+               "example1_problem", "example1_sample", "example1_trial"),
     "primaldual": ("TrainConfig", "TrainTrace", "dual_update", "load_trace",
                    "mixture_risks", "randomized_solution", "recommend_hyperparams",
                    "save_trace", "train"),

@@ -24,19 +24,16 @@ Four commands over a single JSON config tree:
   fraction of trials landing on the doubled population objective. Each
   sample size N runs trials ``--seed`` to ``--seed + --trials - 1`` of its
   own draw stream, so the sizes draw independently (a trial's ``seed`` in
-  ``trials.jsonl`` is its id in that stream). Trials run in blocks of
-  `duallearn.oracle.example1_block_trials` (512 at every N), each block
-  drawn through slabs of at most 8,192 samples, one reused buffer, and its
-  risks read in closed form from its draws, with the bits of the library's
+  ``trials.jsonl`` is its id in that stream). The trials of each N run in
+  blocks of `duallearn.oracle.EX1_BLOCK_TRIALS` (512) consecutive seeds,
+  one job each for `duallearn.oracle.example1_block_lines`, which returns
+  a block's ``trials.jsonl`` lines, with the bits of the library's
   evaluation path (`oracle.example1_problem` and `oracle.ecrm_enumerate`),
-  which the tests compare them against. A block is one selection, one
-  rendering, one write and one ``--parallel-trials`` job: it comes back as
-  its ``trials.jsonl`` lines, rendered from its columns with the bytes of
-  ``json.dumps(record, sort_keys=True)``, and its counts for
-  ``summary.json``; its lines are written with one ``writelines`` before
-  the next block is computed, so a serial run's memory is bounded by one
-  block whatever the trial count, and the ``--parallel-trials`` workers
-  return the same blocks to the same writer. A 4,000-trial run at N = 10,
+  and its counts for ``summary.json``. A serial run computes each block
+  when the writer asks for it and writes its lines with one ``writelines``
+  before the next is computed, so its memory is bounded by one block
+  whatever the trial count; the ``--parallel-trials`` workers return the
+  same blocks, in order, to the same writer. A 4,000-trial run at N = 10,
   100 and 1000 is 24 blocks; the `duallearn.oracle` docstring splits its
   trial work into draws, closed-form stats, selection, line rendering and
   the write. A run that fails writes neither file.
@@ -49,7 +46,9 @@ dual-ascent modules, and the attack module only for a config with an
 calculators. Importing this module loads only the config, core, errors and
 models modules it shares with all of them.
 
-Configs are validated strictly, with the full key path in every error.
+Configs are validated strictly, with the full key path in every error; a
+value that a section's own constructor refuses is named by the section's
+path (see `duallearn.config.refusals_named`).
 Each section that configures a dataclass (every loss and attack, the model
 architecture, the gradient inner solver, the dual schedule and the csv
 schema) takes its keys, types and defaults from that dataclass (see
@@ -68,7 +67,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -78,7 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import check, from_config, read, require
+from .config import check, from_config, read, refusals_named, require
 from .core import LOSS_KINDS, ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm
 from .errors import ConfigurationError, DualLearnError, InputError
 from .models import (
@@ -175,8 +173,9 @@ def _build_attack(spec, seed: int) -> tuple[AttackConfig, dict]:
                 raise ConfigurationError(
                     f"attack.{key} cannot be combined with attack.preset {preset!r}, "
                     "which sets it")
-        made = getattr(AttackConfig, _ATTACK_PRESETS[preset])(
-            check(require(rest, "epsilon", "attack."), float, "attack.epsilon"))
+        epsilon = check(require(rest, "epsilon", "attack."), float, "attack.epsilon")
+        with refusals_named("attack."):
+            made = getattr(AttackConfig, _ATTACK_PRESETS[preset])(epsilon)
         defaults = {"seed": seed, **{key: getattr(made, key) for key in _PRESET_KEYS}}
     cfg, echo = from_config(AttackConfig, rest, "attack.", defaults,
                             clamp_box=None if lo is None else (lo, hi))
@@ -206,7 +205,8 @@ def _build_datasets(specs: dict, base_dir: Path):
             values = echo[name] = {"seed": 0, **read(spec, _TWO_GAUSSIANS, ctx)}
             dim, means, sigma, n = (require(values, key, ctx)
                                     for key in ("dim", "means", "sigma", "n"))
-            ds = synth_two_gaussians(dim, means, sigma, n, values["seed"])
+            with refusals_named(ctx):
+                ds = synth_two_gaussians(dim, means, sigma, n, values["seed"])
             groups = None
         else:
             raise ConfigurationError(f"{ctx}kind: unknown kind {kind!r}")
@@ -420,7 +420,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    from .oracle import example1_block_lines, example1_block_trials, example1_lines
+    from .oracle import EX1_BLOCK_TRIALS, example1_block_lines
 
     try:
         ns = [int(v) for v in args.n.split(",")]
@@ -437,6 +437,9 @@ def cmd_example1(args) -> int:
         raise ConfigurationError(f"--parallel-trials must be >= 1, got {args.parallel_trials}")
     out = _out_dir(args, "example1")
     seeds = range(args.seed, args.seed + args.trials)
+    # one job per block of trials, in record order
+    jobs = [(n, seeds[i:i + EX1_BLOCK_TRIALS])
+            for n in ns for i in range(0, len(seeds), EX1_BLOCK_TRIALS)]
     doubled, infeasible = dict.fromkeys(ns, 0), dict.fromkeys(ns, 0)
     pool = contextlib.nullcontext()
     if args.parallel_trials > 1:
@@ -450,13 +453,8 @@ def cmd_example1(args) -> int:
     partial = out / "trials.jsonl.partial"
     try:
         with pool as workers, partial.open("w") as f:
-            if workers is None:
-                blocks = itertools.chain.from_iterable(example1_lines(n, seeds) for n in ns)
-            else:
-                # one job per block of trials, in record order
-                jobs = [(n, seeds[i:i + example1_block_trials(n)])
-                        for n in ns for i in range(0, len(seeds), example1_block_trials(n))]
-                blocks = workers.map(example1_block_lines, *zip(*jobs))
+            # the builtin map is lazy: a serial run computes a block when it is written
+            blocks = (map if workers is None else workers.map)(example1_block_lines, *zip(*jobs))
             for n, lines, block_doubled, block_infeasible in blocks:
                 f.writelines(lines)
                 doubled[n] += block_doubled

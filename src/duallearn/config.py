@@ -4,12 +4,13 @@ names the full key path."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import types
 import typing
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
                dict: "an object", list: "a list", tuple: "a list"}
@@ -59,6 +60,19 @@ def read(node, schema: dict, path: str) -> dict:
     return {key: check(value, schema[key], path + key) for key, value in node.items()}
 
 
+@contextlib.contextmanager
+def refusals_named(path: str):
+    """Re-raise the refusal of a section's constructor (a ConfigurationError
+    or an InputError) as a ConfigurationError prefixed with the section's
+    key path `path`; at the root, where `path` is empty, as it is."""
+    try:
+        yield
+    except (ConfigurationError, InputError) as err:
+        if not path:
+            raise
+        raise ConfigurationError(f"{path.rstrip('.')}: {err}") from None
+
+
 def require(cfg: dict, key: str, context: str):
     if key not in cfg or cfg[key] is None:
         raise ConfigurationError(f"missing config key {context}{key}")
@@ -74,7 +88,9 @@ def from_config(cls, node, path: str, defaults: dict | None = None,
     renamed where `keys` (field -> key) says so; each value is checked
     against its field's annotation (see `check`). An absent key takes its
     entry in `defaults`, called with the other values when it is a function,
-    or else the field's default; a field with neither is required.
+    or else the field's default; a field with neither is required. A value
+    that `cls` refuses is a ConfigurationError naming `path` (see
+    `refusals_named`).
     """
     hints = typing.get_type_hints(cls)
     fields = {(keys or {}).get(f.name, f.name): f for f in dataclasses.fields(cls)
@@ -88,4 +104,5 @@ def from_config(cls, node, path: str, defaults: dict | None = None,
                 raise ConfigurationError(f"missing config key {path}{key}")
             (derived if callable(default) else values)[key] = default
     values.update({key: fn(values) for key, fn in derived.items()})
-    return cls(**{fields[key].name: v for key, v in values.items()}, **given), values
+    with refusals_named(path):
+        return cls(**{fields[key].name: v for key, v in values.items()}, **given), values

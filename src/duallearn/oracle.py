@@ -9,33 +9,31 @@ version almost surely excludes the population optimum, selecting a
 parameter with twice the population objective. Its closed forms make it a
 sharp oracle for the rest of the library.
 
-Monte-Carlo trials of that instance run in blocks of `_EX1_BLOCK_TRIALS`
-(512) trials at every sample size N. A block is the unit that pays the
-fixed costs: one draw stream per run of consecutive seeds, one selection,
-one rendering of its lines, one write, and one `--parallel-trials` job.
-Its draws go through slabs of at most `_BLOCK_ROWS` (8,192) samples,
-`max(1, 8192 // N)` trials, which bound its memory. Trial `seed` of N
-samples is row block `seed` of 3N doubles in one PCG64 stream per N, so a
-run of consecutive trials is one jump ahead, however many slabs it spans,
-and different N draw from independent streams.
+Monte-Carlo trials of that instance run in blocks: `example1_block_lines`
+takes a range of consecutive seeds at one sample size N and returns their
+``trials.jsonl`` lines, which is the one form a trial is computed in. The
+`example1` command runs blocks of `EX1_BLOCK_TRIALS` (512) trials; a block
+is one draw stream, one selection, one rendering of its lines, one write
+and one `--parallel-trials` job. Trial `seed` of N samples is row block
+`seed` of 3N doubles in one PCG64 stream per N, so a block is that stream
+jumped ahead once, to its first seed, and different N draw from
+independent streams. Its draws go through slabs of at most `_BLOCK_ROWS`
+(8,192) samples, `max(1, 8192 // N)` trials, which bound its memory.
 
 Every loss value of a trial is known exactly from its draws, so a block
 reads its risks in closed form (see `_example1_block_stats`), without
 feature tables or forward passes: each risk is the sum of one row of a
 C-ordered (k, N) array of loss values in a slab, divided by N. numpy
 reduces each such row as it reduces a length-N vector, and the division
-is elementwise, so a trial's risks, slacks and record have the bits of
+is elementwise, so a trial's risks, slacks and line have the bits of
 enumerating it on its own through `example1_problem` and
 `ecrm_enumerate`, the library's evaluation path, which the tests compare
-the blocks against, whatever the block and slab sizes.
+the lines against, whatever the block and slab sizes.
 
-A block is computed once, as two columns: each trial's tau_bar and its
-outcome (candidate [1, 1], candidate [1, 0] or none feasible). It is
-rendered two ways from them: as records (`example1_blocks`,
-`example1_trials`) for the library and the tests, and as ``trials.jsonl``
-lines (`example1_lines`, `example1_block_lines`) for the `example1`
-command, which builds no record and runs no JSON encoder per trial. In
-one process on a 2-vCPU virtual machine, the trials of
+A block's lines are rendered from two columns, each trial's tau_bar and
+its outcome (candidate [1, 1], candidate [1, 0] or none feasible), with
+no record built and no JSON encoder run per trial. In one process on a
+2-vCPU virtual machine, the trials of
 ``example1 --n 10,100,1000 --trials 4000`` run as 24 blocks and split
 into draws 30 ms, closed-form stats 42 ms, selection under 5 ms, line
 rendering 9-12 ms and the write 2 ms, 87-90 ms in all.
@@ -43,16 +41,15 @@ rendering 9-12 ms and the write 2 ms, 87-90 ms in all.
 A block allocates its slab (at most 8,192 samples of three uniforms, tau,
 a scratch column and heads, about 330 KB) and its columns (about 45 KB)
 on entry, reuses the slab for every slab of trials, and frees both before
-its records or lines are built, so a run holds one or the other, never
-both; the records and lines hold Python values only, at most 512 trials'
-worth. Buffers kept across the blocks of an N would sit beside every
-block's lines, and saved at most about 20 of that run's 5,300 minor page
-faults.
+its lines are built, so a run holds one or the other, never both; the
+lines are at most 512 trials' worth. Buffers kept across the blocks of an
+N would sit beside every block's lines, and saved at most about 20 of
+that run's 5,300 minor page faults.
 """
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -64,41 +61,26 @@ from .errors import ConfigurationError, InputError, NumericError
 from .models import LinearArch, ModelState
 
 
-def _example1_slabs(N: int, seeds: list[int], size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The uniforms of trials `seeds`, drawn `size` trials at a time into one
-    C-ordered (min(size, T), 3, N) buffer, which every slab reuses: yields
-    (t, u), u[i] the (3, N) uniforms of trial seeds[t + i], each u valid
-    until the next is drawn. Trial s is row block s of 3N doubles in the
-    stream of SeedSequence(0, spawn_key=(N,)); each maximal run of
-    consecutive seeds is one stream, jumped ahead once, whichever slabs it
+def _example1_slabs(N: int, seeds: range, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The uniforms of the consecutive trials `seeds`, drawn `size` trials at
+    a time into one C-ordered (min(size, T), 3, N) buffer, which every slab
+    reuses: yields (t, u), u[i] the (3, N) uniforms of trial seeds[t + i],
+    each u valid until the next is drawn. Trial s is row block s of 3N
+    doubles in the stream of SeedSequence(0, spawn_key=(N,)), so the block
+    is one stream, jumped ahead once to seeds.start, whichever slabs it
     spans.
     """
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
+    if seeds.step != 1:
+        raise InputError(f"seeds must be a range of consecutive trials, got {seeds}")
+    if seeds.start < 0:
+        raise InputError(f"seed must be >= 0, got {seeds.start}")
+    bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
+    bits.advance(3 * N * seeds.start)
+    draw = np.random.Generator(bits).random
     T = len(seeds)
-    runs = {t for t in range(T) if t == 0 or seeds[t] != seeds[t - 1] + 1}
     u = np.empty((min(size, T), 3, N))
-    cuts = sorted(runs.union(range(0, T, size)))
-    for a, b in zip(cuts, [*cuts[1:], T]):
-        if a in runs:
-            if seeds[a] < 0:
-                raise InputError(f"seed must be >= 0, got {seeds[a]}")
-            bits = np.random.PCG64(np.random.SeedSequence(0, spawn_key=(N,)))
-            bits.advance(3 * N * seeds[a])
-            draw = np.random.Generator(bits).random
-        start = a - a % size
-        draw(out=u[a - start:b - start])
-        if b == T or b % size == 0:
-            yield start, u[:b - start]
-
-
-def _example1_draws(N: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, alpha, heads) of trials `seeds`, each a (T, N) array with row t
-    for trial seeds[t]: tau = u[0] - 1/2, alpha = u[1] / 4 and
-    heads = u[2] < 1/2 of the trial's uniforms (see `_example1_slabs`).
-    """
-    ((_, u),) = _example1_slabs(N, seeds, len(seeds))
-    return u[:, 0] - 0.5, u[:, 1] * 0.25, u[:, 2] < 0.5
+    for t in range(0, T, size):
+        yield t, draw(out=u[:min(size, T - t)])
 
 
 def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -109,9 +91,12 @@ def example1_sample(N: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     nominal sample is ([tau, -tau], -1) or ([0, alpha], +1) with equal
     probability, and the two constraint samples are ([-1, tau], +1) and
     ([-tau, 1], +1). `seed` is the trial's id in the draw stream of its N
-    (see `_example1_draws`), so every N draws independently.
+    (see `_example1_slabs`), so every N draws independently: with the
+    trial's uniforms u, tau = u[0] - 1/2, alpha = u[1] / 4 and
+    heads = u[2] < 1/2.
     """
-    tau, alpha, heads = (a[0] for a in _example1_draws(N, [seed]))
+    ((_, (u,)),) = _example1_slabs(N, range(seed, seed + 1), 1)
+    tau, alpha, heads = u[0] - 0.5, u[1] * 0.25, u[2] < 0.5
     ones = np.ones(N, dtype=np.int64)
     return (
         Dataset(features=np.column_stack([np.where(heads, 0.0, tau), np.where(heads, alpha, -tau)]),
@@ -147,12 +132,13 @@ _EX1_CANDIDATES = tuple(ModelState(np.asarray(c, dtype=float), _EX1_ARCH)
                         for c in ((1.0, 1.0), (1.0, 0.0)))
 
 
-def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "EnumerableProblem":
-    """The pathological instance over a drawn sample set, ready to enumerate.
+def example1_problem(N: int, seed: int) -> "EnumerableProblem":
+    """The pathological instance over a drawn sample set, ready to enumerate
+    over its two candidates.
 
     With `ecrm_enumerate`, this is the library's evaluation path of one
     trial: the reference that the tests compare the closed-form block
-    risks of `example1_blocks` against, bit for bit.
+    risks and lines of `example1_block_lines` against, bit for bit.
     """
     d0, d1, d2 = example1_sample(N, seed)
     lo, hi = _EX1_THRESHOLDS
@@ -165,7 +151,7 @@ def example1_problem(N: int, seed: int, candidates=_EX1_CANDIDATES) -> "Enumerab
         ),
         name=f"example1-N{N}-seed{seed}",
     )
-    return EnumerableProblem(problem=problem, candidates=candidates)
+    return EnumerableProblem(problem=problem, candidates=_EX1_CANDIDATES)
 
 
 @dataclass(frozen=True)
@@ -273,91 +259,39 @@ def dual_enumerate(ep: EnumerableProblem) -> DualEnumResult:
 # example1 trials in one block, at every N; a run holds at most this many
 # trials' lines. Blocks of 819 or 1,024 trials were no faster in one process,
 # and more lines per block raise the peak memory.
-_EX1_BLOCK_TRIALS = 512
+EX1_BLOCK_TRIALS = 512
 _BLOCK_ROWS = 8192  # samples (trials times N) in one slab of a block's draws
-# Each outcome of a trial as a record holds it: (feasible, theta_hat,
-# population_J) of each candidate, then of no feasible candidate.
-_EX1_OUTCOMES = (*((True, [float(v) for v in c.params],
-                    float(example1_population_objective(c.params))) for c in _EX1_CANDIDATES),
-                 (False, None, None))
 _EX1_INFEASIBLE = len(_EX1_CANDIDATES)
 _EX1_DOUBLED = 1  # candidate [1, 0]: population objective 1/8, twice that of [1, 1]
-# Each outcome's feasible, population_J and theta_hat as JSON text; json
-# writes a float as its repr.
-_EX1_OUTCOME_JSON = tuple(
-    ("true" if feasible else "false", "null" if J is None else repr(J),
-     "null" if theta is None else f"[{', '.join(map(repr, theta))}]")
-    for feasible, theta, J in _EX1_OUTCOMES)
-
-
-def example1_block_trials(N: int) -> int:
-    """How many example1 trials of N samples `example1_trials` runs as one
-    block: `_EX1_BLOCK_TRIALS` at every N. A block is one selection, one
-    rendering of its records or lines and one `--parallel-trials` job; its
-    draws go through slabs of `_example1_slab_trials(N)` trials, at most
-    `_BLOCK_ROWS` samples, one reused buffer for the whole block."""
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
-    return _EX1_BLOCK_TRIALS
+# The feasible, population_J and theta_hat of each outcome as JSON text: of
+# each candidate, then of no feasible candidate.
+_EX1_OUTCOME_JSON = (*(("true", json.dumps(float(example1_population_objective(c.params))),
+                        json.dumps(c.params.tolist())) for c in _EX1_CANDIDATES),
+                     ("false", "null", "null"))
 
 
 def _example1_slab_trials(N: int) -> int:
     """How many example1 trials of N samples one slab of a block draws at
     most: as many as fit in `_BLOCK_ROWS` samples, and at least one."""
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
     return max(1, _BLOCK_ROWS // N)
 
 
-def _example1_seed_blocks(N: int, seeds) -> Iterator[list[int]]:
-    """`seeds` as ints, read one block of `example1_block_trials(N)` at a time."""
-    size = example1_block_trials(N)
-    seeds = iter(seeds)
-    block = [int(s) for s in itertools.islice(seeds, size)]
-    while block:
-        yield block
-        block = [int(s) for s in itertools.islice(seeds, size)]
+def example1_block_lines(N: int, seeds: range) -> tuple[int, list[str], int, int]:
+    """The trials `seeds`, a range of consecutive ids in the draw stream of
+    N, as (N, lines, doubled, infeasible): each trial's ``trials.jsonl``
+    line, then how many trials selected the parameter at twice the
+    population optimum and how many had no feasible candidate. A range
+    whose step is not 1, or whose start is negative, is an InputError.
 
-
-def example1_blocks(N: int, seeds) -> Iterator[list[dict]]:
-    """The records of one pathology trial per seed, in order, one list per
-    block of `example1_block_trials(N)` seeds: draw, read the risks in closed
-    form, select, and score the selected parameter. Each record carries the
-    empirical mean of tau, the selected parameter pair (None when no
-    candidate is feasible) and its population objective, and has the bits of
-    the library's evaluation path `ecrm_enumerate(example1_problem(N, seed))`,
-    the reference the tests compare it against (see the module docstring).
-
-    Seeds are read one block at a time. A block's slab and columns are
-    freed before its records are built, and the records hold no array.
-    """
-    for block in _example1_seed_blocks(N, seeds):
-        yield _example1_block_records(N, block)
-
-
-def example1_trials(N: int, seeds) -> list[dict]:
-    """One pathology trial per seed, in order: the records of
-    `example1_blocks(N, seeds)`, flattened, with the bits of the library's
-    evaluation path `ecrm_enumerate(example1_problem(N, seed))`."""
-    return [r for block in example1_blocks(N, seeds) for r in block]
-
-
-def example1_lines(N: int, seeds) -> Iterator[tuple[int, list[str], int, int]]:
-    """The trials of `example1_blocks(N, seeds)` as ``trials.jsonl`` lines:
-    `example1_block_lines` of each block, in order."""
-    for block in _example1_seed_blocks(N, seeds):
-        yield example1_block_lines(N, block)
-
-
-def example1_block_lines(N: int, seeds) -> tuple[int, list[str], int, int]:
-    """One block of trials as (N, lines, doubled, infeasible): each trial's
-    record as its ``trials.jsonl`` line, the bytes of
-    ``json.dumps(record, sort_keys=True) + "\\n"``, then how many trials
-    selected the parameter at twice the population optimum and how many
-    had no feasible candidate.
-
-    A trial has one of three outcomes, so its line is its outcome's head
-    (N, feasible and population_J, in the keys' sorted order), its seed,
-    the repr of its tau_bar, which is how json writes a float, and its
-    outcome's theta_hat.
+    A trial's line is ``json.dumps(record, sort_keys=True)`` and a newline,
+    for the record of its seed, N, tau_bar (the empirical mean of tau),
+    feasible, theta_hat (the selected pair, or None) and its population_J,
+    with the bits of `ecrm_enumerate(example1_problem(N, seed))`. With three
+    outcomes, a line is its outcome's head (N, feasible and population_J, in
+    sorted key order), its seed, the repr of its tau_bar, which is how json
+    writes a float, and its outcome's theta_hat.
     """
     tau_bar, outcomes = _example1_block_outcomes(N, seeds)
     formats = [f'{{"N": {N}, "feasible": {feasible}, "population_J": {J}, '
@@ -367,19 +301,7 @@ def example1_block_lines(N: int, seeds) -> tuple[int, list[str], int, int]:
     return N, lines, outcomes.count(_EX1_DOUBLED), outcomes.count(_EX1_INFEASIBLE)
 
 
-def _example1_block_records(N: int, seeds: list[int]) -> list[dict]:
-    """The records of one block of trials."""
-    tau_bar, outcomes = _example1_block_outcomes(N, seeds)
-    records = []
-    for seed, mean, k in zip(seeds, tau_bar, outcomes):
-        feasible, theta, J = _EX1_OUTCOMES[k]
-        records.append({"seed": seed, "N": N, "tau_bar": mean, "feasible": feasible,
-                        "theta_hat": None if theta is None else list(theta),
-                        "population_J": J})
-    return records
-
-
-def _example1_block_outcomes(N: int, seeds: list[int]) -> tuple[list[float], list[int]]:
+def _example1_block_outcomes(N: int, seeds: range) -> tuple[list[float], list[int]]:
     """(tau_bar, outcome) of one block of trials, as Python lists: each
     trial's empirical mean of tau, and the index of its selected candidate,
     or `_EX1_INFEASIBLE` where no candidate is feasible. The block's draws,
@@ -389,7 +311,7 @@ def _example1_block_outcomes(N: int, seeds: list[int]) -> tuple[list[float], lis
     return tau_bar.tolist(), np.where(value == math.inf, _EX1_INFEASIBLE, index).tolist()
 
 
-def _example1_block_stats(N: int, seeds: list[int]):
+def _example1_block_stats(N: int, seeds: range):
     """(R, S, tau_bar) of one block of trials: R (T, J) holds each trial's
     objective risks at the J candidates, S (T, J, m) its slack vectors,
     risk - c as `Problem.slacks_of` computes them.
@@ -443,5 +365,6 @@ def _example1_block_stats(N: int, seeds: list[int]):
 
 
 def example1_trial(N: int, seed: int) -> dict:
-    """One pathology trial (see `example1_trials`)."""
-    return example1_trials(N, [seed])[0]
+    """One pathology trial as its record: its line of `example1_block_lines`,
+    decoded."""
+    return json.loads(example1_block_lines(N, range(seed, seed + 1))[1][0])

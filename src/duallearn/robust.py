@@ -64,7 +64,7 @@ class AttackConfig:
         if not (math.isfinite(self.step_size) and self.step_size >= 0):
             raise ConfigurationError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.seed < 0:  # a restart generator is seeded by seed XOR a sample index
-            raise ConfigurationError(f"attack.seed must be >= 0, got {self.seed}")
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.clamp_box is not None:
             lo, hi = self.clamp_box
             if not lo < hi:  # also true of a NaN bound; an infinite one leaves its side open

@@ -16,8 +16,8 @@ from duallearn.core import LossSpec, empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
 from duallearn.models import LogisticArch, MlpArch, ModelState, init_model, save_model
-from duallearn.oracle import (ecrm_enumerate, example1_block_trials, example1_lines,
-                              example1_problem, example1_trials)
+from duallearn.oracle import (EX1_BLOCK_TRIALS, ecrm_enumerate, example1_block_lines,
+                              example1_problem)
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
@@ -263,9 +263,30 @@ def set_key(path, value):
     ("fairness_train.json", set_key(["model", "init_seed"], -1),
      "model.init_seed must be >= 0, got -1"),
     # a negative attack seed, whichever model would read it
-    ("robust_train.json", set_key(["attack", "seed"], -3), "attack.seed must be >= 0, got -3"),
+    ("robust_train.json", set_key(["attack", "seed"], -3), "attack: seed must be >= 0, got -3"),
     ("robust_train.json", lambda cfg: pgd_mlp(cfg, {"seed": -3}),
-     "attack.seed must be >= 0, got -3"),
+     "attack: seed must be >= 0, got -3"),
+    # a value that the section's own constructor refuses, named by its section
+    ("fairness_train.json", set_key(["model", "in_dim"], 0),
+     "model: logistic in_dim must be >= 1"),
+    ("fairness_train.json", set_key(["dual", "iterations_T"], 0),
+     "dual: iterations_T must be >= 1"),
+    ("fairness_train.json", set_key(["inner", "step_size"], -1),
+     "inner: step_size must be positive and finite, got -1.0"),
+    ("robust_train.json", set_key(["attack", "epsilon"], -1),
+     "attack: epsilon must be finite and >= 0, got -1.0"),
+    ("robust_train.json", lambda cfg: pgd_mlp(cfg, {"preset": None, "epsilon": -1}),
+     "attack: epsilon must be finite and >= 0, got -1.0"),
+    ("fairness_train.json", set_key(["problem", "datasets", "train", "label_kind"], "bogus"),
+     "problem.datasets.train: label_kind must be 'class' or 'real', got 'bogus'"),
+    ("fairness_train.json", set_key(["problem", "datasets", "train", "feature_columns"], []),
+     "problem.datasets.train: schema needs at least one feature column"),
+    ("robust_train.json", set_key(["problem", "datasets", "synth", "sigma"], 0),
+     "problem.datasets.synth: sigma must be positive, got 0.0"),
+    ("robust_train.json", set_key(["problem", "datasets", "synth", "n"], 1),
+     "problem.datasets.synth: N must be >= 2, got 1"),
+    ("robust_train.json", set_key(["problem", "datasets", "synth", "dim"], 3),
+     "problem.datasets.synth: means must have shape (2, 3), got (2, 2)"),
     # a float for an int key, a bool for a number key
     ("fairness_train.json", set_key(["inner", "epochs"], 1.0),
      "config key inner.epochs must be an integer, got float"),
@@ -433,7 +454,7 @@ def test_a_model_with_more_outputs_than_the_losses_take_is_refused_up_front(tmp_
     ({"arch": "linear", "in_dim": 5},
      "model.in_dim: the model takes 5 features, but the config's problem has 6"),
     ({"arch": "mlp", "widths": [6, 3, 2]},
-     "mlp widths must end in 1 (every model has one output), got (6, 3, 2)"),
+     "model: mlp widths must end in 1 (every model has one output), got (6, 3, 2)"),
 ], ids=["in_dim", "mlp-widths"])
 def test_train_refuses_a_model_that_does_not_fit_before_writing(tmp_path, capsys, model,
                                                                 message):
@@ -742,9 +763,10 @@ def test_parallel_example1_trials_write_the_serial_bytes(tmp_path):
 
 def example1_all_at_once(ns, trials, seed):
     """The (trials.jsonl, summary.json) bytes of `example1` as it was written:
-    every record of every N held, encoded and joined, then counted per N."""
+    every record of every N held, each N one block, then encoded, joined and
+    counted per N."""
     seeds = range(seed, seed + trials)
-    records = [r for n in ns for r in example1_trials(n, seeds)]
+    records = [json.loads(line) for n in ns for line in example1_block_lines(n, seeds)[1]]
     lines = [json.dumps(r, sort_keys=True) for r in records]
     summary = {"command": "example1", "trials": trials, "seed": seed, "per_N": {}}
     for n in ns:
@@ -771,21 +793,21 @@ def test_streamed_example1_writes_the_all_at_once_bytes(tmp_path, monkeypatch, n
     calls = []
 
     def recorded(n, seeds):
-        for block in example1_lines(n, seeds):
-            calls.append((n, len(block[1])))
-            yield block
+        calls.append((n, seeds))
+        return example1_block_lines(n, seeds)
 
     want_trials, want_summary = example1_all_at_once(ns, trials, 3)
-    monkeypatch.setattr(oracle, "example1_lines", recorded)
+    monkeypatch.setattr(oracle, "example1_block_lines", recorded)
     args = ["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials), "--seed", "3"]
     assert main([*args, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trials.jsonl").read_bytes() == want_trials
     assert (tmp_path / "summary.json").read_bytes() == want_summary
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trials.jsonl"]
-    # never more seeds in one call than one block holds, every seed once
-    assert all(size <= example1_block_trials(n) for n, size in calls)
+    # blocks of consecutive seeds, never more than one block holds, every seed once in order
+    assert all(len(seeds) <= EX1_BLOCK_TRIALS and seeds.step == 1 for _, seeds in calls)
     assert [n for n, _ in calls] == sorted((n for n, _ in calls), key=ns.index)
-    assert {n: sum(size for m, size in calls if m == n) for n in ns} == dict.fromkeys(ns, trials)
+    for n in ns:
+        assert [s for m, seeds in calls if m == n for s in seeds] == list(range(3, 3 + trials))
 
 
 def test_example1_builds_one_generator_per_block(tmp_path, monkeypatch):
@@ -802,7 +824,7 @@ def test_example1_builds_one_generator_per_block(tmp_path, monkeypatch):
     ns, trials = (10, 100, 1000), 4000
     assert main(["example1", "--n", ",".join(map(str, ns)), "--trials", str(trials),
                  "--out", str(tmp_path)]) == 0
-    blocks = sum(math.ceil(trials / example1_block_trials(n)) for n in ns)
+    blocks = len(ns) * math.ceil(trials / EX1_BLOCK_TRIALS)
     assert blocks == 3 * math.ceil(4000 / 512) == 24
     assert len(built) == blocks  # not one per slab (5 + 50 + 500) or per trial (12,000)
 
@@ -862,7 +884,7 @@ def test_example1_memory_does_not_grow_with_the_trial_count(tmp_path):
     hold the same largest block.
     Each peak is taken above the memory held when its run starts, which
     neither run allocates."""
-    block = example1_block_trials(10)
+    block = EX1_BLOCK_TRIALS
 
     def peak(trials: int) -> int:
         tracemalloc.reset_peak()
@@ -886,24 +908,23 @@ def test_a_failed_example1_block_writes_nothing(tmp_path, monkeypatch, capsys):
     calls = []
 
     def third_block_fails(n, seeds):
-        for block in example1_lines(n, seeds):
-            calls.append(n)
-            if len(calls) == 3:
-                raise InputError("block three failed")
-            yield block
+        calls.append(n)
+        if len(calls) == 3:
+            raise InputError("block three failed")
+        return example1_block_lines(n, seeds)
 
-    monkeypatch.setattr(oracle, "example1_lines", third_block_fails)
-    args = ["example1", "--n", "1000", "--trials", str(2 * example1_block_trials(1000) + 1)]
+    monkeypatch.setattr(oracle, "example1_block_lines", third_block_fails)
+    args = ["example1", "--n", "1000", "--trials", str(2 * EX1_BLOCK_TRIALS + 1)]
     assert main([*args, "--out", str(tmp_path / "fresh")]) == 1
     assert "block three failed" in capsys.readouterr().err
     assert list((tmp_path / "fresh").iterdir()) == []
 
     # a failed run leaves the outputs of an earlier run in its directory as they were
-    monkeypatch.setattr(oracle, "example1_lines", example1_lines)
+    monkeypatch.setattr(oracle, "example1_block_lines", example1_block_lines)
     assert main([*args, "--out", str(tmp_path / "rerun")]) == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
     calls.clear()
-    monkeypatch.setattr(oracle, "example1_lines", third_block_fails)
+    monkeypatch.setattr(oracle, "example1_block_lines", third_block_fails)
     assert main([*args, "--seed", "5", "--out", str(tmp_path / "rerun")]) == 1
     assert {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()} == before
 

@@ -38,10 +38,9 @@ ALLOWED = {
     "library API, called by the oracle, the benchmark's tracer and the tests": (
         "__init__.__dir__", "core.empirical_risk", "lagrangian.dual_function",
         "lagrangian.enumeration_stats", "lagrangian.slacks", "models.grad_params",
-        "oracle.EnumerableProblem.__post_init__", "oracle._example1_block_records",
-        "oracle._example1_draws", "oracle.dual_enumerate", "oracle.ecrm_enumerate",
-        "oracle.example1_blocks", "oracle.example1_problem", "oracle.example1_sample",
-        "oracle.example1_trial", "oracle.example1_trials", "primaldual.TrainTrace.__len__",
+        "oracle.EnumerableProblem.__post_init__", "oracle.dual_enumerate",
+        "oracle.ecrm_enumerate", "oracle.example1_problem", "oracle.example1_sample",
+        "oracle.example1_trial", "primaldual.TrainTrace.__len__",
     ),
     "the run report's diagnostics, which have no command yet": (
         "bounds.empirical_rademacher_stats", "primaldual.ergodic_complementary_slackness",
@@ -92,6 +91,7 @@ UNRUN = {
     "cli.cmd_example1": "--parallel-trials above 1, a bad --n and a failed block",
     "cli.main": "the exit codes of a refused or a failed command",
     "config.check": "the message of a mistyped key, an integer beyond the float range",
+    "config.refusals_named": "a value that a section's constructor refuses",
 }
 
 
