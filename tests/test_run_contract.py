@@ -5,17 +5,28 @@ import json
 
 import numpy as np
 
-from fixtures.run_contract import CONTRACT, digests
+from fixtures.run_contract import CONTRACT, digests, first_differing_line
 
 
 def test_shipped_commands_write_the_contract_bytes(tmp_path):
     contract = json.loads(CONTRACT.read_text())
-    got = digests(tmp_path)
-    assert got.keys() == contract["commands"].keys()
-    for shape, files in got.items():
+    files, lines = digests(tmp_path)
+    assert files.keys() == contract["commands"].keys()
+    faults = []
+    for shape, got in files.items():
         recorded = contract["commands"][shape]
-        differ = sorted(f for f in files.keys() | recorded.keys()
-                        if files.get(f) != recorded.get(f))
-        assert differ == [], (
-            f"{shape} wrote {differ} unlike the run contract, which numpy "
-            f"{contract['numpy']} recorded; this is numpy {np.__version__}")
+        for name in sorted(got.keys() | recorded.keys()):
+            if got.get(name) == recorded.get(name):
+                continue
+            fault = f"{shape}/{name} differs"
+            if name not in got:
+                fault = f"{shape}/{name} was not written"
+            elif name not in recorded:
+                fault = f"{shape}/{name} is not in the contract"
+            elif name in contract["lines"][shape]:
+                line = first_differing_line(lines[shape][name], contract["lines"][shape][name])
+                fault += f" from line {line} on"
+            faults.append(fault)
+    assert faults == [], (
+        f"unlike the run contract, which numpy {contract['numpy']} recorded (this is "
+        f"numpy {np.__version__}): {'; '.join(faults)}")
