@@ -4,12 +4,11 @@ Four commands over a single JSON config tree:
 
 - ``train``: build the configured problem and run projected dual ascent
   with the ADAM inner solver, which resumes each dual iteration from the
-  previous minimizer for ``inner.epochs`` passes; the library's enumeration
-  solver takes an explicit candidate list, which a config does not give.
-  The gradient steps minimize the problem's surrogate, in which each rate
-  indicator is a sigmoid with the indicator's own ``rate_shift`` and
-  ``rate_slope``; slacks and the trace read the indicators. The run
-  directory gets ``config_echo.json``, ``trace.jsonl`` (a header line, then
+  previous minimizer for ``inner.epochs`` passes. The gradient steps
+  minimize the problem's surrogate, in which each rate indicator is a
+  sigmoid with the indicator's own ``rate_shift`` and ``rate_slope``;
+  slacks and the trace read the indicators. The run directory gets
+  ``config_echo.json``, ``trace.jsonl`` (a header line, then
   one JSON record per iteration), ``thetas.npy`` when ``output.save_theta``
   is on (every iterate's theta as one (T, P) float64 array, named by the
   trace header; absent otherwise), ``final_model.txt`` and ``summary.json``.
@@ -344,8 +343,7 @@ def cmd_train(args) -> int:
         raise ConfigurationError(
             f"problem.objective.loss.kind: loss kind {objective.kind!r} has no gradient, "
             "and the gradient steps minimize the objective")
-    inner, inner_echo = from_config(InnerSolverConfig, require(cfg, "inner", ""), "inner.",
-                                    candidates=None)
+    inner, inner_echo = from_config(InnerSolverConfig, require(cfg, "inner", ""), "inner.")
     save_theta = cfg.get("output", {}).get("save_theta", True)
     tcfg, dual_echo = from_config(TrainConfig, require(cfg, "dual", ""), "dual.",
                                   keys=_DUAL_KEYS, inner=inner, seed=seed,

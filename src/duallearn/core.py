@@ -216,14 +216,6 @@ class LossSpec:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def cross_entropy(cls, clamp_p_min: float = 1e-6) -> LossSpec:
-        return cls(
-            kind="clamped-cross-entropy",
-            bound_B=-math.log(clamp_p_min),
-            clamp_p_min=clamp_p_min,
-        )
-
     @property
     def differentiable(self) -> bool:
         return self.kind in DIFFERENTIABLE_KINDS

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,13 +74,13 @@ def load_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, tuple[str, .
             feats.append([float(row[col[c]]) for c in schema.feature_columns])
         except ValueError as err:
             raise InputError(f"{path}: row {rownum}: non-numeric feature cell ({err})") from None
+        cell = row[col[schema.label_column]]
         try:
-            label = float(row[col[schema.label_column]])
+            label = float(cell)
         except ValueError:
-            raise InputError(
-                f"{path}: row {rownum}: non-numeric label "
-                f"{row[col[schema.label_column]]!r}"
-            ) from None
+            raise InputError(f"{path}: row {rownum}: non-numeric label {cell!r}") from None
+        if not math.isfinite(label):
+            raise InputError(f"{path}: row {rownum}: non-finite label {cell!r}")
         if schema.label_kind == "class":
             if label != int(label):
                 raise InputError(f"{path}: row {rownum}: class label {label} is not an integer")
@@ -90,39 +91,16 @@ def load_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, tuple[str, .
 
     if not feats:
         raise InputError(f"{path}: no data rows")
+    X = np.asarray(feats, dtype=float)
+    finite = np.isfinite(X)
+    if not finite.all():  # row i is file row i + 2, after the header
+        i, j = map(int, np.argwhere(~finite)[0])
+        raise InputError(f"{path}: row {i + 2}: non-finite feature cell "
+                         f"{schema.feature_columns[j]!r} ({X[i, j]})")
     labels_arr = (np.asarray(labels, dtype=np.int64) if schema.label_kind == "class"
                   else np.asarray(labels, dtype=float))
-    ds = Dataset(features=np.asarray(feats, dtype=float), labels=labels_arr, name=path.stem)
+    ds = Dataset(features=X, labels=labels_arr, name=path.stem)
     return ds, (tuple(groups) if schema.group_column is not None else None)
-
-
-def save_csv(dataset: Dataset, path: str | Path,
-             group_labels: tuple[str, ...] | None = None,
-             label_column: str = "label", group_column: str = "group",
-             feature_columns: tuple[str, ...] | None = None) -> None:
-    """Write a dataset back out with full-precision decimal text, so a
-    save/load round trip is bit exact."""
-    path = Path(path)
-    d = dataset.n_features
-    if feature_columns is None:
-        feature_columns = tuple(f"x{i}" for i in range(d))
-    if len(feature_columns) != d:
-        raise InputError(f"need {d} feature column names, got {len(feature_columns)}")
-    if group_labels is not None and len(group_labels) != len(dataset):
-        raise InputError("group_labels length must match the dataset")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(feature_columns) + [label_column]
-        if group_labels is not None:
-            header.append(group_column)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            label = dataset.labels[i]
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(label)) if dataset.labels.dtype.kind == "i" else repr(float(label)))
-            if group_labels is not None:
-                row.append(group_labels[i])
-            writer.writerow(row)
 
 
 def group_split(dataset: Dataset, group_labels) -> dict[str, Dataset]:
@@ -150,25 +128,25 @@ def group_split(dataset: Dataset, group_labels) -> dict[str, Dataset]:
     }
 
 
-def synth_two_gaussians(dim: int, means, sigma: float, N: int, seed: int) -> Dataset:
+def synth_two_gaussians(dim: int, means, sigma: float, n: int, seed: int) -> Dataset:
     """Binary classification task: two isotropic Gaussian blobs.
 
-    ceil(N/2) samples of class 0 at means[0], floor(N/2) of class 1 at
+    ceil(n/2) samples of class 0 at means[0], floor(n/2) of class 1 at
     means[1], noise scale sigma, deterministic per seed.
     """
-    if N < 2:
-        raise InputError(f"N must be >= 2, got {N}")
+    if n < 2:
+        raise InputError(f"n must be >= 2, got {n}")
     if sigma <= 0:
         raise InputError(f"sigma must be positive, got {sigma}")
     mu = np.asarray(means, dtype=float)
     if mu.shape != (2, dim):
         raise InputError(f"means must have shape (2, {dim}), got {mu.shape}")
     rng = np.random.default_rng(seed)
-    n1 = N // 2
-    n0 = N - n1
+    n1 = n // 2
+    n0 = n - n1
     X = np.concatenate([
         mu[0] + sigma * rng.standard_normal((n0, dim)),
         mu[1] + sigma * rng.standard_normal((n1, dim)),
     ])
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    return Dataset(features=X, labels=y, name=f"two-gaussians-N{N}-seed{seed}")
+    return Dataset(features=X, labels=y, name=f"two-gaussians-N{n}-seed{seed}")

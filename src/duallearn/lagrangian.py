@@ -1,13 +1,12 @@
 """Empirical Lagrangian, constraint slacks, and the dual function.
 
-The dual function value at a multiplier vector is the (approximate) minimum
-of the empirical Lagrangian over model parameters. An `InnerSolverConfig`
-with candidates is the exact enumeration over that finite list (ties break
-to the lowest index); without them it is seeded minibatch ADAM on the
-problem's `surrogate`, which returns its best iterate by surrogate
-Lagrangian and which a config trains with. Over a finite candidate list the
-dual function is the minimum of affine functions of mu, so its maximum over
-mu >= 0 is a linear program, which `oracle.dual_enumerate` solves exactly.
+The dual function value at a multiplier vector is the approximate minimum
+of the empirical Lagrangian over model parameters, found by the one inner
+solver, seeded minibatch ADAM on the problem's `surrogate`, which returns
+its best iterate by surrogate Lagrangian. Over a finite candidate list the
+exact dual function is the minimum of affine functions of mu, one per row
+of `enumeration_stats`, so its maximum over mu >= 0 is a linear program,
+which `oracle.dual_enumerate` solves exactly.
 
 The Lagrangian is a weighted sum of sample averages over views of a few
 tables, one per `Problem.terms` entry (the objective, then each constraint
@@ -67,28 +66,20 @@ class DualState:
 
 @dataclass(frozen=True)
 class InnerSolverConfig:
-    """How to (approximately) minimize the Lagrangian over parameters.
+    """How to approximately minimize the Lagrangian over parameters.
 
-    With `candidates`, the exact enumeration solver scans that list.
-    Otherwise `epochs` passes of minibatch ADAM (`batch_size` rows a step,
-    all of them when None, at `step_size`) keep the best scored iterate
-    (the start or an epoch's last), which is not certified optimal since
-    the landscape may be non-convex. In training each dual iteration
-    resumes from the previous minimizer, so `epochs=1` alternates one primal
-    epoch with one dual step.
+    `epochs` passes of minibatch ADAM (`batch_size` rows a step, all of them
+    when None, at `step_size`) keep the best scored iterate (the start or an
+    epoch's last), which is not certified optimal since the landscape may be
+    non-convex. In training each dual iteration resumes from the previous
+    minimizer, so `epochs=1` alternates one primal epoch with one dual step.
     """
 
     epochs: int = 1
     batch_size: int | None = None
     step_size: float = 1e-2
-    candidates: tuple[ModelState, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.candidates is not None:
-            if not self.candidates:
-                raise ConfigurationError("enumeration inner solver needs a nonempty candidate list")
-            object.__setattr__(self, "candidates", tuple(self.candidates))
-            return
         if self.epochs < 1:
             raise ConfigurationError("gradient inner solver needs epochs >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -120,8 +111,7 @@ def enumeration_stats(problem: Problem, candidates):
     j at any mu is then R[j] + S[j] . mu, so the dual function at any mu is
     one matrix product away. Attacked sets are realised against each
     candidate here; that realisation is deterministic (attack
-    restarts are seeded per sample), so the tables stay valid for every mu
-    and every iteration.
+    restarts are seeded per sample), so the tables stay valid for every mu.
     """
     R = np.empty(len(candidates))
     S = np.empty((len(candidates), problem.m))
@@ -227,20 +217,15 @@ def dual_function(dual: DualState, problem: Problem, solver: InnerSolverConfig,
                   init: ModelState, rng: np.random.Generator | None = None):
     """Approximately minimize the Lagrangian at fixed multipliers.
 
-    Returns (value, minimizer) with value = empirical_lagrangian(minimizer,
-    dual, problem). Enumeration returns the exact argmin over candidates
-    (lowest index on ties); the gradient solver, drawing from `rng`
-    (default_rng(0) when None), the best iterate of `problem.surrogate`.
+    Returns (value, minimizer): the best iterate of `problem.surrogate` that
+    the gradient solver finds from `init`, drawing from `rng`
+    (default_rng(0) when None), and value = empirical_lagrangian(minimizer,
+    dual, problem).
     """
     if len(dual) != problem.m:
         raise InputError(
             f"dual vector has {len(dual)} entries for a problem with {problem.m} constraints"
         )
-    if solver.candidates is not None:
-        R, S = enumeration_stats(problem, solver.candidates)
-        values = R + S @ dual.mu
-        j = int(np.argmin(values))
-        return float(values[j]), solver.candidates[j]
     if rng is None:
         rng = np.random.default_rng(0)
     ev = gradient_minimize(dual, problem, solver, Evaluation(init), rng)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Problem, _readonly, _unchecked
 from .errors import ConfigurationError, DualLearnError, InputError
-from .lagrangian import DualState, InnerSolverConfig, enumeration_stats, gradient_minimize
+from .lagrangian import DualState, InnerSolverConfig, gradient_minimize
 from .models import (
     Arch,
     Evaluation,
@@ -101,23 +101,20 @@ def dual_update(dual: DualState, slack: np.ndarray, eta: float) -> DualState:
 def train(problem: Problem, config: TrainConfig, init: ModelState):
     """Run projected dual ascent and return (trace, final model, final multipliers).
 
-    The gradient inner solver minimizes `problem.surrogate`; enumeration
-    minimizes the true Lagrangian. Slacks, the objective and the recorded
-    Lagrangian always read `problem`, so dual updates see the true
-    constraint values. Deterministic for a fixed config seed. Randomness is
-    built only for a solver that draws: a gradient solver with a
+    The gradient inner solver minimizes `problem.surrogate`. Slacks, the
+    objective and the recorded Lagrangian read `problem`, so dual updates
+    see the true constraint values. Deterministic for a fixed config seed.
+    Randomness is built only for a solver that draws: one with a
     `batch_size` gets, at iteration t, a generator seeded by
     SeedSequence(seed, spawn_key=(t,)), the t-th child of
-    SeedSequence(seed).spawn(T); full-batch and enumeration runs build none.
-    Each iteration is written into row t of the trace's preallocated arrays;
+    SeedSequence(seed).spawn(T); a full-batch run builds none. Each
+    iteration is written into row t of the trace's preallocated arrays;
     `config.save_theta` decides whether its parameters are kept.
 
-    A model is evaluated once. Each solver picks the evaluation of its
-    minimizer (enumeration holds one per candidate, tabulated once by
-    `enumeration_stats`); the slacks, objective and parameters are read from
-    it, and the gradient solver resumes from it. Under projected-adam the
-    multipliers take an ADAM descent step on the negated slacks, projected
-    onto mu >= 0.
+    A model is evaluated once. The solver returns the evaluation of its
+    minimizer; the slacks, objective and parameters are read from it, and
+    the next iteration resumes from it. Under projected-adam the multipliers
+    take an ADAM descent step on the negated slacks, projected onto mu >= 0.
     """
     n_params = init.arch.n_params
     if config.save_theta and n_params > SNAPSHOT_PARAM_LIMIT:
@@ -127,10 +124,6 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
         )
 
     inner = config.inner
-    if inner.candidates is not None:
-        evals = [Evaluation(c) for c in inner.candidates]
-        R, S = enumeration_stats(problem, evals)
-
     T, m = config.iterations_T, problem.m
     entropy = config.seed % (2 ** 63)
     mu = DualState.zeros(m)
@@ -143,12 +136,9 @@ def train(problem: Problem, config: TrainConfig, init: ModelState):
 
     for t in range(T):
         try:
-            if inner.candidates is not None:
-                ev = evals[int(np.argmin(R + S @ mu.mu))]
-            else:
-                rng = (None if inner.batch_size is None else
-                       np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(t,))))
-                ev = gradient_minimize(mu, problem, inner, ev, rng)
+            rng = (None if inner.batch_size is None else
+                   np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(t,))))
+            ev = gradient_minimize(mu, problem, inner, ev, rng)
             risks, s = ev.stats(problem)
         except DualLearnError as err:
             raise type(err)(f"iteration {t}: {err}") from err

@@ -36,7 +36,8 @@ from .models import (LinearArch, LogisticArch, ModelState, _forward, grad_input_
 class AttackConfig:
     """Perturbation budget, and the schedule of the gradient attack.
 
-    `epsilon` and `clamp_box` bound every attack. Models whose output is
+    `epsilon` and `clamp_box`, the (clamp_lo, clamp_hi) range of every
+    feature, bound every attack. Models whose output is
     monotone in an affine score (logistic, linear with one output) get the
     exact two-corner attack, which has no schedule: `steps`, `step_size`,
     `restarts` and `seed` (which keys the restart draws) apply only to
@@ -68,7 +69,8 @@ class AttackConfig:
         if self.clamp_box is not None:
             lo, hi = self.clamp_box
             if not lo < hi:  # also true of a NaN bound; an infinite one leaves its side open
-                raise ConfigurationError(f"clamp_box needs lo < hi and no NaN, got ({lo}, {hi})")
+                raise ConfigurationError(f"clamp_box (clamp_lo, clamp_hi) = ({lo}, {hi}) needs "
+                                         "clamp_lo < clamp_hi and no NaN")
 
     @classmethod
     def fgsm(cls, epsilon: float, clamp_box=None, seed: int = 0) -> AttackConfig:

@@ -3,7 +3,9 @@
 Four groups of different sizes and base rates, two informative continuous
 features, and one-hot group indicators so a logistic model can shift its
 per-group intercepts. Deterministic; rerunning overwrites the CSV with
-identical bytes.
+identical bytes:
+
+    PYTHONPATH=src:tests python3 tests/fixtures/make_fair_fixture.py
 """
 
 from pathlib import Path
@@ -11,7 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from duallearn.core import Dataset
-from duallearn.data import save_csv
+
+from helpers import save_csv
+
+FIXTURE = Path(__file__).parent / "fair_groups.csv"
 
 SIZES = {"A": 600, "B": 280, "C": 180, "D": 140}
 OFFSETS = {"A": 0.5, "B": -0.4, "C": 0.1, "D": -0.8}
@@ -35,9 +40,13 @@ def build() -> tuple[Dataset, tuple[str, ...]]:
     return ds, tuple(groups)
 
 
-if __name__ == "__main__":
+def write(path: Path) -> int:
+    """Write the fixture to `path`; returns its row count."""
     ds, groups = build()
-    out = Path(__file__).parent / "fair_groups.csv"
-    save_csv(ds, out, group_labels=groups,
+    save_csv(ds, path, group_labels=groups,
              feature_columns=("x1", "x2", "ga", "gb", "gc", "gd"))
-    print(f"wrote {out} ({len(ds)} rows)")
+    return len(ds)
+
+
+if __name__ == "__main__":
+    print(f"wrote {FIXTURE} ({write(FIXTURE)} rows)")

@@ -1,12 +1,16 @@
-"""Shared builders for the test suite: the hand-solved convex toy, random
-small enumerable instances, random problems with references, one-row forms
-of the batch API, the risk of precomputed predictions, and closed forms of
-the linear and logistic passes, bit references of replaced numerics,
-counters of the randomness a run builds, and the modules a command loads."""
+"""Shared builders for the test suite: the clamped cross-entropy loss, a
+bit-exact csv writer, the hand-solved convex toy, random
+small enumerable instances, the exact dual function and dual ascent over a
+candidate list, random problems with references, one-row forms of the batch
+API, the risk of precomputed predictions, and closed forms of the linear
+and logistic passes, bit references of replaced numerics, counters of the
+randomness a run builds, and the modules a command loads."""
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +22,38 @@ from duallearn import primaldual
 from duallearn.core import (ConstraintSpec, Dataset, LossSpec, Problem, ReferenceTerm,
                             loss_values, stable_sigmoid)
 from duallearn.errors import InputError
+from duallearn.lagrangian import DualState, enumeration_stats
 from duallearn.models import (LinearArch, LogisticArch, ModelState, grad_input_batch,
                               predict_batch)
 from duallearn.oracle import EnumerableProblem
+from duallearn.primaldual import TrainTrace, dual_update
 
 TOY_BOUND = 4.0
+
+
+def cross_entropy(clamp_p_min: float = 1e-6) -> LossSpec:
+    """The clamped cross-entropy loss at the one bound it accepts."""
+    return LossSpec(kind="clamped-cross-entropy", bound_B=-math.log(clamp_p_min),
+                    clamp_p_min=clamp_p_min)
+
+
+def save_csv(dataset: Dataset, path: Path, group_labels: tuple[str, ...] | None = None,
+             feature_columns: tuple[str, ...] | None = None) -> None:
+    """Write a dataset as a csv with a ``label`` column, and a ``group``
+    column with `group_labels`, in full-precision decimal text, so that
+    `duallearn.data.load_csv` reads it back bit for bit."""
+    if feature_columns is None:
+        feature_columns = tuple(f"x{i}" for i in range(dataset.n_features))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*feature_columns, "label", *(["group"] if group_labels else [])])
+        for i in range(len(dataset)):
+            label = dataset.labels[i]
+            row = [repr(float(v)) for v in dataset.features[i]]
+            row.append(str(int(label)) if dataset.labels.dtype.kind == "i" else repr(float(label)))
+            if group_labels is not None:
+                row.append(group_labels[i])
+            writer.writerow(row)
 
 
 def row_loss(loss: LossSpec, prediction, label) -> float:
@@ -152,6 +183,44 @@ def random_enumerable(rng: np.random.Generator, n_candidates=None, m=None,
     candidates = tuple(ModelState(rng.uniform(-1.5, 1.5, size=d), arch)
                        for _ in range(n_candidates))
     return EnumerableProblem(problem=problem, candidates=candidates)
+
+
+def exact_minimizer(R: np.ndarray, S: np.ndarray, mu) -> tuple[float, int]:
+    """(d(mu), j) over the `enumeration_stats` tables (R, S) of a candidate
+    list: the least Lagrangian R[j] + S[j] . mu, and the index j of the
+    candidate that attains it, the lowest on ties."""
+    values = R + S @ np.asarray(mu, dtype=float)
+    j = int(np.argmin(values))
+    return float(values[j]), j
+
+
+def enumeration_dual(problem: Problem, candidates, mu) -> tuple[float, ModelState]:
+    """The exact dual function of `problem` over `candidates` at `mu`, with
+    its minimizer (the lowest-index candidate on ties)."""
+    value, j = exact_minimizer(*enumeration_stats(problem, candidates), mu)
+    return value, candidates[j]
+
+
+def enumeration_ascent(problem: Problem, candidates, iterations_T: int,
+                       eta: float) -> tuple[TrainTrace, DualState]:
+    """Projected dual ascent with the exact inner minimizer over
+    `candidates`, the reference the exact-dual invariants run on (`train`'s
+    gradient solver certifies no minimum): iteration t records the
+    `exact_minimizer` at mu(t) as `train` records an iterate, its Lagrangian
+    being d(mu(t)), and steps mu by `primaldual.dual_update` on its slacks,
+    from mu = 0. Returns (trace, final multipliers); the last row of
+    `trace.thetas` is the final minimizer."""
+    R, S = enumeration_stats(problem, candidates)
+    T, m, arch = iterations_T, problem.m, candidates[0].arch
+    trace = TrainTrace(objective=np.empty(T), slacks=np.empty((T, m)), mu=np.empty((T, m)),
+                       lagrangian=np.empty(T), arch=arch, thetas=np.empty((T, arch.n_params)))
+    mu = DualState.zeros(m)
+    for t in range(T):
+        trace.lagrangian[t], j = exact_minimizer(R, S, mu.mu)
+        trace.objective[t], trace.slacks[t], trace.mu[t] = R[j], S[j], mu.mu
+        trace.thetas[t] = candidates[j].params
+        mu = dual_update(mu, S[j], eta)
+    return trace, mu
 
 
 def random_layout_problem(rng: np.random.Generator, m: int, references: bool) -> Problem:

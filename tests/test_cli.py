@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 
 from duallearn import core, models
 from duallearn.cli import main
-from duallearn.core import LossSpec, empirical_risk
+from duallearn.core import empirical_risk
 from duallearn.data import CsvSchema, load_csv
 from duallearn.errors import InputError
 from duallearn.models import LogisticArch, MlpArch, ModelState, init_model, save_model
@@ -21,7 +20,7 @@ from duallearn.oracle import (EX1_BLOCK_TRIALS, ecrm_enumerate, example1_block_l
 from duallearn.primaldual import TrainTrace, load_trace, save_trace
 
 from fixtures.bounds_reference import ref_gap_estimate, ref_multiplier_bound, ref_zeta_vc
-from helpers import loaded_modules, seed_from_spawned_children
+from helpers import cross_entropy, loaded_modules, seed_from_spawned_children
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,7 +63,7 @@ def test_fairness_train_then_eval_of_the_mixture(tmp_path):
     ds, _ = load_csv(spec["path"], CsvSchema(label_column=spec["label_column"],
                                              feature_columns=tuple(spec["feature_columns"]),
                                              group_column=spec["group_column"]))
-    risks = [empirical_risk(ModelState(theta, trace.arch), LossSpec.cross_entropy(), ds)
+    risks = [empirical_risk(ModelState(theta, trace.arch), cross_entropy(), ds)
              for theta in trace.thetas]
     assert summary["objective_risk"] == pytest.approx(float(np.mean(risks)), rel=1e-12)
 
@@ -284,7 +283,9 @@ def set_key(path, value):
     ("robust_train.json", set_key(["problem", "datasets", "synth", "sigma"], 0),
      "problem.datasets.synth: sigma must be positive, got 0.0"),
     ("robust_train.json", set_key(["problem", "datasets", "synth", "n"], 1),
-     "problem.datasets.synth: N must be >= 2, got 1"),
+     "problem.datasets.synth: n must be >= 2, got 1"),
+    ("robust_train.json", lambda cfg: cfg["attack"].update(clamp_lo=1.0, clamp_hi=0.0),
+     "attack: clamp_box (clamp_lo, clamp_hi) = (1.0, 0.0) needs clamp_lo < clamp_hi"),
     ("robust_train.json", set_key(["problem", "datasets", "synth", "dim"], 3),
      "problem.datasets.synth: means must have shape (2, 3), got (2, 2)"),
     # a float for an int key, a bool for a number key

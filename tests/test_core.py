@@ -24,6 +24,7 @@ from duallearn.oracle import example1_population_objective, example1_sample
 from helpers import (
     bits,
     column_store_ce_grads,
+    cross_entropy,
     dataset_risk,
     float_label_ce_values,
     random_layout_problem,
@@ -47,13 +48,13 @@ class TestEvalLoss:
         assert row_loss(zo, [0.2], 0) == 0.0
 
     def test_cross_entropy_half(self):
-        ce = LossSpec.cross_entropy()
+        ce = cross_entropy()
         assert row_loss(ce, [0.5], 1) == pytest.approx(math.log(2), rel=1e-12)
         assert row_loss(ce, [0.5], 0) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_cross_entropy_clamp_hits_bound(self):
         # independent evaluation of the clamp formula: p=0 -> -log(p_min) = B
-        ce = LossSpec.cross_entropy(clamp_p_min=1e-6)
+        ce = cross_entropy(clamp_p_min=1e-6)
         expected = -math.log(1e-6)
         assert ce.bound_B == expected
         assert row_loss(ce, [0.0], 1) == expected
@@ -75,12 +76,12 @@ class TestEvalLoss:
     def test_scalar_cross_entropy_refuses_labels_outside_0_1(self, label):
         y = np.array([1.0, label, 0.0])
         with pytest.raises(InputError, match=r"scalar cross-entropy predictions need \{0, 1\}"):
-            loss_values(LossSpec.cross_entropy(), np.full((3, 1), 0.5), y)
+            loss_values(cross_entropy(), np.full((3, 1), 0.5), y)
 
     def test_dimension_mismatch(self):
         # every kind takes one output, the classification kinds too
         for loss in (LossSpec(kind="squared", bound_B=4.0), LossSpec(kind="zero-one", bound_B=1.0),
-                     LossSpec.cross_entropy()):
+                     cross_entropy()):
             with pytest.raises(InputError, match=f"loss kind '{loss.kind}' expects "
                                                  "1-dimensional predictions, got 3"):
                 row_loss(loss, [0.1, 0.9, 0.2], 1)
@@ -174,7 +175,7 @@ class TestBoundedness:
     @settings(max_examples=300, deadline=None)
     def test_losses_stay_in_bounds(self, kind, z, label, B):
         if kind == "clamped-cross-entropy":
-            loss = LossSpec.cross_entropy()
+            loss = cross_entropy()
             z = min(max(z, -1.0), 2.0)  # probability-ish input, clamp handles the rest
         else:
             if kind in ("zero-one", "rate-indicator", "rate-sigmoid"):
@@ -305,7 +306,7 @@ class TestScalarCrossEntropyGradient:
         lambda rng, n: rng.choice([0, 1, 2, -1, 7], n),
     ], ids=["int64", "int32", "float", "bool", "other-floats", "other-ints"])
     def test_bits_match_the_column_store_form(self, clamp, labels):
-        loss = LossSpec.cross_entropy(clamp)
+        loss = cross_entropy(clamp)
         P = self.predictions(loss)
         y = labels(np.random.default_rng(2), len(P))
         got, want = loss_pred_grads(loss, P, y), column_store_ce_grads(loss, P, y)
@@ -315,7 +316,7 @@ class TestScalarCrossEntropyGradient:
         assert np.count_nonzero(got) > 0
 
     def test_each_label_takes_its_own_branch(self):
-        loss = LossSpec.cross_entropy()
+        loss = cross_entropy()
         P = self.predictions(loss)
         for label in (0, 1, 1.0, 0.0, 2, -1.0, True, False, np.nan):
             y = np.full(len(P), label)
@@ -325,7 +326,7 @@ class TestScalarCrossEntropyGradient:
     def test_bits_at_zero_subnormal_and_non_finite_predictions(self):
         # one masked division: p_true outside the clamp (0, the subnormals,
         # NaN, the infinities) is never divided by and reads +0.0
-        loss = LossSpec.cross_entropy()
+        loss = cross_entropy()
         p = np.array([0.0, -0.0, 1e-300, 5e-324, np.nan, np.inf, -np.inf, 1.0, 0.5])
         P = np.repeat(p, 4)[:, None]
         for y in (np.tile([0, 1, 2, -1], len(p)), np.tile([0.0, 1.0, 2.0, np.nan], len(p)),
@@ -349,7 +350,7 @@ class TestScalarCrossEntropyValues:
         lambda rng, n: rng.choice([0, 1], n).astype(bool),
     ], ids=["int64", "int32", "uint8", "float", "float32", "bool"])
     def test_bits_match_the_float_cast_form(self, clamp, labels):
-        loss = LossSpec.cross_entropy(clamp)
+        loss = cross_entropy(clamp)
         P = TestScalarCrossEntropyGradient.predictions(loss)
         y = labels(np.random.default_rng(4), len(P))
         got, want = loss_values(loss, P, y), float_label_ce_values(loss, P, y)
@@ -360,7 +361,7 @@ class TestScalarCrossEntropyValues:
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, 1.5, np.inf])
     @pytest.mark.parametrize("dtype", [float, np.float32, object])
     def test_labels_other_than_zero_or_one_are_refused_alike(self, bad, dtype):
-        loss = LossSpec.cross_entropy()
+        loss = cross_entropy()
         P = np.full((4, 1), 0.5)
         y = np.array([0, 1, bad, 1], dtype=dtype)
         message = "scalar cross-entropy predictions need {0, 1} labels"
@@ -370,7 +371,7 @@ class TestScalarCrossEntropyValues:
             loss_values(loss, P, y)
 
     def test_integer_labels_other_than_zero_or_one_are_refused(self):
-        loss = LossSpec.cross_entropy()
+        loss = cross_entropy()
         for bad in (2, -1, 7):
             with pytest.raises(InputError, match="need {0, 1} labels"):
                 loss_values(loss, np.full((3, 1), 0.5), np.array([0, bad, 1]))

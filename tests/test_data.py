@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from duallearn.core import Dataset
-from duallearn.data import CsvSchema, group_split, load_csv, save_csv
+from duallearn.data import CsvSchema, group_split, load_csv
 from duallearn.errors import InputError
+
+from fixtures.make_fair_fixture import write as write_fair_fixture
+from helpers import save_csv
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -41,6 +44,11 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, label_kind):
     assert back_groups == groups
 
 
+def test_the_fair_fixture_regenerates_byte_for_byte(tmp_path):
+    assert write_fair_fixture(tmp_path / "fair.csv") == 1200
+    assert (tmp_path / "fair.csv").read_bytes() == (FIXTURES / "fair_groups.csv").read_bytes()
+
+
 def test_group_split_partitions_and_keeps_order():
     ds, groups = load_csv(FIXTURES / "fair_groups.csv", FAIR_SCHEMA)
     parts = group_split(ds, groups)
@@ -74,3 +82,23 @@ def test_a_file_that_is_not_utf8_is_an_input_error_naming_the_byte_offset(tmp_pa
     with pytest.raises(InputError) as err:
         load_csv(path, FAIR_SCHEMA)
     assert str(err.value).startswith(f"{path}: not UTF-8 text: byte 0xff at byte offset {offset} ")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("column, label_kind, message", [
+    ("x1", "class", "non-finite feature cell 'x1' ({})"),
+    ("label", "class", "non-finite label '{}'"),
+    ("label", "real", "non-finite label '{}'"),
+])
+def test_a_non_finite_cell_is_an_input_error_naming_the_file_and_row(
+        tmp_path, cell, column, label_kind, message):
+    path = tmp_path / "bad.csv"
+    rows = [["x0", "x1", "label"], ["0.5", "1.0", "1"], ["0.25", "2.0", "0"]]
+    rows[2][rows[0].index(column)] = cell
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    schema = CsvSchema(label_column="label", feature_columns=("x0", "x1"),
+                       label_kind=label_kind)
+    shown = str(float(cell)) if column == "x1" else cell
+    with pytest.raises(InputError) as err:
+        load_csv(path, schema)
+    assert str(err.value) == f"{path}: row 3: " + message.format(shown)

@@ -38,9 +38,9 @@ from duallearn.models import (
 from duallearn.primaldual import TrainConfig, mixture_risks, train
 from duallearn.robust import AdversarialDataset, AttackConfig, perturb_batch
 
-from helpers import bits, dataset_risk, record_forwards
+from helpers import bits, cross_entropy, dataset_risk, record_forwards
 
-CE = LossSpec.cross_entropy()
+CE = cross_entropy()
 GROUPS = ("A", "B", "C", "D")
 
 

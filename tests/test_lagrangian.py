@@ -28,8 +28,8 @@ from duallearn.oracle import ecrm_enumerate, example1_problem
 from duallearn.primaldual import dual_update
 from duallearn.robust import AdversarialDataset, AttackConfig
 
-from helpers import (bits, random_enumerable, random_layout_problem, random_mu, row_loss,
-                     row_predict)
+from helpers import (bits, cross_entropy, enumeration_dual, random_enumerable,
+                     random_layout_problem, random_mu, row_loss, row_predict)
 
 ABS = LossSpec(kind="absolute", bound_B=4.0)
 SCORE = LossSpec(kind="signed-score", bound_B=4.0)
@@ -142,12 +142,13 @@ class TestSlacks:
 
 
 class TestDualFunction:
+    """The exact dual function over a candidate list (`helpers.enumeration_dual`,
+    over `enumeration_stats`), then the gradient solver's."""
+
     def test_zero_mu_enumeration_is_erm(self):
         rng = np.random.default_rng(3)
         ep = random_enumerable(rng, n_candidates=2, m=1)
-        solver = InnerSolverConfig(candidates=ep.candidates)
-        val, minimizer = dual_function(DualState.zeros(1), ep.problem, solver,
-                                       ep.candidates[0])
+        val, minimizer = enumeration_dual(ep.problem, ep.candidates, np.zeros(1))
         risks = [empirical_risk(c, ep.problem.objective_loss, ep.problem.objective_dataset)
                  for c in ep.candidates]
         assert val == min(risks)
@@ -170,8 +171,7 @@ class TestDualFunction:
             return obj + mu[0] * s1 + mu[1] * s2
 
         vals = [hand_lagrangian(np.asarray(c.params)) for c in ep.candidates]
-        solver = InnerSolverConfig(candidates=ep.candidates)
-        got_val, got_min = dual_function(DualState(mu), ep.problem, solver, ep.candidates[0])
+        got_val, got_min = enumeration_dual(ep.problem, ep.candidates, mu)
         j = int(np.argmin(vals))
         assert got_min is ep.candidates[j]
         assert got_val == pytest.approx(vals[j], abs=1e-12)
@@ -179,29 +179,25 @@ class TestDualFunction:
     def test_tie_breaks_to_lowest_index(self):
         model = ModelState(np.array([1.0]), IDENT)
         twin = ModelState(np.array([1.0]), IDENT)
-        prob = simple_problem()
-        solver = InnerSolverConfig(candidates=(model, twin))
-        _, minimizer = dual_function(DualState.zeros(1), prob, solver, model)
+        _, minimizer = enumeration_dual(simple_problem(), (model, twin), np.zeros(1))
         assert minimizer is model
 
     def test_weak_duality_against_ecrm(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             ep = random_enumerable(rng)
-            solver = InnerSolverConfig(candidates=ep.candidates)
             p_hat = ecrm_enumerate(ep).value
             for _ in range(5):
                 mu = rng.uniform(0, 5, ep.problem.m)
-                d_val, _ = dual_function(DualState(mu), ep.problem, solver, ep.candidates[0])
+                d_val, _ = enumeration_dual(ep.problem, ep.candidates, mu)
                 assert d_val <= p_hat
 
     def test_concavity(self):
         rng = np.random.default_rng(15)
         ep = random_enumerable(rng, n_candidates=4, m=2)
-        solver = InnerSolverConfig(candidates=ep.candidates)
 
         def d(mu):
-            return dual_function(DualState(mu), ep.problem, solver, ep.candidates[0])[0]
+            return enumeration_dual(ep.problem, ep.candidates, mu)[0]
 
         for _ in range(200):
             mu1 = rng.uniform(0, 4, 2)
@@ -213,7 +209,7 @@ class TestDualFunction:
     def test_gradient_solver_improves_and_reports_best(self):
         rng = np.random.default_rng(2)
         ds = Dataset(features=rng.uniform(-1, 1, (30, 2)), labels=rng.choice([0, 1], 30))
-        ce = LossSpec.cross_entropy()
+        ce = cross_entropy()
         prob = Problem(objective_loss=ce, objective_dataset=ds)
         init = init_model(LogisticArch(2))
         solver = InnerSolverConfig(epochs=5, batch_size=8, step_size=0.1)
@@ -240,10 +236,6 @@ class TestValidation:
     def test_dual_state_rejects_nonfinite(self):
         with pytest.raises(InputError):
             DualState(np.array([np.inf]))
-
-    def test_enumeration_needs_candidates(self):
-        with pytest.raises(ConfigurationError):
-            InnerSolverConfig(candidates=())
 
     def test_gradient_needs_positive_epochs(self):
         with pytest.raises(ConfigurationError):
@@ -364,7 +356,7 @@ def robust_step_problem(attack):
     """CE objective on a table, an attacked CE constraint on it and a plain
     CE constraint on one of its group views."""
     ds, groups = step_table()
-    ce = LossSpec.cross_entropy()
+    ce = cross_entropy()
     return Problem(objective_loss=ce, objective_dataset=ds, constraints=(
         ConstraintSpec(loss=ce, threshold_c=0.4, dataset=AdversarialDataset(ds, ce, attack)),
         ConstraintSpec(loss=ce, threshold_c=0.5, dataset=group_split(ds, groups)["A"])))
@@ -375,7 +367,7 @@ def fairness_step_problem():
     ds, groups = step_table(seed=1)
     rate = LossSpec(kind="rate-indicator", bound_B=1.0)
     parts = group_split(ds, groups)
-    return Problem(objective_loss=LossSpec.cross_entropy(), objective_dataset=ds,
+    return Problem(objective_loss=cross_entropy(), objective_dataset=ds,
                    constraints=tuple(ConstraintSpec(loss=rate, threshold_c=0.05, dataset=parts[g],
                                                     reference=ReferenceTerm(loss=rate,
                                                                             dataset=ds), name=g)
@@ -386,11 +378,11 @@ def shared_small_set_problem():
     """Two CE constraints on one 10-row view of the table, which every
     tested batch size uses whole, so both terms read one (set, loss)."""
     ds, _ = step_table(seed=2)
-    ce = LossSpec.cross_entropy()
+    ce = cross_entropy()
     small = ds.subset(np.arange(0, 40, 4), name="small")
     return Problem(objective_loss=ce, objective_dataset=ds, constraints=(
         ConstraintSpec(loss=ce, threshold_c=0.3, dataset=small),
-        ConstraintSpec(loss=LossSpec.cross_entropy(), threshold_c=0.6, dataset=small)))
+        ConstraintSpec(loss=cross_entropy(), threshold_c=0.6, dataset=small)))
 
 
 STEP_CASES = {

@@ -22,9 +22,10 @@ from duallearn.models import (
     save_model,
 )
 
-from helpers import bits, closed_form_pass, row_grad_input, row_loss, row_predict
+from helpers import (bits, closed_form_pass, cross_entropy, row_grad_input, row_loss,
+                     row_predict)
 
-CE = LossSpec.cross_entropy()
+CE = cross_entropy()
 SQ = LossSpec(kind="squared", bound_B=100.0)
 SCORE = LossSpec(kind="signed-score", bound_B=100.0)
 

@@ -36,6 +36,8 @@ from helpers import (
     TOY_BOUND,
     SeedingCounter,
     convex_toy,
+    cross_entropy,
+    enumeration_ascent,
     toy_analytic,
     toy_candidates,
 )
@@ -63,18 +65,27 @@ def small_gradient_problem(seed=0):
     rng = np.random.default_rng(seed)
     ds = Dataset(features=rng.uniform(-1, 1, (24, 2)), labels=rng.choice([0, 1], 24),
                  name="grad-ds")
-    ce = LossSpec.cross_entropy()
+    ce = cross_entropy()
     rate = LossSpec(kind="rate-sigmoid", bound_B=1.0, rate_shift=0.5)
     prob = Problem(objective_loss=ce, objective_dataset=ds,
                    constraints=(ConstraintSpec(loss=rate, threshold_c=0.6, dataset=ds),))
     return prob
 
 
+def toy_train(T, eta=0.5, dual_method="projected-ascent"):
+    """`train` with a full-batch gradient solver on the convex toy, from
+    theta = 1: the unconstrained minimizer, which violates the constraint,
+    so mu leaves zero at once."""
+    cfg = TrainConfig(iterations_T=T, dual_step_eta=eta, dual_method=dual_method, seed=0,
+                      inner=InnerSolverConfig(epochs=1, step_size=0.05))
+    return train(convex_toy(), cfg, ModelState(np.array([1.0]), TOY_ARCH))
+
+
 class TestTrain:
     def test_unconstrained_reduces_to_erm(self):
         rng = np.random.default_rng(1)
         ds = Dataset(features=rng.uniform(-1, 1, (20, 2)), labels=rng.choice([0, 1], 20))
-        ce = LossSpec.cross_entropy()
+        ce = cross_entropy()
         prob = Problem(objective_loss=ce, objective_dataset=ds)
         inner = InnerSolverConfig(epochs=3, batch_size=8, step_size=0.1)
         init = init_model(LogisticArch(2))
@@ -104,14 +115,12 @@ class TestTrain:
     def test_convex_toy_reaches_grid_dual_optimum(self):
         prob = convex_toy()
         cands = toy_candidates()
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=200, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, final_model, final_mu = train(prob, cfg, cands[0])
+        trace, final_mu = enumeration_ascent(prob, cands, 200, 0.5)
         ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
         theta_star, mu_star, p_star = toy_analytic()
         assert abs(trace.lagrangian[-1] - ref.d_hat) <= 1e-2
         assert trace.slacks[-1, 0] <= 1e-2
-        assert final_model.params[0] == pytest.approx(theta_star, abs=0.01)
+        assert trace.thetas[-1, 0] == pytest.approx(theta_star, abs=0.01)
         assert final_mu.mu[0] == pytest.approx(mu_star, abs=0.05)
         assert ref.d_hat == pytest.approx(p_star, abs=1e-6)
 
@@ -123,23 +132,19 @@ class TestTrain:
         sq = LossSpec(kind="squared", bound_B=4.0)
         prob = Problem(objective_loss=sq, objective_dataset=ds,
                        constraints=(ConstraintSpec(loss=ind, threshold_c=0.5, dataset=ds),))
-        cands = (ModelState(np.array([1.0]), TOY_ARCH),)
-        inner = InnerSolverConfig(candidates=cands)
+        # the weight moves, but every score stays on its side of the shift
+        inner = InnerSolverConfig(epochs=1, step_size=0.05)
         cfg = TrainConfig(iterations_T=5, dual_step_eta=0.1, dual_method="projected-adam",
                           inner=inner, seed=0)
-        trace, _, final_mu = train(prob, cfg, cands[0])
+        trace, _, final_mu = train(prob, cfg, ModelState(np.array([1.0]), TOY_ARCH))
+        assert len(set(trace.thetas[:, 0].tolist())) > 1
         assert np.array_equal(trace.slacks, np.zeros((5, 1)))
         assert np.array_equal(final_mu.mu, [0.0])
 
     def test_projected_adam_matches_reference_ascent(self):
         # ADAM ascent on mu written out directly, fed the recorded slacks
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(candidates=cands)
         eta = 0.05
-        cfg = TrainConfig(iterations_T=40, dual_step_eta=eta, dual_method="projected-adam",
-                          inner=inner, seed=0)
-        trace, _, final_mu = train(prob, cfg, cands[0])
+        trace, _, final_mu = toy_train(40, eta, "projected-adam")
         mu, m1, m2 = np.zeros(1), np.zeros(1), np.zeros(1)
         expected = []
         for t, s in enumerate(trace.slacks, start=1):
@@ -222,16 +227,12 @@ class TestRandomnessOnlyWhereDrawn:
     """`train` builds a generator only for a gradient solver with a
     `batch_size`, one per iteration, and spawns no seed sequence."""
 
-    def test_full_batch_and_enumeration_runs_build_no_generator(self, monkeypatch):
+    def test_a_full_batch_run_builds_no_generator(self, monkeypatch):
         prob, init = small_gradient_problem(), init_model(LogisticArch(2))
         full = TrainConfig(iterations_T=20, dual_step_eta=1.0, seed=3,
                            inner=InnerSolverConfig(epochs=2, step_size=0.1))
-        cands = toy_candidates()
-        enum = TrainConfig(iterations_T=20, dual_step_eta=0.5, seed=3,
-                           inner=InnerSolverConfig(candidates=cands))
         counter = SeedingCounter(monkeypatch)
         train(prob, full, init)
-        train(convex_toy(), enum, cands[0])
         assert counter.counts() == {"generators": 0, "seed_sequences": 0, "spawned": 0}
 
     def test_a_minibatch_run_builds_one_generator_per_iteration(self, monkeypatch):
@@ -250,15 +251,22 @@ class TestRandomnessOnlyWhereDrawn:
 
 
 class TestErgodicInvariants:
-    def test_complementary_slackness_bound_on_toy(self):
-        prob = convex_toy()
-        cands = toy_candidates()
-        inner = InnerSolverConfig(candidates=cands)
-        eta = 0.5
-        cfg = TrainConfig(iterations_T=300, dual_step_eta=eta, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
-        bound = -eta * prob.m * TOY_BOUND ** 2 / 2.0
-        assert ergodic_complementary_slackness(trace) >= bound - 1e-9
+    @pytest.mark.parametrize("solver", ["exact", "gradient"])
+    def test_complementary_slackness_bound_on_toy(self, solver):
+        """(1/T) sum_t mu(t) . s(t) >= -eta m B^2 / 2 for projected ascent at
+        step eta, whatever minimizes the Lagrangian. It is the loose end of
+        (|mu(T)|^2 - eta^2 sum_t |s(t)|^2) / (2 eta T), the telescoped sum of
+        |mu(t+1)|^2 <= |mu(t) + eta s(t)|^2, which a step other than eta
+        breaks."""
+        prob, eta, T = convex_toy(), 0.5, 300
+        if solver == "exact":
+            trace, final_mu = enumeration_ascent(prob, toy_candidates(), T, eta)
+        else:
+            trace, _, final_mu = toy_train(T, eta)
+        cs = ergodic_complementary_slackness(trace)
+        assert cs >= -eta * prob.m * TOY_BOUND ** 2 / 2.0 - 1e-9
+        mu_T, s = final_mu.mu, trace.slacks
+        assert cs >= (mu_T @ mu_T - eta ** 2 * np.sum(s * s)) / (2 * eta * T) - 1e-9
         # premise of the bound: every slack is within the loss bound
         assert np.all(np.abs(trace.slacks) <= TOY_BOUND)
 
@@ -266,28 +274,17 @@ class TestErgodicInvariants:
         prob = convex_toy()
         cands = toy_candidates()
         ref = dual_enumerate(EnumerableProblem(problem=prob, candidates=cands))
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=300, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
+        trace, _ = enumeration_ascent(prob, cands, 300, 0.5)
         assert np.all(trace.lagrangian <= ref.d_hat + 1e-9)
 
     def test_ergodic_slack_mean(self):
-        prob = convex_toy()
-        cands = toy_candidates()
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=50, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
+        trace, _, _ = toy_train(50)
         assert ergodic_slacks(trace) == pytest.approx(trace.slacks.mean(axis=0))
 
 
 class TestRandomizedSolution:
     def _toy_trace(self, T=5):
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=T, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
-        return prob, trace
+        return convex_toy(), toy_train(T)[0]
 
     def test_degenerate_single_iterate(self):
         prob, trace = self._toy_trace(T=1)
@@ -396,11 +393,7 @@ class TestRecommendHyperparams:
 
 class TestTraceSerialization:
     def test_round_trip_with_snapshots(self, tmp_path):
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=4, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
+        trace, _, _ = toy_train(4)
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
         loaded = load_trace(path)
@@ -433,11 +426,7 @@ class TestTraceSerialization:
             assert not (tmp_path / "thetas.npy").exists()
 
     def _saved_toy(self, tmp_path):
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=3, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
+        trace, _, _ = toy_train(3)
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path, thetas_path=tmp_path / "thetas.npy")
         return path
@@ -462,11 +451,7 @@ class TestTraceSerialization:
             load_trace(path)
 
     def test_reserialization_is_byte_identical(self, tmp_path):
-        prob = convex_toy()
-        cands = toy_candidates(points=31)
-        inner = InnerSolverConfig(candidates=cands)
-        cfg = TrainConfig(iterations_T=3, dual_step_eta=0.5, inner=inner, seed=0)
-        trace, _, _ = train(prob, cfg, cands[0])
+        trace, _, _ = toy_train(3)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_trace(trace, p1)
         save_trace(trace, p2)

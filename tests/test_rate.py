@@ -35,10 +35,10 @@ from duallearn.models import (
 from duallearn.primaldual import TrainConfig, train
 from duallearn.rate import margin_check, surrogate_gap_bound
 
-from helpers import row_loss
+from helpers import cross_entropy, row_loss
 
 IND = LossSpec(kind="rate-indicator", bound_B=1.0, rate_shift=0.5)
-CE = LossSpec.cross_entropy()
+CE = cross_entropy()
 
 
 def prob_with_rate_constraint(threshold=0.4):
@@ -310,22 +310,3 @@ class TestDualUsesIndicatorSlacks:
         assert np.array_equal(minimizer.params, want.model.params)
         assert val == empirical_lagrangian(minimizer, mu, prob)
         assert val != empirical_lagrangian(minimizer, mu, prob.surrogate)
-
-    def test_enumeration_selects_by_the_indicator_lagrangian(self):
-        # every row scores z = w: `near` sits just under the shift, where the
-        # indicator reads 0 and its sigmoid about 0.48, so once mu exceeds
-        # about 4.6 the surrogate Lagrangian would prefer `far`
-        ds = Dataset(features=np.ones((4, 1)), labels=np.full(4, 0.49))
-        prob = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
-                       objective_dataset=ds,
-                       constraints=(ConstraintSpec(loss=IND, threshold_c=-1.0, dataset=ds),))
-        arch = LinearArch(1, bias=False)
-        near, far = ModelState(np.array([0.49]), arch), ModelState(np.array([-1.0]), arch)
-        inner = InnerSolverConfig(candidates=(near, far))
-        cfg = TrainConfig(iterations_T=8, dual_step_eta=1.0, inner=inner)
-        trace, final, _ = train(prob, cfg, far)
-        assert final is near
-        assert np.all(trace.thetas == near.params)
-        mu = DualState(trace.mu[-1])
-        assert empirical_lagrangian(far, mu, prob.surrogate) < empirical_lagrangian(
-            near, mu, prob.surrogate)

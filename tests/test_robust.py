@@ -33,9 +33,9 @@ from duallearn.robust import (
     perturb_batch,
 )
 
-from helpers import record_forwards
+from helpers import cross_entropy, record_forwards
 
-CE = LossSpec.cross_entropy()
+CE = cross_entropy()
 BOX = (-1.0, 1.0)
 ATTACKS = [
     AttackConfig.fgsm(0.3, clamp_box=BOX, seed=1),
@@ -384,9 +384,9 @@ def test_realize_subset_equals_rows_of_full_realisation():
     assert part.name == full.name == "base@adversarial"
 
 
-def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
-    # objective prefers theta = 1; the attacked score theta * (x + eps) is
-    # capped at 0.5, so the constraint binds and mu leaves zero
+def test_train_with_adversarial_constraint_records_true_slacks():
+    # objective prefers theta = 1; the attacked score theta * (x + eps),
+    # 0.75 theta, is capped at 0.3, so the constraint binds and mu leaves zero
     arch = LinearArch(in_dim=1, bias=False)
     obj = Dataset(features=np.ones((6, 1)), labels=np.linspace(0.8, 1.2, 6), name="obj")
     con = Dataset(features=np.full((5, 1), 0.5), labels=np.ones(5, dtype=np.int64),
@@ -398,15 +398,17 @@ def test_enumeration_train_with_adversarial_constraint_records_true_slacks():
     problem = Problem(objective_loss=LossSpec(kind="squared", bound_B=4.0),
                       objective_dataset=obj, constraints=(constraint,))
     assert isinstance(problem.constraints[0].dataset, AdversarialDataset)
-    cands = tuple(ModelState(np.array([t]), arch) for t in np.linspace(-1.0, 2.0, 31))
-    inner = InnerSolverConfig(candidates=cands)
+    inner = InnerSolverConfig(epochs=1, step_size=0.1)
     cfg = TrainConfig(iterations_T=12, dual_step_eta=0.5, inner=inner, seed=0)
-    trace, _, _ = train(problem, cfg, cands[0])
+    start = ModelState(np.array([1.0]), arch)
+    trace, _, _ = train(problem, cfg, start)
     assert np.any(trace.mu > 0.0)
+    # each iteration resumes the full-batch solver from the previous minimizer
+    prev = start
     for theta, slack, mu in zip(trace.thetas, trace.slacks, trace.mu):
         assert np.array_equal(slack, slacks(ModelState(theta, arch), problem))
-        _, argmin = dual_function(DualState(mu), problem, inner, cands[0])
-        assert np.array_equal(argmin.params, theta)
+        _, prev = dual_function(DualState(mu), problem, inner, prev)
+        assert np.array_equal(prev.params, theta)
 
 
 def per_restart_start(X0, cfg, restart, sample_indices):
@@ -435,7 +437,7 @@ def test_restart_starts_match_the_per_restart_formula(restarts):
         assert np.array_equal(start.view(np.uint64), want.view(np.uint64))
 
 
-NAN_BOX = "clamp_box needs lo < hi and no NaN, got "
+NAN_BOX = "clamp_box (clamp_lo, clamp_hi) = {} needs clamp_lo < clamp_hi and no NaN"
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -443,11 +445,11 @@ NAN_BOX = "clamp_box needs lo < hi and no NaN, got "
     ({"epsilon": np.inf}, "epsilon must be finite and >= 0, got inf"),
     ({"epsilon": -np.inf}, "epsilon must be finite and >= 0, got -inf"),
     ({"epsilon": -0.5}, "epsilon must be finite and >= 0, got -0.5"),
-    ({"clamp_box": (-np.inf, np.nan)}, NAN_BOX + "(-inf, nan)"),
-    ({"clamp_box": (np.nan, 1.0)}, NAN_BOX + "(nan, 1.0)"),
-    ({"clamp_box": (np.nan, np.nan)}, NAN_BOX + "(nan, nan)"),
-    ({"clamp_box": (1.0, -np.inf)}, NAN_BOX + "(1.0, -inf)"),
-    ({"clamp_box": (np.inf, np.inf)}, NAN_BOX + "(inf, inf)"),
+    ({"clamp_box": (-np.inf, np.nan)}, NAN_BOX.format("(-inf, nan)")),
+    ({"clamp_box": (np.nan, 1.0)}, NAN_BOX.format("(nan, 1.0)")),
+    ({"clamp_box": (np.nan, np.nan)}, NAN_BOX.format("(nan, nan)")),
+    ({"clamp_box": (1.0, -np.inf)}, NAN_BOX.format("(1.0, -inf)")),
+    ({"clamp_box": (np.inf, np.inf)}, NAN_BOX.format("(inf, inf)")),
 ])
 def test_attack_config_names_a_value_that_is_not_finite(kwargs, message):
     with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
