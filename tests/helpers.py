@@ -1,10 +1,10 @@
 """Shared builders for the test suite: the clamped cross-entropy loss, a
-bit-exact csv writer, the hand-solved convex toy, random
-small enumerable instances, the exact dual function and dual ascent over a
-candidate list, random problems with references, one-row forms of the batch
-API, the risk of precomputed predictions, and closed forms of the linear
-and logistic passes, bit references of replaced numerics, counters of the
-randomness a run builds, and the modules a command loads."""
+bit-exact csv writer, the hand-solved convex toy, random small enumerable
+instances, the exact dual function and dual ascent over a candidate list,
+random problems with references, one-row forms of the batch API, the risk
+of precomputed predictions, and closed forms of the linear and logistic
+passes, bit references of replaced numerics, counters of the randomness a
+run builds, and the modules a command loads."""
 
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ def save_csv(dataset: Dataset, path: Path, group_labels: tuple[str, ...] | None 
         feature_columns = tuple(f"x{i}" for i in range(dataset.n_features))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*feature_columns, "label", *(["group"] if group_labels else [])])
+        writer.writerow([*feature_columns, "label",
+                         *(["group"] if group_labels is not None else [])])
         for i in range(len(dataset)):
             label = dataset.labels[i]
             row = [repr(float(v)) for v in dataset.features[i]]

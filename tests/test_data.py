@@ -89,7 +89,7 @@ def test_a_file_that_is_not_utf8_is_an_input_error_naming_the_byte_offset(tmp_pa
     ("x1", "class", "non-finite feature cell 'x1' ({})"),
     ("label", "class", "non-finite label '{}'"),
     ("label", "real", "non-finite label '{}'"),
-])
+], ids=["feature", "class-label", "real-label"])
 def test_a_non_finite_cell_is_an_input_error_naming_the_file_and_row(
         tmp_path, cell, column, label_kind, message):
     path = tmp_path / "bad.csv"
